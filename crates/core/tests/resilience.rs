@@ -6,6 +6,7 @@ use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
+use spread_rt::task::LiveCounts;
 use spread_sim::FaultPlan;
 use spread_trace::{SimTime, SpanKind};
 
@@ -33,8 +34,21 @@ fn run_scale(
     let a = rt.host_array("A", n);
     let b = rt.host_array("B", n);
     rt.fill_host(a, |i| i as f64);
+    launch_scale(rt, a, b, &devices, policy, n)?;
+    Ok(rt.snapshot_host(b))
+}
+
+/// One `run_scale` construct over existing arrays, drained.
+fn launch_scale(
+    rt: &mut Runtime,
+    a: HostArray,
+    b: HostArray,
+    devices: &[u32],
+    policy: ResiliencePolicy,
+    n: usize,
+) -> Result<(), RtError> {
     rt.run(|s| {
-        TargetSpread::devices(devices.clone())
+        TargetSpread::devices(devices.to_vec())
             .with_schedule(SpreadSchedule::static_chunk(64))
             .with_resilience(policy)
             .map(spread_to(a, |c| c.range()))
@@ -51,8 +65,7 @@ fn run_scale(
                 .arg(KernelArg::write(b, |r| r)),
             )?;
         Ok(())
-    })?;
-    Ok(rt.snapshot_host(b))
+    })
 }
 
 /// Virtual mid-point of a fault-free run of the same program.
@@ -202,4 +215,44 @@ fn resilient_spread_without_faults_matches_fail_stop_exactly() {
         .filter(|s| s.kind == SpanKind::Redistribute)
         .count();
     assert_eq!(redists, 0, "no fault, no recovery work");
+}
+
+/// Every guarded construct registers one handler per phase task. They
+/// must go when their tasks complete — fired or not — or a long run
+/// pins every construct's coordinator for the life of the runtime.
+#[test]
+fn recovery_handlers_are_released_at_every_quiescence_point() {
+    let n = 512;
+    let run = |plan: Option<FaultPlan>| {
+        let mut rt = runtime(4, plan);
+        let a = rt.host_array("A", n);
+        let b = rt.host_array("B", n);
+        rt.fill_host(a, |i| i as f64);
+        for round in 0..200 {
+            launch_scale(
+                &mut rt,
+                a,
+                b,
+                &[0, 1, 2, 3],
+                ResiliencePolicy::Redistribute,
+                n,
+            )
+            .unwrap();
+            assert_eq!(rt.live_counts(), LiveCounts::default(), "round {round}");
+        }
+        let timeline = rt.timeline();
+        let redone = timeline.spans().iter();
+        let redone = redone.filter(|s| s.kind == SpanKind::Redistribute).count();
+        (rt.snapshot_host(b), rt.elapsed(), redone)
+    };
+    let (expect, clean, _) = run(None);
+    // A device dies half-way: the rounds around the loss fire handlers,
+    // the later ones register them for a device that is already gone.
+    let mid = SimTime::from_nanos(clean.as_nanos() / 2);
+    let (out, _, redone) = run(Some(FaultPlan::new(7).lose_device(1, mid)));
+    assert_eq!(out, expect);
+    assert!(
+        redone > 100,
+        "{redone} chunks redone: the loss must land mid-run"
+    );
 }

@@ -8,6 +8,12 @@
 //! expand a single `u64` seed into full generator state. Identical seeds
 //! produce identical streams on every platform: that guarantee is what
 //! makes `replay --seed <s>` reproduce a fuzzer failure exactly.
+//!
+//! [`hash`] holds the workspace's one non-cryptographic hasher, here
+//! because this is the leaf crate both `spread-sim` and `spread-rt` see.
+
+pub mod hash;
+pub use hash::FnvBuild;
 
 /// One SplitMix64 step: advances `state` and returns the next output.
 ///

@@ -30,45 +30,10 @@
 
 use std::any::Any;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::rc::Rc;
 use std::time::Instant;
 
-/// FNV-1a for the key map. Plan keys are short program-chosen strings;
-/// SipHash's DoS resistance buys nothing here and its setup cost is
-/// measurable on the warm path this cache exists to shorten.
-#[derive(Default)]
-pub(crate) struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut h = if self.0 == 0 {
-            0xcbf2_9ce4_8422_2325
-        } else {
-            self.0
-        };
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-#[derive(Clone, Default)]
-pub(crate) struct FnvBuild;
-
-impl BuildHasher for FnvBuild {
-    type Hasher = FnvHasher;
-
-    fn build_hasher(&self) -> FnvHasher {
-        FnvHasher::default()
-    }
-}
+use spread_prng::FnvBuild;
 
 /// Hit/miss/invalidation counters plus the planning-time accounting the
 /// hot-path benchmark reports. Instrumentation only — nothing in here
@@ -279,17 +244,5 @@ mod tests {
         let st = c.stats();
         assert_eq!(st.cold_ns_per_plan(), 2_000.0);
         assert_eq!(st.warm_ns_per_plan(), 100.0);
-    }
-
-    #[test]
-    fn fnv_hasher_is_stable_and_spreads_keys() {
-        let h = |s: &str| {
-            let mut f = FnvHasher::default();
-            f.write(s.as_bytes());
-            f.finish()
-        };
-        assert_eq!(h("somier:forces:0"), h("somier:forces:0"));
-        assert_ne!(h("somier:forces:0"), h("somier:forces:1"));
-        assert_ne!(h("a"), h("b"));
     }
 }

@@ -26,6 +26,7 @@ use spread_devices::dma::{Direction, DmaOp};
 use spread_devices::node::{DeviceHandle, Node};
 use spread_devices::topology::Topology;
 use spread_devices::{AllocId, DeviceMemory, FaultCtx};
+use spread_prng::FnvBuild;
 use spread_sim::{
     FaultEventKind, FaultPlan, PlannedFault, RetryPolicy, SharedFlowNet, Simulator, TieBreak,
 };
@@ -39,7 +40,7 @@ use crate::kernel::{self, KernelSpec, ResolvedArg};
 use crate::map::{MapClause, MapType};
 use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, ShardedPresence};
 use crate::section::Section;
-use crate::task::{GroupId, RaceReport, TaskGraph, TaskId, TaskSpec};
+use crate::task::{GroupId, LiveCounts, RaceReport, TaskGraph, TaskId, TaskSpec};
 
 /// Construction parameters for a [`Runtime`].
 #[derive(Clone)]
@@ -271,7 +272,6 @@ pub(crate) struct Inner {
     pub(crate) devices: Vec<DeviceHandle>,
     pub(crate) presence: ShardedPresence,
     pub(crate) graph: TaskGraph,
-    pub(crate) actions: std::collections::HashMap<TaskId, Action>,
     pub(crate) current_parent: Option<TaskId>,
     pub(crate) current_group: Option<GroupId>,
     pub(crate) error: Option<RtError>,
@@ -286,7 +286,7 @@ pub(crate) struct Inner {
     /// Shared fault arbitration (`None` = fault-free machine).
     pub(crate) fault: Option<FaultCtx>,
     /// Registered recovery handlers, keyed by task.
-    pub(crate) recoverers: std::collections::HashMap<TaskId, Recoverer>,
+    pub(crate) recoverers: std::collections::HashMap<TaskId, Recoverer, FnvBuild>,
     /// Watchdog limit for blocking drains.
     pub(crate) watchdog: Option<SimDuration>,
     /// Bytes currently held on each device by the fault injector's
@@ -831,7 +831,7 @@ pub(crate) fn start_task(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, id:
             return;
         }
         inner.graph.start(id);
-        inner.actions.remove(&id)
+        inner.graph.take_action(id)
     };
     match action {
         None => complete_task(sim, inner_rc, id),
@@ -934,7 +934,14 @@ pub(crate) fn device_lost_cleanup(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inn
 
 /// Mark a task finished; schedule newly ready successors.
 pub(crate) fn complete_task(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, id: TaskId) {
-    let ready = inner_rc.borrow_mut().graph.finish(id);
+    let ready = {
+        let mut inner = inner_rc.borrow_mut();
+        let ready = inner.graph.finish(id);
+        // A finished task can no longer fail: release its handler (and
+        // everything the closure captured).
+        inner.recoverers.remove(&id);
+        ready
+    };
     for t in ready {
         schedule_start(sim, inner_rc, t);
     }
@@ -1805,7 +1812,6 @@ impl Runtime {
             devices: node.devices().to_vec(),
             presence: ShardedPresence::new(n),
             graph: TaskGraph::new(),
-            actions: std::collections::HashMap::new(),
             current_parent: None,
             current_group: None,
             error: None,
@@ -1817,7 +1823,7 @@ impl Runtime {
             default_num_teams: cfg.default_num_teams,
             default_threads_per_team: cfg.default_threads_per_team,
             fault: fault.clone(),
-            recoverers: std::collections::HashMap::new(),
+            recoverers: std::collections::HashMap::default(),
             watchdog: cfg.watchdog,
             injector_live: vec![0; n],
             degradations: Vec::new(),
@@ -2029,6 +2035,18 @@ impl Runtime {
         self.inner.borrow().graph.races().to_vec()
     }
 
+    /// What the runtime still holds per task: all zeros whenever nothing
+    /// is in flight, however much has run.
+    #[doc(hidden)]
+    pub fn live_counts(&self) -> LiveCounts {
+        let inner = self.inner.borrow();
+        LiveCounts {
+            recoverers: inner.recoverers.len(),
+            mem_waiters: inner.mem_waiters.len(),
+            ..inner.graph.live_counts()
+        }
+    }
+
     /// Bytes currently allocated on a device.
     pub fn device_mem_used(&self, device: u32) -> u64 {
         self.inner.borrow().devices[device as usize]
@@ -2226,9 +2244,7 @@ impl Scope<'_> {
             if spec.group.is_none() {
                 spec.group = inner.current_group;
             }
-            let (id, ready) = inner.graph.create(spec);
-            inner.actions.insert(id, action);
-            (id, ready)
+            inner.graph.create_with(spec, Some(action))
         };
         if ready {
             schedule_start(self.sim, self.inner, id);
@@ -2706,19 +2722,15 @@ impl Scope<'_> {
         self.inner.borrow().integrity_log.clone()
     }
 
-    /// Turn a not-yet-started task into a no-op: its action is replaced
+    /// Turn a not-yet-started task into a no-op: its action is dropped
     /// (it will touch nothing when its turn comes) and its footprints
     /// are erased so replacement work does not race against it. Its
     /// dependence edges survive, so the construct's completion still
     /// cascades in order.
     pub fn neutralize_task(&mut self, id: TaskId) {
         let mut inner = self.inner.borrow_mut();
-        if inner.graph.is_finished(id) {
-            return;
-        }
-        inner
-            .actions
-            .insert(id, Box::new(|_, _, _| Ok(Completion::Done)));
+        // A task without an action completes as soon as it starts.
+        drop(inner.graph.take_action(id));
         inner.graph.clear_footprints(id);
     }
 

@@ -15,9 +15,22 @@
 //! that run concurrently in virtual time with conflicting footprints —
 //! the honest version of "the coherence between the mappings of the
 //! different directives is the programmer's responsibility" (§V-A.2).
+//!
+//! The graph forgets what it finished: `finish` drops the task's slot
+//! (label, footprints, successors, action), its dependence records and
+//! its entries in the race detector's running set, so cost and memory
+//! follow the *live* width of the graph, not its history. Ids are
+//! monotone and never recycled — an id below the next one that is no
+//! longer stored *is* a finished task. Both the dependence records and
+//! the running set are [`SectionIndex`]es, so `create` and `start` visit
+//! only overlapping live sections (DESIGN.md §16).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 
+use spread_prng::FnvBuild;
+
+use crate::runtime::Action;
 use crate::section::{ArrayId, Section};
 
 /// Identifier of a task.
@@ -80,6 +93,7 @@ pub enum TaskState {
 }
 
 /// Everything needed to create a task.
+#[derive(Clone)]
 pub struct TaskSpec {
     /// Human-readable label (traces, diagnostics).
     pub label: String,
@@ -123,16 +137,36 @@ impl TaskSpec {
     }
 }
 
-pub(crate) struct Task {
-    pub label: String,
-    pub state: TaskState,
-    pub unfinished_preds: usize,
-    pub succs: Vec<TaskId>,
-    pub group: Option<GroupId>,
-    pub gate_group: Option<GroupId>,
-    pub parent: Option<TaskId>,
-    pub fp_reads: Vec<FpAccess>,
-    pub fp_writes: Vec<FpAccess>,
+/// A live (unfinished) task. Dropped whole by [`TaskGraph::finish`].
+struct Task {
+    label: String,
+    state: TaskState,
+    unfinished_preds: usize,
+    succs: Vec<TaskId>,
+    group: Option<GroupId>,
+    gate_group: Option<GroupId>,
+    parent: Option<TaskId>,
+    /// The records this task published; `finish` removes exactly these.
+    publish: Vec<(Section, bool)>,
+    fp_reads: Vec<FpAccess>,
+    fp_writes: Vec<FpAccess>,
+    /// Position in start order (meaningful once `Running`): race
+    /// reports list the earlier-started task first, earliest first.
+    started: u64,
+    /// What the runtime runs when the task starts.
+    action: Option<Action>,
+}
+
+impl Task {
+    /// Footprint accesses in their running-index slot order.
+    fn accesses(&self) -> impl Iterator<Item = (u32, &FpAccess, bool)> {
+        let writes = self.fp_writes.iter().map(|a| (a, true));
+        let reads = self.fp_reads.iter().map(|a| (a, false));
+        writes
+            .chain(reads)
+            .enumerate()
+            .map(|(slot, (a, write))| (slot as u32, a, write))
+    }
 }
 
 struct GroupState {
@@ -140,11 +174,103 @@ struct GroupState {
     gated: Vec<TaskId>,
 }
 
-#[derive(Clone, Copy)]
-struct DepRecord {
-    task: TaskId,
-    section: Section,
+/// The live sections of one array (in one parent context or one memory
+/// space), findable by overlap in O(log n + k).
+///
+/// Entries are ordered by `(length class, start)`, where a section of
+/// length `len` has class `⌊log2 len⌋`. Within a class every length is
+/// below `2^(class+1)`, which bounds how far left of a query an
+/// overlapping section can start — so a query is one short range scan
+/// per class in use. Chunked constructs put near-uniform sections in
+/// one or two classes; a whole-array section lands in a class of its
+/// own instead of widening every other scan. Empty sections overlap
+/// nothing and are never stored.
+#[derive(Default)]
+struct SectionIndex {
+    /// `(class, start, owner, slot)` → `(len, is_write)`. `slot` is the
+    /// item's position in its owner's list: it keeps the key unique when
+    /// a task names one section twice.
+    entries: BTreeMap<(u32, usize, u64, u32), (usize, bool)>,
+    /// Bit `c` is set if a class-`c` section was inserted since the
+    /// index was created. Never cleared (the index is dropped when it
+    /// empties); a stale bit costs one empty range probe.
+    classes: u64,
+}
+
+impl SectionIndex {
+    fn key(owner: TaskId, slot: u32, section: &Section) -> (u32, usize, u64, u32) {
+        (section.len.ilog2(), section.start, owner.0, slot)
+    }
+
+    fn insert(&mut self, owner: TaskId, slot: u32, section: &Section, write: bool) {
+        let key = Self::key(owner, slot, section);
+        self.classes |= 1 << key.0;
+        self.entries.insert(key, (section.len, write));
+    }
+
+    fn remove(&mut self, owner: TaskId, slot: u32, section: &Section) {
+        self.entries.remove(&Self::key(owner, slot, section));
+    }
+
+    /// Call `f(owner, is_write)` for every stored section overlapping
+    /// `q` (once per stored section, so an owner may repeat).
+    fn for_each_overlap(&self, q: &Section, mut f: impl FnMut(TaskId, bool)) {
+        if q.is_empty() {
+            return;
+        }
+        let mut classes = self.classes;
+        while classes != 0 {
+            let class = classes.trailing_zeros();
+            classes &= classes - 1;
+            // Longest section of this class: 2^(class+1) - 1. A stored
+            // section reaching into `q` starts after `q.start - longest`.
+            let longest = usize::MAX >> (usize::BITS - 1 - class);
+            let lo = q.start.saturating_sub(longest - 1);
+            for (&(_, start, owner, _), &(len, write)) in self
+                .entries
+                .range((class, lo, 0, 0)..(class, q.end(), 0, 0))
+            {
+                if start + len > q.start {
+                    f(TaskId(owner), write);
+                }
+            }
+        }
+    }
+}
+
+/// Insert a non-empty section into the index under `key`.
+fn index_section<K: Hash + Eq>(
+    map: &mut HashMap<K, SectionIndex, FnvBuild>,
+    key: K,
+    owner: TaskId,
+    slot: u32,
+    section: &Section,
     write: bool,
+) {
+    if !section.is_empty() {
+        map.entry(key)
+            .or_default()
+            .insert(owner, slot, section, write);
+    }
+}
+
+/// Undo [`index_section`], dropping the index once it empties.
+fn unindex_section<K: Hash + Eq>(
+    map: &mut HashMap<K, SectionIndex, FnvBuild>,
+    key: K,
+    owner: TaskId,
+    slot: u32,
+    section: &Section,
+) {
+    if section.is_empty() {
+        return;
+    }
+    if let Some(ix) = map.get_mut(&key) {
+        ix.remove(owner, slot, section);
+        if ix.entries.is_empty() {
+            map.remove(&key);
+        }
+    }
 }
 
 /// A detected footprint race between two concurrently running tasks.
@@ -162,19 +288,45 @@ pub struct RaceReport {
     pub section: Section,
 }
 
+/// What the runtime still holds on to — every field is zero when
+/// nothing is in flight. For leak tests, not for programs.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LiveCounts {
+    /// Tasks stored in the graph (created, not yet finished).
+    pub tasks: usize,
+    /// Dependence records published by live tasks.
+    pub dep_records: usize,
+    /// Footprint accesses of running tasks in the race detector's index.
+    pub running_entries: usize,
+    /// Stored tasks that still own their action.
+    pub pending_actions: usize,
+    /// Per-context map entries: children counters, `(parent, array)`
+    /// record indexes and `(space, array)` running indexes.
+    pub contexts: usize,
+    /// Registered recovery handlers (filled in by the runtime).
+    pub recoverers: usize,
+    /// Enter tasks parked for device memory (filled in by the runtime).
+    pub mem_waiters: usize,
+}
+
 /// The task graph.
 #[derive(Default)]
 pub struct TaskGraph {
-    tasks: HashMap<u64, Task>,
+    /// Live tasks by id. A missing id below `next_task` has finished.
+    tasks: HashMap<u64, Task, FnvBuild>,
     next_task: u64,
     groups: Vec<GroupState>,
-    /// Dependence records, scoped by (parent context, array).
-    records: HashMap<(Option<TaskId>, ArrayId), Vec<DepRecord>>,
-    running: Vec<TaskId>,
+    /// Dependence records of live tasks, by (parent context, array).
+    records: HashMap<(Option<TaskId>, ArrayId), SectionIndex, FnvBuild>,
+    /// Footprints of running tasks, by (memory space, array).
+    running: HashMap<(Option<u32>, ArrayId), SectionIndex, FnvBuild>,
+    next_start: u64,
     races: Vec<RaceReport>,
     unfinished: usize,
-    /// Unfinished children per parent context (None = main program).
-    children: HashMap<Option<TaskId>, usize>,
+    /// Unfinished children per parent context (None = main program);
+    /// an entry is dropped when it reaches zero.
+    children: HashMap<Option<TaskId>, usize, FnvBuild>,
     /// Monotone count of tasks ever finished — the progress signal the
     /// blocking-drain watchdog watches (a drain that keeps completing
     /// tasks is slow, not wedged).
@@ -216,9 +368,16 @@ impl TaskGraph {
         self.groups[g.0 as usize].unfinished == 0
     }
 
-    /// Task state.
+    /// Task state. A finished task is no longer stored; any id this
+    /// graph has handed out and does not hold is `Finished`.
     pub fn state(&self, id: TaskId) -> TaskState {
-        self.tasks[&id.0].state
+        match self.tasks.get(&id.0) {
+            Some(t) => t.state,
+            None => {
+                assert!(id.0 < self.next_task, "state of unknown task {id:?}");
+                TaskState::Finished
+            }
+        }
     }
 
     /// True once the task has finished.
@@ -226,14 +385,9 @@ impl TaskGraph {
         self.state(id) == TaskState::Finished
     }
 
-    /// Task label.
-    pub fn label(&self, id: TaskId) -> &str {
-        &self.tasks[&id.0].label
-    }
-
-    /// Group the task belongs to.
+    /// Group a live task belongs to (`None` once it has finished).
     pub fn group_of(&self, id: TaskId) -> Option<GroupId> {
-        self.tasks[&id.0].group
+        self.tasks.get(&id.0).and_then(|t| t.group)
     }
 
     /// Recorded races.
@@ -241,54 +395,58 @@ impl TaskGraph {
         &self.races
     }
 
+    /// The graph's share of [`LiveCounts`].
+    #[doc(hidden)]
+    pub fn live_counts(&self) -> LiveCounts {
+        let entries = |ix: &SectionIndex| ix.entries.len();
+        LiveCounts {
+            tasks: self.tasks.len(),
+            dep_records: self.records.values().map(entries).sum(),
+            running_entries: self.running.values().map(entries).sum(),
+            pending_actions: self.tasks.values().filter(|t| t.action.is_some()).count(),
+            contexts: self.children.len() + self.records.len() + self.running.len(),
+            ..LiveCounts::default()
+        }
+    }
+
     /// Create a task. Returns its id and whether it is immediately ready
     /// (the caller schedules the start event; the graph marks it Ready).
     pub fn create(&mut self, spec: TaskSpec) -> (TaskId, bool) {
+        self.create_with(spec, None)
+    }
+
+    /// [`TaskGraph::create`], storing `action` in the task's slot until
+    /// [`TaskGraph::take_action`] claims it or the task finishes.
+    pub(crate) fn create_with(&mut self, spec: TaskSpec, action: Option<Action>) -> (TaskId, bool) {
         let id = TaskId(self.next_task);
         self.next_task += 1;
 
-        // Dependence matching against sibling records.
+        // Dependence matching against the live records of siblings: an
+        // `out` waits on overlapping `in` and `out`, an `in` on `out`
+        // only. Only the *set* of predecessors matters (each gets `id`
+        // appended to its successors once), so collect, then dedup.
         let mut preds: Vec<TaskId> = Vec::new();
-        for &(sec, is_write) in &spec.wait_on {
-            let key = (spec.parent, sec.array);
-            if let Some(records) = self.records.get_mut(&key) {
-                // Prune finished tasks while scanning.
-                records.retain(|r| {
-                    self.tasks
-                        .get(&r.task.0)
-                        .map(|t| t.state != TaskState::Finished)
-                        .unwrap_or(false)
-                });
-                for r in records.iter() {
-                    let conflict = if is_write {
-                        // out waits on previous in and out.
-                        r.section.overlaps(&sec)
-                    } else {
-                        // in waits on previous out only.
-                        r.write && r.section.overlaps(&sec)
-                    };
-                    if conflict && !preds.contains(&r.task) {
-                        preds.push(r.task);
+        for (sec, is_write) in &spec.wait_on {
+            if let Some(ix) = self.records.get(&(spec.parent, sec.array)) {
+                ix.for_each_overlap(sec, |task, write| {
+                    if *is_write || write {
+                        preds.push(task);
                     }
-                }
+                });
             }
         }
         for &p in &spec.extra_preds {
-            if !self.is_finished(p) && !preds.contains(&p) {
+            if !self.is_finished(p) {
                 preds.push(p);
             }
         }
+        preds.sort_unstable();
+        preds.dedup();
 
         // Publish this task's records for future siblings.
-        for &(section, write) in &spec.publish {
-            self.records
-                .entry((spec.parent, section.array))
-                .or_default()
-                .push(DepRecord {
-                    task: id,
-                    section,
-                    write,
-                });
+        for (slot, (section, write)) in spec.publish.iter().enumerate() {
+            let key = (spec.parent, section.array);
+            index_section(&mut self.records, key, id, slot as u32, section, *write);
         }
 
         if let Some(g) = spec.group {
@@ -301,7 +459,7 @@ impl TaskGraph {
         for p in preds {
             self.tasks
                 .get_mut(&p.0)
-                .expect("predecessor exists")
+                .expect("predecessor is live")
                 .succs
                 .push(id);
         }
@@ -324,8 +482,11 @@ impl TaskGraph {
             group: spec.group,
             gate_group: spec.gate_group,
             parent: spec.parent,
+            publish: spec.publish,
             fp_reads: spec.fp_reads,
             fp_writes: spec.fp_writes,
+            started: 0,
+            action,
         };
         if ready {
             task.gate_group = None; // consumed
@@ -340,61 +501,95 @@ impl TaskGraph {
         (id, ready)
     }
 
+    /// Take a live task's action out of its slot (`None` if it has none,
+    /// it was already taken, or the task has finished).
+    pub(crate) fn take_action(&mut self, id: TaskId) -> Option<Action> {
+        self.tasks.get_mut(&id.0).and_then(|t| t.action.take())
+    }
+
     /// Mark a task as running and record any footprint races against the
     /// currently running set.
     pub fn start(&mut self, id: TaskId) {
-        // Race detection against every running task.
-        let me = &self.tasks[&id.0];
+        let me = self.tasks.get(&id.0).expect("start of unknown task");
         debug_assert!(
             matches!(me.state, TaskState::Ready),
             "start of task {id:?} in state {:?}",
             me.state
         );
-        let mut found: Vec<RaceReport> = Vec::new();
-        for &other_id in &self.running {
-            let other = &self.tasks[&other_id.0];
-            let conflict = footprint_conflict(
-                (&me.fp_reads, &me.fp_writes),
-                (&other.fp_reads, &other.fp_writes),
-            );
-            if let Some(section) = conflict {
-                found.push(RaceReport {
-                    first: other_id,
-                    first_label: other.label.clone(),
-                    second: id,
-                    second_label: me.label.clone(),
-                    section,
+        // Running tasks with a same-space access overlapping one of
+        // mine, at least one of the two a write — exactly the tasks
+        // `footprint_conflict` answers `Some` for.
+        let mut hits: Vec<(u64, TaskId)> = Vec::new();
+        for (_, a, mine_writes) in me.accesses() {
+            if let Some(ix) = self.running.get(&(a.device, a.section.array)) {
+                ix.for_each_overlap(&a.section, |other, theirs_writes| {
+                    if mine_writes || theirs_writes {
+                        hits.push((self.tasks[&other.0].started, other));
+                    }
                 });
             }
         }
-        self.races.extend(found);
-        self.tasks.get_mut(&id.0).expect("exists").state = TaskState::Running;
-        self.running.push(id);
+        // One report per pair, earliest-started first, carrying the
+        // first conflict in footprint order.
+        hits.sort_unstable();
+        hits.dedup();
+        for (_, other_id) in hits {
+            let other = &self.tasks[&other_id.0];
+            let section = footprint_conflict(
+                (&me.fp_reads, &me.fp_writes),
+                (&other.fp_reads, &other.fp_writes),
+            )
+            .expect("an indexed overlap is a footprint conflict");
+            self.races.push(RaceReport {
+                first: other_id,
+                first_label: other.label.clone(),
+                second: id,
+                second_label: me.label.clone(),
+                section,
+            });
+        }
+        for (slot, a, write) in me.accesses() {
+            let key = (a.device, a.section.array);
+            index_section(&mut self.running, key, id, slot, &a.section, write);
+        }
+        let me = self.tasks.get_mut(&id.0).expect("checked above");
+        me.state = TaskState::Running;
+        me.started = self.next_start;
+        self.next_start += 1;
     }
 
-    /// Mark a task finished. Returns the tasks that became ready.
+    /// Mark a task finished and retire it: its slot, its dependence
+    /// records and its running-set entries are dropped here. Returns the
+    /// tasks that became ready.
     pub fn finish(&mut self, id: TaskId) -> Vec<TaskId> {
-        let (succs, group, parent) = {
-            let t = self.tasks.get_mut(&id.0).expect("finish of unknown task");
-            debug_assert!(
-                matches!(t.state, TaskState::Running),
-                "finish of task {id:?} in state {:?}",
-                t.state
-            );
-            t.state = TaskState::Finished;
-            (std::mem::take(&mut t.succs), t.group, t.parent)
-        };
-        self.running.retain(|&r| r != id);
+        let t = self.tasks.remove(&id.0).expect("finish of unknown task");
+        debug_assert!(
+            matches!(t.state, TaskState::Running),
+            "finish of task {id:?} in state {:?}",
+            t.state
+        );
+        for (slot, a, _) in t.accesses() {
+            let key = (a.device, a.section.array);
+            unindex_section(&mut self.running, key, id, slot, &a.section);
+        }
+        for (slot, (section, _)) in t.publish.iter().enumerate() {
+            let key = (t.parent, section.array);
+            unindex_section(&mut self.records, key, id, slot as u32, section);
+        }
         self.unfinished -= 1;
         self.finished_total += 1;
-        *self.children.get_mut(&parent).expect("counted at create") -= 1;
+        let siblings = self.children.get_mut(&t.parent).expect("counted at create");
+        *siblings -= 1;
+        if *siblings == 0 {
+            self.children.remove(&t.parent);
+        }
 
         let mut ready = Vec::new();
-        for s in succs {
-            let t = self.tasks.get_mut(&s.0).expect("successor exists");
-            t.unfinished_preds -= 1;
-            if t.unfinished_preds == 0 {
-                match t.gate_group {
+        for s in t.succs {
+            let st = self.tasks.get_mut(&s.0).expect("successor is live");
+            st.unfinished_preds -= 1;
+            if st.unfinished_preds == 0 {
+                match st.gate_group {
                     Some(g) => {
                         if self.groups[g.0 as usize].unfinished == 0 {
                             self.mark_ready(s, &mut ready);
@@ -406,24 +601,22 @@ impl TaskGraph {
                 }
             }
         }
-        if let Some(g) = group {
+        if let Some(g) = t.group {
             let gs = &mut self.groups[g.0 as usize];
             gs.unfinished -= 1;
             if gs.unfinished == 0 {
                 for gated in std::mem::take(&mut gs.gated) {
-                    let t = &self.tasks[&gated.0];
-                    if t.state == TaskState::Waiting && t.unfinished_preds == 0 {
-                        self.mark_ready(gated, &mut ready);
-                    }
+                    self.mark_ready(gated, &mut ready);
                 }
             }
         }
         ready
     }
 
+    /// `Waiting` with no unfinished predecessor → `Ready`.
     fn mark_ready(&mut self, id: TaskId, out: &mut Vec<TaskId>) {
-        let t = self.tasks.get_mut(&id.0).expect("exists");
-        if t.state == TaskState::Waiting {
+        let t = self.tasks.get_mut(&id.0).expect("a waiting task is live");
+        if t.state == TaskState::Waiting && t.unfinished_preds == 0 {
             t.state = TaskState::Ready;
             t.gate_group = None;
             out.push(id);
@@ -434,12 +627,22 @@ impl TaskGraph {
     /// a not-yet-started task (its action becomes a no-op, so it touches
     /// nothing) or *forgives* a faulted running task (its operation was
     /// aborted mid-flight; replacement work covering the same sections
-    /// must not be flagged as racing with a corpse).
+    /// must not be flagged as racing with a corpse). A finished task has
+    /// none left to erase.
     pub fn clear_footprints(&mut self, id: TaskId) {
-        let t = self
-            .tasks
-            .get_mut(&id.0)
-            .expect("clear_footprints of unknown task");
+        let Some(t) = self.tasks.get_mut(&id.0) else {
+            assert!(
+                id.0 < self.next_task,
+                "clear_footprints of unknown task {id:?}"
+            );
+            return;
+        };
+        if t.state == TaskState::Running {
+            for (slot, a, _) in t.accesses() {
+                let key = (a.device, a.section.array);
+                unindex_section(&mut self.running, key, id, slot, &a.section);
+            }
+        }
         t.fp_reads.clear();
         t.fp_writes.clear();
     }
@@ -728,6 +931,77 @@ mod tests {
         assert!(g.races().is_empty());
         g.finish(w);
         g.finish(r);
+    }
+
+    #[test]
+    fn finished_tasks_are_retired_but_still_answer() {
+        let mut g = TaskGraph::new();
+        let mut s1 = spec("w");
+        s1.publish = vec![(sec(0, 10), true)];
+        s1.fp_writes = vec![FpAccess::host(sec(0, 10))];
+        let (w, _) = g.create(s1);
+        g.start(w);
+        let live = g.live_counts();
+        assert_eq!(
+            (live.tasks, live.dep_records, live.running_entries),
+            (1, 1, 1)
+        );
+        g.finish(w);
+        assert_eq!(g.live_counts(), LiveCounts::default());
+        assert_eq!(g.state(w), TaskState::Finished);
+        assert_eq!(g.group_of(w), None);
+        g.clear_footprints(w); // nothing left to erase
+                               // Ids are never recycled, and the retired writer's record is gone.
+        let mut s2 = spec("r");
+        s2.wait_on = vec![(sec(0, 10), false)];
+        let (r, ready) = g.create(s2);
+        assert_eq!(r, TaskId(w.0 + 1));
+        assert!(ready);
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown task")]
+    fn an_id_never_handed_out_is_not_finished() {
+        TaskGraph::new().state(TaskId(0));
+    }
+
+    #[test]
+    fn section_index_finds_every_overlap_across_length_classes() {
+        let mut ix = SectionIndex::default();
+        let stored = [
+            sec(0, 4096),
+            sec(64, 64),
+            sec(128, 64),
+            sec(100, 1),
+            sec(191, 3),
+        ];
+        for (i, s) in stored.iter().enumerate() {
+            ix.insert(TaskId(i as u64), 0, s, true);
+        }
+        let hits = |q: Section| {
+            let mut found = Vec::new();
+            ix.for_each_overlap(&q, |t, _| found.push(t.0 as usize));
+            found.sort_unstable();
+            found
+        };
+        for q in [
+            sec(0, 1),
+            sec(100, 1),
+            sec(127, 2),
+            sec(190, 2),
+            sec(4095, 1),
+            sec(0, 4096),
+        ] {
+            let expect: Vec<usize> = (0..stored.len())
+                .filter(|&i| stored[i].overlaps(&q))
+                .collect();
+            assert_eq!(hits(q), expect, "query {q}");
+        }
+        assert!(
+            hits(sec(100, 0)).is_empty(),
+            "an empty query overlaps nothing"
+        );
+        assert!(hits(sec(4096, 10)).is_empty());
     }
 
     #[test]

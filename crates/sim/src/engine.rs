@@ -15,6 +15,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
+use spread_prng::FnvBuild;
 use spread_trace::{SimDuration, SimTime, TraceRecorder};
 
 /// Handle to a scheduled event; used for cancellation.
@@ -61,7 +62,7 @@ pub struct Simulator {
     /// sequence number under [`TieBreak::Fifo`], a seeded hash under
     /// [`TieBreak::Seeded`]; the trailing seq keeps keys unique.
     heap: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    payloads: HashMap<u64, EventFn>,
+    payloads: HashMap<u64, EventFn, FnvBuild>,
     next_seq: u64,
     executed: u64,
     tie_break: TieBreak,
@@ -79,7 +80,7 @@ impl Simulator {
         Simulator {
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
-            payloads: HashMap::new(),
+            payloads: HashMap::default(),
             next_seq: 0,
             executed: 0,
             tie_break,

@@ -19,11 +19,7 @@ use spread_somier::{run_somier, SomierConfig, SomierImpl};
 
 fn scaled(cfg: &SomierConfig, kernel_scale: f64, single_queue: bool) -> SomierConfig {
     let mut c = cfg.clone().with_single_queue(single_queue);
-    c.costs.forces *= kernel_scale;
-    c.costs.accel *= kernel_scale;
-    c.costs.velocity *= kernel_scale;
-    c.costs.position *= kernel_scale;
-    c.costs.centers *= kernel_scale;
+    c.costs = c.costs.scaled(kernel_scale);
     c
 }
 

@@ -11,8 +11,8 @@
 //! Usage: `cargo run --release -p spread-bench --bin export`
 
 use spread_bench::report::{centers_checksum, profile_obj, Report};
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_auto, run_spread_resilient};
+use spread_core::{SpreadClausesExt, SpreadSchedule};
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::SomierConfig;
 
 const N_GPUS: usize = 2;
@@ -25,11 +25,7 @@ const TIMESTEPS: usize = 10;
 /// transfer-dominated default, device 0 at 1/3 compute speed.
 fn config() -> SomierConfig {
     let mut cfg = SomierConfig::test_small(20, TIMESTEPS);
-    cfg.costs.forces *= 150.0;
-    cfg.costs.accel *= 150.0;
-    cfg.costs.velocity *= 150.0;
-    cfg.costs.position *= 150.0;
-    cfg.costs.centers *= 150.0;
+    cfg.costs = cfg.costs.scaled(150.0);
     cfg.with_slow_device(SLOW_DEVICE, SLOW_FACTOR)
 }
 
@@ -37,12 +33,16 @@ fn main() {
     let cfg = config();
 
     let mut static_rt = cfg.runtime(N_GPUS);
-    let static_report =
-        run_spread_resilient(&mut static_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop)
-            .expect("static run");
+    let static_report = run_spread_scoped(&mut static_rt, &cfg, N_GPUS, None, |c, _| c)
+        .expect("static run")
+        .0;
 
     let mut auto_rt = cfg.runtime(N_GPUS);
-    let auto_report = run_spread_auto(&mut auto_rt, &cfg, N_GPUS).expect("auto run");
+    let auto_report = run_spread_scoped(&mut auto_rt, &cfg, N_GPUS, None, |c, k| {
+        c.with_schedule(SpreadSchedule::auto(k))
+    })
+    .expect("auto run")
+    .0;
     assert_eq!(
         auto_report.centers, static_report.centers,
         "adapted splits must not change the physics"

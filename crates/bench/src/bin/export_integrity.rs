@@ -17,10 +17,10 @@
 //! Usage: `cargo run --release -p spread-bench --bin export_integrity`
 
 use spread_bench::report::{centers_checksum, Obj, Report};
-use spread_core::IntegrityMode;
+use spread_core::{IntegrityMode, SpreadClausesExt};
 use spread_rt::IntegrityAction;
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::run_spread_integrity;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::SimTime;
@@ -66,7 +66,10 @@ fn main() {
                 Some(p) => cfg.runtime_with_faults(N_GPUS, p),
                 None => cfg.runtime(N_GPUS),
             };
-            let report = run_spread_integrity(&mut rt, &cfg, N_GPUS, mode).expect("integrity run");
+            let report =
+                run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| c.with_integrity(mode))
+                    .expect("integrity run")
+                    .0;
             assert_eq!(
                 report.centers, reference.centers,
                 "integrity must not change the physics ({mode:?} @ n={n})"

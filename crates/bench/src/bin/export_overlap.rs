@@ -18,8 +18,8 @@
 //! Usage: `cargo run --release -p spread-bench --bin export_overlap`
 
 use spread_bench::report::{centers_checksum, Obj, Report, Value};
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_overlap, run_spread_resilient};
+use spread_core::{OverlapPolicy, SpreadClausesExt};
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{profile_window, SimTime};
@@ -43,11 +43,7 @@ fn config() -> SomierConfig {
     // pipeline can only hide the small side, and no machine shows more
     // overlap than its slower engine has work.
     let mut cfg = SomierConfig::test_small(N, TIMESTEPS).with_single_queue(false);
-    cfg.costs.forces *= 6.0;
-    cfg.costs.accel *= 6.0;
-    cfg.costs.velocity *= 6.0;
-    cfg.costs.position *= 6.0;
-    cfg.costs.centers *= 6.0;
+    cfg.costs = cfg.costs.scaled(6.0);
     cfg
 }
 
@@ -57,8 +53,9 @@ fn main() {
     let devices: Vec<u32> = (0..N_GPUS as u32).collect();
 
     let mut base_rt = cfg.runtime(N_GPUS);
-    let base = run_spread_resilient(&mut base_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop)
-        .expect("baseline run");
+    let base = run_spread_scoped(&mut base_rt, &cfg, N_GPUS, None, |c, _| c)
+        .expect("baseline run")
+        .0;
     assert_eq!(
         base.centers, reference.centers,
         "the One-Buffer baseline must match the CPU reference"
@@ -92,7 +89,11 @@ fn main() {
     let mut best_min_overlap_s = 0.0f64;
     for &depth in DEPTHS.iter() {
         let mut rt = cfg.runtime(N_GPUS);
-        let rep = run_spread_overlap(&mut rt, &cfg, N_GPUS, depth).expect("pipelined run");
+        let rep = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+            c.with_overlap(OverlapPolicy::Depth(depth))
+        })
+        .expect("pipelined run")
+        .0;
         assert_eq!(
             rep.centers, reference.centers,
             "pipelining must not change the physics (depth {depth})"

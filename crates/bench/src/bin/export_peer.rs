@@ -13,8 +13,8 @@
 //! Usage: `cargo run --release -p spread-bench --bin export_peer`
 
 use spread_bench::report::{centers_checksum, Obj, Report};
-use spread_core::{ExchangeMode, ResiliencePolicy};
-use spread_somier::one_buffer::run_spread_peer;
+use spread_core::ExchangeMode;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::SomierConfig;
 
 const N_GPUS: usize = 4;
@@ -25,22 +25,22 @@ fn main() {
     let cfg = SomierConfig::test_small(N, TIMESTEPS);
 
     let mut host_rt = cfg.runtime(N_GPUS);
-    let (host_report, host_halo) = run_spread_peer(
+    let (host_report, host_halo) = run_spread_scoped(
         &mut host_rt,
         &cfg,
         N_GPUS,
-        ExchangeMode::Host,
-        ResiliencePolicy::FailStop,
+        Some(ExchangeMode::Host),
+        |c, _| c,
     )
     .expect("host-routed run");
 
     let mut auto_rt = cfg.runtime(N_GPUS);
-    let (auto_report, auto_halo) = run_spread_peer(
+    let (auto_report, auto_halo) = run_spread_scoped(
         &mut auto_rt,
         &cfg,
         N_GPUS,
-        ExchangeMode::Auto,
-        ResiliencePolicy::FailStop,
+        Some(ExchangeMode::Auto),
+        |c, _| c,
     )
     .expect("auto run");
     assert_eq!(

@@ -16,9 +16,10 @@
 //! Usage: `cargo run --release -p spread-bench --bin export_straggler`
 
 use spread_bench::report::{centers_checksum, Obj, Report};
-use spread_core::StragglerPolicy;
+use spread_core::{SpreadClausesExt, StragglerPolicy};
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::run_spread_straggler;
+use spread_somier::config::STRAGGLER_BETA;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::SimTime;
@@ -36,7 +37,11 @@ fn main() {
     let run = |factor: f64, policy: StragglerPolicy| {
         let plan = FaultPlan::new(7).slow_compute(SLOW_DEVICE, SimTime::ZERO, SimTime::MAX, factor);
         let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-        let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, policy).expect("straggler run");
+        let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+            c.with_straggler(policy).with_straggler_beta(STRAGGLER_BETA)
+        })
+        .expect("straggler run")
+        .0;
         assert_eq!(
             report.centers, reference.centers,
             "rescue must not change the physics ({policy:?} @ {factor}x)"

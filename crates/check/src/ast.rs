@@ -179,7 +179,7 @@ pub struct StragglerSpec {
 /// stay under the runtime's default mismatch breaker (8), so healing
 /// never escalates to quarantine and the oracle's prediction is purely
 /// the flip-blind fault-free state: under
-/// [`IntegrityMode::Heal`](spread_core::IntegrityMode::Heal) results
+/// [`spread_core::IntegrityMode::Heal`] results
 /// must be bit-identical with exactly `count` healed commits per
 /// flipped device that drains at all.
 #[derive(Clone, Debug, PartialEq, Eq)]

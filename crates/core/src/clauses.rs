@@ -67,12 +67,10 @@ pub enum OverlapPolicy {
     /// (`depth ≥ 1`; `Depth(1)` is equivalent to `Off`, `Depth(0)` is
     /// rejected at launch).
     Depth(u32),
-    /// Profile-guided: the [`ProfileStore`] behind
+    /// Profile-guided: the runtime's profile store behind
     /// `spread_schedule(auto)` learns the best depth per construct key
     /// (explore, then exponentially-weighted argmin). Requires
     /// `spread_schedule(auto)` on the same construct.
-    ///
-    /// [`ProfileStore`]: spread_rt::profile::ProfileStore
     Auto,
 }
 
@@ -128,6 +126,12 @@ impl Default for ClauseSet {
             overlap: OverlapPolicy::Off,
             plan_key: None,
         }
+    }
+}
+
+impl SpreadClausesExt for ClauseSet {
+    fn clause_set_mut(&mut self) -> &mut ClauseSet {
+        self
     }
 }
 
@@ -211,6 +215,17 @@ pub trait SpreadClausesExt: Sized {
     /// plumbing — use the `with_*` methods).
     #[doc(hidden)]
     fn clause_set_mut(&mut self) -> &mut ClauseSet;
+
+    /// Stamp a whole clause value onto this builder, replacing every
+    /// clause it carried — how one [`ClauseSet`] built once (it takes
+    /// the same `with_*` methods) decorates several directives. A set
+    /// without a schedule keeps the builder's own.
+    fn with_clauses(mut self, set: ClauseSet) -> Self {
+        let own = self.clause_set_mut();
+        let schedule = set.schedule.clone().or(own.schedule.take());
+        *own = ClauseSet { schedule, ..set };
+        self
+    }
 
     /// The `spread_schedule(…)` clause (paper §III-B.1; extensions
     /// §IX): how the iteration space (or `range`) is carved into chunks

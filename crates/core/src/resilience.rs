@@ -28,6 +28,7 @@ use spread_rt::{ConstructIds, KernelSpec, RtError, Scope, TaskId};
 use spread_trace::{Lane, SpanKind};
 
 use crate::chunk::ChunkCtx;
+use crate::straggler::Monitor;
 use crate::target_spread::TargetSpread;
 
 /// What a `target spread` construct does when one of its devices is
@@ -49,6 +50,9 @@ pub enum ResiliencePolicy {
 pub(crate) struct Coordinator {
     spread: Rc<TargetSpread>,
     kernel: KernelSpec,
+    /// The construct's straggler monitor, when it has one: a piece it
+    /// already rescued is not rebuilt here.
+    monitor: Option<Rc<Monitor>>,
     /// Round-robin cursor over the device list for survivor picks.
     rr: Cell<usize>,
     /// Per device: exit ids of every construct placed on it (original
@@ -58,10 +62,15 @@ pub(crate) struct Coordinator {
 }
 
 impl Coordinator {
-    pub(crate) fn new(spread: Rc<TargetSpread>, kernel: KernelSpec) -> Rc<Self> {
+    pub(crate) fn new(
+        spread: Rc<TargetSpread>,
+        kernel: KernelSpec,
+        monitor: Option<Rc<Monitor>>,
+    ) -> Rc<Self> {
         Rc::new(Coordinator {
             spread,
             kernel,
+            monitor,
             rr: Cell::new(0),
             exits: RefCell::new(HashMap::new()),
         })
@@ -120,21 +129,37 @@ fn recover(
     faulted: TaskId,
     err: RtError,
 ) {
+    // The faulted task's operation was aborted and the construct's
+    // remaining phases must never touch the dead device. Erasing the
+    // footprints keeps the race detector quiet about the replacement
+    // covering the same sections.
+    let retire_dead_construct = |s: &mut Scope<'_>| {
+        s.forgive_task_footprints(faulted);
+        for id in ids.all() {
+            if id != faulted {
+                s.neutralize_task(id);
+            }
+        }
+    };
+    // One owner per piece: a speculative copy the straggler monitor
+    // already launched lands this piece's results through its commit
+    // gate, so the dead construct only has to complete behind it.
+    if let Some(rescue) = coord.monitor.as_ref().and_then(|m| m.rescue_exit(start)) {
+        retire_dead_construct(s);
+        s.task_chained(
+            format!("spread-rescued-done(dev{dead})"),
+            vec![rescue],
+            None,
+            move |s| s.force_complete(faulted),
+        );
+        return;
+    }
     let Some(survivor) = coord.pick_survivor(s) else {
         // The whole devices(…) list is dead — nowhere left to route.
         s.fail(err);
         return;
     };
-    // The faulted task's operation was aborted and the construct's
-    // remaining phases must never touch the dead device. Erasing the
-    // footprints keeps the race detector quiet about the replacement
-    // covering the same sections.
-    s.forgive_task_footprints(faulted);
-    for id in ids.all() {
-        if id != faulted {
-            s.neutralize_task(id);
-        }
-    }
+    retire_dead_construct(s);
     let now = s.now();
     s.trace().record(
         Lane::compute(survivor),

@@ -91,6 +91,8 @@ pub(crate) struct Monitor {
     rescue_load: RefCell<HashMap<u32, u64>>,
     /// Exits of launched rescues not yet handed to the blocking drain.
     pending_rescue_exits: RefCell<Vec<TaskId>>,
+    /// Piece start → exit of the rescue that now owns the piece.
+    rescued_by: RefCell<HashMap<usize, TaskId>>,
     /// Canary: force losing commits through (see
     /// [`crate::testing::TargetSpreadTestingExt`]).
     force_double: bool,
@@ -112,6 +114,7 @@ impl Monitor {
             exits: RefCell::new(HashMap::new()),
             rescue_load: RefCell::new(HashMap::new()),
             pending_rescue_exits: RefCell::new(Vec::new()),
+            rescued_by: RefCell::new(HashMap::new()),
             force_double,
         })
     }
@@ -120,6 +123,14 @@ impl Monitor {
     /// loops on this until it runs dry).
     pub(crate) fn take_rescue_exits(&self) -> Vec<TaskId> {
         std::mem::take(&mut *self.pending_rescue_exits.borrow_mut())
+    }
+
+    /// The exit of the rescue that owns the piece starting at `start`,
+    /// if one was launched. One owner per piece: from then on the
+    /// piece's results come from behind the rescue's commit gate, and
+    /// `spread_resilience` must not rebuild it a second time.
+    pub(crate) fn rescue_exit(&self, start: usize) -> Option<TaskId> {
+        self.rescued_by.borrow().get(&start).copied()
     }
 
     /// First kernel completion arms the construct's progress deadline.
@@ -151,7 +162,11 @@ impl Monitor {
                     w.rescued.get(),
                 )
             };
-            if rescued || s.is_task_finished(ids.kernel) {
+            // One owner per piece: a lost device's kernel never finishes
+            // either, but that piece belongs to `spread_resilience` — its
+            // replacement commits outside this gate, so a rescue would
+            // commit a second copy.
+            if rescued || s.is_task_finished(ids.kernel) || s.is_device_lost(device) {
                 continue;
             }
             self.watched.borrow()[i].rescued.set(true);
@@ -241,6 +256,7 @@ impl Monitor {
                     .push(redo.exit);
                 *self.rescue_load.borrow_mut().entry(to).or_default() += len as u64;
                 self.pending_rescue_exits.borrow_mut().push(redo.exit);
+                self.rescued_by.borrow_mut().insert(start, redo.exit);
                 if stolen {
                     // The cancelled kernel's completion will never fire;
                     // its device-side effects already ran at op start.

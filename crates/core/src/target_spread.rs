@@ -945,12 +945,12 @@ impl TargetSpread {
         // resilience coordinator: its handler covers device loss (real
         // or quarantine) *and* integrity violations, because the runtime
         // keeps a single recovery registration per task.
-        let coord =
-            (resilient && !heal).then(|| Coordinator::new(Rc::clone(&this), kernel.clone()));
-        let healer = heal
-            .then(|| crate::integrity::Healer::new(Rc::clone(&this), kernel.clone(), resilient));
         let monitor = straggle
             .then(|| crate::straggler::Monitor::new(Rc::clone(&this), kernel.clone(), scope.now()));
+        let coord = (resilient && !heal)
+            .then(|| Coordinator::new(Rc::clone(&this), kernel.clone(), monitor.clone()));
+        let healer = heal
+            .then(|| crate::integrity::Healer::new(Rc::clone(&this), kernel.clone(), resilient));
         let mut ids = Vec::with_capacity(chunks.len());
         for (chunk, secs) in chunks.iter().zip(sections) {
             let device = chunk.device.expect("static chunks are assigned");

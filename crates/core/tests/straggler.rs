@@ -241,6 +241,61 @@ fn straggler_composes_with_resilience() {
     .unwrap();
     assert_eq!(rt.snapshot_host(b), expect);
     assert!(rt.races().is_empty());
+
+    // `B = 3A + 1` is idempotent under re-execution; `A += 1` is not —
+    // a piece both recovery paths rebuilt would be incremented twice.
+    // Device 2 is lost at every tenth of the run, for both rescuing
+    // policies: on a healthy machine (a lost device's kernel never
+    // finishes, which is exactly what the straggler deadline looks for),
+    // and slowed 8x so that its pieces are already rescued when it dies.
+    let bump = |plan: Option<FaultPlan>, policy: StragglerPolicy| {
+        let mut rt = runtime(4, plan);
+        let a = rt.host_array("A", n);
+        rt.fill_host(a, |i| i as f64);
+        rt.run(|s| {
+            for _launch in 0..4 {
+                TargetSpread::devices([0, 1, 2, 3])
+                    .with_schedule(SpreadSchedule::static_chunk(128))
+                    .with_straggler(policy)
+                    .with_straggler_beta(1.5)
+                    .with_resilience(ResiliencePolicy::Redistribute)
+                    .num_teams(1)
+                    .num_threads(1)
+                    .map(spread_tofrom(a, |c| c.range()))
+                    .parallel_for(
+                        s,
+                        0..n,
+                        KernelSpec::new("bump", 2000.0, |chunk, v| {
+                            for i in chunk {
+                                v.set(0, i, v.get(0, i) + 1.0);
+                            }
+                        })
+                        .arg(KernelArg::read_write(a, |r| r)),
+                    )?;
+            }
+            Ok(())
+        })
+        .unwrap();
+        assert!(rt.races().is_empty());
+        (rt.snapshot_host(a), rt.elapsed().as_nanos())
+    };
+    let (expect, _) = bump(None, StragglerPolicy::Wait);
+    for policy in [StragglerPolicy::Steal, StragglerPolicy::Replicate] {
+        for slowdown in [1.0, 8.0] {
+            let plan = || FaultPlan::new(5).slow_compute(2, SimTime::ZERO, SimTime::MAX, slowdown);
+            let (_, run_ns) = bump(Some(plan()), policy);
+            for tenth in 1..=9 {
+                let lost_at = SimTime::from_nanos(run_ns * tenth / 10);
+                let (out, _) = bump(Some(plan().lose_device(2, lost_at)), policy);
+                assert!(
+                    out == expect,
+                    "{policy:?}, device 2 {slowdown}x slow and lost at {tenth}/10 of the run: \
+                     first wrong element {:?}",
+                    out.iter().zip(&expect).position(|(o, e)| o != e)
+                );
+            }
+        }
+    }
 }
 
 #[test]

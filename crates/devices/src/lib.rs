@@ -21,7 +21,7 @@
 //!   the flow network (link → switch → host bus).
 //! * [`compute`] — [`ComputeEngine`]: a FIFO kernel queue; kernel bodies
 //!   *really execute* at launch (on the host, optionally via a
-//!   [`spread_teams::TeamPool`] upstream) while the modeled duration
+//!   `spread_teams::TeamPool` upstream) while the modeled duration
 //!   determines virtual time.
 //! * [`health`] — [`FaultCtx`]: the shared fault-arbitration context
 //!   built from a `FaultPlan`; engines consult it before every operation

@@ -11,7 +11,7 @@
 //! presence table, binds the device buffers into [`ChunkViews`]
 //! (bounds-checked, global-indexed views) and executes the body over the
 //! iteration range on a [`TeamPool`] — `teams distribute parallel for`
-//! for real, while the device's [`ComputeModel`] provides the virtual
+//! for real, while the device's [`ComputeModel`](spread_devices::ComputeModel) provides the virtual
 //! duration.
 //!
 //! ## Safety contract (enforced + documented)

@@ -29,7 +29,7 @@
 //!   resilience guards and cancellation see the same shape.
 //! - D2H sub-slices are staged like any other exit and drained
 //!   all-or-nothing at the exit's commit point, through the same
-//!   [`staged_commit_finish`] the classic path uses — the commit gate,
+//!   `staged_commit_finish` the classic path uses — the commit gate,
 //!   integrity verification and healing, and the rescue log all observe
 //!   whole-piece commits. No sub-slice commit is externally visible.
 //! - Under allocation backpressure an enter that cannot get memory

@@ -22,7 +22,7 @@
 //! follow the *live* width of the graph, not its history. Ids are
 //! monotone and never recycled — an id below the next one that is no
 //! longer stored *is* a finished task. Both the dependence records and
-//! the running set are [`SectionIndex`]es, so `create` and `start` visit
+//! the running set are `SectionIndex`es, so `create` and `start` visit
 //! only overlapping live sections (DESIGN.md §16).
 
 use std::collections::{BTreeMap, HashMap};

@@ -8,7 +8,7 @@
 //!   event queue ordered by `(time, sequence)`. Events are `FnOnce`
 //!   callbacks; everything is single-threaded and therefore exactly
 //!   reproducible run to run.
-//! * [`flow`] — the [`FlowNet`](flow::FlowNet): concurrent bulk transfers
+//! * [`flow`] — the [`flow::FlowNet`]: concurrent bulk transfers
 //!   ("flows") share a set of capacity constraints (device link, PCIe
 //!   switch, host bus) under **max–min fair** processor sharing. Every
 //!   arrival or departure re-allocates rates and re-schedules completion

@@ -8,6 +8,21 @@ use crate::physics::initial_position;
 /// Axis labels for the three components of each variable.
 pub const COMPONENTS: [&str; 3] = ["x", "y", "z"];
 
+/// A family of three component arrays of [`SomierArrays`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Grid {
+    /// Positions.
+    X,
+    /// Velocities.
+    V,
+    /// Accelerations.
+    A,
+    /// Forces.
+    F,
+    /// Per-plane partial sums of the positions.
+    Partials,
+}
+
 /// The 12 state grids (4 variables × 3 components) plus the per-plane
 /// partial-sum arrays used by the manual centers reduction.
 #[derive(Clone, Copy)]
@@ -44,6 +59,17 @@ impl SomierArrays {
             rt.fill_host(arrays.x[c], |i| initial_position(n, c, i));
         }
         arrays
+    }
+
+    /// The three component arrays of `grid`.
+    pub fn grid(&self, grid: Grid) -> [HostArray; 3] {
+        match grid {
+            Grid::X => self.x,
+            Grid::V => self.v,
+            Grid::A => self.a,
+            Grid::F => self.f,
+            Grid::Partials => self.partials,
+        }
     }
 
     /// The 12 state grids in canonical order (X, V, A, F × x,y,z).

@@ -28,6 +28,14 @@ use spread_trace::SimDuration;
 /// (154.5 GB / 16 GB).
 pub const MEM_RATIO: f64 = 9.66;
 
+/// The `spread_straggler_beta(β)` Somier's straggler experiments run
+/// at. Somier constructs are transfer-heavy, so the first finisher's
+/// span (which sets the deadline) is mostly H2D time. The default β=4
+/// would only catch extreme slowdowns; β=2 keeps the deadline sensitive
+/// to compute-side lag without tripping on the transfer jitter a static
+/// split actually exhibits.
+pub const STRAGGLER_BETA: f64 = 2.0;
+
 /// Per-element, at-saturation kernel costs in nanoseconds (single
 /// effective lane; the Somier device model folds occupancy into these).
 #[derive(Clone, Copy, Debug)]
@@ -52,6 +60,21 @@ impl Default for KernelCosts {
             velocity: 0.7,
             position: 0.7,
             centers: 0.47,
+        }
+    }
+}
+
+impl KernelCosts {
+    /// Every kernel `k`× as expensive: moves the calibration along the
+    /// transfer-bound ↔ compute-bound axis without changing the
+    /// kernels' relative weights.
+    pub fn scaled(self, k: f64) -> Self {
+        KernelCosts {
+            forces: self.forces * k,
+            accel: self.accel * k,
+            velocity: self.velocity * k,
+            position: self.position * k,
+            centers: self.centers * k,
         }
     }
 }
@@ -325,30 +348,28 @@ impl SomierConfig {
         topo.with_time_scale(self.time_scale)
     }
 
-    /// A runtime for this experiment on `n_gpus` devices. Allocation
-    /// backpressure is on: the pipelined implementations transiently
-    /// over-subscribe device memory (their next halves' map-ins race the
-    /// previous halves' releases), and the paper's runs clearly survived
-    /// this — a pooled allocator that briefly waits models that.
+    /// The runtime configuration of this experiment on `n_gpus` devices.
+    /// Allocation backpressure is on: the pipelined implementations
+    /// transiently over-subscribe device memory (their next halves'
+    /// map-ins race the previous halves' releases), and the paper's runs
+    /// clearly survived this — a pooled allocator that briefly waits
+    /// models that.
+    fn runtime_config(&self, n_gpus: usize) -> RuntimeConfig {
+        RuntimeConfig::new(self.topology(n_gpus))
+            .with_team_threads(self.team_threads)
+            .with_trace(self.trace)
+            .with_alloc_backpressure(true)
+    }
+
+    /// A runtime for this experiment on `n_gpus` devices.
     pub fn runtime(&self, n_gpus: usize) -> Runtime {
-        Runtime::new(
-            RuntimeConfig::new(self.topology(n_gpus))
-                .with_team_threads(self.team_threads)
-                .with_trace(self.trace)
-                .with_alloc_backpressure(true),
-        )
+        Runtime::new(self.runtime_config(n_gpus))
     }
 
     /// Like [`SomierConfig::runtime`], with a fault plan injected — the
     /// machine for the resilience experiments.
     pub fn runtime_with_faults(&self, n_gpus: usize, plan: spread_sim::FaultPlan) -> Runtime {
-        Runtime::new(
-            RuntimeConfig::new(self.topology(n_gpus))
-                .with_team_threads(self.team_threads)
-                .with_trace(self.trace)
-                .with_alloc_backpressure(true)
-                .with_fault_plan(plan),
-        )
+        Runtime::new(self.runtime_config(n_gpus).with_fault_plan(plan))
     }
 
     /// Per-plane modeled kernel cost (the `work_per_iter_ns` of a kernel

@@ -1,105 +1,37 @@
 //! Implementation 3: *Double Buffering* (§V-C, Listing 12).
 //!
-//! A recursive routine processes one half buffer: map in (taskgroup
-//! barrier), **spawn the routine for the next half**, then kernels and
-//! map out. Because the spawn happens right after the map-in barrier,
-//! the next half's host→device transfers are dispatched while the
-//! current half's kernels run — the controlled overlap the paper hopes
-//! for (and whose absence it then diagnoses in Figure 4: transfers
-//! serialize on the copy engines and dominate, so kernels end up
-//! *interleaved* with transfers rather than overlapped).
+//! A recursive routine (`foobar` in the paper) processes one half
+//! buffer: map in (taskgroup barrier), **spawn the routine for the next
+//! half**, then kernels and map out. Because the spawn happens right
+//! after the map-in barrier, the next half's host→device transfers are
+//! dispatched while the current half's kernels run — the controlled
+//! overlap the paper hopes for (and whose absence it then diagnoses in
+//! Figure 4: transfers serialize on the copy engines and dominate, so
+//! kernels end up *interleaved* with transfers rather than overlapped).
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use spread_rt::{RtError, Runtime, Scope};
+use spread_rt::{RtError, Runtime};
 
-use crate::arrays::SomierArrays;
 use crate::config::SomierConfig;
-use crate::one_buffer::build_range_pipeline;
+use crate::one_buffer::{run_steps, HalfChain};
 use crate::report::SomierReport;
-
-/// The recursive routine of Listing 12 (`foobar` in the paper): build
-/// half `h`'s pipeline, with the *after-map-in* hook recursing to
-/// half `h + 1`.
-fn process_half(
-    s: &mut Scope<'_>,
-    cfg: Rc<SomierConfig>,
-    arr: SomierArrays,
-    devices: Rc<Vec<u32>>,
-    half: usize,
-    h: usize,
-    sums: Rc<RefCell<[f64; 3]>>,
-) {
-    let n = cfg.n;
-    let b0 = h * half;
-    if b0 >= n {
-        return;
-    }
-    let b1 = (b0 + half).min(n);
-    let chunk = (b1 - b0).div_ceil(devices.len());
-    // "the routine calls itself inside an asynchronous task" — fired
-    // between this half's map-in barrier and its kernels.
-    let spawn_next: crate::one_buffer::Hook = {
-        let cfg = Rc::clone(&cfg);
-        let devices = Rc::clone(&devices);
-        let sums = Rc::clone(&sums);
-        Box::new(move |s: &mut Scope<'_>| {
-            process_half(s, cfg, arr, devices, half, h + 1, sums);
-        })
-    };
-    if let Err(e) = build_range_pipeline(
-        s,
-        &cfg,
-        &arr,
-        &devices,
-        b0,
-        b1,
-        chunk,
-        sums,
-        Some(spawn_next),
-        None,
-    ) {
-        s.fail(e);
-    }
-}
 
 /// Run the Double Buffering implementation on `n_gpus` devices.
 pub fn run(rt: &mut Runtime, cfg: &SomierConfig, n_gpus: usize) -> Result<SomierReport, RtError> {
-    let arr = SomierArrays::create(rt, cfg);
-    let n = cfg.n;
-    let half = cfg.half_planes(n_gpus);
-    let devices = Rc::new((0..n_gpus as u32).collect::<Vec<u32>>());
-    let mut centers = [0.0f64; 3];
-    let cfg_rc = Rc::new(cfg.clone());
-
-    rt.run(|s| {
-        for _step in 0..cfg_rc.timesteps {
-            let sums = Rc::new(RefCell::new([0.0f64; 3]));
-            // The whole recursive cascade of one step runs inside a
-            // taskgroup so the step completes before the next begins.
-            s.taskgroup(|s| {
-                process_half(
-                    s,
-                    Rc::clone(&cfg_rc),
-                    arr,
-                    Rc::clone(&devices),
-                    half,
-                    0,
-                    Rc::clone(&sums),
-                );
-            })?;
-            let sums = sums.borrow();
-            for c in 0..3 {
-                centers[c] = sums[c] / (n * cfg_rc.plane_elems()) as f64;
-            }
-        }
-        Ok(())
-    })?;
-    Ok(SomierReport::collect(
-        crate::SomierImpl::DoubleBuffering.label(),
-        n_gpus,
-        rt,
-        centers,
-    ))
+    let label = crate::SomierImpl::DoubleBuffering.label();
+    run_steps(rt, cfg, n_gpus, label, |s, arr, sums| {
+        let routine = Rc::new(HalfChain {
+            cfg: cfg.clone(),
+            arr: *arr,
+            devices: (0..n_gpus as u32).collect(),
+            half: cfg.half_planes(n_gpus),
+            stride: 1,
+            next_after_map_in: true,
+            sums: Rc::clone(sums),
+        });
+        // The whole recursive cascade of one step runs inside a
+        // taskgroup so the step completes before the next begins.
+        s.taskgroup(|s| routine.launch(s, 0))
+    })
 }

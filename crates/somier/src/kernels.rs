@@ -1,45 +1,132 @@
-//! The five Somier device kernels as [`KernelSpec`]s.
+//! The five Somier device kernels and **the time step as data**.
 //!
 //! A kernel *iteration* is one plane (`n²` nodes) of the outermost
-//! dimension — the same granularity the directives chunk and map, so the
-//! `section_of` expressions below are exactly the paper's
-//! `omp_spread_start`/`omp_spread_size` arithmetic, scaled from plane
-//! index to element index by `n²`.
+//! dimension — the same granularity the directives chunk and map, so an
+//! [`Extent`] is exactly the paper's `omp_spread_start`/`omp_spread_size`
+//! arithmetic, scaled from plane index to element index by `n²`.
 //!
-//! Argument layout conventions (positions in the arg list):
-//!
-//! | kernel | args 0–2 | args 3–5 |
-//! |---|---|---|
-//! | forces | X (read, ±1-plane halo) | F (write) |
-//! | accelerations | F (read) | A (write) |
-//! | velocities | A (read) | V (read-write) |
-//! | positions | V (read) | X (read-write) |
-//! | centers | X (read) | per-plane partials (write) |
+//! [`STEP`] is the one place that says which grids each kernel touches
+//! and at which extent. Everything else derives from it: the
+//! [`KernelArg`] layout ([`StepKernel::spec`] — args 0–2 are the three
+//! components of `reads`, args 3–5 those of `writes`), and in
+//! [`one_buffer`](crate::one_buffer) the `map` clauses of Listing 9,
+//! Listing 10 and the construct-scoped program plus Listing 10's
+//! `depend` chains.
 
 use std::ops::Range;
 
 use spread_rt::kernel::{KernelArg, KernelSpec};
 
-use crate::arrays::SomierArrays;
+use crate::arrays::{Grid, SomierArrays};
 use crate::config::SomierConfig;
 use crate::physics::{idx, plane_sum, spring_force};
 
-/// Plane range → element range.
-fn elems(n2: usize) -> impl Fn(Range<usize>) -> Range<usize> + Clone + Send + Sync {
-    move |r: Range<usize>| r.start * n2..r.end * n2
+/// Which elements of a grid a range of planes touches.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Extent {
+    /// The planes' elements plus a ±1-plane halo clamped to the grid.
+    Halo,
+    /// The planes' elements.
+    Body,
+    /// One element per plane (the centers partials).
+    Planes,
 }
 
-/// Plane range → element range with a ±1-plane halo clamped to `[0, n]`.
-fn elems_halo(n: usize, n2: usize) -> impl Fn(Range<usize>) -> Range<usize> + Clone + Send + Sync {
-    move |r: Range<usize>| r.start.saturating_sub(1) * n2..(r.end + 1).min(n) * n2
+impl Extent {
+    /// Plane range → element range on a grid of side `n`.
+    pub fn elems(self, n: usize, planes: Range<usize>) -> Range<usize> {
+        let n2 = n * n;
+        match self {
+            Extent::Halo => planes.start.saturating_sub(1) * n2..(planes.end + 1).min(n) * n2,
+            Extent::Body => planes.start * n2..planes.end * n2,
+            Extent::Planes => planes,
+        }
+    }
+}
+
+/// One row of the time step: a kernel and its read/write signature.
+pub struct StepKernel {
+    /// Stable construct name — the `spread_schedule(auto)` profile key
+    /// and the clause-closure argument of
+    /// [`run_spread_scoped`](crate::one_buffer::run_spread_scoped).
+    pub name: &'static str,
+    /// Body and modeled cost; [`StepKernel::spec`] adds the arguments.
+    body: fn(&SomierConfig) -> KernelSpec,
+    /// The grid the kernel reads, and how far around its planes.
+    pub reads: (Grid, Extent),
+    /// The grid the kernel writes.
+    pub writes: (Grid, Extent),
+    /// Whether the written grid is also read (`V += …`, `X += …`).
+    pub inout: bool,
+}
+
+/// One Somier time step, in order.
+pub const STEP: [StepKernel; 5] = [
+    StepKernel {
+        name: "somier-forces",
+        body: forces,
+        reads: (Grid::X, Extent::Halo),
+        writes: (Grid::F, Extent::Body),
+        inout: false,
+    },
+    StepKernel {
+        name: "somier-accelerations",
+        body: accelerations,
+        reads: (Grid::F, Extent::Body),
+        writes: (Grid::A, Extent::Body),
+        inout: false,
+    },
+    StepKernel {
+        name: "somier-velocities",
+        body: velocities,
+        reads: (Grid::A, Extent::Body),
+        writes: (Grid::V, Extent::Body),
+        inout: true,
+    },
+    StepKernel {
+        name: "somier-positions",
+        body: positions,
+        reads: (Grid::V, Extent::Body),
+        writes: (Grid::X, Extent::Body),
+        inout: true,
+    },
+    StepKernel {
+        name: "somier-centers",
+        body: centers,
+        reads: (Grid::X, Extent::Body),
+        writes: (Grid::Partials, Extent::Planes),
+        inout: false,
+    },
+];
+
+impl StepKernel {
+    /// The launchable kernel: the body with its six arguments attached
+    /// in table order.
+    pub fn spec(&self, cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
+        let n = cfg.n;
+        let mut spec = (self.body)(cfg);
+        let (grid, extent) = self.reads;
+        for h in arr.grid(grid) {
+            spec = spec.arg(KernelArg::read(h, move |r| extent.elems(n, r)));
+        }
+        let (grid, extent) = self.writes;
+        for h in arr.grid(grid) {
+            let section = move |r: Range<usize>| extent.elems(n, r);
+            spec = spec.arg(if self.inout {
+                KernelArg::read_write(h, section)
+            } else {
+                KernelArg::write(h, section)
+            });
+        }
+        spec
+    }
 }
 
 /// The forces kernel: the 6-neighbour spring stencil.
-pub fn forces(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
+fn forces(cfg: &SomierConfig) -> KernelSpec {
     let n = cfg.n;
-    let n2 = cfg.plane_elems();
     let phys = cfg.physics;
-    let mut spec = KernelSpec::new(
+    KernelSpec::new(
         "forces",
         cfg.plane_cost(cfg.costs.forces),
         move |planes, v| {
@@ -63,21 +150,14 @@ pub fn forces(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
                 }
             }
         },
-    );
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::read(arr.x[c], elems_halo(n, n2)));
-    }
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::write(arr.f[c], elems(n2)));
-    }
-    spec
+    )
 }
 
 /// The accelerations kernel: `A = F / m`.
-pub fn accelerations(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
+fn accelerations(cfg: &SomierConfig) -> KernelSpec {
     let n2 = cfg.plane_elems();
     let inv_m = 1.0 / cfg.physics.mass;
-    let mut spec = KernelSpec::new(
+    KernelSpec::new(
         "accelerations",
         cfg.plane_cost(cfg.costs.accel),
         move |planes, v| {
@@ -90,21 +170,14 @@ pub fn accelerations(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
                 }
             }
         },
-    );
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::read(arr.f[c], elems(n2)));
-    }
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::write(arr.a[c], elems(n2)));
-    }
-    spec
+    )
 }
 
 /// The velocities kernel: `V += A · dt`.
-pub fn velocities(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
+fn velocities(cfg: &SomierConfig) -> KernelSpec {
     let n2 = cfg.plane_elems();
     let dt = cfg.physics.dt;
-    let mut spec = KernelSpec::new(
+    KernelSpec::new(
         "velocities",
         cfg.plane_cost(cfg.costs.velocity),
         move |planes, v| {
@@ -117,23 +190,15 @@ pub fn velocities(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
                 }
             }
         },
-    );
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::read(arr.a[c], elems(n2)));
-    }
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::read_write(arr.v[c], elems(n2)));
-    }
-    spec
+    )
 }
 
 /// The positions kernel: `X += V · dt`, interior nodes only (the grid
 /// boundary is clamped).
-pub fn positions(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
+fn positions(cfg: &SomierConfig) -> KernelSpec {
     let n = cfg.n;
-    let n2 = cfg.plane_elems();
     let dt = cfg.physics.dt;
-    let mut spec = KernelSpec::new(
+    KernelSpec::new(
         "positions",
         cfg.plane_cost(cfg.costs.position),
         move |planes, v| {
@@ -152,23 +217,15 @@ pub fn positions(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
                 }
             }
         },
-    );
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::read(arr.v[c], elems(n2)));
-    }
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::read_write(arr.x[c], elems(n2)));
-    }
-    spec
+    )
 }
 
 /// The centers kernel: per-plane position sums into the partials arrays
 /// — the paper's *manual* reduction (§V: "we implemented a manual
 /// reduction for this kernel").
-pub fn centers(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
+fn centers(cfg: &SomierConfig) -> KernelSpec {
     let n = cfg.n;
-    let n2 = cfg.plane_elems();
-    let mut spec = KernelSpec::new(
+    KernelSpec::new(
         "centers",
         cfg.plane_cost(cfg.costs.centers),
         move |planes, v| {
@@ -179,15 +236,7 @@ pub fn centers(cfg: &SomierConfig, arr: &SomierArrays) -> KernelSpec {
                 }
             }
         },
-    );
-    let _ = n2;
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::read(arr.x[c], elems(cfg.plane_elems())));
-    }
-    for c in 0..3 {
-        spec = spec.arg(KernelArg::write(arr.partials[c], |r| r));
-    }
-    spec
+    )
 }
 
 #[cfg(test)]
@@ -196,12 +245,11 @@ mod tests {
 
     #[test]
     fn section_exprs() {
-        let e = elems(100);
-        assert_eq!(e(2..5), 200..500);
-        let h = elems_halo(10, 100);
-        assert_eq!(h(2..5), 100..600);
-        assert_eq!(h(0..3), 0..400, "left clamp");
-        assert_eq!(h(7..10), 600..1000, "right clamp");
+        assert_eq!(Extent::Body.elems(10, 2..5), 200..500);
+        assert_eq!(Extent::Halo.elems(10, 2..5), 100..600);
+        assert_eq!(Extent::Halo.elems(10, 0..3), 0..400, "left clamp");
+        assert_eq!(Extent::Halo.elems(10, 7..10), 600..1000, "right clamp");
+        assert_eq!(Extent::Planes.elems(10, 2..5), 2..5);
     }
 
     #[test]
@@ -209,13 +257,8 @@ mod tests {
         let cfg = SomierConfig::test_small(8, 1);
         let mut rt = cfg.runtime(1);
         let arr = SomierArrays::create(&mut rt, &cfg);
-        for k in [
-            forces(&cfg, &arr),
-            accelerations(&cfg, &arr),
-            velocities(&cfg, &arr),
-            positions(&cfg, &arr),
-            centers(&cfg, &arr),
-        ] {
+        for row in &STEP {
+            let k = row.spec(&cfg, &arr);
             assert_eq!(k.args.len(), 6, "{}", k.name);
             assert!(k.work_per_iter_ns > 0.0);
         }

@@ -23,7 +23,7 @@
 //!   (Listing 11).
 //! * [`double_buffering`] — a recursive task pipelines the next half
 //!   buffer's transfers behind the current one's kernels (Listing 12).
-//! * [`reference`] — the sequential CPU implementation every device run
+//! * [`mod@reference`] — the sequential CPU implementation every device run
 //!   is checked against (bit-exact for the One Buffer versions).
 
 #![warn(missing_docs)]

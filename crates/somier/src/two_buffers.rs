@@ -16,96 +16,33 @@
 //! round-robin schedule leaves a gap between the sections on each
 //! device.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use spread_rt::{RtError, Runtime, Scope};
+use spread_rt::{RtError, Runtime};
 
-use crate::arrays::SomierArrays;
 use crate::config::SomierConfig;
-use crate::one_buffer::build_range_pipeline;
+use crate::one_buffer::{run_steps, HalfChain};
 use crate::report::SomierReport;
-
-/// Launch the pipeline for half `h` of worker `stride`-spaced chain;
-/// the completion continuation launches half `h + 2`.
-fn chain_half(
-    s: &mut Scope<'_>,
-    cfg: Rc<SomierConfig>,
-    arr: SomierArrays,
-    devices: Rc<Vec<u32>>,
-    half: usize,
-    h: usize,
-    sums: Rc<RefCell<[f64; 3]>>,
-) {
-    let n = cfg.n;
-    let b0 = h * half;
-    if b0 >= n {
-        return;
-    }
-    let b1 = (b0 + half).min(n);
-    let chunk = (b1 - b0).div_ceil(devices.len());
-    let next: crate::one_buffer::Hook = {
-        let cfg = Rc::clone(&cfg);
-        let devices = Rc::clone(&devices);
-        let sums = Rc::clone(&sums);
-        Box::new(move |s: &mut Scope<'_>| {
-            chain_half(s, cfg, arr, devices, half, h + 2, sums);
-        })
-    };
-    if let Err(e) = build_range_pipeline(
-        s,
-        &cfg,
-        &arr,
-        &devices,
-        b0,
-        b1,
-        chunk,
-        sums,
-        None,
-        Some(next),
-    ) {
-        s.fail(e);
-    }
-}
 
 /// Run the Two Buffers implementation on `n_gpus` devices.
 pub fn run(rt: &mut Runtime, cfg: &SomierConfig, n_gpus: usize) -> Result<SomierReport, RtError> {
-    let arr = SomierArrays::create(rt, cfg);
-    let n = cfg.n;
-    let half = cfg.half_planes(n_gpus);
-    let devices = Rc::new((0..n_gpus as u32).collect::<Vec<u32>>());
-    let mut centers = [0.0f64; 3];
-    let cfg_rc = Rc::new(cfg.clone());
-
-    rt.run(|s| {
-        for _step in 0..cfg_rc.timesteps {
-            let sums = Rc::new(RefCell::new([0.0f64; 3]));
-            // The taskloop's implicit taskgroup is the step barrier; the
-            // two strided chains run inside it.
-            s.taskgroup(|s| {
-                for worker in 0..2usize {
-                    chain_half(
-                        s,
-                        Rc::clone(&cfg_rc),
-                        arr,
-                        Rc::clone(&devices),
-                        half,
-                        worker,
-                        Rc::clone(&sums),
-                    );
-                }
-            })?;
-            let sums = sums.borrow();
-            for c in 0..3 {
-                centers[c] = sums[c] / (n * cfg_rc.plane_elems()) as f64;
+    let label = crate::SomierImpl::TwoBuffers.label();
+    run_steps(rt, cfg, n_gpus, label, |s, arr, sums| {
+        let chain = Rc::new(HalfChain {
+            cfg: cfg.clone(),
+            arr: *arr,
+            devices: (0..n_gpus as u32).collect(),
+            half: cfg.half_planes(n_gpus),
+            stride: 2,
+            next_after_map_in: false,
+            sums: Rc::clone(sums),
+        });
+        // The taskloop's implicit taskgroup is the step barrier; the
+        // two strided chains run inside it.
+        s.taskgroup(|s| {
+            for worker in 0..2usize {
+                Rc::clone(&chain).launch(s, worker);
             }
-        }
-        Ok(())
-    })?;
-    Ok(SomierReport::collect(
-        crate::SomierImpl::TwoBuffers.label(),
-        n_gpus,
-        rt,
-        centers,
-    ))
+        })
+    })
 }

@@ -8,8 +8,8 @@
 //! move planes between devices, the centers stay bit-exact against the
 //! CPU reference throughout.
 
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_auto, run_spread_resilient};
+use spread_core::{SpreadClausesExt, SpreadSchedule};
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 
@@ -21,11 +21,7 @@ const SLOW_FACTOR: f64 = 3.0;
 /// much) with device 0 at 1/3 compute speed.
 fn config(timesteps: usize, slow: bool) -> SomierConfig {
     let mut cfg = SomierConfig::test_small(20, timesteps);
-    cfg.costs.forces *= 150.0;
-    cfg.costs.accel *= 150.0;
-    cfg.costs.velocity *= 150.0;
-    cfg.costs.position *= 150.0;
-    cfg.costs.centers *= 150.0;
+    cfg.costs = cfg.costs.scaled(150.0);
     if slow {
         cfg = cfg.with_slow_device(0, SLOW_FACTOR);
     }
@@ -36,7 +32,11 @@ fn config(timesteps: usize, slow: bool) -> SomierConfig {
 fn auto_stays_bit_exact_on_the_heterogeneous_machine() {
     let cfg = config(3, true);
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_auto(&mut rt, &cfg, N_GPUS).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, k| {
+        c.with_schedule(SpreadSchedule::auto(k))
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -54,10 +54,15 @@ fn auto_beats_static_within_ten_timesteps() {
     // The static baseline: the identical construct-scoped program with
     // an equal split (FailStop on a fault-free machine is a no-op).
     let mut static_rt = cfg.runtime(N_GPUS);
-    let static_report =
-        run_spread_resilient(&mut static_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop).unwrap();
+    let static_report = run_spread_scoped(&mut static_rt, &cfg, N_GPUS, None, |c, _| c)
+        .unwrap()
+        .0;
     let mut auto_rt = cfg.runtime(N_GPUS);
-    let auto_report = run_spread_auto(&mut auto_rt, &cfg, N_GPUS).unwrap();
+    let auto_report = run_spread_scoped(&mut auto_rt, &cfg, N_GPUS, None, |c, k| {
+        c.with_schedule(SpreadSchedule::auto(k))
+    })
+    .unwrap()
+    .0;
     assert_eq!(
         auto_report.centers, static_report.centers,
         "both compute the same physics"
@@ -80,7 +85,10 @@ fn auto_beats_static_within_ten_timesteps() {
 fn auto_learns_to_shift_planes_off_the_slow_device() {
     let cfg = config(5, true);
     let mut rt = cfg.runtime(N_GPUS);
-    run_spread_auto(&mut rt, &cfg, N_GPUS).unwrap();
+    run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, k| {
+        c.with_schedule(SpreadSchedule::auto(k))
+    })
+    .unwrap();
     let profiles = rt.profiles();
     assert!(!profiles.is_empty(), "auto launches record profiles");
     // Every Somier kernel key ends up with less weight on the slow
@@ -119,12 +127,20 @@ fn auto_learns_to_shift_planes_off_the_slow_device() {
 fn auto_is_harmless_on_a_uniform_machine() {
     let cfg = config(3, false);
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_auto(&mut rt, &cfg, N_GPUS).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, k| {
+        c.with_schedule(SpreadSchedule::auto(k))
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
     // And deterministic: the same run gives the same virtual time.
     let mut rt2 = cfg.runtime(N_GPUS);
-    let report2 = run_spread_auto(&mut rt2, &cfg, N_GPUS).unwrap();
+    let report2 = run_spread_scoped(&mut rt2, &cfg, N_GPUS, None, |c, k| {
+        c.with_schedule(SpreadSchedule::auto(k))
+    })
+    .unwrap()
+    .0;
     assert_eq!(report.elapsed, report2.elapsed);
     assert_eq!(report.centers, report2.centers);
 }

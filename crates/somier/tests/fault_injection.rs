@@ -3,10 +3,10 @@
 //! dying mid-run, and the fail-stop default must report the loss
 //! deterministically.
 
-use spread_core::{ExchangeMode, ResiliencePolicy};
+use spread_core::{ExchangeMode, ResiliencePolicy, SpreadClausesExt};
 use spread_rt::RtError;
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::{run_spread_peer, run_spread_resilient};
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{peer_span_source, SimTime, SpanKind};
@@ -20,7 +20,10 @@ fn cfg() -> SomierConfig {
 /// Virtual mid-point of a fault-free resilient run.
 fn clean_midpoint(cfg: &SomierConfig) -> SimTime {
     let mut rt = cfg.runtime(N_GPUS);
-    run_spread_resilient(&mut rt, cfg, N_GPUS, ResiliencePolicy::FailStop).unwrap();
+    run_spread_scoped(&mut rt, cfg, N_GPUS, None, |c, _| {
+        c.with_resilience(ResiliencePolicy::FailStop)
+    })
+    .unwrap();
     SimTime::from_nanos(rt.elapsed().as_nanos() / 2)
 }
 
@@ -28,8 +31,11 @@ fn clean_midpoint(cfg: &SomierConfig) -> SimTime {
 fn resilient_variant_matches_reference_without_faults() {
     let cfg = cfg();
     let mut rt = cfg.runtime(N_GPUS);
-    let report =
-        run_spread_resilient(&mut rt, &cfg, N_GPUS, ResiliencePolicy::Redistribute).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_resilience(ResiliencePolicy::Redistribute)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
@@ -41,8 +47,11 @@ fn one_buffer_completes_bit_identical_with_device_lost_mid_run() {
     let mid = clean_midpoint(&cfg);
     let plan = FaultPlan::new(42).lose_device(1, mid);
     let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-    let report =
-        run_spread_resilient(&mut rt, &cfg, N_GPUS, ResiliencePolicy::Redistribute).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_resilience(ResiliencePolicy::Redistribute)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -66,8 +75,11 @@ fn one_buffer_recovers_device_dead_from_the_start() {
     let cfg = cfg();
     let plan = FaultPlan::new(5).lose_device(3, SimTime::ZERO);
     let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-    let report =
-        run_spread_resilient(&mut rt, &cfg, N_GPUS, ResiliencePolicy::Redistribute).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_resilience(ResiliencePolicy::Redistribute)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
 }
@@ -79,7 +91,10 @@ fn fail_stop_reports_the_loss_deterministically() {
     let run = || {
         let plan = FaultPlan::new(42).lose_device(1, mid);
         let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-        run_spread_resilient(&mut rt, &cfg, N_GPUS, ResiliencePolicy::FailStop).unwrap_err()
+        run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+            c.with_resilience(ResiliencePolicy::FailStop)
+        })
+        .unwrap_err()
     };
     let err = run();
     assert!(
@@ -99,14 +114,7 @@ fn fail_stop_reports_the_loss_deterministically() {
 /// still queued.
 fn first_peer_window_from(cfg: &SomierConfig, device: u32) -> SimTime {
     let mut rt = cfg.runtime(N_GPUS);
-    run_spread_peer(
-        &mut rt,
-        cfg,
-        N_GPUS,
-        ExchangeMode::Auto,
-        ResiliencePolicy::FailStop,
-    )
-    .unwrap();
+    run_spread_scoped(&mut rt, cfg, N_GPUS, Some(ExchangeMode::Auto), |c, _| c).unwrap();
     let tl = rt.timeline();
     let span = tl
         .spans()
@@ -127,14 +135,11 @@ fn peer_run_survives_losing_a_source_mid_copy_via_host_fallback() {
     let at = first_peer_window_from(&cfg, 2);
     let plan = FaultPlan::new(42).lose_device(2, at);
     let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-    let (report, _halo) = run_spread_peer(
-        &mut rt,
-        &cfg,
-        N_GPUS,
-        ExchangeMode::Auto,
-        ResiliencePolicy::Redistribute,
-    )
-    .unwrap();
+    let (report, _halo) =
+        run_spread_scoped(&mut rt, &cfg, N_GPUS, Some(ExchangeMode::Auto), |c, _| {
+            c.with_resilience(ResiliencePolicy::Redistribute)
+        })
+        .unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -164,14 +169,7 @@ fn peer_fail_stop_surfaces_a_source_loss_deterministically() {
     let run = || {
         let plan = FaultPlan::new(42).lose_device(2, at);
         let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-        run_spread_peer(
-            &mut rt,
-            &cfg,
-            N_GPUS,
-            ExchangeMode::Auto,
-            ResiliencePolicy::FailStop,
-        )
-        .unwrap_err()
+        run_spread_scoped(&mut rt, &cfg, N_GPUS, Some(ExchangeMode::Auto), |c, _| c).unwrap_err()
     };
     let err = run();
     assert!(
@@ -188,8 +186,11 @@ fn recovery_is_deterministic() {
     let run = || {
         let plan = FaultPlan::new(42).lose_device(1, mid);
         let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-        let report =
-            run_spread_resilient(&mut rt, &cfg, N_GPUS, ResiliencePolicy::Redistribute).unwrap();
+        let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+            c.with_resilience(ResiliencePolicy::Redistribute)
+        })
+        .unwrap()
+        .0;
         (report.centers, report.elapsed, report.kernel_launches)
     };
     assert_eq!(run(), run());

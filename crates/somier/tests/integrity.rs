@@ -6,10 +6,10 @@
 //! first checked boundary, and `off` demonstrates why the clause exists
 //! at all: the rot reaches the host and the centers drift.
 
-use spread_core::IntegrityMode;
+use spread_core::{IntegrityMode, SpreadClausesExt};
 use spread_rt::{IntegrityAction, IntegrityBoundary, RtError};
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::run_spread_integrity;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
@@ -32,7 +32,11 @@ fn flip_plan() -> FaultPlan {
 fn integrity_variant_matches_reference_without_flips() {
     let cfg = cfg();
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_integrity(&mut rt, &cfg, N_GPUS, IntegrityMode::Verify).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_integrity(IntegrityMode::Verify)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
@@ -46,7 +50,11 @@ fn integrity_variant_matches_reference_without_flips() {
 fn bit_identical_with_three_flips_under_heal() {
     let cfg = cfg();
     let mut rt = cfg.runtime_with_faults(N_GPUS, flip_plan());
-    let report = run_spread_integrity(&mut rt, &cfg, N_GPUS, IntegrityMode::Heal).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_integrity(IntegrityMode::Heal)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -90,7 +98,11 @@ fn healing_is_deterministic() {
     let cfg = cfg();
     let run = || {
         let mut rt = cfg.runtime_with_faults(N_GPUS, flip_plan());
-        let report = run_spread_integrity(&mut rt, &cfg, N_GPUS, IntegrityMode::Heal).unwrap();
+        let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+            c.with_integrity(IntegrityMode::Heal)
+        })
+        .unwrap()
+        .0;
         (report.centers, rt.integrity_events(), rt.elapsed())
     };
     let (c1, e1, t1) = run();
@@ -104,7 +116,10 @@ fn healing_is_deterministic() {
 fn verify_poisons_on_the_first_checked_boundary() {
     let cfg = cfg();
     let mut rt = cfg.runtime_with_faults(N_GPUS, flip_plan());
-    let err = run_spread_integrity(&mut rt, &cfg, N_GPUS, IntegrityMode::Verify).unwrap_err();
+    let err = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_integrity(IntegrityMode::Verify)
+    })
+    .unwrap_err();
     let RtError::IntegrityViolation { device, .. } = err else {
         panic!("verify must surface the corruption, got {err:?}");
     };
@@ -135,7 +150,11 @@ fn off_lets_the_rot_reach_the_host() {
     let cfg = cfg();
     let plan = FaultPlan::new(11).silent_flips(1, SimTime::ZERO, 15);
     let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
-    let report = run_spread_integrity(&mut rt, &cfg, N_GPUS, IntegrityMode::Off).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_integrity(IntegrityMode::Off)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_ne!(
         report.centers, reference.centers,

@@ -4,10 +4,10 @@
 //! assumes, under a seeded fault plan holding sustained OOM-pressure
 //! windows — in both the split and the spill mode.
 
-use spread_core::PressurePolicy;
+use spread_core::{PressurePolicy, SpreadClausesExt};
 use spread_rt::{DegradationKind, RtError};
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::run_spread_pressure;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
@@ -32,7 +32,11 @@ fn sustained(seed: u64, bytes: u64) -> FaultPlan {
 fn pressure_variant_matches_reference_on_a_healthy_machine() {
     let cfg = SomierConfig::test_small(20, 2);
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_pressure(&mut rt, &cfg, N_GPUS, PressurePolicy::Split).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_pressure(PressurePolicy::Split)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
@@ -46,7 +50,11 @@ fn pressure_variant_matches_reference_on_a_healthy_machine() {
 fn split_mode_completes_bit_identical_at_60_percent_memory() {
     let cfg = cfg();
     let mut rt = cfg.runtime_with_faults(N_GPUS, sustained(0xD1, 20_000));
-    let report = run_spread_pressure(&mut rt, &cfg, N_GPUS, PressurePolicy::Split).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_pressure(PressurePolicy::Split)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -78,7 +86,11 @@ fn spill_mode_completes_bit_identical_at_60_percent_memory() {
     // Heavier sustained pressure: not even a single-plane forces piece
     // fits any device, so those chunks stream through the host.
     let mut rt = cfg.runtime_with_faults(N_GPUS, sustained(0xD2, 50_000));
-    let report = run_spread_pressure(&mut rt, &cfg, N_GPUS, PressurePolicy::Spill).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_pressure(PressurePolicy::Spill)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -109,7 +121,10 @@ fn split_mode_fails_degraded_when_even_one_plane_fits_nowhere() {
     // the spill rung the construct must say so instead of wedging.
     let cfg = SomierConfig::test_small(20, 2).with_mem_cap_frac(0.05);
     let mut rt = cfg.runtime(N_GPUS);
-    let err = run_spread_pressure(&mut rt, &cfg, N_GPUS, PressurePolicy::Split).unwrap_err();
+    let err = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_pressure(PressurePolicy::Split)
+    })
+    .unwrap_err();
     assert!(
         matches!(err, RtError::Degraded { .. }),
         "expected Degraded, got: {err}"
@@ -121,7 +136,9 @@ fn degraded_runs_are_deterministic() {
     let run = |policy| {
         let cfg = cfg();
         let mut rt = cfg.runtime_with_faults(N_GPUS, sustained(0xD1, 20_000));
-        let report = run_spread_pressure(&mut rt, &cfg, N_GPUS, policy).unwrap();
+        let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| c.with_pressure(policy))
+            .unwrap()
+            .0;
         (report.centers, report.elapsed, rt.degradations())
     };
     assert_eq!(run(PressurePolicy::Split), run(PressurePolicy::Split));

@@ -1,13 +1,14 @@
 //! Profile regression tests for the pipelined Somier variant
-//! (`run_spread_overlap`): the engine must show real transfer/compute
-//! overlap on every device and shorten the run — a silently serializing
-//! pipeline fails here even though its results would still be correct.
+//! (`run_spread_scoped` under `spread_overlap`): the engine must show
+//! real transfer/compute overlap on every device and shorten the run —
+//! a silently serializing pipeline fails here even though its results
+//! would still be correct.
 //!
 //! Everything is virtual time, so every number below is deterministic
 //! and the strict inequalities are stable regression anchors.
 
-use spread_core::ResiliencePolicy;
-use spread_somier::one_buffer::{run_spread_overlap, run_spread_resilient};
+use spread_core::{OverlapPolicy, SpreadClausesExt};
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{profile_window, DeviceProfile, SimTime};
@@ -25,11 +26,7 @@ fn config() -> SomierConfig {
     let mut cfg = SomierConfig::test_small(96, 2)
         .with_single_queue(false)
         .with_slow_device(0, 3.0);
-    cfg.costs.forces *= 6.0;
-    cfg.costs.accel *= 6.0;
-    cfg.costs.velocity *= 6.0;
-    cfg.costs.position *= 6.0;
-    cfg.costs.centers *= 6.0;
+    cfg.costs = cfg.costs.scaled(6.0);
     cfg
 }
 
@@ -44,13 +41,18 @@ fn pipelined_somier_overlaps_on_every_device_and_shrinks_the_tail() {
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
 
     let mut base_rt = cfg.runtime(N_GPUS);
-    let base = run_spread_resilient(&mut base_rt, &cfg, N_GPUS, ResiliencePolicy::FailStop)
-        .expect("baseline run");
+    let base = run_spread_scoped(&mut base_rt, &cfg, N_GPUS, None, |c, _| c)
+        .expect("baseline run")
+        .0;
     assert_eq!(base.centers, reference.centers);
     let base_profs = device_profiles(&base_rt);
 
     let mut rt = cfg.runtime(N_GPUS);
-    let piped = run_spread_overlap(&mut rt, &cfg, N_GPUS, DEPTH).expect("pipelined run");
+    let piped = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_overlap(OverlapPolicy::Depth(DEPTH))
+    })
+    .expect("pipelined run")
+    .0;
     assert_eq!(
         piped.centers, reference.centers,
         "pipelining must not change the physics"
@@ -103,7 +105,10 @@ fn pipelined_somier_overlaps_on_every_device_and_shrinks_the_tail() {
 fn pipelined_somier_keeps_commits_whole_piece() {
     let cfg = config();
     let mut rt = cfg.runtime(N_GPUS);
-    run_spread_overlap(&mut rt, &cfg, N_GPUS, DEPTH).expect("pipelined run");
+    run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_overlap(OverlapPolicy::Depth(DEPTH))
+    })
+    .expect("pipelined run");
     let recs = rt.overlap_records();
     assert!(!recs.is_empty(), "the pipeline must engage");
     for r in &recs {

@@ -4,9 +4,9 @@
 //! reference in every mode, and `auto`'s halo phase is faster than the
 //! host round-trip on the CTE-POWER machine.
 
-use spread_core::{ExchangeMode, ResiliencePolicy};
+use spread_core::ExchangeMode;
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::run_spread_peer;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
@@ -23,21 +23,21 @@ fn auto_matches_host_mode_and_the_reference_bit_exact() {
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
 
     let mut host_rt = cfg.runtime(N_GPUS);
-    let (host_report, host_halo) = run_spread_peer(
+    let (host_report, host_halo) = run_spread_scoped(
         &mut host_rt,
         &cfg,
         N_GPUS,
-        ExchangeMode::Host,
-        ResiliencePolicy::FailStop,
+        Some(ExchangeMode::Host),
+        |c, _| c,
     )
     .unwrap();
     let mut auto_rt = cfg.runtime(N_GPUS);
-    let (auto_report, auto_halo) = run_spread_peer(
+    let (auto_report, auto_halo) = run_spread_scoped(
         &mut auto_rt,
         &cfg,
         N_GPUS,
-        ExchangeMode::Auto,
-        ResiliencePolicy::FailStop,
+        Some(ExchangeMode::Auto),
+        |c, _| c,
     )
     .unwrap();
 
@@ -71,14 +71,8 @@ fn peer_runs_are_deterministic() {
     let cfg = cfg();
     let run = || {
         let mut rt = cfg.runtime(N_GPUS);
-        let (report, halo) = run_spread_peer(
-            &mut rt,
-            &cfg,
-            N_GPUS,
-            ExchangeMode::Auto,
-            ResiliencePolicy::FailStop,
-        )
-        .unwrap();
+        let (report, halo) =
+            run_spread_scoped(&mut rt, &cfg, N_GPUS, Some(ExchangeMode::Auto), |c, _| c).unwrap();
         (report.centers, report.elapsed, halo, rt.peer_copies().len())
     };
     assert_eq!(run(), run());
@@ -92,14 +86,7 @@ fn peer_runs_are_deterministic() {
 fn degraded_link_still_routes_peer_and_stays_bit_identical() {
     let cfg = cfg();
     let halo_of = |rt: &mut spread_rt::Runtime| {
-        run_spread_peer(
-            rt,
-            &cfg,
-            N_GPUS,
-            ExchangeMode::Auto,
-            ResiliencePolicy::FailStop,
-        )
-        .unwrap()
+        run_spread_scoped(rt, &cfg, N_GPUS, Some(ExchangeMode::Auto), |c, _| c).unwrap()
     };
 
     let mut clean_rt = cfg.runtime(N_GPUS);
@@ -138,14 +125,8 @@ fn degraded_link_still_routes_peer_and_stays_bit_identical() {
 fn single_device_auto_degrades_to_host_route() {
     let cfg = cfg();
     let mut rt = cfg.runtime(1);
-    let (report, _halo) = run_spread_peer(
-        &mut rt,
-        &cfg,
-        1,
-        ExchangeMode::Auto,
-        ResiliencePolicy::FailStop,
-    )
-    .unwrap();
+    let (report, _halo) =
+        run_spread_scoped(&mut rt, &cfg, 1, Some(ExchangeMode::Auto), |c, _| c).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(1));
     assert_eq!(report.centers, reference.centers);
     assert!(rt.peer_copies().is_empty());

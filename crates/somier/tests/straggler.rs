@@ -7,9 +7,10 @@
 //! overhead — asserted here at 32×, exported as a sweep by
 //! `BENCH_straggler.json`.
 
-use spread_core::StragglerPolicy;
+use spread_core::{SpreadClausesExt, StragglerPolicy};
 use spread_sim::FaultPlan;
-use spread_somier::one_buffer::run_spread_straggler;
+use spread_somier::config::STRAGGLER_BETA;
+use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
@@ -24,7 +25,11 @@ fn cfg() -> SomierConfig {
 /// Virtual mid-point of a fault-free straggler-mode run.
 fn clean_midpoint(cfg: &SomierConfig) -> SimTime {
     let mut rt = cfg.runtime(N_GPUS);
-    run_spread_straggler(&mut rt, cfg, N_GPUS, StragglerPolicy::Wait).unwrap();
+    run_spread_scoped(&mut rt, cfg, N_GPUS, None, |c, _| {
+        c.with_straggler(StragglerPolicy::Wait)
+            .with_straggler_beta(STRAGGLER_BETA)
+    })
+    .unwrap();
     SimTime::from_nanos(rt.elapsed().as_nanos() / 2)
 }
 
@@ -36,7 +41,12 @@ fn slow_plan(from: SimTime, factor: f64) -> FaultPlan {
 fn straggler_variant_matches_reference_without_faults() {
     let cfg = cfg();
     let mut rt = cfg.runtime(N_GPUS);
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_straggler(StragglerPolicy::Steal)
+            .with_straggler_beta(STRAGGLER_BETA)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
@@ -51,7 +61,12 @@ fn bit_identical_with_8x_slowdown_mid_run() {
     let cfg = cfg();
     let mid = clean_midpoint(&cfg);
     let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(mid, 8.0));
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_straggler(StragglerPolicy::Steal)
+            .with_straggler_beta(STRAGGLER_BETA)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(
         report.centers, reference.centers,
@@ -80,7 +95,12 @@ fn bit_identical_with_8x_slowdown_mid_run() {
 fn replicate_keeps_both_copies_and_stays_bit_identical() {
     let cfg = cfg();
     let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(SimTime::ZERO, 8.0));
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Replicate).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_straggler(StragglerPolicy::Replicate)
+            .with_straggler_beta(STRAGGLER_BETA)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
     let rescues = rt.rescues();
@@ -95,7 +115,12 @@ fn replicate_keeps_both_copies_and_stays_bit_identical() {
 fn wait_policy_only_watches() {
     let cfg = cfg();
     let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(SimTime::ZERO, 8.0));
-    let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Wait).unwrap();
+    let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+        c.with_straggler(StragglerPolicy::Wait)
+            .with_straggler_beta(STRAGGLER_BETA)
+    })
+    .unwrap()
+    .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
     assert!(rt.rescues().is_empty(), "wait never speculates");
@@ -110,7 +135,10 @@ fn steal_recovers_latency_at_heavy_slowdown() {
     let cfg = cfg();
     let elapsed = |policy| {
         let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(SimTime::ZERO, 32.0));
-        run_spread_straggler(&mut rt, &cfg, N_GPUS, policy).unwrap();
+        run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+            c.with_straggler(policy).with_straggler_beta(STRAGGLER_BETA)
+        })
+        .unwrap();
         rt.elapsed().as_nanos()
     };
     let wait = elapsed(StragglerPolicy::Wait);
@@ -135,7 +163,12 @@ fn rescue_is_deterministic() {
     let mid = clean_midpoint(&cfg);
     let run = || {
         let mut rt = cfg.runtime_with_faults(N_GPUS, slow_plan(mid, 8.0));
-        let report = run_spread_straggler(&mut rt, &cfg, N_GPUS, StragglerPolicy::Steal).unwrap();
+        let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| {
+            c.with_straggler(StragglerPolicy::Steal)
+                .with_straggler_beta(STRAGGLER_BETA)
+        })
+        .unwrap()
+        .0;
         (
             report.centers,
             rt.elapsed().as_nanos(),

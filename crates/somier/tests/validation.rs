@@ -1,8 +1,10 @@
 //! Validation of every Somier implementation against the CPU reference.
 
+use spread_core::ExchangeMode;
 use spread_rt::RtError;
+use spread_somier::one_buffer::{self, run_spread_scoped};
 use spread_somier::reference::run_reference;
-use spread_somier::{run_somier, SomierConfig, SomierImpl};
+use spread_somier::{double_buffering, run_somier, two_buffers, SomierConfig, SomierImpl};
 
 #[test]
 fn one_buffer_target_matches_reference_exactly() {
@@ -100,6 +102,30 @@ fn buffered_versions_fail_on_one_gpu() {
             Err(other) => panic!("{which:?}/1GPU: wrong error {other}"),
             Ok(_) => panic!("{which:?}/1GPU: must be rejected"),
         }
+    }
+}
+
+/// No devices is a directive error like any other bad `devices(…)`
+/// list, on every entry point that takes a device count.
+#[test]
+fn zero_gpus_is_an_invalid_directive() {
+    let cfg = SomierConfig::test_small(20, 1);
+    let rt = || cfg.runtime(2);
+    let scoped = |exchange| run_spread_scoped(&mut rt(), &cfg, 0, exchange, |c, _| c).map(|r| r.0);
+    for (entry, result) in [
+        ("run_spread", one_buffer::run_spread(&mut rt(), &cfg, 0)),
+        ("run_spread_scoped", scoped(None)),
+        ("with an exchange", scoped(Some(ExchangeMode::Auto))),
+        ("two_buffers::run", two_buffers::run(&mut rt(), &cfg, 0)),
+        (
+            "double_buffering",
+            double_buffering::run(&mut rt(), &cfg, 0),
+        ),
+    ] {
+        assert!(
+            matches!(result, Err(RtError::InvalidDirective(_))),
+            "{entry}: {result:?}"
+        );
     }
 }
 

@@ -21,7 +21,7 @@
 //!   loops and reductions over ranges.
 //! * [`barrier`] — a sense-reversing spin barrier usable inside a
 //!   broadcast region.
-//! * [`split`] — [`SliceCells`](split::SliceCells): the unsafe-core,
+//! * [`split`] — [`split::SliceCells`]: the unsafe-core,
 //!   safe-contract primitive that lets concurrently executing chunks
 //!   write disjoint parts of one slice (how kernels write their mapped
 //!   output sections).

@@ -80,7 +80,7 @@ impl ChunkDispenser {
     /// cursor serializes hand-out.
     ///
     /// Static scheduling state is tracked per call via the returned
-    /// iterator from [`ChunkDispenser::thread_chunks`]; `next_dynamic`
+    /// chunks of [`ChunkDispenser::static_chunks`]; `next_dynamic`
     /// is exposed for the shared-cursor schedules.
     pub fn next_dynamic(&self) -> Option<Range<usize>> {
         let n = self.len();

@@ -204,7 +204,7 @@ pub struct Span {
     pub lane: Lane,
     /// Semantic category.
     pub kind: SpanKind,
-    /// Free-form label ("forces", "enter A[0:100]", …).
+    /// Free-form label ("forces", "enter A\[0:100\]", …).
     pub label: String,
     /// Start instant (inclusive).
     pub start: SimTime,

@@ -48,6 +48,41 @@ pub struct Program {
 }
 
 impl Program {
+    /// A program over `n_devices` devices and `n_arrays` host arrays of
+    /// length `n`, with no phases and no scenario attached yet.
+    pub fn new(n_devices: usize, n: usize, n_arrays: usize) -> Program {
+        Program {
+            n_devices,
+            n,
+            n_arrays,
+            phases: Vec::new(),
+            fault: None,
+            pressure: None,
+            straggler: None,
+            integrity: None,
+            overlap: None,
+        }
+    }
+
+    /// Every device a scenario spec names — the lost and transiently
+    /// failing devices, the pressured, slowed and flip-armed ones. Each
+    /// lowers to a fault-plan entry the machine validates against its
+    /// device count, so the shrinker counts them as used.
+    pub fn scenario_devices(&self) -> impl Iterator<Item = u32> + '_ {
+        let fault = self.fault.iter().flat_map(|f| {
+            f.lost
+                .into_iter()
+                .chain(f.transients.iter().map(|&(d, _)| d))
+        });
+        let sustained = self.pressure.iter().flat_map(|ps| &ps.sustained);
+        let slow = self.straggler.iter().flat_map(|ss| &ss.slow);
+        let flips = self.integrity.iter().flat_map(|is| &is.flips);
+        fault
+            .chain(sustained.map(|&(d, _)| d))
+            .chain(slow.map(|&(d, _)| d))
+            .chain(flips.map(|&(d, _)| d))
+    }
+
     /// The deterministic initial value of element `i` of array `k` —
     /// shared by the executor's `fill_host` and the oracle.
     pub fn initial(k: usize, i: usize) -> f64 {
@@ -348,6 +383,18 @@ pub enum KernelOp {
 }
 
 impl KernelOp {
+    /// The kernel's name in traces — and, one op variant being one
+    /// closure shape, its `spread_plan_cache(…)` key in the cache-parity
+    /// executor.
+    pub fn name(&self) -> &'static str {
+        match self {
+            KernelOp::AddConst { .. } => "addc",
+            KernelOp::Scale { .. } => "scale",
+            KernelOp::Saxpy { .. } => "saxpy",
+            KernelOp::Stencil3 { .. } => "stencil",
+        }
+    }
+
     /// Arrays this kernel touches.
     pub fn arrays(&self) -> Vec<usize> {
         match *self {
@@ -428,7 +475,7 @@ pub enum Stmt {
         exit_from: bool,
     },
     /// A peer-mode halo-exchange region over one array (see
-    /// [`crate::CheckConfig::peer`]): enter-spread `to` of halo'd
+    /// [`crate::Mode::Peer`]): enter-spread `to` of halo'd
     /// chunks `[start−1, end+1)∩[0, n)` (one chunk per device, so the
     /// overlapping halos land on *sibling* presence tables), an
     /// optional in-place body bump on the device images (reuse path —

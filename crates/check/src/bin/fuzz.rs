@@ -2,193 +2,70 @@
 //!
 //! ```text
 //! cargo run --release -p spread-check --bin fuzz -- \
-//!     [--programs N] [--interleavings K] [--seed S] [--faults] \
+//!     [--programs N] [--seed S] [--interleavings K] [--faults] \
 //!     [--pressure] [--auto] [--peer] [--stragglers] [--integrity] [--overlap] \
 //!     [--inject stencil|reduce|recovery|spill|peer|rescue|integrity|overlap]
 //! ```
 //!
 //! Checks `N` generated programs (seeds `mix(S, 0..N)`), each under the
 //! FIFO policy plus `K − 1` seeded tie-break permutations, against the
-//! sequential oracle. `--faults` attaches seeded fault plans (device
-//! loss at time zero under fail-stop or redistribute, transient copy
-//! bursts). `--pressure` generates memory-pressure programs instead —
-//! tiny device capacities plus sustained OOM windows — and checks the
-//! exact degradation-event sequence against the oracle's admission
-//! plan. `--auto` generates `spread_schedule(auto)` programs with
-//! repeated construct keys and additionally requires every realized
-//! adaptive split to be a valid `StaticWeighted` plan. `--peer`
-//! generates halo-exchange programs and checks them differentially:
-//! host-forced runs against one `exchange(auto)` run that must match
-//! the oracle bit-for-bit while performing exactly the predicted
-//! device-to-device route set. `--stragglers` generates programs with
-//! one device's compute slowed 10-16x under
-//! `spread_straggler(steal|replicate)`: results must stay bit-identical
-//! to the fault-free oracle and every recorded rescue must be
-//! structurally sound (exactly one commit, healthy target).
-//! `--integrity` generates programs whose devices are armed with silent
-//! bit-flip tokens under `spread_integrity(heal)`: results must stay
-//! bit-identical to the fault-free oracle and the healed-commit ledger
-//! must match the armed token count per device. `--overlap` generates
-//! programs whose spread constructs all carry `spread_overlap(depth)`:
-//! results must stay bit-identical to the overlap-blind oracle and the
-//! recorded pipeline ledger must match the closed-form piece count with
-//! every staged sub-slice committing at the whole-piece boundary. Exits
-//! non-zero on any disagreement or
-//! race report, printing the failing seed so `replay -- <seed>`
-//! reproduces it.
+//! sequential oracle. At most one mode flag selects the clause family
+//! the generator arms and what the check demands beyond bit-identity —
+//! see [`spread_check::Mode`], where each is documented once.
+//! `--inject` arms a canary ([`spread_check::Fault`]); one that only its
+//! own mode's programs can expose is rejected under any other mode,
+//! where the run would pass vacuously. Exits non-zero on any
+//! disagreement or race report, printing the failing seed so
+//! `replay -- <seed>` reproduces it.
 
 use std::process::ExitCode;
 
-use spread_check::{fuzz, pretty, CheckConfig, Fault};
+use spread_check::{fuzz, gen, pretty, CheckConfig};
 
-struct Args {
-    programs: usize,
-    interleavings: usize,
-    seed: u64,
-    fault: Option<Fault>,
-    faults: bool,
-    pressure: bool,
-    auto: bool,
-    peer: bool,
-    stragglers: bool,
-    integrity: bool,
-    overlap: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        programs: 200,
-        interleavings: 4,
-        seed: 1,
-        fault: None,
-        faults: false,
-        pressure: false,
-        auto: false,
-        peer: false,
-        stragglers: false,
-        integrity: false,
-        overlap: false,
-    };
+fn parse_args() -> Result<(usize, u64, CheckConfig), String> {
+    let (mut programs, mut seed) = (200, 1);
+    let mut cfg = CheckConfig::default();
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
-        let mut value = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        if cfg.parse_arg(&flag, &mut it)? {
+            continue;
+        }
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--programs" => {
-                args.programs = value("--programs")?
-                    .parse()
-                    .map_err(|e| format!("--programs: {e}"))?
-            }
-            "--interleavings" => {
-                args.interleavings = value("--interleavings")?
-                    .parse()
-                    .map_err(|e| format!("--interleavings: {e}"))?
-            }
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--inject" => {
-                let f = value("--inject")?;
-                args.fault = Some(Fault::parse(&f).ok_or_else(|| format!("unknown fault `{f}`"))?);
-            }
-            "--faults" => args.faults = true,
-            "--pressure" => args.pressure = true,
-            "--auto" => args.auto = true,
-            "--peer" => args.peer = true,
-            "--stragglers" => args.stragglers = true,
-            "--integrity" => args.integrity = true,
-            "--overlap" => args.overlap = true,
+            "--programs" => programs = value()?.parse().map_err(|e| format!("--programs: {e}"))?,
+            "--seed" => seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if (args.faults as u8)
-        + (args.pressure as u8)
-        + (args.auto as u8)
-        + (args.peer as u8)
-        + (args.stragglers as u8)
-        + (args.integrity as u8)
-        + (args.overlap as u8)
-        > 1
-    {
-        return Err(
-            "--faults, --pressure, --auto, --peer, --stragglers, --integrity and --overlap \
-             are mutually exclusive"
-                .into(),
-        );
-    }
-    Ok(args)
+    cfg.reject_inert_canary()?;
+    Ok((programs, seed, cfg))
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let (programs, seed, cfg) = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("fuzz: {e}");
             eprintln!(
-                "usage: fuzz [--programs N] [--interleavings K] [--seed S] [--faults] \
-                 [--pressure] [--auto] [--peer] [--stragglers] [--integrity] [--overlap] \
-                 [--inject stencil|reduce|recovery|spill|peer|rescue|integrity|overlap]"
+                "usage: fuzz [--programs N] [--seed S] {}",
+                CheckConfig::usage()
             );
             return ExitCode::from(2);
         }
     };
-    let cfg = CheckConfig {
-        interleavings: args.interleavings,
-        fault: args.fault,
-        faults: args.faults,
-        pressure: args.pressure,
-        auto: args.auto,
-        peer: args.peer,
-        stragglers: args.stragglers,
-        integrity: args.integrity,
-        overlap: args.overlap,
-    };
     println!(
-        "spread-check fuzz: {} program(s) x {} interleaving(s), seed {}{}{}{}{}{}{}{}{}",
-        args.programs,
+        "spread-check fuzz: {programs} program(s) x {} interleaving(s), seed {seed}{}{}",
         cfg.interleavings,
-        args.seed,
-        if cfg.faults { ", with fault plans" } else { "" },
-        if cfg.pressure {
-            ", with memory-pressure scenarios"
-        } else {
-            ""
-        },
-        if cfg.auto {
-            ", with adaptive (auto) schedules"
-        } else {
-            ""
-        },
-        if cfg.peer {
-            ", with differential peer exchanges"
-        } else {
-            ""
-        },
-        if cfg.stragglers {
-            ", with straggler rescues"
-        } else {
-            ""
-        },
-        if cfg.integrity {
-            ", with silent-corruption healing"
-        } else {
-            ""
-        },
-        if cfg.overlap {
-            ", with pipelined transfer/compute overlap"
-        } else {
-            ""
-        },
+        cfg.mode.banner(),
         match cfg.fault {
             Some(f) => format!(", injected fault {f:?}"),
             None => String::new(),
         }
     );
-    let step = (args.programs / 10).max(1);
-    let report = fuzz(args.seed, args.programs, &cfg, |done, failed| {
-        if done % step == 0 || done == args.programs {
-            println!("  {done}/{} checked, {failed} failure(s)", args.programs);
+    let step = (programs / 10).max(1);
+    let report = fuzz(seed, programs, &cfg, |done, failed| {
+        if done % step == 0 || done == programs {
+            println!("  {done}/{programs} checked, {failed} failure(s)");
         }
     });
     if report.failures.is_empty() {
@@ -200,28 +77,11 @@ fn main() -> ExitCode {
     }
     for f in &report.failures {
         println!("\nFAIL seed {}: {}", f.seed, f.failure);
-        println!("{}", pretty::listing(&spread_check::gen_for(f.seed, &cfg)));
+        println!("{}", pretty::listing(&gen::gen_program(f.seed, cfg.mode)));
         println!(
-            "reproduce: cargo run -p spread-check --bin replay -- {}{}{}{}{}{}{}{}{}",
+            "reproduce: cargo run -p spread-check --bin replay -- {}{}",
             f.seed,
-            if cfg.faults { " --faults" } else { "" },
-            if cfg.pressure { " --pressure" } else { "" },
-            if cfg.auto { " --auto" } else { "" },
-            if cfg.peer { " --peer" } else { "" },
-            if cfg.stragglers { " --stragglers" } else { "" },
-            if cfg.integrity { " --integrity" } else { "" },
-            if cfg.overlap { " --overlap" } else { "" },
-            match cfg.fault {
-                Some(Fault::StencilDropsLeftHalo) => " --inject stencil",
-                Some(Fault::ReduceSkipsLast) => " --inject reduce",
-                Some(Fault::RecoveryDropsLostChunk) => " --inject recovery",
-                Some(Fault::SpillDropsSlice) => " --inject spill",
-                Some(Fault::PeerCorrupt) => " --inject peer",
-                Some(Fault::RescueDoubleCommit) => " --inject rescue",
-                Some(Fault::IntegrityCorrupt) => " --inject integrity",
-                Some(Fault::OverlapLeak) => " --inject overlap",
-                None => "",
-            }
+            cfg.replay_args()
         );
     }
     println!(

@@ -7,59 +7,31 @@
 //!     [--inject stencil|reduce|recovery|spill|peer|rescue|integrity|overlap]
 //! ```
 //!
-//! Regenerates the program for `<seed>`, prints it as a paper-style
-//! listing, and re-checks it. On failure the program is shrunk to a
-//! minimal counterexample (deterministically) and printed again.
+//! Regenerates the program for `<seed>` under the given mode, prints it
+//! as a paper-style listing, and re-checks it. On failure the program
+//! is shrunk to a minimal counterexample (deterministically) and
+//! printed again. The mode and `--inject` options are `fuzz`'s.
 
 use std::process::ExitCode;
 
-use spread_check::{check_seed, pretty, shrink_seed, CheckConfig, Fault};
+use spread_check::{check_seed, gen, pretty, shrink_seed, CheckConfig};
 
 fn parse_args() -> Result<(u64, CheckConfig), String> {
     let mut seed = None;
     let mut cfg = CheckConfig::default();
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
+        if cfg.parse_arg(&arg, &mut it)? {
+            continue;
+        }
         match arg.as_str() {
-            "--interleavings" => {
-                cfg.interleavings = it
-                    .next()
-                    .ok_or("--interleavings needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--interleavings: {e}"))?
-            }
-            "--inject" => {
-                let f = it.next().ok_or("--inject needs a value")?;
-                cfg.fault = Some(Fault::parse(&f).ok_or_else(|| format!("unknown fault `{f}`"))?);
-            }
-            "--faults" => cfg.faults = true,
-            "--pressure" => cfg.pressure = true,
-            "--auto" => cfg.auto = true,
-            "--peer" => cfg.peer = true,
-            "--stragglers" => cfg.stragglers = true,
-            "--integrity" => cfg.integrity = true,
-            "--overlap" => cfg.overlap = true,
             s if seed.is_none() && !s.starts_with('-') => {
                 seed = Some(s.parse().map_err(|e| format!("seed: {e}"))?)
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if (cfg.faults as u8)
-        + (cfg.pressure as u8)
-        + (cfg.auto as u8)
-        + (cfg.peer as u8)
-        + (cfg.stragglers as u8)
-        + (cfg.integrity as u8)
-        + (cfg.overlap as u8)
-        > 1
-    {
-        return Err(
-            "--faults, --pressure, --auto, --peer, --stragglers, --integrity and --overlap \
-             are mutually exclusive"
-                .into(),
-        );
-    }
+    cfg.reject_inert_canary()?;
     Ok((seed.ok_or("missing <seed>")?, cfg))
 }
 
@@ -68,15 +40,11 @@ fn main() -> ExitCode {
         Ok(v) => v,
         Err(e) => {
             eprintln!("replay: {e}");
-            eprintln!(
-                "usage: replay <seed> [--interleavings K] [--faults] [--pressure] [--auto] \
-                 [--peer] [--stragglers] [--integrity] [--overlap] \
-                 [--inject stencil|reduce|recovery|spill|peer|rescue|integrity|overlap]"
-            );
+            eprintln!("usage: replay <seed> {}", CheckConfig::usage());
             return ExitCode::from(2);
         }
     };
-    let p = spread_check::gen_for(seed, &cfg);
+    let p = gen::gen_program(seed, cfg.mode);
     println!("seed {seed} generates:\n");
     println!("{}", pretty::listing(&p));
     match check_seed(seed, &cfg) {

@@ -133,18 +133,11 @@ pub fn alphabet(n_devices: usize, n: usize) -> Vec<Stmt> {
 
 fn build(n_devices: usize, ab: &[Stmt], digits: &[usize]) -> Program {
     Program {
-        n_devices,
-        n: N,
-        n_arrays: N_ARRAYS,
         // One statement per phase: a `drain_all` barrier between any
         // two statements, so sequencing — not intra-phase overlap — is
         // what the enumeration explores.
         phases: digits.iter().map(|&i| vec![ab[i].clone()]).collect(),
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+        ..Program::new(n_devices, N, N_ARRAYS)
     }
 }
 

@@ -1,9 +1,25 @@
 //! The seeded program generator.
 //!
-//! `gen_program(seed)` derives a [`Program`] from a single `u64` — the
-//! same seed always yields the same program, so every fuzzer failure is
-//! reproducible from its printed seed alone
-//! (`cargo run -p spread-check --bin replay -- <seed>`).
+//! `gen_program(seed, mode)` derives a [`Program`] from a single `u64`
+//! — the same seed always yields the same program under a given
+//! [`Mode`], forever, so every fuzzer failure is reproducible from its
+//! printed seed alone (`cargo run -p spread-check --bin replay -- <seed>
+//! [--<mode>]`). `mod tests` pins the seed → program map by digest.
+//!
+//! Every mode shares one skeleton — machine header (devices, array
+//! length, array count) → the mode's scenario spec → phases of
+//! statements over pairwise disjoint arrays → (plain only) the raw
+//! phase — and, peer's halo programs aside, one statement template
+//! (`gen_stmt`). What genuinely differs between modes is a short
+//! `match` next to the comment that explains it.
+//!
+//! **The draw-order rule.** A program is a function of the PRNG
+//! *stream*, so each value is drawn at a fixed point of its statement:
+//! the device list, then whatever schedule the mode fixes up front,
+//! then the kernel roll, then the operands — with the schedule and
+//! `nowait` of a mode that fixes neither drawn where the statement's
+//! fields are built. A mode states only *what* it draws; reordering two
+//! draws moves every later program of the corpus.
 //!
 //! Invariants the generator maintains (and `mod tests` checks):
 //!
@@ -13,41 +29,58 @@
 //!   `(n_dev − 1) · chunk ≥ 2` (one device ⇒ one chunk);
 //! * raw (possibly illegal / unbalanced) statements appear only in the
 //!   final phase, each on a single device with a single chunk, so the
-//!   first error is the same under every legal interleaving.
+//!   first error is the same under every legal interleaving;
+//! * every clause-family program is blocking, statically distributed
+//!   and carries exactly its own scenario spec.
 
 use spread_core::reduction::ReduceOp;
-use spread_core::{PressurePolicy, StragglerPolicy};
+use spread_core::{IntegrityMode, PressurePolicy, StragglerPolicy};
 use spread_prng::Prng;
 
 use crate::ast::{
     BadKind, FaultMode, FaultSpec, IntegritySpec, KernelOp, OverlapSpec, PressureSpec, Program,
     Sched, Stmt, StragglerSpec,
 };
-use spread_core::IntegrityMode;
+use crate::Mode;
 
 const CONSTS: [f64; 6] = [-2.0, -1.0, 0.5, 1.0, 2.0, 3.0];
 
-fn gen_devices(r: &mut Prng, n_devices: usize) -> Vec<u32> {
-    let k = r.range(1, n_devices + 1);
-    let mut all: Vec<u32> = (0..n_devices as u32).collect();
-    r.shuffle(&mut all);
+/// `k ≥ min` of the machine's devices, in a seeded distribution order.
+fn gen_devices(r: &mut Prng, n_devices: usize, min: usize) -> Vec<u32> {
+    let k = r.range(min, n_devices + 1);
+    let mut all = all_devices(r, n_devices);
     all.truncate(k);
     all
+}
+
+/// Every device of the machine, shuffled.
+fn all_devices(r: &mut Prng, n_devices: usize) -> Vec<u32> {
+    let mut all: Vec<u32> = (0..n_devices as u32).collect();
+    r.shuffle(&mut all);
+    all
+}
+
+fn gen_weighted(r: &mut Prng, k: usize, round: usize) -> Sched {
+    Sched::Weighted {
+        round,
+        weights: (0..k).map(|_| r.range(1, 5) as u32).collect(),
+    }
 }
 
 /// `no_dynamic` is set for faulted programs: `dynamic` is illegal under
 /// `spread_resilience(redistribute)`, and under fail-stop its chunk
 /// placement depends on the interleaving, so "does the lost device get
-/// work" would not be a function of the program alone.
+/// work" would not be a function of the program alone. (Pressure
+/// programs set it too: admission plans a static distribution.)
 fn gen_sched(r: &mut Prng, n: usize, k: usize, no_dynamic: bool) -> Sched {
     match r.below(if no_dynamic { 2 } else { 3 }) {
         0 => Sched::Static {
             chunk: r.range(1, n + 1),
         },
-        1 => Sched::Weighted {
-            round: r.range(k.max(2), n + 1),
-            weights: (0..k).map(|_| r.range(1, 5) as u32).collect(),
-        },
+        1 => {
+            let round = r.range(k.max(2), n + 1);
+            gen_weighted(r, k, round)
+        }
         _ => Sched::Dynamic {
             chunk: r.range(1, n / 2 + 2),
         },
@@ -64,18 +97,82 @@ fn stencil_chunk(r: &mut Prng, n: usize, k: usize) -> usize {
     }
 }
 
+/// One statement of every mode but peer: the elementwise / saxpy /
+/// stencil kernels all modes share, then — in the plain and faulted
+/// alphabets only — reductions and data regions.
+///
+/// The clause families restrict generation to what their clause admits
+/// and the oracle predicts in closed form. `spread_pressure`,
+/// `spread_straggler(steal|replicate)`, `spread_integrity(heal)`,
+/// `spread_overlap(depth)` and `spread_schedule(auto)` all require a
+/// blocking construct with a static distribution, so their statements
+/// are spread kernels only, never `nowait`, never dynamic.
 fn gen_stmt(
     r: &mut Prng,
     avail: &mut Vec<usize>,
     n: usize,
     n_devices: usize,
-    faulted: bool,
+    mode: Mode,
+    n_keys: usize,
 ) -> Stmt {
-    let devices = gen_devices(r, n_devices);
+    let devices = match mode {
+        // All devices, shuffled: the slowed or flip-armed device must be
+        // on every statement's list to actually get work.
+        Mode::Stragglers | Mode::Integrity => all_devices(r, n_devices),
+        _ => gen_devices(r, n_devices, 1),
+    };
     let k = devices.len();
+    // The schedule a clause family fixes before the kernel roll.
+    // Pressure instead keeps the plain generator's rule (minus
+    // dynamic), drawn with the statement's fields.
+    let fixed = match mode {
+        Mode::Plain | Mode::Faults | Mode::Pressure => None,
+        // Keys come from a small per-program pool so launches share
+        // learned weight vectors and the profile store's damped update
+        // actually engages.
+        Mode::Auto => Some(Sched::Auto {
+            key: r.below(n_keys as u64) as u32,
+        }),
+        _ => Some(if r.chance(0.6) {
+            Sched::Static {
+                chunk: match mode {
+                    // Chunks lean large (≥ 2 iterations) so most pieces
+                    // really pipeline; pieces a weighted round splits
+                    // down to a single iteration fall back to the
+                    // classic path, and the validator's closed-form
+                    // record count accounts for them.
+                    Mode::Overlap => r.range(2, n / 2 + 2),
+                    // At most half the loop, so every statement splits
+                    // into at least two pieces — a single-piece
+                    // construct has no healthy sibling to rescue onto
+                    // and silently degrades to `wait`.
+                    _ => r.range(1, n / 2 + 1),
+                },
+            }
+        } else {
+            let round = r.range(k.max(2), n / 2 + 2);
+            gen_weighted(r, k, round)
+        }),
+    };
+    let free = matches!(mode, Mode::Plain | Mode::Faults);
+    let sched = |r: &mut Prng| {
+        fixed
+            .clone()
+            .unwrap_or_else(|| gen_sched(r, n, k, mode != Mode::Plain))
+    };
+    let nowait = |r: &mut Prng| free && r.chance(0.5);
+    // Kernel bands over `roll`: elementwise below `elem`, saxpy below
+    // `saxpy`, the third kernel below `third`; past it the plain
+    // alphabet continues. With a single array left everything up to
+    // `third` is elementwise.
+    let (elem, saxpy, third) = match mode {
+        Mode::Plain | Mode::Faults => (35, 50, 65),
+        Mode::Auto => (50, 75, 100),
+        _ => (45, 75, 100),
+    };
     let roll = r.below(100);
     let two = avail.len() >= 2;
-    if roll < 35 || (roll < 65 && !two) {
+    if roll < elem || (roll < third && !two) {
         // In-place elementwise op: any schedule, any chunking.
         let a = avail.pop().expect("caller checks avail");
         let c = *r.pick(&CONSTS);
@@ -85,17 +182,17 @@ fn gen_stmt(
             KernelOp::Scale { a, c }
         };
         Stmt::Spread {
-            sched: gen_sched(r, n, k, faulted),
-            nowait: r.chance(0.5),
+            sched: sched(r),
+            nowait: nowait(r),
             devices,
             op,
         }
-    } else if roll < 50 {
+    } else if roll < saxpy {
         let x = avail.pop().unwrap();
         let y = avail.pop().unwrap();
         Stmt::Spread {
-            sched: gen_sched(r, n, k, faulted),
-            nowait: r.chance(0.5),
+            sched: sched(r),
+            nowait: nowait(r),
             devices,
             op: KernelOp::Saxpy {
                 x,
@@ -103,22 +200,30 @@ fn gen_stmt(
                 alpha: *r.pick(&CONSTS),
             },
         }
-    } else if roll < 65 {
+    } else if roll < third && mode != Mode::Auto {
         let src = avail.pop().unwrap();
         let dst = avail.pop().unwrap();
+        let chunk = stencil_chunk(r, n, k);
         Stmt::Spread {
             sched: Sched::Static {
-                chunk: stencil_chunk(r, n, k),
+                chunk: match mode {
+                    Mode::Plain | Mode::Faults | Mode::Pressure => chunk,
+                    _ => chunk.max(2),
+                },
             },
-            nowait: r.chance(0.5),
+            nowait: nowait(r),
             devices,
             op: KernelOp::Stencil3 { src, dst },
         }
-    } else if roll < 80 && two {
+    } else if mode == Mode::Auto || (roll < 80 && two) {
+        // Auto's third kernel is the reduction: a `Stencil3`'s halos
+        // encode the §V-B gap rule against the *actual* chunking, which
+        // the equal-weight oracle stand-in cannot know — only
+        // placement-independent kernels are predictable there.
         let a = avail.pop().unwrap();
         let partials = avail.pop().unwrap();
         Stmt::Reduce {
-            sched: gen_sched(r, n, k, faulted),
+            sched: sched(r),
             devices,
             a,
             partials,
@@ -139,6 +244,54 @@ fn gen_stmt(
             exit_from: r.chance(0.6),
             devices,
         }
+    }
+}
+
+/// One statement of a peer program: a halo-exchange region, or simple
+/// blocking elementwise padding. The program's first statement is
+/// always a halo region, so every peer program actually exercises the
+/// `exchange(…)` route; its `bump` (and every later one) stays seeded,
+/// so the corpus covers both the must-peer and the must-host band.
+fn gen_peer_stmt(
+    r: &mut Prng,
+    avail: &mut Vec<usize>,
+    n: usize,
+    n_devices: usize,
+    first: bool,
+) -> Stmt {
+    if first || (avail.len() >= 2 && r.chance(0.7)) {
+        // At least two devices, sized so every device gets at most one
+        // chunk (same-device halo'd chunks would overlap-extend) and
+        // every chunk spans at least two elements (so each interior
+        // halo element is held by exactly one sibling and the must-peer
+        // prediction is unique).
+        let devices = gen_devices(r, n_devices, 2);
+        return Stmt::Halo {
+            chunk: n.div_ceil(devices.len()),
+            a: avail.pop().expect("caller checks avail"),
+            dst: avail.pop().expect("caller checks avail"),
+            bump: if r.chance(0.4) {
+                Some(*r.pick(&CONSTS))
+            } else {
+                None
+            },
+            devices,
+        };
+    }
+    let a = avail.pop().expect("caller checks avail");
+    let c = *r.pick(&CONSTS);
+    let op = if r.chance(0.5) {
+        KernelOp::AddConst { a, c }
+    } else {
+        KernelOp::Scale { a, c }
+    };
+    Stmt::Spread {
+        devices: gen_devices(r, n_devices, 1),
+        sched: Sched::Static {
+            chunk: r.range(1, n + 1),
+        },
+        nowait: false,
+        op,
     }
 }
 
@@ -213,691 +366,127 @@ fn gen_fault(r: &mut Prng, n_devices: usize) -> FaultSpec {
     }
 }
 
-/// Derive the program for `seed`.
-pub fn gen_program(seed: u64) -> Program {
-    gen_program_cfg(seed, false)
-}
-
-/// Derive the program for `seed`; with `faults` set, attach a seeded
-/// [`FaultSpec`] and restrict generation so the outcome stays exactly
-/// predictable (no dynamic schedules, no raw final phase — the only
-/// admissible error is the loss itself, identical under every
-/// interleaving because the device is dead on arrival).
-pub fn gen_program_cfg(seed: u64, faults: bool) -> Program {
+/// Derive the program `seed` names under `mode`.
+pub fn gen_program(seed: u64, mode: Mode) -> Program {
     let mut r = Prng::new(seed);
-    // A loss needs a potential survivor to be interesting.
-    let n_devices = if faults { r.range(2, 5) } else { r.range(1, 5) };
-    let n = r.range(10, 49);
-    let n_arrays = r.range(2, 5);
-    let fault = if faults {
-        Some(gen_fault(&mut r, n_devices))
-    } else {
-        None
+    // A loss needs a potential survivor, adaptation something to shift,
+    // a halo a sibling to pull from, a rescue a healthy sibling to land
+    // on, and a second flip burst a second device. Pressure and overlap
+    // act on each device's own pieces — a single-device machine is as
+    // interesting there as a full one.
+    let min_devices = match mode {
+        Mode::Plain | Mode::Pressure | Mode::Overlap => 1,
+        _ => 2,
     };
-    let n_phases = r.range(1, 4);
-    let mut phases = Vec::with_capacity(n_phases + 1);
-    for _ in 0..n_phases {
-        let mut avail: Vec<usize> = (0..n_arrays).collect();
-        r.shuffle(&mut avail);
-        let budget = r.range(1, 4);
-        let mut phase = Vec::new();
-        for _ in 0..budget {
-            if avail.is_empty() {
-                break;
-            }
-            phase.push(gen_stmt(&mut r, &mut avail, n, n_devices, faults));
-        }
-        phases.push(phase);
-    }
-    if !faults && r.chance(0.3) {
-        phases.push(gen_raw_phase(&mut r, n_arrays, n, n_devices));
-    }
-    Program {
-        n_devices,
-        n,
-        n_arrays,
-        phases,
-        fault,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
-    }
-}
-
-/// One blocking spread statement for a pressure program. Pressure mode
-/// restricts generation to what [`crate::oracle`] can predict in closed
-/// form: spread kernels only (no reductions, data regions or raw
-/// statements), static or weighted schedules, no `nowait` — the
-/// [`spread_core::plan_admission`] planner requires a static
-/// distribution and a blocking construct, and blocking constructs keep
-/// the headroom at every launch equal to the spec's closed form.
-fn gen_pressure_stmt(r: &mut Prng, avail: &mut Vec<usize>, n: usize, n_devices: usize) -> Stmt {
-    let devices = gen_devices(r, n_devices);
-    let k = devices.len();
-    let roll = r.below(100);
-    let two = avail.len() >= 2;
-    if roll < 45 || !two {
-        let a = avail.pop().expect("caller checks avail");
-        let c = *r.pick(&CONSTS);
-        let op = if r.chance(0.5) {
-            KernelOp::AddConst { a, c }
-        } else {
-            KernelOp::Scale { a, c }
-        };
-        Stmt::Spread {
-            sched: gen_sched(r, n, k, true),
-            nowait: false,
-            devices,
-            op,
-        }
-    } else if roll < 75 {
-        let x = avail.pop().unwrap();
-        let y = avail.pop().unwrap();
-        Stmt::Spread {
-            sched: gen_sched(r, n, k, true),
-            nowait: false,
-            devices,
-            op: KernelOp::Saxpy {
-                x,
-                y,
-                alpha: *r.pick(&CONSTS),
-            },
-        }
-    } else {
-        let src = avail.pop().unwrap();
-        let dst = avail.pop().unwrap();
-        Stmt::Spread {
-            sched: Sched::Static {
-                chunk: stencil_chunk(r, n, k),
-            },
-            nowait: false,
-            devices,
-            op: KernelOp::Stencil3 { src, dst },
-        }
-    }
-}
-
-/// Derive the pressure program for `seed`: spread-only phases plus a
-/// seeded [`PressureSpec`] — tiny device capacities (sized against the
-/// largest single-chunk footprint, so every outcome band occurs: fits
-/// untouched, shrinks onto a neighbour, splits recursively, spills or
-/// fails `Degraded`) and sustained OOM-pressure windows at time zero.
-pub fn gen_program_pressure(seed: u64) -> Program {
-    let mut r = Prng::new(seed);
-    let n_devices = r.range(1, 5);
+    let n_devices = r.range(min_devices, 5);
     let n = r.range(10, 49);
-    let n_arrays = r.range(2, 5);
-    let policy = if r.chance(0.5) {
-        PressurePolicy::Split
-    } else {
-        PressurePolicy::Spill
+    let n_arrays = match mode {
+        // Halo regions consume two arrays (exchange + stencil output).
+        Mode::Peer => r.range(3, 6),
+        _ => r.range(2, 5),
     };
-    // The largest chunk footprint is a whole-loop Saxpy / halo'd
-    // stencil: ~2(n+2) elements. Caps range from starvation (4 elems)
-    // to comfortable, always in whole pool elements.
-    let cap_bytes = r.range(4, 2 * (n + 2) + 1) as u64 * 8;
-    let mut sustained = Vec::new();
-    for d in 0..n_devices as u32 {
-        if r.chance(0.4) {
-            sustained.push((d, r.range(1, (cap_bytes / 8) as usize + 1) as u64 * 8));
-        }
-    }
-    let n_phases = r.range(1, 4);
-    let mut phases = Vec::with_capacity(n_phases);
-    for _ in 0..n_phases {
-        let mut avail: Vec<usize> = (0..n_arrays).collect();
-        r.shuffle(&mut avail);
-        let budget = r.range(1, 4);
-        let mut phase = Vec::new();
-        for _ in 0..budget {
-            if avail.is_empty() {
-                break;
+    let mut p = Program::new(n_devices, n, n_arrays);
+    let mut n_keys = 0;
+    match mode {
+        // No scenario: the somier suite covers loss × peer, and the
+        // differential executor runs one program under both routes.
+        Mode::Plain | Mode::Peer => {}
+        Mode::Faults => p.fault = Some(gen_fault(&mut r, n_devices)),
+        Mode::Pressure => {
+            let policy = if r.chance(0.5) {
+                PressurePolicy::Split
+            } else {
+                PressurePolicy::Spill
+            };
+            // The largest chunk footprint is a whole-loop Saxpy / halo'd
+            // stencil: ~2(n+2) elements. Caps range from starvation (4
+            // elems) to comfortable, always in whole pool elements — so
+            // every outcome band occurs: fits untouched, shrinks onto a
+            // neighbour, splits recursively, spills or fails `Degraded`.
+            let cap_bytes = r.range(4, 2 * (n + 2) + 1) as u64 * 8;
+            let mut sustained = Vec::new();
+            for d in 0..n_devices as u32 {
+                if r.chance(0.4) {
+                    sustained.push((d, r.range(1, (cap_bytes / 8) as usize + 1) as u64 * 8));
+                }
             }
-            phase.push(gen_pressure_stmt(&mut r, &mut avail, n, n_devices));
+            p.pressure = Some(PressureSpec {
+                policy,
+                cap_bytes,
+                sustained,
+            });
         }
-        phases.push(phase);
+        Mode::Auto => n_keys = r.range(1, 4),
+        Mode::Stragglers => {
+            let policy = if r.chance(0.5) {
+                StragglerPolicy::Steal
+            } else {
+                StragglerPolicy::Replicate
+            };
+            // One device slowed by a factor large enough that its pieces
+            // always blow the default 4× progress deadline once the
+            // executor makes kernels dominate the construct (serial
+            // lanes, heavy per-iteration cost).
+            let slow = vec![(r.below(n_devices as u64) as u32, *r.pick(&[10u32, 12, 16]))];
+            p.straggler = Some(StragglerSpec { policy, slow });
+        }
+        Mode::Integrity => {
+            // One or two bursts of 1–3 tokens (well below the default
+            // mismatch breaker of 8, so healing never tips a device into
+            // quarantine), on distinct devices so the per-device ledger
+            // in `validate_integrity` exercises more than one breaker
+            // streak.
+            let mut flip_devices = all_devices(&mut r, n_devices);
+            flip_devices.truncate(r.range(1, 3));
+            let flips = flip_devices
+                .into_iter()
+                .map(|d| (d, r.range(1, 4) as u32))
+                .collect();
+            p.integrity = Some(IntegritySpec {
+                mode: IntegrityMode::Heal,
+                flips,
+            });
+        }
+        Mode::Overlap => {
+            p.overlap = Some(OverlapSpec {
+                depth: r.range(2, 5) as u32,
+            })
+        }
     }
-    Program {
-        n_devices,
-        n,
-        n_arrays,
-        phases,
-        fault: None,
-        pressure: Some(PressureSpec {
-            policy,
-            cap_bytes,
-            sustained,
-        }),
-        straggler: None,
-        integrity: None,
-        overlap: None,
-    }
-}
-
-/// One halo-exchange region for a peer program: at least two devices,
-/// sized so every device gets at most one chunk (same-device halo'd
-/// chunks would overlap-extend) and every chunk spans at least two
-/// elements (so each interior halo element is held by exactly one
-/// sibling and the must-peer prediction is unique).
-fn gen_halo_stmt(r: &mut Prng, avail: &mut Vec<usize>, n: usize, n_devices: usize) -> Stmt {
-    let k = r.range(2, n_devices + 1);
-    let mut devices: Vec<u32> = (0..n_devices as u32).collect();
-    r.shuffle(&mut devices);
-    devices.truncate(k);
-    Stmt::Halo {
-        chunk: n.div_ceil(k),
-        a: avail.pop().expect("caller checks avail"),
-        dst: avail.pop().expect("caller checks avail"),
-        bump: if r.chance(0.4) {
-            Some(*r.pick(&CONSTS))
-        } else {
-            None
-        },
-        devices,
-    }
-}
-
-/// Derive the peer program for `seed`: every phase is built around
-/// halo-exchange regions ([`Stmt::Halo`]), padded with simple blocking
-/// elementwise spreads. The first statement is always a halo region, so
-/// every peer program actually exercises the `exchange(…)` route; its
-/// `bump` (and every later one) stays seeded, so the corpus covers both
-/// the must-peer and the must-host band. No fault or pressure plans —
-/// the differential executor runs the same program under forced
-/// `exchange(host)` and under `exchange(auto)`, and the somier suite
-/// covers loss × peer.
-pub fn gen_program_peer(seed: u64) -> Program {
-    let mut r = Prng::new(seed);
-    // Peer routing needs a sibling to pull from.
-    let n_devices = r.range(2, 5);
-    let n = r.range(10, 49);
-    // Halo regions consume two arrays (exchange + stencil output).
-    let n_arrays = r.range(3, 6);
-    let n_phases = r.range(1, 4);
-    let mut phases = Vec::with_capacity(n_phases);
+    let n_phases = match mode {
+        // Several phases so repeated keys see several launches.
+        Mode::Auto => r.range(2, 6),
+        _ => r.range(1, 4),
+    };
     for pi in 0..n_phases {
         let mut avail: Vec<usize> = (0..n_arrays).collect();
         r.shuffle(&mut avail);
-        let budget = r.range(1, 3);
+        let budget = match mode {
+            Mode::Peer => r.range(1, 3),
+            _ => r.range(1, 4),
+        };
         let mut phase = Vec::new();
         for si in 0..budget {
             if avail.is_empty() {
                 break;
             }
-            let halo = (pi == 0 && si == 0) || (avail.len() >= 2 && r.chance(0.7));
-            if halo {
-                phase.push(gen_halo_stmt(&mut r, &mut avail, n, n_devices));
-            } else {
-                let a = avail.pop().expect("checked non-empty");
-                let c = *r.pick(&CONSTS);
-                let op = if r.chance(0.5) {
-                    KernelOp::AddConst { a, c }
-                } else {
-                    KernelOp::Scale { a, c }
-                };
-                phase.push(Stmt::Spread {
-                    devices: gen_devices(&mut r, n_devices),
-                    sched: Sched::Static {
-                        chunk: r.range(1, n + 1),
-                    },
-                    nowait: false,
-                    op,
-                });
-            }
+            phase.push(match mode {
+                Mode::Peer => gen_peer_stmt(&mut r, &mut avail, n, n_devices, pi + si == 0),
+                _ => gen_stmt(&mut r, &mut avail, n, n_devices, mode, n_keys),
+            });
         }
-        phases.push(phase);
+        p.phases.push(phase);
     }
-    Program {
-        n_devices,
-        n,
-        n_arrays,
-        phases,
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+    if mode == Mode::Plain && r.chance(0.3) {
+        p.phases.push(gen_raw_phase(&mut r, n_arrays, n, n_devices));
     }
-}
-
-/// One blocking spread statement for a straggler program.
-/// `spread_straggler(steal|replicate)` requires a blocking construct
-/// with a static distribution, so generation mirrors pressure mode's
-/// restrictions: spread kernels only, static or weighted schedules, no
-/// `nowait`. The schedules are chunked so every statement splits into
-/// at least two pieces — a single-piece construct has no healthy
-/// sibling to rescue onto and silently degrades to `wait`.
-fn gen_straggler_stmt(r: &mut Prng, avail: &mut Vec<usize>, n: usize, n_devices: usize) -> Stmt {
-    // All devices, shuffled: the slowed device must actually get work.
-    let mut devices: Vec<u32> = (0..n_devices as u32).collect();
-    r.shuffle(&mut devices);
-    let k = devices.len();
-    let sched = if r.chance(0.6) {
-        Sched::Static {
-            chunk: r.range(1, n / 2 + 1),
-        }
-    } else {
-        Sched::Weighted {
-            round: r.range(k.max(2), n / 2 + 2),
-            weights: (0..k).map(|_| r.range(1, 5) as u32).collect(),
-        }
-    };
-    let roll = r.below(100);
-    let two = avail.len() >= 2;
-    if roll < 45 || !two {
-        let a = avail.pop().expect("caller checks avail");
-        let c = *r.pick(&CONSTS);
-        let op = if r.chance(0.5) {
-            KernelOp::AddConst { a, c }
-        } else {
-            KernelOp::Scale { a, c }
-        };
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op,
-        }
-    } else if roll < 75 {
-        let x = avail.pop().unwrap();
-        let y = avail.pop().unwrap();
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op: KernelOp::Saxpy {
-                x,
-                y,
-                alpha: *r.pick(&CONSTS),
-            },
-        }
-    } else {
-        let src = avail.pop().unwrap();
-        let dst = avail.pop().unwrap();
-        Stmt::Spread {
-            sched: Sched::Static {
-                chunk: stencil_chunk(r, n, k).max(2),
-            },
-            nowait: false,
-            devices,
-            op: KernelOp::Stencil3 { src, dst },
-        }
-    }
-}
-
-/// Derive the straggler program for `seed`: blocking spread-only phases
-/// over every device, plus a seeded [`StragglerSpec`] — one device
-/// slowed by a factor large enough (10–16×) that its pieces always blow
-/// the default 4× progress deadline once the executor makes kernels
-/// dominate the construct (serial lanes, heavy per-iteration cost).
-/// Results must stay bit-identical to the fault-free oracle: slowdowns
-/// stretch durations, rescues are first-commit-wins value-invisible.
-pub fn gen_program_straggler(seed: u64) -> Program {
-    let mut r = Prng::new(seed);
-    // A rescue needs a healthy sibling to land on.
-    let n_devices = r.range(2, 5);
-    let n = r.range(10, 49);
-    let n_arrays = r.range(2, 5);
-    let policy = if r.chance(0.5) {
-        StragglerPolicy::Steal
-    } else {
-        StragglerPolicy::Replicate
-    };
-    let slow = vec![(r.below(n_devices as u64) as u32, *r.pick(&[10u32, 12, 16]))];
-    let n_phases = r.range(1, 4);
-    let mut phases = Vec::with_capacity(n_phases);
-    for _ in 0..n_phases {
-        let mut avail: Vec<usize> = (0..n_arrays).collect();
-        r.shuffle(&mut avail);
-        let budget = r.range(1, 4);
-        let mut phase = Vec::new();
-        for _ in 0..budget {
-            if avail.is_empty() {
-                break;
-            }
-            phase.push(gen_straggler_stmt(&mut r, &mut avail, n, n_devices));
-        }
-        phases.push(phase);
-    }
-    Program {
-        n_devices,
-        n,
-        n_arrays,
-        phases,
-        fault: None,
-        pressure: None,
-        straggler: Some(StragglerSpec { policy, slow }),
-        integrity: None,
-        overlap: None,
-    }
-}
-
-/// One blocking spread statement for an integrity program.
-/// `spread_integrity(heal)` rejects `nowait`, dynamic schedules, and
-/// the straggler/pressure clauses, so generation mirrors the straggler
-/// template: spread kernels only over every device (flipped devices
-/// must actually commit work), static or weighted schedules, blocking.
-fn gen_integrity_stmt(r: &mut Prng, avail: &mut Vec<usize>, n: usize, n_devices: usize) -> Stmt {
-    let mut devices: Vec<u32> = (0..n_devices as u32).collect();
-    r.shuffle(&mut devices);
-    let k = devices.len();
-    let sched = if r.chance(0.6) {
-        Sched::Static {
-            chunk: r.range(1, n / 2 + 1),
-        }
-    } else {
-        Sched::Weighted {
-            round: r.range(k.max(2), n / 2 + 2),
-            weights: (0..k).map(|_| r.range(1, 5) as u32).collect(),
-        }
-    };
-    let roll = r.below(100);
-    let two = avail.len() >= 2;
-    if roll < 45 || !two {
-        let a = avail.pop().expect("caller checks avail");
-        let c = *r.pick(&CONSTS);
-        let op = if r.chance(0.5) {
-            KernelOp::AddConst { a, c }
-        } else {
-            KernelOp::Scale { a, c }
-        };
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op,
-        }
-    } else if roll < 75 {
-        let x = avail.pop().unwrap();
-        let y = avail.pop().unwrap();
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op: KernelOp::Saxpy {
-                x,
-                y,
-                alpha: *r.pick(&CONSTS),
-            },
-        }
-    } else {
-        let src = avail.pop().unwrap();
-        let dst = avail.pop().unwrap();
-        Stmt::Spread {
-            sched: Sched::Static {
-                chunk: stencil_chunk(r, n, k).max(2),
-            },
-            nowait: false,
-            devices,
-            op: KernelOp::Stencil3 { src, dst },
-        }
-    }
-}
-
-/// Derive the integrity program for `seed`: blocking spread-only
-/// phases over every device, plus a seeded [`IntegritySpec`] — one or
-/// two devices armed with 1–3 silent-flip tokens each (well below the
-/// default mismatch breaker of 8, so healing never tips a device into
-/// quarantine). The clause is always `heal`: results must stay
-/// bit-identical to the fault-free oracle, with the healed-commit
-/// ledger validated against the closed-form token count per device.
-pub fn gen_program_integrity(seed: u64) -> Program {
-    let mut r = Prng::new(seed);
-    let n_devices = r.range(2, 5);
-    let n = r.range(10, 49);
-    let n_arrays = r.range(2, 5);
-    // Flip bursts land on distinct devices so the per-device ledger in
-    // `validate_integrity` exercises more than one breaker streak.
-    let mut flip_devices: Vec<u32> = (0..n_devices as u32).collect();
-    r.shuffle(&mut flip_devices);
-    flip_devices.truncate(r.range(1, 3));
-    let flips: Vec<(u32, u32)> = flip_devices
-        .into_iter()
-        .map(|d| (d, r.range(1, 4) as u32))
-        .collect();
-    let n_phases = r.range(1, 4);
-    let mut phases = Vec::with_capacity(n_phases);
-    for _ in 0..n_phases {
-        let mut avail: Vec<usize> = (0..n_arrays).collect();
-        r.shuffle(&mut avail);
-        let budget = r.range(1, 4);
-        let mut phase = Vec::new();
-        for _ in 0..budget {
-            if avail.is_empty() {
-                break;
-            }
-            phase.push(gen_integrity_stmt(&mut r, &mut avail, n, n_devices));
-        }
-        phases.push(phase);
-    }
-    Program {
-        n_devices,
-        n,
-        n_arrays,
-        phases,
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: Some(IntegritySpec {
-            mode: IntegrityMode::Heal,
-            flips,
-        }),
-        overlap: None,
-    }
-}
-
-/// One blocking spread statement for an overlap program.
-/// `spread_overlap(depth)` rejects `nowait`, dynamic schedules and
-/// degrading pressure policies, so generation mirrors the integrity
-/// template: spread kernels only, static or weighted schedules,
-/// blocking. Static chunks lean large (≥ 2 iterations) so most pieces
-/// really pipeline; pieces a weighted round splits down to a single
-/// iteration fall back to the classic path, and the validator's
-/// closed-form record count accounts for them.
-fn gen_overlap_stmt(r: &mut Prng, avail: &mut Vec<usize>, n: usize, n_devices: usize) -> Stmt {
-    let devices = gen_devices(r, n_devices);
-    let k = devices.len();
-    let sched = if r.chance(0.6) {
-        Sched::Static {
-            chunk: r.range(2, n / 2 + 2),
-        }
-    } else {
-        Sched::Weighted {
-            round: r.range(k.max(2), n / 2 + 2),
-            weights: (0..k).map(|_| r.range(1, 5) as u32).collect(),
-        }
-    };
-    let roll = r.below(100);
-    let two = avail.len() >= 2;
-    if roll < 45 || !two {
-        let a = avail.pop().expect("caller checks avail");
-        let c = *r.pick(&CONSTS);
-        let op = if r.chance(0.5) {
-            KernelOp::AddConst { a, c }
-        } else {
-            KernelOp::Scale { a, c }
-        };
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op,
-        }
-    } else if roll < 75 {
-        let x = avail.pop().unwrap();
-        let y = avail.pop().unwrap();
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op: KernelOp::Saxpy {
-                x,
-                y,
-                alpha: *r.pick(&CONSTS),
-            },
-        }
-    } else {
-        let src = avail.pop().unwrap();
-        let dst = avail.pop().unwrap();
-        Stmt::Spread {
-            sched: Sched::Static {
-                chunk: stencil_chunk(r, n, k).max(2),
-            },
-            nowait: false,
-            devices,
-            op: KernelOp::Stencil3 { src, dst },
-        }
-    }
-}
-
-/// Derive the overlap program for `seed`: blocking spread-only phases
-/// plus a seeded [`OverlapSpec`] — every construct carries
-/// `spread_overlap(depth)` with `2 ≤ depth ≤ 4`. The pipeline is a pure
-/// latency optimization, so the oracle stays overlap-blind: results
-/// must be bit-identical to the un-pipelined prediction while the
-/// recorded [`spread_rt::OverlapRecord`] ledger matches the closed-form
-/// piece count (one record per multi-iteration chunk of the static
-/// distribution) with every staged sub-slice committing exactly at the
-/// whole-piece boundary.
-pub fn gen_program_overlap(seed: u64) -> Program {
-    let mut r = Prng::new(seed);
-    // Overlap pipelines each device's piece independently — a
-    // single-device machine is as interesting as a full one.
-    let n_devices = r.range(1, 5);
-    let n = r.range(10, 49);
-    let n_arrays = r.range(2, 5);
-    let depth = r.range(2, 5) as u32;
-    let n_phases = r.range(1, 4);
-    let mut phases = Vec::with_capacity(n_phases);
-    for _ in 0..n_phases {
-        let mut avail: Vec<usize> = (0..n_arrays).collect();
-        r.shuffle(&mut avail);
-        let budget = r.range(1, 4);
-        let mut phase = Vec::new();
-        for _ in 0..budget {
-            if avail.is_empty() {
-                break;
-            }
-            phase.push(gen_overlap_stmt(&mut r, &mut avail, n, n_devices));
-        }
-        phases.push(phase);
-    }
-    Program {
-        n_devices,
-        n,
-        n_arrays,
-        phases,
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: Some(OverlapSpec { depth }),
-    }
-}
-
-/// One blocking statement for an adaptive-schedule program: a spread
-/// kernel or reduction under `spread_schedule(auto)`. Auto mode
-/// restricts generation to what the equal-weight oracle stand-in can
-/// predict exactly: placement-independent kernels only (no `Stencil3`,
-/// whose halos encode the §V-B gap rule against the *actual* chunking),
-/// no `nowait` (`spread_schedule(auto)` requires a blocking construct),
-/// and no fault or pressure plans. Keys are drawn from a small
-/// per-program pool so launches share learned weight vectors and the
-/// profile store's damped update actually engages.
-fn gen_auto_stmt(r: &mut Prng, avail: &mut Vec<usize>, n_devices: usize, n_keys: usize) -> Stmt {
-    let devices = gen_devices(r, n_devices);
-    let sched = Sched::Auto {
-        key: r.below(n_keys as u64) as u32,
-    };
-    let roll = r.below(100);
-    let two = avail.len() >= 2;
-    if roll < 50 || !two {
-        let a = avail.pop().expect("caller checks avail");
-        let c = *r.pick(&CONSTS);
-        let op = if r.chance(0.5) {
-            KernelOp::AddConst { a, c }
-        } else {
-            KernelOp::Scale { a, c }
-        };
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op,
-        }
-    } else if roll < 75 {
-        let x = avail.pop().unwrap();
-        let y = avail.pop().unwrap();
-        Stmt::Spread {
-            sched,
-            nowait: false,
-            devices,
-            op: KernelOp::Saxpy {
-                x,
-                y,
-                alpha: *r.pick(&CONSTS),
-            },
-        }
-    } else {
-        let a = avail.pop().unwrap();
-        let partials = avail.pop().unwrap();
-        Stmt::Reduce {
-            sched,
-            devices,
-            a,
-            partials,
-            alpha: *r.pick(&CONSTS),
-            op: *r.pick(&[ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min]),
-        }
-    }
-}
-
-/// Derive the adaptive-schedule program for `seed`: every statement is
-/// a blocking `spread_schedule(auto)` spread kernel or reduction, keys
-/// repeat across a multi-phase program, and there is no fault or
-/// pressure plan — so the only open question is whether the runtime's
-/// profile-guided resolution stays a valid, semantics-preserving
-/// `StaticWeighted` plan on every launch.
-pub fn gen_program_auto(seed: u64) -> Program {
-    let mut r = Prng::new(seed);
-    // Adaptation needs at least two devices to have anything to shift.
-    let n_devices = r.range(2, 5);
-    let n = r.range(10, 49);
-    let n_arrays = r.range(2, 5);
-    let n_keys = r.range(1, 4);
-    // Several phases so repeated keys see several launches.
-    let n_phases = r.range(2, 6);
-    let mut phases = Vec::with_capacity(n_phases);
-    for _ in 0..n_phases {
-        let mut avail: Vec<usize> = (0..n_arrays).collect();
-        r.shuffle(&mut avail);
-        let budget = r.range(1, 4);
-        let mut phase = Vec::new();
-        for _ in 0..budget {
-            if avail.is_empty() {
-                break;
-            }
-            phase.push(gen_auto_stmt(&mut r, &mut avail, n_devices, n_keys));
-        }
-        phases.push(phase);
-    }
-    Program {
-        n_devices,
-        n,
-        n_arrays,
-        phases,
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
-    }
+    p
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn stencil_gap_ok(devices: &[u32], sched: &Sched, n: usize) -> bool {
         match sched {
@@ -912,12 +501,12 @@ mod tests {
     #[test]
     fn generated_programs_respect_the_invariants() {
         for seed in 0..300u64 {
-            let p = gen_program(seed);
+            let p = gen_program(seed, Mode::Plain);
             assert!((1..=4).contains(&p.n_devices));
             assert!(p.n >= 10);
             let last = p.phases.len().saturating_sub(1);
             for (pi, phase) in p.phases.iter().enumerate() {
-                let mut seen = std::collections::BTreeSet::new();
+                let mut seen = BTreeSet::new();
                 for stmt in phase {
                     // Raw statements only in the final phase.
                     if stmt.is_raw() {
@@ -945,10 +534,108 @@ mod tests {
 
     #[test]
     fn same_seed_same_program() {
-        for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
-            let a = format!("{:?}", gen_program(seed));
-            let b = format!("{:?}", gen_program(seed));
-            assert_eq!(a, b);
+        for (mode, ..) in Mode::ALL {
+            for seed in [0u64, 1, 42, 0xDEAD_BEEF] {
+                let a = format!("{:?}", gen_program(seed, mode));
+                let b = format!("{:?}", gen_program(seed, mode));
+                assert_eq!(a, b, "{mode:?}");
+            }
+        }
+    }
+
+    /// "One `u64` ⇒ one program, forever": FNV-1a-64 over the `Debug`
+    /// rendering of 10 000 programs per mode (seeds `0..5000`, each
+    /// followed by `mix(1, seed)` — the seeds `fuzz --seed 1` visits),
+    /// in [`Mode::ALL`] order, as computed when the seven per-mode
+    /// generators were folded into one. A digest that moves means every
+    /// seed ever printed by `fuzz` now replays a different program.
+    #[test]
+    fn the_corpus_is_pinned() {
+        const PINNED: [u64; 8] = [
+            0xd99f7911f1dc93b1,
+            0xcf11ad57a8c934b0,
+            0xe9d34e130dcc50a9,
+            0xe18e321bb8bf213d,
+            0x3e2df658b559eeb6,
+            0x820f3666c0e806e7,
+            0xc7a67b6832ea5b69,
+            0xfcf0e0fe1ce321ef,
+        ];
+        for ((mode, ..), pinned) in Mode::ALL.into_iter().zip(PINNED) {
+            let mut h = 0xcbf29ce484222325u64;
+            for seed in 0..5000u64 {
+                for s in [seed, spread_prng::mix(1, seed)] {
+                    for b in format!("{:?}", gen_program(s, mode)).bytes() {
+                        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
+                    }
+                }
+            }
+            assert_eq!(
+                h, pinned,
+                "{mode:?}: the seed → program map moved (digest {h:016x})"
+            );
+        }
+    }
+
+    /// What every clause family's clause forces on generation: each
+    /// statement blocking and statically distributed over a legal
+    /// stencil chunking, exactly the family's own scenario attached, its
+    /// armed devices on the machine — and, for the two families whose
+    /// scenario is inert on a device that gets no work, on every
+    /// statement's `devices(…)` list. (A large chunk may still leave a
+    /// listed device idle; the validators count drains, not lists.)
+    #[test]
+    fn clause_family_programs_respect_their_clause() {
+        use Mode::*;
+        for mode in [Pressure, Auto, Stragglers, Integrity, Overlap] {
+            for seed in 0..300u64 {
+                let p = gen_program(seed, mode);
+                let at = format!("{mode:?} seed {seed}");
+                let specs = [
+                    p.fault.is_some(),
+                    p.pressure.is_some(),
+                    p.straggler.is_some(),
+                    p.integrity.is_some(),
+                    p.overlap.is_some(),
+                ];
+                let own = [Faults, Pressure, Stragglers, Integrity, Overlap].map(|m| m == mode);
+                assert_eq!(specs, own, "{at}: its own spec and no other");
+                assert_eq!(p.uses_auto(), mode == Auto, "{at}");
+                let armed: Vec<u32> = p.scenario_devices().collect();
+                assert!(armed.iter().all(|&d| (d as usize) < p.n_devices), "{at}");
+                if let Some(os) = &p.overlap {
+                    assert!((2..=4).contains(&os.depth), "{at}: depth {}", os.depth);
+                }
+                for stmt in p.phases.iter().flatten() {
+                    let (devices, sched) = match stmt {
+                        Stmt::Spread {
+                            devices,
+                            sched,
+                            nowait,
+                            op,
+                        } => {
+                            assert!(!nowait, "{at}: the clause requires a blocking construct");
+                            if matches!(op, KernelOp::Stencil3 { .. }) {
+                                assert!(stencil_gap_ok(devices, sched, p.n), "{at}");
+                            }
+                            (devices, sched)
+                        }
+                        Stmt::Reduce { devices, sched, .. } if mode == Auto => (devices, sched),
+                        other => panic!("{at}: unexpected {other:?}"),
+                    };
+                    assert!(
+                        !matches!(sched, Sched::Dynamic { .. }),
+                        "{at}: the clause requires a static distribution"
+                    );
+                    assert!(!devices.is_empty(), "{at}");
+                    if matches!(mode, Stragglers | Integrity) {
+                        assert_eq!(devices.len(), p.n_devices, "{at}: all devices");
+                        for d in &armed {
+                            assert!(devices.contains(d), "{at}: device {d} unlisted");
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -958,7 +645,7 @@ mod tests {
         let mut resilient = 0;
         let mut transient = 0;
         for seed in 0..300u64 {
-            let p = gen_program_cfg(seed, true);
+            let p = gen_program(seed, Mode::Faults);
             assert!(p.n_devices >= 2, "seed {seed}: a loss needs a survivor");
             let f = p.fault.as_ref().expect("faulted mode attaches a plan");
             if let Some(d) = f.lost {
@@ -993,49 +680,21 @@ mod tests {
         let mut bursts = 0;
         let mut two_device = 0;
         for seed in 0..300u64 {
-            let p = gen_program_integrity(seed);
+            let p = gen_program(seed, Mode::Integrity);
             let is = p
                 .integrity
                 .as_ref()
                 .expect("integrity mode attaches a spec");
             assert_eq!(is.mode, IntegrityMode::Heal, "seed {seed}");
-            assert!(p.fault.is_none(), "seed {seed}: integrity excludes loss");
-            assert!(p.pressure.is_none(), "seed {seed}: heal rejects pressure");
-            assert!(
-                p.straggler.is_none(),
-                "seed {seed}: heal rejects straggler rescue"
-            );
             assert!(!is.flips.is_empty(), "seed {seed}: at least one burst");
-            let mut seen = std::collections::BTreeSet::new();
+            let mut seen = BTreeSet::new();
             for &(d, count) in &is.flips {
-                assert!((d as usize) < p.n_devices, "seed {seed}");
                 assert!((1..=3).contains(&count), "seed {seed}: {count} flips");
                 assert!(seen.insert(d), "seed {seed}: distinct flip devices");
                 bursts += 1;
             }
             if is.flips.len() > 1 {
                 two_device += 1;
-            }
-            for stmt in p.phases.iter().flatten() {
-                let Stmt::Spread {
-                    sched,
-                    nowait,
-                    devices,
-                    op,
-                    ..
-                } = stmt
-                else {
-                    panic!("seed {seed}: integrity programs are spread-only");
-                };
-                assert!(!nowait, "seed {seed}: heal requires blocking constructs");
-                assert!(
-                    !matches!(sched, Sched::Dynamic { .. }),
-                    "seed {seed}: heal requires a static distribution"
-                );
-                assert_eq!(devices.len(), p.n_devices, "seed {seed}: all devices");
-                if matches!(op, KernelOp::Stencil3 { .. }) {
-                    assert!(stencil_gap_ok(devices, sched, p.n), "seed {seed}");
-                }
             }
         }
         assert!(bursts > 300, "{bursts}");
@@ -1048,12 +707,8 @@ mod tests {
         let mut spill = 0;
         let mut windows = 0;
         for seed in 0..300u64 {
-            let p = gen_program_pressure(seed);
+            let p = gen_program(seed, Mode::Pressure);
             let ps = p.pressure.as_ref().expect("pressure mode attaches a spec");
-            assert!(
-                p.fault.is_none(),
-                "seed {seed}: pressure excludes loss plans"
-            );
             assert_eq!(ps.cap_bytes % 8, 0, "seed {seed}: whole pool elements");
             assert!(ps.cap_bytes >= 32, "seed {seed}");
             match ps.policy {
@@ -1061,39 +716,9 @@ mod tests {
                 PressurePolicy::Spill => spill += 1,
                 PressurePolicy::Fail => panic!("seed {seed}: Fail is not a pressure mode"),
             }
-            for &(d, b) in &ps.sustained {
-                assert!((d as usize) < p.n_devices, "seed {seed}");
+            for &(_, b) in &ps.sustained {
                 assert!(b % 8 == 0 && b > 0 && b <= ps.cap_bytes, "seed {seed}");
                 windows += 1;
-            }
-            for stmt in p.phases.iter().flatten() {
-                let Stmt::Spread {
-                    sched,
-                    nowait,
-                    devices,
-                    ..
-                } = stmt
-                else {
-                    panic!("seed {seed}: pressure programs are spread-only");
-                };
-                assert!(
-                    !nowait,
-                    "seed {seed}: pressure requires blocking constructs"
-                );
-                assert!(
-                    !matches!(sched, Sched::Dynamic { .. }),
-                    "seed {seed}: pressure requires a static distribution"
-                );
-                if let Stmt::Spread {
-                    devices: d,
-                    sched,
-                    op: KernelOp::Stencil3 { .. },
-                    ..
-                } = stmt
-                {
-                    assert!(stencil_gap_ok(d, sched, p.n), "seed {seed}");
-                }
-                assert!(!devices.is_empty(), "seed {seed}");
             }
         }
         assert!(split > 100, "{split}");
@@ -1107,48 +732,35 @@ mod tests {
         let mut reduces = 0;
         let mut repeated_keys = 0;
         for seed in 0..300u64 {
-            let p = gen_program_auto(seed);
+            let p = gen_program(seed, Mode::Auto);
             assert!(p.n_devices >= 2, "seed {seed}: adaptation needs 2 devices");
-            assert!(p.fault.is_none(), "seed {seed}: auto excludes fault plans");
-            assert!(p.pressure.is_none(), "seed {seed}: auto excludes pressure");
             assert!(
                 p.phases.len() >= 2,
                 "seed {seed}: keys need repeat launches"
             );
-            assert!(p.uses_auto(), "seed {seed}");
             let mut keys = Vec::new();
             for stmt in p.phases.iter().flatten() {
-                match stmt {
-                    Stmt::Spread {
-                        sched,
-                        nowait,
-                        op,
-                        devices,
-                    } => {
-                        assert!(!nowait, "seed {seed}: auto requires blocking");
-                        assert!(!devices.is_empty(), "seed {seed}");
-                        assert!(
-                            !matches!(op, KernelOp::Stencil3 { .. }),
-                            "seed {seed}: stencils are placement-dependent"
-                        );
-                        let Sched::Auto { key } = sched else {
-                            panic!("seed {seed}: non-auto schedule");
-                        };
-                        keys.push(*key);
-                        auto_stmts += 1;
-                    }
-                    Stmt::Reduce { sched, .. } => {
-                        let Sched::Auto { key } = sched else {
-                            panic!("seed {seed}: non-auto schedule");
-                        };
-                        keys.push(*key);
-                        reduces += 1;
-                        auto_stmts += 1;
-                    }
-                    other => panic!("seed {seed}: auto programs are spread-only, got {other:?}"),
-                }
+                let (Stmt::Spread { sched, .. } | Stmt::Reduce { sched, .. }) = stmt else {
+                    panic!("seed {seed}: auto programs are spread-only, got {stmt:?}");
+                };
+                let Sched::Auto { key } = sched else {
+                    panic!("seed {seed}: non-auto schedule");
+                };
+                assert!(
+                    !matches!(
+                        stmt,
+                        Stmt::Spread {
+                            op: KernelOp::Stencil3 { .. },
+                            ..
+                        }
+                    ),
+                    "seed {seed}: stencils are placement-dependent"
+                );
+                keys.push(*key);
+                auto_stmts += 1;
+                reduces += matches!(stmt, Stmt::Reduce { .. }) as usize;
             }
-            let distinct: std::collections::BTreeSet<u32> = keys.iter().copied().collect();
+            let distinct: BTreeSet<u32> = keys.iter().copied().collect();
             if distinct.len() < keys.len() {
                 repeated_keys += 1;
             }
@@ -1163,7 +775,7 @@ mod tests {
         let mut peer_routed = 0;
         let mut host_routed = 0;
         for seed in 0..300u64 {
-            let p = gen_program_peer(seed);
+            let p = gen_program(seed, Mode::Peer);
             assert!(p.n_devices >= 2, "seed {seed}: peer needs a sibling");
             assert!(p.fault.is_none(), "seed {seed}: peer excludes fault plans");
             assert!(p.pressure.is_none(), "seed {seed}: peer excludes pressure");
@@ -1230,7 +842,7 @@ mod tests {
         let mut raw = 0;
         let mut bad = 0;
         for seed in 0..400u64 {
-            for stmt in gen_program(seed).phases.iter().flatten() {
+            for stmt in gen_program(seed, Mode::Plain).phases.iter().flatten() {
                 match stmt {
                     Stmt::Spread { .. } => spread += 1,
                     Stmt::Reduce { .. } => reduce += 1,

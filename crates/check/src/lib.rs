@@ -9,10 +9,8 @@
 //!   surface (spread kernels with static/weighted/dynamic schedules and
 //!   `nowait`, halo'd stencils, cross-device reductions, data regions,
 //!   raw enter/exit/update statements — including illegal ones);
-//! * [`gen`] — a seeded generator: one `u64` ⇒ one program, forever
-//!   (optionally with a seeded fault plan: a device dead on arrival
-//!   under fail-stop or `spread_resilience(redistribute)`, plus
-//!   retry-absorbable transient copy bursts);
+//! * [`gen`] — a seeded generator: one `u64` ⇒ one program, forever,
+//!   under each [`Mode`] (the clause family the generator arms);
 //! * [`oracle`] — a thin lowering from programs onto the
 //!   `spread-semantics` small-step machine, predicting the final host
 //!   state (or the exact `RtError`) from the paper's mapping rules;
@@ -31,45 +29,11 @@
 //! host arrays, reduction values and mapping tables bit-for-bit, with
 //! zero race reports.
 //!
-//! Pressure mode ([`CheckConfig::pressure`]) swaps the fault plans for
-//! seeded memory-pressure scenarios — tiny device capacities plus
-//! sustained OOM windows — and additionally requires the runtime's
-//! recorded [`spread_rt::DegradationEvent`] sequence (admission
-//! shrinks, chunk splits, host spills) to equal the oracle's exact
-//! prediction, while results stay bit-identical.
-//!
-//! Auto mode ([`CheckConfig::auto`]) generates `spread_schedule(auto)`
-//! programs — blocking, placement-independent kernels with repeated
-//! construct keys — and checks the final state against an equal-weight
-//! oracle stand-in while requiring every realized adaptive split
-//! (recorded as a [`spread_trace::ConstructProfile`]) to be a valid
-//! `StaticWeighted` plan.
-//!
-//! Peer mode ([`CheckConfig::peer`]) generates halo-exchange programs
-//! ([`ast::Stmt::Halo`]) and checks them *differentially*: every
-//! interleaving first runs with the exchange forced through the host
-//! (the paper's round-trip — it must match the oracle and perform zero
-//! peer copies), then one `exchange(auto)` run must reproduce the same
-//! bits end to end while performing **exactly** the closed-form
-//! device-to-device route set [`oracle::predict_peer_copies`] derives
-//! from the generator's halo invariants — no diverted copy, none
-//! missing, none extra.
-//!
-//! Integrity mode ([`CheckConfig::integrity`]) generates
-//! `spread_integrity(heal)` programs with seeded silent-flip bursts
-//! armed from time zero ([`ast::IntegritySpec`]): results must match
-//! the flip-blind oracle bit-for-bit while the runtime's recorded
-//! [`spread_rt::IntegrityEvent`]s equal the closed-form healed-commit
-//! ledger — exactly `count` healed commits per flipped device that
-//! performs a committing drain.
-//!
-//! Overlap mode ([`CheckConfig::overlap`]) generates
-//! `spread_overlap(depth)` programs ([`ast::OverlapSpec`]): the
-//! pipeline is a pure latency optimization, so the oracle stays
-//! overlap-blind and results must match the un-pipelined prediction
-//! bit-for-bit, while the recorded [`spread_rt::OverlapRecord`]s match
-//! the closed-form piece count with every staged sub-slice committing
-//! exactly at the whole-piece boundary and nothing escaping early.
+//! Which clause family is under test — fault plans, memory pressure,
+//! adaptive schedules, peer exchanges, stragglers, silent corruption,
+//! pipelined overlap — is one [`Mode`] value; each variant documents
+//! what the generator arms and what the check demands beyond
+//! bit-identity. The [`Fault`] canaries prove each demand is enforced.
 //!
 //! ```
 //! use spread_check::{check_seed, CheckConfig};
@@ -79,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod ast;
+mod config;
 pub mod enumerate;
 pub mod gen;
 pub mod oracle;
@@ -87,161 +52,10 @@ pub mod run;
 pub mod shrink;
 
 pub use ast::Program;
+pub use config::{CheckConfig, Fault, Mode};
 pub use spread_sim::TieBreak;
 
 use spread_rt::RtError;
-
-/// A deliberate perturbation injected into one side of the comparison,
-/// used to prove the harness catches disagreements (and to exercise
-/// replay + shrinking on a reproducible failure). The first three
-/// perturb the *oracle*; the spill canary perturbs the *runtime*, so it
-/// doubles as proof that a real silent-truncation bug in the spill
-/// executor would be flagged.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Fault {
-    /// The oracle "forgets" the left halo element of the stencil.
-    StencilDropsLeftHalo,
-    /// The oracle's host-side reduction fold skips the last element.
-    ReduceSkipsLast,
-    /// The oracle pretends `spread_resilience(redistribute)` silently
-    /// drops the lost device's chunks instead of replaying them — the
-    /// canary proving the harness catches recovery divergence.
-    RecoveryDropsLostChunk,
-    /// The *runtime* silently drops the writes of the last slice of
-    /// every host-spilled piece — the canary proving the harness
-    /// catches a truncated spill (pressure mode).
-    SpillDropsSlice,
-    /// The *runtime* perturbs one element of the first device-to-device
-    /// copy it completes — the canary proving the differential peer
-    /// harness really watches the peer route: the host-forced runs stay
-    /// bit-clean and only the `exchange(auto)` run diverges (peer
-    /// mode).
-    PeerCorrupt,
-    /// The *runtime* lets the losing copy of every straggler rescue
-    /// commit its staged writes anyway, first element perturbed — the
-    /// canary proving the harness catches a broken first-commit-wins
-    /// gate (straggler mode).
-    RescueDoubleCommit,
-    /// The *runtime* downgrades every construct's `spread_integrity(…)`
-    /// clause to `off` while the program's silent flips stay armed —
-    /// the corruption reaches the host unnoticed, and the flip-blind
-    /// oracle comparison must catch the bit divergence. The canary
-    /// proving the harness would flag a checksum layer that silently
-    /// stopped checking (integrity mode).
-    IntegrityCorrupt,
-    /// The *runtime* commits one staged sub-slice of every pipelined
-    /// piece to host memory *before* the whole-piece commit point,
-    /// first element perturbed — the canary proving the harness catches
-    /// a pipeline whose staged writes become externally visible early
-    /// (overlap mode).
-    OverlapLeak,
-}
-
-impl Fault {
-    /// Parse a `--inject` argument.
-    pub fn parse(s: &str) -> Option<Fault> {
-        match s {
-            "stencil" => Some(Fault::StencilDropsLeftHalo),
-            "reduce" => Some(Fault::ReduceSkipsLast),
-            "recovery" => Some(Fault::RecoveryDropsLostChunk),
-            "spill" => Some(Fault::SpillDropsSlice),
-            "peer" => Some(Fault::PeerCorrupt),
-            "rescue" => Some(Fault::RescueDoubleCommit),
-            "integrity" => Some(Fault::IntegrityCorrupt),
-            "overlap" => Some(Fault::OverlapLeak),
-            _ => None,
-        }
-    }
-}
-
-/// How to check a program.
-#[derive(Clone, Copy, Debug)]
-pub struct CheckConfig {
-    /// Number of interleavings per program: FIFO plus
-    /// `interleavings − 1` seeded tie-break permutations.
-    pub interleavings: usize,
-    /// Optional oracle perturbation.
-    pub fault: Option<Fault>,
-    /// Generate programs with seeded fault plans (device loss at time
-    /// zero, retry-absorbable transient bursts) — see
-    /// [`ast::FaultSpec`].
-    pub faults: bool,
-    /// Generate memory-pressure programs (spread-only, blocking, static
-    /// distributions) with seeded [`ast::PressureSpec`]s: tiny device
-    /// capacities plus sustained OOM windows. The oracle then predicts
-    /// the exact degradation-event sequence (admission shrinks, chunk
-    /// splits, host spills) or the exact `Degraded` error, alongside
-    /// bit-identical results. Mutually exclusive with `faults`.
-    pub pressure: bool,
-    /// Generate `spread_schedule(auto)` programs: spread-only blocking
-    /// constructs over placement-independent kernels with repeated
-    /// construct keys, so the runtime's profile-guided adaptation
-    /// actually kicks in across launches. The oracle predicts the final
-    /// state from an equal-weight stand-in split (valid because the
-    /// kernels are placement-independent), and [`run::Observed`]
-    /// additionally carries the realized per-launch
-    /// [`spread_trace::ConstructProfile`]s, which must form valid
-    /// `StaticWeighted` plans. Mutually exclusive with `faults` and
-    /// `pressure`.
-    pub auto: bool,
-    /// Generate halo-exchange programs ([`ast::Stmt::Halo`]) and check
-    /// them differentially: host-forced runs (which must match the
-    /// oracle with zero peer copies) against one `exchange(auto)` run
-    /// that must match the same oracle bits while performing exactly
-    /// the closed-form D2D route set
-    /// ([`oracle::predict_peer_copies`]), with no diverted copy.
-    /// Mutually exclusive with `faults`, `pressure` and `auto`.
-    pub peer: bool,
-    /// Generate straggler programs ([`ast::StragglerSpec`]): blocking
-    /// spread-only statements under `spread_straggler(steal|replicate)`
-    /// with one device's compute slowed 10–16× from time zero. The
-    /// oracle's prediction is the *fault-free* one — slowdowns stretch
-    /// durations only, and rescues are first-commit-wins
-    /// value-invisible — so results must stay bit-identical while every
-    /// recorded [`spread_rt::RescueRecord`] is structurally sound
-    /// (exactly one commit, healthy in-range target, never rescuing
-    /// onto the straggler itself). Mutually exclusive with `faults`,
-    /// `pressure`, `auto` and `peer`.
-    pub stragglers: bool,
-    /// Generate integrity programs ([`ast::IntegritySpec`]): blocking
-    /// spread-only statements under `spread_integrity(heal)` with
-    /// seeded silent-flip bursts armed from time zero (counts far below
-    /// the mismatch breaker, so healing never escalates to quarantine).
-    /// The oracle's prediction is the *flip-blind* fault-free one
-    /// (`S-Flip`/`S-Heal`: detect→discard→redo rounds are
-    /// value-invisible), so results must stay bit-identical while the
-    /// recorded [`spread_rt::IntegrityEvent`]s match the closed-form
-    /// expectation — exactly `count` healed commits per flipped device
-    /// that drains at all. Mutually exclusive with every other mode.
-    pub integrity: bool,
-    /// Generate pipelined-overlap programs ([`ast::OverlapSpec`]):
-    /// blocking spread-only statements under `spread_overlap(depth)`
-    /// with `2 ≤ depth ≤ 4`. The pipeline is a pure latency
-    /// optimization, so the oracle stays *overlap-blind*: results must
-    /// match the un-pipelined prediction bit-for-bit while the recorded
-    /// [`spread_rt::OverlapRecord`]s match the closed-form piece count
-    /// (one per multi-iteration chunk of the static distribution) with
-    /// `staged == committed` on every record and nothing leaked before
-    /// the whole-piece commit point. Mutually exclusive with every
-    /// other mode.
-    pub overlap: bool,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig {
-            interleavings: 4,
-            fault: None,
-            faults: false,
-            pressure: false,
-            auto: false,
-            peer: false,
-            stragglers: false,
-            integrity: false,
-            overlap: false,
-        }
-    }
-}
 
 /// A conformance violation: which interleaving disagreed, and how.
 #[derive(Clone, Debug)]
@@ -582,7 +396,7 @@ fn validate_overlap(p: &Program, got: &run::Observed) -> Option<String> {
 
 /// Check one program under every tie-break policy for `seed`.
 ///
-/// Under [`CheckConfig::peer`] the check is differential: the per-tie
+/// Under [`Mode::Peer`] the check is differential: the per-tie
 /// runs force every halo exchange through the host (zero peer copies
 /// allowed), then one extra FIFO `exchange(auto)` run must reproduce
 /// the same oracle bits while performing exactly the predicted
@@ -615,7 +429,7 @@ pub fn check_program(p: &Program, seed: u64, cfg: &CheckConfig) -> Result<(), Ch
             });
         }
     }
-    if cfg.peer {
+    if cfg.mode == Mode::Peer {
         let tie = TieBreak::Fifo;
         let got = run::execute_ex(p, tie, cfg.fault, spread_core::ExchangeMode::Auto);
         if let Some(detail) = compare(&want, &got) {
@@ -662,34 +476,9 @@ pub fn check_program(p: &Program, seed: u64, cfg: &CheckConfig) -> Result<(), Ch
     Ok(())
 }
 
-/// The program a configuration generates for `seed`: a pressure
-/// program under `cfg.pressure`, an adaptive-schedule program under
-/// `cfg.auto`, a halo-exchange program under `cfg.peer`, a straggler
-/// program under `cfg.stragglers`, an integrity program under
-/// `cfg.integrity`, a pipelined-overlap program under `cfg.overlap`, a
-/// faulted program under `cfg.faults`, a plain program otherwise.
-pub fn gen_for(seed: u64, cfg: &CheckConfig) -> Program {
-    if cfg.pressure {
-        gen::gen_program_pressure(seed)
-    } else if cfg.auto {
-        gen::gen_program_auto(seed)
-    } else if cfg.peer {
-        gen::gen_program_peer(seed)
-    } else if cfg.stragglers {
-        gen::gen_program_straggler(seed)
-    } else if cfg.integrity {
-        gen::gen_program_integrity(seed)
-    } else if cfg.overlap {
-        gen::gen_program_overlap(seed)
-    } else {
-        gen::gen_program_cfg(seed, cfg.faults)
-    }
-}
-
-/// Generate and check the program for `seed` (with a fault plan when
-/// `cfg.faults` is set, or a pressure scenario when `cfg.pressure`).
+/// Generate and check the program `seed` names under `cfg.mode`.
 pub fn check_seed(seed: u64, cfg: &CheckConfig) -> Result<(), CheckFailure> {
-    check_program(&gen_for(seed, cfg), seed, cfg)
+    check_program(&gen::gen_program(seed, cfg.mode), seed, cfg)
 }
 
 /// The first observable on which a cold-planner run and a warm-cache
@@ -730,8 +519,8 @@ pub fn cache_parity_seed(
     seed: u64,
     cfg: &CheckConfig,
 ) -> Result<spread_rt::PlanCacheStats, CheckFailure> {
-    let p = gen_for(seed, cfg);
-    let exchange = if cfg.peer {
+    let p = gen::gen_program(seed, cfg.mode);
+    let exchange = if cfg.mode == Mode::Peer {
         spread_core::ExchangeMode::Auto
     } else {
         spread_core::ExchangeMode::Host
@@ -833,7 +622,7 @@ pub fn fuzz(
 /// Re-check a failing seed and shrink its program to a minimal
 /// counterexample (deterministically).
 pub fn shrink_seed(seed: u64, cfg: &CheckConfig) -> Option<(Program, CheckFailure)> {
-    let p = gen_for(seed, cfg);
+    let p = gen::gen_program(seed, cfg.mode);
     check_program(&p, seed, cfg).err()?;
     let mut fails = |q: &Program| check_program(q, seed, cfg).is_err();
     let minimal = shrink::shrink(&p, &mut fails);
@@ -860,299 +649,120 @@ mod tests {
     }
 
     #[test]
-    fn fault_parsing() {
-        assert_eq!(Fault::parse("stencil"), Some(Fault::StencilDropsLeftHalo));
-        assert_eq!(Fault::parse("reduce"), Some(Fault::ReduceSkipsLast));
-        assert_eq!(
-            Fault::parse("recovery"),
-            Some(Fault::RecoveryDropsLostChunk)
-        );
-        assert_eq!(Fault::parse("spill"), Some(Fault::SpillDropsSlice));
-        assert_eq!(Fault::parse("peer"), Some(Fault::PeerCorrupt));
-        assert_eq!(Fault::parse("rescue"), Some(Fault::RescueDoubleCommit));
-        assert_eq!(Fault::parse("integrity"), Some(Fault::IntegrityCorrupt));
-        assert_eq!(Fault::parse("overlap"), Some(Fault::OverlapLeak));
-        assert_eq!(Fault::parse("nope"), None);
-    }
-
-    #[test]
-    fn a_faulted_seed_checks_clean() {
-        let cfg = CheckConfig {
-            interleavings: 2,
-            faults: true,
-            ..CheckConfig::default()
-        };
-        check_seed(0, &cfg).unwrap();
-    }
-
-    #[test]
-    fn pressure_seeds_check_clean() {
-        let cfg = CheckConfig {
-            interleavings: 2,
-            pressure: true,
-            ..CheckConfig::default()
-        };
-        for seed in 0..8u64 {
-            if let Err(f) = check_seed(seed, &cfg) {
-                panic!("pressure seed {seed}: {f}");
+    fn seeds_of_every_mode_check_clean_and_their_scenario_engages() {
+        for (mode, ..) in Mode::ALL {
+            let cfg = CheckConfig {
+                interleavings: 2,
+                mode,
+                ..CheckConfig::default()
+            };
+            // Rescues, healed commits and pipelined pieces: each ledger
+            // stays empty outside its own mode (the validators insist).
+            let mut engaged = 0;
+            for seed in 0..8u64 {
+                if let Err(f) = check_seed(seed, &cfg) {
+                    panic!("{mode:?} seed {seed}: {f}");
+                }
+                let got = run::execute(&gen::gen_program(seed, mode), TieBreak::Fifo, None);
+                engaged += got.rescues.len() + got.integrity_events.len() + got.overlap.len();
+            }
+            if matches!(mode, Mode::Stragglers | Mode::Integrity | Mode::Overlap) {
+                assert!(
+                    engaged > 0,
+                    "{mode:?}: no seed in 0..8 ever rescued / healed / pipelined"
+                );
             }
         }
     }
 
     #[test]
-    fn auto_seeds_check_clean() {
-        let cfg = CheckConfig {
-            interleavings: 2,
-            auto: true,
-            ..CheckConfig::default()
-        };
-        for seed in 0..8u64 {
-            if let Err(f) = check_seed(seed, &cfg) {
-                panic!("auto seed {seed}: {f}");
-            }
+    fn every_canary_is_caught_and_every_failing_seed_shrinks() {
+        use ast::Stmt;
+        fn any(p: &Program, f: fn(&Stmt) -> bool) -> bool {
+            p.phases.iter().flatten().any(f)
         }
-    }
-
-    #[test]
-    fn straggler_seeds_check_clean_and_some_rescue() {
-        let cfg = CheckConfig {
-            interleavings: 2,
-            stragglers: true,
-            ..CheckConfig::default()
-        };
-        let mut rescued = 0;
-        for seed in 0..8u64 {
-            if let Err(f) = check_seed(seed, &cfg) {
-                panic!("straggler seed {seed}: {f}");
-            }
-            let got = run::execute(&gen_for(seed, &cfg), TieBreak::Fifo, None);
-            rescued += got.rescues.len();
-        }
-        assert!(rescued > 0, "no straggler seed in 0..8 ever rescued");
-    }
-
-    #[test]
-    fn integrity_seeds_check_clean_and_some_heal() {
-        let cfg = CheckConfig {
-            interleavings: 2,
-            integrity: true,
-            ..CheckConfig::default()
-        };
-        let mut healed = 0;
-        for seed in 0..8u64 {
-            if let Err(f) = check_seed(seed, &cfg) {
-                panic!("integrity seed {seed}: {f}");
-            }
-            let got = run::execute(&gen_for(seed, &cfg), TieBreak::Fifo, None);
-            healed += got.integrity_events.len();
-        }
-        assert!(healed > 0, "no integrity seed in 0..8 ever healed");
-    }
-
-    #[test]
-    fn overlap_seeds_check_clean_and_some_pipeline() {
-        let cfg = CheckConfig {
-            interleavings: 2,
-            overlap: true,
-            ..CheckConfig::default()
-        };
-        let mut piped = 0;
-        for seed in 0..8u64 {
-            if let Err(f) = check_seed(seed, &cfg) {
-                panic!("overlap seed {seed}: {f}");
-            }
-            let got = run::execute(&gen_for(seed, &cfg), TieBreak::Fifo, None);
-            piped += got.overlap.len();
-        }
-        assert!(piped > 0, "no overlap seed in 0..8 ever pipelined");
-    }
-
-    #[test]
-    fn peer_seeds_check_clean() {
-        let cfg = CheckConfig {
-            interleavings: 2,
-            peer: true,
-            ..CheckConfig::default()
-        };
-        for seed in 0..8u64 {
-            if let Err(f) = check_seed(seed, &cfg) {
-                panic!("peer seed {seed}: {f}");
-            }
-        }
-    }
-
-    #[test]
-    fn oracle_canaries_are_caught_and_shrink() {
-        // The three oracle-side canaries, re-run against the
-        // semantics-backed oracle: each perturbs one rule of the
-        // `spread-semantics` machine (stencil halo, host fold,
-        // redistribute recovery), and some seed in a bounded scan must
-        // expose the divergence and keep failing through shrinking.
-        // (The runtime-side canaries — spill and peer — have their own
-        // mode-specific tests below.)
-        for (fault, faults_mode, seeds) in [
-            (Fault::StencilDropsLeftHalo, false, 0..40u64),
-            (Fault::ReduceSkipsLast, false, 0..40u64),
-            (Fault::RecoveryDropsLostChunk, true, 0..80u64),
-        ] {
+        for (name, fault, mode) in Fault::ALL {
             let cfg = CheckConfig {
                 interleavings: 1,
                 fault: Some(fault),
-                faults: faults_mode,
-                ..CheckConfig::default()
+                mode,
             };
-            let seed = seeds
-                .clone()
-                .find(|&s| check_seed(s, &cfg).is_err())
-                .unwrap_or_else(|| panic!("{fault:?}: no seed in {seeds:?} trips the canary"));
-            let (minimal, failure) =
-                shrink_seed(seed, &cfg).unwrap_or_else(|| panic!("{fault:?}: failure must shrink"));
-            assert!(
-                !minimal.phases.is_empty(),
-                "{fault:?}: shrank to an empty program"
-            );
-            assert!(
-                check_program(&minimal, seed, &cfg).is_err(),
-                "{fault:?}: minimal program stopped failing: {failure}"
-            );
+            // Per canary: the bounded scan some seed of which must trip
+            // it, where the divergence may surface, and what a minimal
+            // counterexample must have kept — the statement or scenario
+            // that is load-bearing for the divergence.
+            type Kept = fn(&Program) -> bool;
+            let (seeds, surfaces, kept): (_, &[&str], Kept) = match fault {
+                // The oracle-side canaries each perturb one rule of the
+                // `spread-semantics` machine: the stencil halo, the
+                // host fold, the redistribute recovery.
+                Fault::StencilDropsLeftHalo => (0..40u64, &["array"], |p| {
+                    any(
+                        p,
+                        |s| matches!(s, Stmt::Spread { op, .. } if op.name() == "stencil"),
+                    )
+                }),
+                Fault::ReduceSkipsLast => (0..40, &["reduction"], |p| {
+                    any(p, |s| matches!(s, Stmt::Reduce { .. }))
+                }),
+                Fault::RecoveryDropsLostChunk => (0..80, &["array"], |p| p.fault.is_some()),
+                // A seed must actually spill (Spill policy with a
+                // visibly-perturbed kernel).
+                Fault::SpillDropsSlice => (0..200, &["array"], |p| p.pressure.is_some()),
+                // A seed's `exchange(auto)` run must actually route a
+                // halo device-to-device (a `bump`-free Halo with
+                // interior chunks), so the corrupted byte reaches the
+                // final host state. The host-forced runs stay clean —
+                // the canary is inert there — which is exactly what
+                // proves the differential leg watches the peer route.
+                Fault::PeerCorrupt => (0..50, &["array"], |p| {
+                    any(p, |s| matches!(s, Stmt::Halo { .. }))
+                }),
+                // Replicate programs surface as bit divergence (the
+                // loser drains last, perturbed); steal programs as a
+                // commit-count violation (the perturbed drain lands
+                // first and the winner overwrites it, but the gate
+                // counted two commits).
+                Fault::RescueDoubleCommit => {
+                    (0..50, &["array", "commit"], |p| p.straggler.is_some())
+                }
+                // With the checks silently disabled, the armed flips
+                // either rot the final host state or — when a later
+                // statement overwrites the rotten element — leave the
+                // predicted healed-commit ledger empty.
+                Fault::IntegrityCorrupt => (0..50, &["array", "healed"], |p| p.integrity.is_some()),
+                // The leaked sub-slice is value-visible (first element
+                // perturbed before the early commit) — or, when a later
+                // statement overwrites the rotten element, a `leaked`
+                // record in the ledger.
+                Fault::OverlapLeak => (0..50, &["array", "boundary"], |p| p.overlap.is_some()),
+            };
+            let mut caught = 0;
+            for seed in seeds.clone() {
+                if check_seed(seed, &cfg).is_ok() {
+                    continue;
+                }
+                caught += 1;
+                let (minimal, failure) = shrink_seed(seed, &cfg)
+                    .unwrap_or_else(|| panic!("{name} seed {seed}: the failure must shrink"));
+                assert!(
+                    surfaces.iter().any(|s| failure.detail.contains(s)),
+                    "{name} seed {seed}: surfaced as {failure}"
+                );
+                assert!(
+                    !minimal.phases.is_empty(),
+                    "{name} seed {seed}: shrank to an empty program"
+                );
+                assert!(
+                    check_program(&minimal, seed, &cfg).is_err(),
+                    "{name} seed {seed}: the minimal program stopped failing: {failure}"
+                );
+                assert!(
+                    kept(&minimal),
+                    "{name} seed {seed}: shrinking dropped what is load-bearing for the divergence"
+                );
+            }
+            assert!(caught > 0, "{name}: no seed in {seeds:?} trips the canary");
         }
-    }
-
-    #[test]
-    fn peer_canary_is_caught_and_shrinks() {
-        let cfg = CheckConfig {
-            interleavings: 1,
-            fault: Some(Fault::PeerCorrupt),
-            peer: true,
-            ..CheckConfig::default()
-        };
-        // Find a seed whose `exchange(auto)` run actually routes a halo
-        // device-to-device (a `bump`-free Halo with interior chunks),
-        // so the corrupted byte reaches the final host state. The
-        // host-forced runs must stay clean — the canary is inert there
-        // — which is exactly what proves the differential leg watches
-        // the peer route.
-        let seed = (0..50u64)
-            .find(|&s| check_seed(s, &cfg).is_err())
-            .expect("some peer seed must route D2D and catch the corruption");
-        let (minimal, failure) = shrink_seed(seed, &cfg).expect("canary failure shrinks");
-        assert!(failure.detail.contains("array"), "{failure}");
-        assert!(
-            minimal
-                .phases
-                .iter()
-                .flatten()
-                .any(|s| matches!(s, ast::Stmt::Halo { .. })),
-            "the halo exchange is load-bearing for the divergence"
-        );
-    }
-
-    #[test]
-    fn rescue_canary_is_caught_and_shrinks() {
-        let cfg = CheckConfig {
-            interleavings: 1,
-            fault: Some(Fault::RescueDoubleCommit),
-            stragglers: true,
-            ..CheckConfig::default()
-        };
-        // Find a seed whose run actually rescues a piece: the forced
-        // duplicate commit perturbs the losing copy's first staged
-        // element, and the harness must flag the divergence from
-        // first-commit-wins and keep it failing through shrinking.
-        let seed = (0..50u64)
-            .find(|&s| check_seed(s, &cfg).is_err())
-            .expect("some straggler seed must rescue and catch the double commit");
-        let (minimal, failure) = shrink_seed(seed, &cfg).expect("canary failure shrinks");
-        // Replicate programs surface as bit divergence (the loser
-        // drains last, perturbed); steal programs surface as a
-        // commit-count violation (the perturbed drain lands first and
-        // the winner overwrites it, but the gate counted two commits).
-        assert!(
-            failure.detail.contains("array") || failure.detail.contains("commit"),
-            "{failure}"
-        );
-        assert!(
-            minimal.straggler.is_some(),
-            "the straggler spec is load-bearing for the divergence"
-        );
-        assert!(!minimal.phases.is_empty());
-    }
-
-    #[test]
-    fn integrity_canary_is_caught_and_shrinks() {
-        let cfg = CheckConfig {
-            interleavings: 1,
-            fault: Some(Fault::IntegrityCorrupt),
-            integrity: true,
-            ..CheckConfig::default()
-        };
-        // With the checks silently disabled, the armed flips either rot
-        // the final host state (bit divergence from the flip-blind
-        // oracle) or — when a later statement overwrites the rotten
-        // element — leave the predicted healed-commit ledger empty.
-        // Some seed in a bounded scan must be caught either way and
-        // keep failing through shrinking.
-        let seed = (0..50u64)
-            .find(|&s| check_seed(s, &cfg).is_err())
-            .expect("some integrity seed must surface the disabled checks");
-        let (minimal, failure) = shrink_seed(seed, &cfg).expect("canary failure shrinks");
-        assert!(
-            failure.detail.contains("array") || failure.detail.contains("healed"),
-            "{failure}"
-        );
-        assert!(
-            minimal.integrity.is_some(),
-            "the integrity spec is load-bearing for the divergence"
-        );
-        assert!(!minimal.phases.is_empty());
-    }
-
-    #[test]
-    fn overlap_canary_is_caught_and_shrinks() {
-        let cfg = CheckConfig {
-            interleavings: 1,
-            fault: Some(Fault::OverlapLeak),
-            overlap: true,
-            ..CheckConfig::default()
-        };
-        // The leaked sub-slice is value-visible (first element
-        // perturbed before the early commit), so the harness flags it
-        // as a bit divergence — or, when a later statement overwrites
-        // the rotten element, as a `leaked` record in the ledger.
-        let seed = (0..50u64)
-            .find(|&s| check_seed(s, &cfg).is_err())
-            .expect("some overlap seed must leak and be caught");
-        let (minimal, failure) = shrink_seed(seed, &cfg).expect("canary failure shrinks");
-        assert!(
-            failure.detail.contains("array") || failure.detail.contains("boundary"),
-            "{failure}"
-        );
-        assert!(
-            minimal.overlap.is_some(),
-            "the overlap spec is load-bearing for the divergence"
-        );
-        assert!(!minimal.phases.is_empty());
-    }
-
-    #[test]
-    fn spill_canary_is_caught_and_shrinks() {
-        let cfg = CheckConfig {
-            interleavings: 1,
-            fault: Some(Fault::SpillDropsSlice),
-            pressure: true,
-            ..CheckConfig::default()
-        };
-        // Find a seed whose program actually spills (Spill policy with a
-        // visibly-perturbed kernel), then require the harness to flag it
-        // and keep it failing through shrinking.
-        let spilled = (0..200u64).find(|&seed| check_seed(seed, &cfg).is_err());
-        let seed = spilled.expect("some pressure seed must spill and diverge");
-        let (minimal, failure) = shrink_seed(seed, &cfg).expect("canary failure shrinks");
-        assert!(failure.detail.contains("array"), "{failure}");
-        assert!(
-            minimal.pressure.is_some(),
-            "the pressure spec is load-bearing for the spill divergence"
-        );
-        assert!(!minimal.phases.is_empty());
     }
 }

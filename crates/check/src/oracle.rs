@@ -618,15 +618,8 @@ mod tests {
 
     fn simple(n_devices: usize, phases: Vec<Vec<Stmt>>) -> Program {
         Program {
-            n_devices,
-            n: 16,
-            n_arrays: 2,
             phases,
-            fault: None,
-            pressure: None,
-            straggler: None,
-            integrity: None,
-            overlap: None,
+            ..Program::new(n_devices, 16, 2)
         }
     }
 

@@ -334,11 +334,12 @@ pub fn listing(p: &Program) -> String {
 mod tests {
     use super::*;
     use crate::gen::gen_program;
+    use crate::Mode;
 
     #[test]
     fn listings_render_and_are_deterministic() {
         for seed in 0..50u64 {
-            let p = gen_program(seed);
+            let p = gen_program(seed, Mode::Plain);
             let a = listing(&p);
             assert!(a.contains("#pragma omp"), "seed {seed}:\n{a}");
             assert_eq!(a, listing(&p));

@@ -126,24 +126,15 @@ fn candidates(p: &Program) -> Vec<Program> {
             }
         }
     }
-    // 5. Drop the machine down to the devices actually named (the
-    // fault plan's and integrity spec's devices count as named).
-    let fault_devices = p.fault.iter().flat_map(|f| {
-        f.lost
-            .into_iter()
-            .chain(f.transients.iter().map(|&(d, _)| d))
-    });
-    let flip_devices = p
-        .integrity
-        .iter()
-        .flat_map(|is| is.flips.iter().map(|&(d, _)| d));
+    // 5. Drop the machine down to the devices actually named — by a
+    // statement or by a scenario spec, whose devices the lowered fault
+    // plan is validated against.
     let used = p
         .phases
         .iter()
         .flatten()
         .flat_map(stmt_devices)
-        .chain(fault_devices)
-        .chain(flip_devices)
+        .chain(p.scenario_devices())
         .max()
         .map(|d| d as usize + 1)
         .unwrap_or(1);
@@ -238,6 +229,11 @@ fn simplify_stmt(s: &Stmt, n: usize) -> Vec<Stmt> {
                 let sched = match (op, sched) {
                     // One device: a stencil needs one whole-loop chunk.
                     (KernelOp::Stencil3 { .. }, _) => Sched::Static { chunk: n },
+                    // One weight per device in the list.
+                    (_, Sched::Weighted { round, weights }) => Sched::Weighted {
+                        round: *round,
+                        weights: weights[..1].to_vec(),
+                    },
                     _ => sched.clone(),
                 };
                 out.push(Stmt::Spread {
@@ -347,8 +343,8 @@ pub fn shrink(p: &Program, fails: &mut dyn FnMut(&Program) -> bool) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::KernelOp;
-    use crate::gen;
+    use crate::gen::gen_program;
+    use crate::Mode;
 
     /// The size metric the invariant tests bound: total statements plus
     /// the three structural dimensions. Every candidate in
@@ -360,9 +356,6 @@ mod tests {
 
     fn program_with_stencil() -> Program {
         Program {
-            n_devices: 3,
-            n: 40,
-            n_arrays: 4,
             phases: vec![
                 vec![Stmt::Spread {
                     devices: vec![0, 1, 2],
@@ -377,11 +370,66 @@ mod tests {
                     op: KernelOp::Stencil3 { src: 0, dst: 1 },
                 }],
             ],
-            fault: None,
-            pressure: None,
-            straggler: None,
-            integrity: None,
-            overlap: None,
+            ..Program::new(3, 40, 4)
+        }
+    }
+
+    /// What the executor and the oracle assume of any program they are
+    /// handed: every named device on the machine, every array in range,
+    /// every schedule one `distribute` accepts for its device list,
+    /// every raw section inside its array.
+    fn ill_formed(p: &Program) -> Option<String> {
+        if let Some(d) = p.scenario_devices().find(|&d| d as usize >= p.n_devices) {
+            return Some(format!("a scenario names device {d}"));
+        }
+        for s in p.phases.iter().flatten() {
+            let devices = stmt_devices(s);
+            let ok = devices.iter().all(|&d| (d as usize) < p.n_devices)
+                && s.arrays().iter().all(|&a| a < p.n_arrays)
+                && match s {
+                    Stmt::Spread { sched, .. } | Stmt::Reduce { sched, .. } => match sched {
+                        Sched::Static { chunk } | Sched::Dynamic { chunk } => *chunk >= 1,
+                        Sched::Weighted { round, weights } => {
+                            *round >= 1
+                                && weights.len() == devices.len()
+                                && weights.iter().all(|&w| w >= 1)
+                        }
+                        Sched::Auto { .. } => true,
+                    },
+                    Stmt::DataRegion { chunk, .. } | Stmt::Halo { chunk, .. } => *chunk >= 1,
+                    Stmt::RawEnter { start, len, .. }
+                    | Stmt::RawExit { start, len, .. }
+                    | Stmt::RawUpdate { start, len, .. } => *len >= 1 && start + len <= p.n,
+                    Stmt::Bad { .. } => true,
+                };
+            if !ok {
+                return Some(format!("{s:?}"));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn every_candidate_is_well_formed() {
+        // Along seeded random walks through the candidate lists of
+        // generated programs of every mode — walks that, like a canary
+        // failure, never let go of a scenario device. A candidate the
+        // executor would reject (or die on) manufactures a failure
+        // unrelated to the one being minimised.
+        for (mode, ..) in Mode::ALL {
+            for seed in 0..40u64 {
+                let p = gen_program(seed, mode);
+                assert_eq!(ill_formed(&p), None, "{mode:?} seed {seed}: as generated");
+                let armed = p.scenario_devices().count();
+                let mut walk = spread_prng::Prng::new(seed);
+                let mut fails = |q: &Program| {
+                    if let Some(what) = ill_formed(q) {
+                        panic!("{mode:?} seed {seed}: ill-formed candidate: {what}\n{q:?}");
+                    }
+                    q.scenario_devices().count() == armed && walk.chance(0.5)
+                };
+                shrink(&p, &mut fails);
+            }
         }
     }
 
@@ -415,14 +463,7 @@ mod tests {
         // the original satisfies, the minimum must still satisfy it —
         // `shrink` only ever commits candidates the predicate accepts.
         for seed in 0..12u64 {
-            let p = match seed % 6 {
-                0 => gen::gen_program_cfg(seed, false),
-                1 => gen::gen_program_cfg(seed, true),
-                2 => gen::gen_program_pressure(seed),
-                3 => gen::gen_program_integrity(seed),
-                4 => gen::gen_program_overlap(seed),
-                _ => gen::gen_program_peer(seed),
-            };
+            let p = gen_program(seed, Mode::ALL[seed as usize % Mode::ALL.len()].0);
             let mut fails = |q: &Program| !q.phases.is_empty();
             assert!(fails(&p));
             let m = shrink(&p, &mut fails);
@@ -434,7 +475,7 @@ mod tests {
     fn shrinking_is_idempotent() {
         // A minimum is a fixed point: re-shrinking it changes nothing.
         for seed in 0..12u64 {
-            let p = gen::gen_program_cfg(seed, seed % 2 == 1);
+            let p = gen_program(seed, [Mode::Plain, Mode::Faults][seed as usize % 2]);
             // "Fails whenever array A0 is touched" — true of every
             // generated program's first statement or vacuously skipped.
             let mut fails =
@@ -458,11 +499,7 @@ mod tests {
         // it commits — is bounded by the original program's size, and
         // so is the final minimum.
         for seed in 0..12u64 {
-            let p = match seed % 3 {
-                0 => gen::gen_program_cfg(seed, true),
-                1 => gen::gen_program_pressure(seed),
-                _ => gen::gen_program_peer(seed),
-            };
+            let p = gen_program(seed, Mode::ALL[seed as usize % Mode::ALL.len()].0);
             let bound = size(&p);
             let mut worst = 0usize;
             let mut fails = |q: &Program| {

@@ -7,100 +7,37 @@
 //! also asserts the warm leg actually served hits (a parity proof over
 //! a cache that never hits would prove nothing).
 
-use spread_check::{cache_parity, CheckConfig};
+use spread_check::{cache_parity, CheckConfig, Mode};
 
 const PROGRAMS: usize = 50;
 
-fn sweep(cfg: &CheckConfig, expect_hits: bool) {
-    let report = cache_parity(1, PROGRAMS, cfg);
-    for f in &report.failures {
-        eprintln!("FAIL seed {}: {}", f.seed, f.failure);
-    }
-    assert!(
-        report.failures.is_empty(),
-        "{} of {} program(s) diverged between cold planner and warm cache",
-        report.failures.len(),
-        report.programs
-    );
-    if expect_hits {
+#[test]
+fn cold_planner_and_warm_cache_agree_in_every_mode() {
+    for (mode, ..) in Mode::ALL {
+        let cfg = CheckConfig {
+            mode,
+            ..CheckConfig::default()
+        };
+        let report = cache_parity(1, PROGRAMS, &cfg);
+        for f in &report.failures {
+            eprintln!("FAIL {mode:?} seed {}: {}", f.seed, f.failure);
+        }
         assert!(
-            report.hits > 0,
-            "warm legs never hit the cache ({} misses, {} invalidations) — \
+            report.failures.is_empty(),
+            "{mode:?}: {} of {} program(s) diverged between cold planner and warm cache",
+            report.failures.len(),
+            report.programs
+        );
+        // Auto constructs re-resolve their weights per launch and bump
+        // the topology epoch after every profile record, so the cache
+        // may legitimately never serve a hit there — the sweep still
+        // demands bit-identical observables, which is the point.
+        assert!(
+            report.hits > 0 || mode == Mode::Auto,
+            "{mode:?}: warm legs never hit the cache ({} misses, {} invalidations) — \
              the parity sweep proved nothing",
             report.misses,
             report.invalidations
         );
     }
-}
-
-#[test]
-fn parity_default_mode() {
-    sweep(&CheckConfig::default(), true);
-}
-
-#[test]
-fn parity_faults_mode() {
-    let cfg = CheckConfig {
-        faults: true,
-        ..CheckConfig::default()
-    };
-    sweep(&cfg, true);
-}
-
-#[test]
-fn parity_pressure_mode() {
-    let cfg = CheckConfig {
-        pressure: true,
-        ..CheckConfig::default()
-    };
-    sweep(&cfg, true);
-}
-
-#[test]
-fn parity_auto_mode() {
-    // Auto constructs re-resolve their weights per launch and bump the
-    // topology epoch after every profile record, so the cache may
-    // legitimately never serve a hit here — the sweep still demands
-    // bit-identical observables, which is the point.
-    let cfg = CheckConfig {
-        auto: true,
-        ..CheckConfig::default()
-    };
-    sweep(&cfg, false);
-}
-
-#[test]
-fn parity_peer_mode() {
-    let cfg = CheckConfig {
-        peer: true,
-        ..CheckConfig::default()
-    };
-    sweep(&cfg, true);
-}
-
-#[test]
-fn parity_stragglers_mode() {
-    let cfg = CheckConfig {
-        stragglers: true,
-        ..CheckConfig::default()
-    };
-    sweep(&cfg, true);
-}
-
-#[test]
-fn parity_integrity_mode() {
-    let cfg = CheckConfig {
-        integrity: true,
-        ..CheckConfig::default()
-    };
-    sweep(&cfg, true);
-}
-
-#[test]
-fn parity_overlap_mode() {
-    let cfg = CheckConfig {
-        overlap: true,
-        ..CheckConfig::default()
-    };
-    sweep(&cfg, true);
 }

@@ -144,6 +144,7 @@ impl SpreadClauses {
                         .into(),
                 ));
             }
+            s.validate("data spread", self.devices.len())?;
             return Ok(distribute(range, &self.devices, s));
         }
         let chunk = self

@@ -9,6 +9,8 @@
 
 use std::ops::Range;
 
+use spread_rt::RtError;
+
 /// The `spread_schedule` clause.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpreadSchedule {
@@ -66,6 +68,37 @@ impl SpreadSchedule {
     /// stable construct name.
     pub fn auto(key: impl Into<String>) -> Self {
         SpreadSchedule::Auto { key: key.into() }
+    }
+
+    /// Check a user-written clause against a `devices(…)` list of
+    /// `n_devices` entries, where it is about to meet [`distribute`] —
+    /// whose assertions stay as invariants for internal callers.
+    /// `directive` names the pragma in the error.
+    pub(crate) fn validate(&self, directive: &str, n_devices: usize) -> Result<(), RtError> {
+        let what = match self {
+            SpreadSchedule::Static { chunk: 0 } | SpreadSchedule::Dynamic { chunk: 0 } => {
+                "the chunk size must be >= 1".to_string()
+            }
+            SpreadSchedule::StaticWeighted { round: 0, .. } => {
+                "the weighted round must be >= 1".to_string()
+            }
+            SpreadSchedule::StaticWeighted { weights, .. } if weights.len() != n_devices => {
+                format!(
+                    "{} weight(s) for {n_devices} device(s) (one per device in the list)",
+                    weights.len()
+                )
+            }
+            SpreadSchedule::StaticWeighted { weights, .. }
+                if weights.iter().any(|w| !w.is_finite() || *w < 0.0)
+                    || weights.iter().sum::<f64>() <= 0.0 =>
+            {
+                format!("weights {weights:?} must be finite, non-negative and sum to > 0")
+            }
+            _ => return Ok(()),
+        };
+        Err(RtError::InvalidDirective(format!(
+            "{directive}: spread_schedule(…): {what}"
+        )))
     }
 }
 

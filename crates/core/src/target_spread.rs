@@ -740,6 +740,8 @@ impl TargetSpread {
                 plan
             }
             None => {
+                self.schedule()
+                    .validate("target spread", self.devices.len())?;
                 let chunks = distribute(range, &self.devices, self.schedule());
                 let pieces = {
                     let footprint = |start: usize, len: usize| self.footprint_bytes(start, len);
@@ -906,6 +908,11 @@ impl TargetSpread {
                 plan
             }
             None => {
+                // User input meets `distribute` here, on the cold branch
+                // only: a malformed schedule fingerprints differently
+                // from every stored plan, so a warm hit never pays.
+                self.schedule()
+                    .validate("target spread", self.devices.len())?;
                 let chunks = distribute(range, &self.devices, self.schedule());
                 let sections: Vec<ChunkSections> = chunks
                     .iter()
@@ -1013,6 +1020,8 @@ impl TargetSpread {
         range: Range<usize>,
         kernel: KernelSpec,
     ) -> Result<Vec<TaskId>, RtError> {
+        self.schedule()
+            .validate("target spread", self.devices.len())?;
         let chunks = distribute(range, &self.devices, self.schedule());
         let queue: Rc<RefCell<VecDeque<crate::schedule::Chunk>>> =
             Rc::new(RefCell::new(chunks.into_iter().collect()));

@@ -516,3 +516,68 @@ fn invalid_directives() {
         .unwrap_err();
     assert!(matches!(err, RtError::InvalidDirective(_)));
 }
+
+/// A malformed `spread_schedule(…)` is the user's error, not an abort
+/// inside `distribute`: every case is rejected with `InvalidDirective`
+/// naming the clause, on the executable and the data directives alike.
+#[test]
+fn malformed_schedules_are_rejected_not_panicked() {
+    let weighted = |round, weights: &[f64]| SpreadSchedule::StaticWeighted {
+        round,
+        weights: weights.to_vec(),
+    };
+    let cases = [
+        ("static chunk 0", SpreadSchedule::static_chunk(0)),
+        ("dynamic chunk 0", SpreadSchedule::dynamic(0)),
+        ("weighted round 0", weighted(0, &[1.0])),
+        ("two weights, one device", weighted(4, &[1.0, 2.0])),
+        ("weights summing to zero", weighted(4, &[0.0])),
+        ("a negative weight", weighted(4, &[-1.0])),
+        ("a NaN weight", weighted(4, &[f64::NAN])),
+    ];
+    for (what, schedule) in cases {
+        for directive in [
+            "target spread",
+            "pressure-managed spread",
+            "enter data spread",
+        ] {
+            let mut rt = runtime(2);
+            let a = rt.host_array("A", 10);
+            let err = rt
+                .run(|s| {
+                    if directive == "enter data spread" {
+                        TargetEnterDataSpread::devices([0])
+                            .with_schedule(schedule.clone())
+                            .range(0, 10)
+                            .map(spread_to(a, |c| c.range()))
+                            .launch(s)?;
+                    } else {
+                        let mut t = TargetSpread::devices([0]).with_schedule(schedule.clone());
+                        if directive == "pressure-managed spread" {
+                            t = t.with_pressure(PressurePolicy::Split);
+                        }
+                        t.map(spread_tofrom(a, |c| c.range())).parallel_for(
+                            s,
+                            0..10,
+                            KernelSpec::new("k", 1.0, |_c, _v| {})
+                                .arg(KernelArg::read_write(a, |r| r)),
+                        )?;
+                    }
+                    Ok(())
+                })
+                .expect_err(what);
+            // (Only the plain executable directive admits a dynamic
+            // schedule at all; the others turn it away by kind.)
+            let dynamic = matches!(schedule, SpreadSchedule::Dynamic { .. });
+            let clause = if dynamic && directive != "target spread" {
+                "static"
+            } else {
+                "spread_schedule(…)"
+            };
+            assert!(
+                matches!(&err, RtError::InvalidDirective(m) if m.contains(clause)),
+                "{what} on {directive}: {err}"
+            );
+        }
+    }
+}

@@ -7,7 +7,7 @@
 
 use spread_check::{
     ast::{FaultMode, FaultSpec, KernelOp, PressureSpec, Program, Sched, Stmt},
-    check_program, check_seed, fuzz, gen, oracle, pretty, shrink_seed, CheckConfig, Fault,
+    check_program, check_seed, fuzz, gen, oracle, pretty, shrink_seed, CheckConfig, Fault, Mode,
 };
 use spread_core::PressurePolicy;
 use spread_rt::RtError;
@@ -32,7 +32,7 @@ fn fuzz_with_fault_plans_agrees_with_oracle() {
     // the oracle's prediction under every interleaving.
     let cfg = CheckConfig {
         interleavings: 2,
-        faults: true,
+        mode: Mode::Faults,
         ..CheckConfig::default()
     };
     let report = fuzz(0xFA17, 30, &cfg, |_, _| {});
@@ -46,9 +46,6 @@ fn fuzz_with_fault_plans_agrees_with_oracle() {
 /// the harness actually detects semantic divergence.
 fn fault_sensitive_program() -> Program {
     Program {
-        n_devices: 2,
-        n: 16,
-        n_arrays: 4,
         phases: vec![vec![
             Stmt::Spread {
                 devices: vec![0, 1],
@@ -65,11 +62,7 @@ fn fault_sensitive_program() -> Program {
                 op: spread_core::reduction::ReduceOp::Sum,
             },
         ]],
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+        ..Program::new(2, 16, 4)
     }
 }
 
@@ -101,9 +94,6 @@ fn injected_faults_are_caught() {
 #[test]
 fn recovery_canary_is_caught() {
     let p = Program {
-        n_devices: 2,
-        n: 16,
-        n_arrays: 2,
         phases: vec![vec![Stmt::Spread {
             devices: vec![0, 1],
             sched: Sched::Static { chunk: 4 },
@@ -115,10 +105,7 @@ fn recovery_canary_is_caught() {
             mode: FaultMode::Resilient,
             transients: vec![],
         }),
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+        ..Program::new(2, 16, 2)
     };
     let clean = CheckConfig {
         interleavings: 2,
@@ -141,9 +128,6 @@ fn recovery_canary_is_caught() {
 #[test]
 fn fail_stop_loss_is_predicted_and_matched() {
     let mut p = Program {
-        n_devices: 2,
-        n: 16,
-        n_arrays: 2,
         phases: vec![vec![Stmt::Spread {
             devices: vec![0, 1],
             sched: Sched::Static { chunk: 4 },
@@ -155,10 +139,7 @@ fn fail_stop_loss_is_predicted_and_matched() {
             mode: FaultMode::FailStop,
             transients: vec![],
         }),
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+        ..Program::new(2, 16, 2)
     };
     let want = oracle::predict(&p, None);
     assert!(
@@ -187,7 +168,7 @@ fn fuzz_with_pressure_agrees_with_oracle() {
     // predicts, under every interleaving.
     let cfg = CheckConfig {
         interleavings: 2,
-        pressure: true,
+        mode: Mode::Pressure,
         ..CheckConfig::default()
     };
     let report = fuzz(0x9E55, 30, &cfg, |_, _| {});
@@ -204,38 +185,30 @@ fn fuzz_with_pressure_agrees_with_oracle() {
 #[test]
 fn spill_canary_is_caught() {
     let p = Program {
-        n_devices: 1,
-        n: 12,
-        n_arrays: 1,
         phases: vec![vec![Stmt::Spread {
             devices: vec![0],
             sched: Sched::Static { chunk: 12 },
             nowait: false,
             op: KernelOp::AddConst { a: 0, c: 1.5 },
         }]],
-        fault: None,
         // Sustained pressure equal to the cap: zero headroom, the whole
         // 96-byte chunk is hopeless on-device and spills.
-        straggler: None,
-        integrity: None,
-        overlap: None,
         pressure: Some(PressureSpec {
             policy: PressurePolicy::Spill,
             cap_bytes: 64,
             sustained: vec![(0, 64)],
         }),
+        ..Program::new(1, 12, 1)
     };
     let clean = CheckConfig {
         interleavings: 2,
-        pressure: true,
+        mode: Mode::Pressure,
         ..CheckConfig::default()
     };
     check_program(&p, 17, &clean).expect("the spilled run matches the oracle bit-for-bit");
     let canary = CheckConfig {
-        interleavings: 2,
         fault: Some(Fault::SpillDropsSlice),
-        pressure: true,
-        ..CheckConfig::default()
+        ..clean
     };
     let failure = check_program(&p, 17, &canary)
         .expect_err("a spill that truncated its last slice must be flagged");
@@ -253,7 +226,7 @@ fn fuzz_with_peer_agrees_with_oracle() {
     // route set.
     let cfg = CheckConfig {
         interleavings: 2,
-        peer: true,
+        mode: Mode::Peer,
         ..CheckConfig::default()
     };
     let report = fuzz(0xD2D, 30, &cfg, |_, _| {});
@@ -272,9 +245,6 @@ fn fuzz_with_peer_agrees_with_oracle() {
 #[test]
 fn peer_canary_is_caught() {
     let p = Program {
-        n_devices: 3,
-        n: 12,
-        n_arrays: 2,
         phases: vec![vec![Stmt::Halo {
             devices: vec![0, 1, 2],
             chunk: 4,
@@ -282,11 +252,7 @@ fn peer_canary_is_caught() {
             dst: 1,
             bump: None,
         }]],
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+        ..Program::new(3, 12, 2)
     };
     // Chunks [0,4) d0 / [4,8) d1 / [8,12) d2 ⇒ four one-element halos,
     // each valid on exactly one sibling.
@@ -301,15 +267,13 @@ fn peer_canary_is_caught() {
     );
     let clean = CheckConfig {
         interleavings: 2,
-        peer: true,
+        mode: Mode::Peer,
         ..CheckConfig::default()
     };
     check_program(&p, 23, &clean).expect("the peer-routed run matches the oracle bit-for-bit");
     let canary = CheckConfig {
-        interleavings: 2,
         fault: Some(Fault::PeerCorrupt),
-        peer: true,
-        ..CheckConfig::default()
+        ..clean
     };
     let failure = check_program(&p, 23, &canary)
         .expect_err("a corrupted peer copy must be flagged on the auto run");
@@ -349,9 +313,6 @@ fn oracle_predicts_exact_mapping_errors() {
     // Extending a live mapping [2,8) with the overlapping [6,10) is the
     // paper's forbidden "array extension" — exact error fields predicted.
     let extension = Program {
-        n_devices: 1,
-        n: 12,
-        n_arrays: 1,
         phases: vec![vec![
             Stmt::RawEnter {
                 device: 0,
@@ -366,11 +327,7 @@ fn oracle_predicts_exact_mapping_errors() {
                 len: 4,
             },
         ]],
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+        ..Program::new(1, 12, 1)
     };
     let want = oracle::predict(&extension, None);
     match &want.error {
@@ -390,9 +347,6 @@ fn oracle_predicts_exact_mapping_errors() {
 
     // Updating a section that was never mapped is NotMapped.
     let not_mapped = Program {
-        n_devices: 2,
-        n: 12,
-        n_arrays: 1,
         phases: vec![vec![Stmt::RawUpdate {
             device: 1,
             a: 0,
@@ -400,11 +354,7 @@ fn oracle_predicts_exact_mapping_errors() {
             len: 4,
             from: true,
         }]],
-        fault: None,
-        pressure: None,
-        straggler: None,
-        integrity: None,
-        overlap: None,
+        ..Program::new(2, 12, 1)
     };
     let want = oracle::predict(&not_mapped, None);
     assert!(
@@ -423,8 +373,8 @@ fn oracle_predicts_exact_mapping_errors() {
 #[test]
 fn replay_seed_regenerates_the_same_program() {
     for seed in [0u64, 1, 99, 0xDEAD] {
-        let a = pretty::listing(&gen::gen_program(seed));
-        let b = pretty::listing(&gen::gen_program(seed));
+        let a = pretty::listing(&gen::gen_program(seed, Mode::Plain));
+        let b = pretty::listing(&gen::gen_program(seed, Mode::Plain));
         assert_eq!(a, b);
         assert!(a.contains("#pragma omp"));
     }

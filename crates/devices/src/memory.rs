@@ -9,6 +9,14 @@
 //! `Vec<f64>` holding device-resident data, so every transfer and kernel
 //! manipulates real values that the test suite checks against a CPU
 //! reference.
+//!
+//! Backing stores are recycled: a freed buffer is kept as a spare for
+//! the next allocation of exactly its element count, as long as live
+//! plus spare backing stays within the pool's high-watermark — so the
+//! host memory a device holds never exceeds the modelled device peak.
+//! Recycling is invisible to the modelled allocator: offsets, usage,
+//! fragmentation and out-of-memory errors are the [`MemoryPool`]'s
+//! alone.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -185,11 +193,28 @@ impl MemoryPool {
     }
 }
 
+/// What a fresh allocation's elements hold before anyone writes them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fill {
+    /// Every element reads `0.0`.
+    Zero,
+    /// Unspecified: the caller overwrites every element before anything
+    /// reads one, so a recycled backing store keeps its old contents
+    /// instead of being cleared first.
+    Overwritten,
+}
+
 /// Device memory: the pool plus real `f64` backing stores, in *element*
 /// units (8 bytes each).
 pub struct DeviceMemory {
     pool: MemoryPool,
     buffers: BTreeMap<AllocId, Vec<f64>>,
+    /// Retired backing stores, keyed by exact element count. Never holds
+    /// an empty list or an empty store.
+    spares: BTreeMap<usize, Vec<Vec<f64>>>,
+    /// Bytes of live plus spare backing; at most the pool's
+    /// high-watermark.
+    backing: u64,
 }
 
 impl DeviceMemory {
@@ -198,6 +223,8 @@ impl DeviceMemory {
         DeviceMemory {
             pool: MemoryPool::new(capacity_bytes),
             buffers: BTreeMap::new(),
+            spares: BTreeMap::new(),
+            backing: 0,
         }
     }
 
@@ -213,17 +240,74 @@ impl DeviceMemory {
 
     /// Allocate a buffer of `elems` f64 elements, zero-initialized.
     pub fn alloc_elems(&mut self, elems: usize) -> Result<AllocId, OutOfMemory> {
+        self.alloc_filled(elems, Fill::Zero)
+    }
+
+    /// Allocate a buffer of `elems` f64 elements, reusing a spare backing
+    /// store of exactly that size when there is one.
+    pub fn alloc_filled(&mut self, elems: usize, fill: Fill) -> Result<AllocId, OutOfMemory> {
         let id = self.pool.alloc(elems as u64 * ELEM_BYTES)?;
-        self.buffers.insert(id, vec![0.0; elems]);
+        let buf = match self.take_spare(elems) {
+            Some(mut buf) => {
+                if fill == Fill::Zero {
+                    buf.fill(0.0);
+                }
+                buf
+            }
+            None => {
+                // Make room under the watermark before the new store
+                // exists, so host memory never overshoots it.
+                self.backing += elems as u64 * ELEM_BYTES;
+                self.trim();
+                vec![0.0; elems]
+            }
+        };
+        self.buffers.insert(id, buf);
         Ok(id)
     }
 
-    /// Free a buffer. Returns `false` if the id is unknown (double free,
-    /// or an id issued before a device-loss wipe).
+    /// Free a buffer; its backing store becomes a spare. Returns `false`
+    /// if the id is unknown (double free, or an id issued before a
+    /// device-loss wipe).
     pub fn dealloc(&mut self, id: AllocId) -> bool {
         let known = self.pool.dealloc(id);
-        self.buffers.remove(&id);
+        if let Some(buf) = self.buffers.remove(&id) {
+            if !buf.is_empty() {
+                self.spares.entry(buf.len()).or_default().push(buf);
+                self.trim();
+            }
+        }
         known
+    }
+
+    /// Bytes of host memory backing this device: live buffers plus
+    /// spares. Never more than the pool's high-watermark.
+    pub fn backing_bytes(&self) -> u64 {
+        self.backing
+    }
+
+    fn take_spare(&mut self, elems: usize) -> Option<Vec<f64>> {
+        let class = self.spares.get_mut(&elems)?;
+        let buf = class.pop();
+        if class.is_empty() {
+            self.spares.remove(&elems);
+        }
+        buf
+    }
+
+    /// Drop spares, largest first, until live plus spare backing fits
+    /// under the high-watermark. Live backing alone always fits: every
+    /// live store is a pool allocation.
+    fn trim(&mut self) {
+        while self.backing > self.pool.high_watermark() {
+            let Some(&elems) = self.spares.keys().next_back() else {
+                break;
+            };
+            let buf = self
+                .take_spare(elems)
+                .expect("spare classes are never empty");
+            self.backing -= buf.len() as u64 * ELEM_BYTES;
+        }
     }
 
     /// Immutable view of a buffer.
@@ -439,6 +523,128 @@ mod tests {
         assert_eq!(m.buffer(c)[0], 1.0);
         assert_eq!(m.buffer(a)[0], 2.0);
         assert_eq!(m.buffer(b)[0], 3.0);
+    }
+
+    #[test]
+    fn recycled_buffers_honour_the_fill() {
+        let mut m = DeviceMemory::new(1024);
+        let a = m.alloc_elems(16).unwrap();
+        m.buffer_mut(a).fill(7.0);
+        m.dealloc(a);
+        let b = m.alloc_filled(16, Fill::Zero).unwrap();
+        assert!(
+            m.buffer(b).iter().all(|&x| x == 0.0),
+            "a dirty spare is cleared"
+        );
+        m.buffer_mut(b).fill(7.0);
+        m.dealloc(b);
+        // The store really is reused: an overwritten allocation skips the
+        // clear and sees the old bytes.
+        let c = m.alloc_filled(16, Fill::Overwritten).unwrap();
+        assert!(m.buffer(c).iter().all(|&x| x == 7.0));
+        assert_eq!(m.backing_bytes(), 16 * 8);
+    }
+
+    #[test]
+    fn spares_never_exceed_the_high_watermark() {
+        let mut m = DeviceMemory::new(1024);
+        let a = m.alloc_elems(60).unwrap();
+        m.dealloc(a);
+        assert_eq!(m.backing_bytes(), 480, "the freed store is kept");
+        // A different size does not fit beside the spare under the
+        // 480-byte peak: the spare goes before the new store is made.
+        let b = m.alloc_elems(40).unwrap();
+        assert_eq!(m.backing_bytes(), 320);
+        let c = m.alloc_elems(20).unwrap();
+        assert_eq!(m.pool().high_watermark(), 480);
+        assert_eq!(m.backing_bytes(), 480);
+        m.dealloc(b);
+        m.dealloc(c);
+        assert_eq!(m.backing_bytes(), 480);
+        assert_eq!(m.pool().used(), 0);
+    }
+
+    /// The modelled allocator cannot tell recycling apart from fresh
+    /// backing: every pool observable after random alloc / free / wipe
+    /// sequences equals that of a bare `MemoryPool` driven the same way,
+    /// and host backing never exceeds the modelled peak.
+    #[test]
+    fn recycling_is_invisible_to_the_pool() {
+        for seed in 0..200u64 {
+            let mut rng = spread_prng::Prng::new(seed);
+            let capacity = 64 * rng.range(4, 64) as u64;
+            let mut mem = DeviceMemory::new(capacity);
+            let mut reference = MemoryPool::new(capacity);
+            let mut live: Vec<AllocId> = Vec::new();
+            let mut retired: Vec<AllocId> = Vec::new();
+            for step in 0..300 {
+                let what = format!("seed {seed} step {step}");
+                match rng.below(10) {
+                    0..=4 => {
+                        // Few sizes, so exact-size spares get reused.
+                        let elems = 4 * rng.range(0, 6);
+                        let fill = if rng.chance(0.5) {
+                            Fill::Zero
+                        } else {
+                            Fill::Overwritten
+                        };
+                        let got = mem.alloc_filled(elems, fill);
+                        let want = reference.alloc(elems as u64 * ELEM_BYTES);
+                        assert_eq!(got, want, "{what}: alloc");
+                        if let Ok(id) = got {
+                            assert_eq!(mem.buffer(id).len(), elems, "{what}");
+                            if fill == Fill::Zero {
+                                assert!(mem.buffer(id).iter().all(|&x| x == 0.0), "{what}");
+                            }
+                            mem.buffer_mut(id).fill(seed as f64 + 1.0);
+                            live.push(id);
+                        }
+                    }
+                    5..=8 if !live.is_empty() => {
+                        let id = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        assert_eq!(mem.dealloc(id), reference.dealloc(id), "{what}: free");
+                        retired.push(id);
+                    }
+                    5..=8 if !retired.is_empty() => {
+                        // A stale id: unknown to both.
+                        let id = *rng.pick(&retired);
+                        assert!(!mem.dealloc(id) && !reference.dealloc(id), "{what}");
+                    }
+                    _ => {
+                        // Device-loss wipe.
+                        mem = DeviceMemory::new(capacity);
+                        reference = MemoryPool::new(capacity);
+                        retired.append(&mut live);
+                        assert_eq!(mem.backing_bytes(), 0, "{what}: a wipe drops the spares");
+                    }
+                }
+                let pool = mem.pool();
+                assert_eq!(pool.allocs, reference.allocs, "{what}: ids and offsets");
+                assert_eq!(pool.free, reference.free, "{what}: free list");
+                assert_eq!(pool.next_id, reference.next_id, "{what}");
+                assert_eq!(pool.used(), reference.used(), "{what}");
+                assert_eq!(pool.high_watermark(), reference.high_watermark(), "{what}");
+                assert_eq!(
+                    pool.largest_free_block(),
+                    reference.largest_free_block(),
+                    "{what}"
+                );
+                assert!(
+                    mem.backing_bytes() <= pool.high_watermark(),
+                    "{what}: {} backing bytes over a {}-byte peak",
+                    mem.backing_bytes(),
+                    pool.high_watermark()
+                );
+                let live_bytes: u64 = mem.buffers.values().map(|b| b.len() as u64 * 8).sum();
+                let spare_bytes: u64 = mem
+                    .spares
+                    .values()
+                    .flatten()
+                    .map(|b| b.len() as u64 * 8)
+                    .sum();
+                assert_eq!(mem.backing_bytes(), live_bytes + spare_bytes, "{what}");
+            }
+        }
     }
 
     #[test]

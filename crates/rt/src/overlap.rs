@@ -817,12 +817,18 @@ fn enqueue_staged_d2h(
         let crc = integrity
             .checks()
             .then(|| spread_devices::digest_f64(&data));
-        staged.borrow_mut().push((host_store, sec, data, crc));
+        staged.borrow_mut().push(StagedWrite::Snapshot {
+            store: host_store,
+            section: sec,
+            data,
+            crc,
+        });
     });
     let what = sc.label.clone();
     let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
         let inner2 = Rc::clone(inner_rc);
         let pipe2 = Rc::clone(pipe);
+        let mem2 = dev.mem.clone();
         Box::new(move |sim| {
             // In-flight silent corruption, identical to the classic
             // staged D2H: a SilentFlip token flips one bit after the
@@ -834,7 +840,11 @@ fn enqueue_staged_d2h(
                 .is_some_and(|ctx| ctx.take_flip(device, sim.now()));
             if flip {
                 let mut st = pipe2.staged.borrow_mut();
-                if let Some((_, _, data, _)) = st.iter_mut().find(|(_, s, _, _)| *s == sec) {
+                if let Some(data) = st
+                    .iter_mut()
+                    .filter(|w| w.section() == sec)
+                    .find_map(StagedWrite::snapshot_mut)
+                {
                     flip_one_bit(data);
                 }
             }
@@ -848,11 +858,8 @@ fn enqueue_staged_d2h(
                     let mut st = pipe2.staged.borrow_mut();
                     (!st.is_empty()).then(|| st.remove(0))
                 };
-                if let Some((store, lsec, mut data, _)) = entry {
-                    if !data.is_empty() {
-                        data[0] += 1.0;
-                    }
-                    store.borrow_mut()[lsec.range()].copy_from_slice(&data);
+                if let Some(w) = entry {
+                    w.commit(&mem2.borrow(), true);
                     pipe2.leaked.set(true);
                     pipe2.record.borrow_mut().leaked = true;
                 }
@@ -949,7 +956,7 @@ pub(crate) fn pipelined_exit(
     if !stale.is_empty() {
         pipe.staged
             .borrow_mut()
-            .retain(|(_, sec, _, _)| !stale.iter().any(|p| p.contains(sec)));
+            .retain(|w| !stale.iter().any(|p| p.contains(&w.section())));
     }
     // Kept-but-dying: the prediction saw a shared entry, but the exit
     // releases it after all — fetch the whole section classically into

@@ -25,7 +25,7 @@ use std::rc::Rc;
 use spread_devices::dma::{Direction, DmaOp};
 use spread_devices::node::{DeviceHandle, Node};
 use spread_devices::topology::Topology;
-use spread_devices::{AllocId, DeviceMemory, FaultCtx};
+use spread_devices::{AllocId, DeviceMemory, FaultCtx, Fill};
 use spread_prng::FnvBuild;
 use spread_sim::{
     FaultEventKind, FaultPlan, PlannedFault, RetryPolicy, SharedFlowNet, Simulator, TieBreak,
@@ -469,7 +469,17 @@ impl Inner {
             match decision {
                 EnterDecision::Reuse(_) => reused.push(m.section),
                 EnterDecision::Fresh => {
-                    let alloc_result = self.devices[d].mem.borrow_mut().alloc_elems(m.section.len);
+                    // A copy-in overwrites the whole allocation (offset 0,
+                    // full section) before the kernel can read it.
+                    let fill = if m.map_type.copies_in() {
+                        Fill::Overwritten
+                    } else {
+                        Fill::Zero
+                    };
+                    let alloc_result = self.devices[d]
+                        .mem
+                        .borrow_mut()
+                        .alloc_filled(m.section.len, fill);
                     let alloc = match alloc_result {
                         Ok(a) => a,
                         Err(oom) => {
@@ -947,12 +957,102 @@ pub(crate) fn complete_task(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, 
     }
 }
 
-/// A device→host copy captured at its virtual start, committed to host
-/// memory only when the whole transfer set succeeds. The final field is
-/// the source-side CRC32C of the snapshot (computed over the bytes the
-/// DMA engine actually read, before anything can rot in flight or at
-/// rest), `None` under `spread_integrity(off)`.
-pub(crate) type StagedWrite = (Rc<RefCell<Vec<f64>>>, Section, Vec<f64>, Option<u32>);
+/// One device→host copy of a transfer set, written to host memory only
+/// at the set's commit drain, and only if the whole set succeeded.
+pub(crate) enum StagedWrite {
+    /// The device bytes as the DMA engine read them at the copy's
+    /// virtual start. `crc` is their source-side CRC32C (taken before
+    /// anything can rot in flight or at rest), `None` under
+    /// `spread_integrity(off)`.
+    Snapshot {
+        store: Rc<RefCell<Vec<f64>>>,
+        section: Section,
+        data: Vec<f64>,
+        crc: Option<u32>,
+    },
+    /// Read at the drain from the still-allocated dying entry (see
+    /// [`stages_d2h`]): the bytes cannot have changed since the copy
+    /// started.
+    Deferred {
+        store: Rc<RefCell<Vec<f64>>>,
+        section: Section,
+        alloc: AllocId,
+        offset: usize,
+    },
+}
+
+impl StagedWrite {
+    pub(crate) fn section(&self) -> Section {
+        match self {
+            StagedWrite::Snapshot { section, .. } | StagedWrite::Deferred { section, .. } => {
+                *section
+            }
+        }
+    }
+
+    /// The snapshot's bytes — what in-flight and at-rest corruption can
+    /// reach.
+    pub(crate) fn snapshot_mut(&mut self) -> Option<&mut Vec<f64>> {
+        match self {
+            StagedWrite::Snapshot { data, .. } => Some(data),
+            StagedWrite::Deferred { .. } => None,
+        }
+    }
+
+    /// Write the copy to host memory. `mem` is the source device's
+    /// memory; `perturb` adds 1.0 to the first element on the way (the
+    /// duplicate-commit canaries).
+    pub(crate) fn commit(self, mem: &DeviceMemory, perturb: bool) {
+        let (store, section, bytes) = match &self {
+            StagedWrite::Snapshot {
+                store,
+                section,
+                data,
+                ..
+            } => (store, section, data.as_slice()),
+            StagedWrite::Deferred {
+                store,
+                section,
+                alloc,
+                offset,
+            } => (
+                store,
+                section,
+                &mem.buffer(*alloc)[*offset..*offset + section.len],
+            ),
+        };
+        let mut host = store.borrow_mut();
+        let dst = &mut host[section.range()];
+        dst.copy_from_slice(bytes);
+        if perturb {
+            if let Some(v) = dst.first_mut() {
+                *v += 1.0;
+            }
+        }
+    }
+}
+
+/// Whether a transfer set snapshots its D2H bytes at each copy's start
+/// ([`StagedWrite::Snapshot`]) instead of reading them once from the
+/// device at its commit drain ([`StagedWrite::Deferred`]).
+///
+/// A snapshot is needed only where something can reject, heal, race or
+/// replay the write after the copy started: a commit gate (straggler
+/// arbitration), digests (`spread_integrity(verify|heal)`), or any fault
+/// plan — loss, flips, scribbles, transients and OOM all act between a
+/// copy's start and its commit. And only an exit set (`releases`) copies
+/// from entries it is releasing: a dying entry is unavailable to new
+/// mappings and to kernel binding, so its device bytes cannot change
+/// before the drain frees it. An update set copies from live entries and
+/// always snapshots.
+pub(crate) fn stages_d2h(
+    inner: &Inner,
+    releases: bool,
+    integrity: IntegrityMode,
+    gate: &Option<(crate::commit::CommitGate, u32)>,
+) -> bool {
+    !releases || gate.is_some() || integrity.checks() || inner.fault.is_some()
+}
 
 /// Flip the lowest mantissa bit of `data[0]` — the canonical injected
 /// single-bit corruption. Chosen so the damage is value-visible but
@@ -1003,7 +1103,11 @@ pub(crate) fn scribble_staged(inner_rc: &Rc<RefCell<Inner>>, device: u32) {
             continue;
         };
         let mut staged = staged.borrow_mut();
-        if let Some((_, _, data, _)) = staged.iter_mut().find(|(_, _, data, _)| !data.is_empty()) {
+        if let Some(data) = staged
+            .iter_mut()
+            .filter_map(StagedWrite::snapshot_mut)
+            .find(|data| !data.is_empty())
+        {
             flip_one_bit(data);
             return;
         }
@@ -1014,14 +1118,17 @@ pub(crate) fn scribble_staged(inner_rc: &Rc<RefCell<Inner>>, device: u32) {
 /// run the cleanup (presence removal + dealloc for exits) and complete
 /// the task.
 ///
-/// D2H copies are *staged*: their effect snapshots the device buffer at
-/// the copy's virtual start, but host memory is only written when every
-/// copy of the set has succeeded. If any copy faults (a device dying
-/// mid-exit), the host keeps its old data wholesale — a recovery
-/// handler can then replay the construct from an unharmed host image
-/// instead of one with a half-written mix. For race-free programs this
-/// is observationally equivalent to eager host writes, because
-/// dependent tasks only start after the transfer task completes.
+/// D2H copies are *staged*: host memory is only written at the set's
+/// commit drain, once every copy of the set has succeeded. If any copy
+/// faults (a device dying mid-exit), the host keeps its old data
+/// wholesale — a recovery handler can then replay the construct from an
+/// unharmed host image instead of one with a half-written mix. For
+/// race-free programs this is observationally equivalent to eager host
+/// writes, because dependent tasks only start after the transfer task
+/// completes. Where a fault plan, digest or commit gate could reject the
+/// write, each copy snapshots the device bytes at its virtual start;
+/// otherwise the drain reads them once from the dying entry (see
+/// [`stages_d2h`]), so each D2H byte is written to the host once.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_transfers(
     sim: &mut Simulator,
@@ -1119,8 +1226,14 @@ pub(crate) fn staged_commit_finish(
     let tainted: Vec<Section> = staged
         .borrow()
         .iter()
-        .filter_map(|(_, sec, data, crc)| {
-            crc.and_then(|c| (spread_devices::digest_f64(data) != c).then_some(*sec))
+        .filter_map(|w| match w {
+            StagedWrite::Snapshot {
+                section,
+                data,
+                crc: Some(c),
+                ..
+            } => (spread_devices::digest_f64(data) != *c).then_some(*section),
+            _ => None,
         })
         .collect();
     if !tainted.is_empty() {
@@ -1210,7 +1323,12 @@ pub(crate) fn staged_commit_finish(
         task_failed(sim, inner_rc, task, err);
         return 0;
     }
-    if integrity.checks() && staged.borrow().iter().any(|(_, _, _, crc)| crc.is_some()) {
+    if integrity.checks()
+        && staged
+            .borrow()
+            .iter()
+            .any(|w| matches!(w, StagedWrite::Snapshot { crc: Some(_), .. }))
+    {
         // A fully clean checked drain resets the mismatch
         // streak: the breaker counts *consecutive* offences.
         if let Some(ctx) = &inner_rc.borrow().fault {
@@ -1222,26 +1340,24 @@ pub(crate) fn staged_commit_finish(
         Some((g, copy)) => g.try_commit(sim.now(), *copy),
     };
     let mut drained = 0usize;
-    if committed {
-        for (store, sec, data, _) in staged.borrow_mut().drain(..) {
-            store.borrow_mut()[sec.range()].copy_from_slice(&data);
-            drained += 1;
-        }
-    } else if gate.as_ref().is_some_and(|(g, _)| g.duplicates_forced()) {
-        // Canary path: the losing copy commits anyway, with its
-        // first staged element perturbed so the double commit is
+    let forced = !committed && gate.as_ref().is_some_and(|(g, _)| g.duplicates_forced());
+    if committed || forced {
+        // Canary path (`forced`): the losing copy commits anyway, with
+        // its first staged element perturbed so the double commit is
         // value-visible to a differential harness.
-        let mut perturb = true;
-        for (store, sec, mut data, _) in staged.borrow_mut().drain(..) {
-            if perturb && !data.is_empty() {
-                data[0] += 1.0;
-                perturb = false;
-            }
-            store.borrow_mut()[sec.range()].copy_from_slice(&data);
+        let mut perturb = forced;
+        let mem = inner_rc.borrow().devices[device as usize].mem.clone();
+        let mem = mem.borrow();
+        for w in staged.borrow_mut().drain(..) {
+            let first = perturb && !w.section().is_empty();
+            perturb &= !first;
+            w.commit(&mem, first);
             drained += 1;
         }
-        if let Some((g, _)) = gate {
-            g.count_forced_commit();
+        if forced {
+            if let Some((g, _)) = gate {
+                g.count_forced_commit();
+            }
         }
     } else {
         staged.borrow_mut().clear();
@@ -1308,13 +1424,17 @@ pub(crate) fn run_transfers_ex(
 ) {
     let total = in_copies.len() + out_copies.len();
     let staged: Rc<RefCell<Vec<StagedWrite>>> = Rc::new(RefCell::new(Vec::new()));
-    if !out_copies.is_empty() {
-        // Expose the staging buffer to the at-rest corruption surface
-        // (MemoryScribble) for as long as it is live.
+    let snapshot = {
         let mut inner = inner_rc.borrow_mut();
-        inner.staged_registry.retain(|(_, w)| w.strong_count() > 0);
-        inner.staged_registry.push((device, Rc::downgrade(&staged)));
-    }
+        let snapshot = stages_d2h(&inner, !to_free.is_empty(), integrity, &gate);
+        if snapshot && !out_copies.is_empty() {
+            // Expose the snapshots to the at-rest corruption surface
+            // (MemoryScribble) for as long as they are live.
+            inner.staged_registry.retain(|(_, w)| w.strong_count() > 0);
+            inner.staged_registry.push((device, Rc::downgrade(&staged)));
+        }
+        snapshot
+    };
     let failed: Rc<RefCell<Option<RtError>>> = Rc::new(RefCell::new(None));
     let finish = {
         let inner_rc = Rc::clone(inner_rc);
@@ -1367,7 +1487,7 @@ pub(crate) fn run_transfers_ex(
                 let buf = mem.buffer_mut(alloc);
                 buf[off..off + sec.len].copy_from_slice(&host[sec.range()]);
             }),
-            _ => {
+            _ if snapshot => {
                 let staged = Rc::clone(&staged);
                 Box::new(move || {
                     let mem = mem.borrow();
@@ -1378,7 +1498,23 @@ pub(crate) fn run_transfers_ex(
                     let crc = integrity
                         .checks()
                         .then(|| spread_devices::digest_f64(&data));
-                    staged.borrow_mut().push((host_store, sec, data, crc));
+                    staged.borrow_mut().push(StagedWrite::Snapshot {
+                        store: host_store,
+                        section: sec,
+                        data,
+                        crc,
+                    });
+                })
+            }
+            _ => {
+                let staged = Rc::clone(&staged);
+                Box::new(move || {
+                    staged.borrow_mut().push(StagedWrite::Deferred {
+                        store: host_store,
+                        section: sec,
+                        alloc,
+                        offset: off,
+                    });
                 })
             }
         };
@@ -1420,8 +1556,10 @@ pub(crate) fn run_transfers_ex(
                             });
                             if flip {
                                 let mut st = staged.borrow_mut();
-                                if let Some((_, _, data, _)) =
-                                    st.iter_mut().find(|(_, s, _, _)| *s == sec)
+                                if let Some(data) = st
+                                    .iter_mut()
+                                    .filter(|w| w.section() == sec)
+                                    .find_map(StagedWrite::snapshot_mut)
                                 {
                                     flip_one_bit(data);
                                 }
@@ -1892,15 +2030,18 @@ impl Runtime {
                 let mem = inner.borrow().devices[device as usize].mem.clone();
                 let held: Rc<std::cell::Cell<Option<AllocId>>> =
                     Rc::new(std::cell::Cell::new(None));
+                // Whole elements, at least one — the granularity of every
+                // other device allocation. Modelled bytes only: the block
+                // is reserved in the pool with no host backing behind it.
+                let block = bytes.div_ceil(8).max(1) * 8;
                 let grab = {
                     let (mem, held) = (mem.clone(), Rc::clone(&held));
                     let weak = Rc::downgrade(&inner);
                     move || {
-                        let elems = (bytes as usize).div_ceil(8).max(1);
-                        let got = mem.borrow_mut().alloc_elems(elems).ok();
+                        let got = mem.borrow_mut().pool_mut().alloc(block).ok();
                         if got.is_some() {
                             if let Some(rc) = weak.upgrade() {
-                                rc.borrow_mut().injector_live[device as usize] += elems as u64 * 8;
+                                rc.borrow_mut().injector_live[device as usize] += block;
                             }
                         }
                         held.set(got);
@@ -1927,13 +2068,12 @@ impl Runtime {
                     until,
                     Box::new(move |sim| {
                         if let Some(id) = held.take() {
-                            let elems = (bytes as usize).div_ceil(8).max(1);
-                            mem.borrow_mut().dealloc(id);
+                            mem.borrow_mut().pool_mut().dealloc(id);
                             if let Some(rc) = weak.upgrade() {
                                 {
                                     let mut inner = rc.borrow_mut();
                                     let live = &mut inner.injector_live[device as usize];
-                                    *live = live.saturating_sub(elems as u64 * 8);
+                                    *live = live.saturating_sub(block);
                                 }
                                 retry_mem_waiters(sim, &rc, device);
                             }
@@ -3007,5 +3147,144 @@ mod tests {
     fn elapsed_starts_at_zero() {
         let rt = small_rt();
         assert_eq!(rt.elapsed(), SimDuration::ZERO);
+    }
+
+    /// Injected memory pressure is modelled bytes only: the pool is full,
+    /// the host holds nothing behind the block.
+    #[test]
+    fn an_oom_spike_holds_no_host_memory() {
+        let gib = 1u64 << 30;
+        let plan = FaultPlan::new(1).oom_spike(0, SimTime::ZERO, gib, SimDuration::from_micros(10));
+        let rt = Runtime::new(RuntimeConfig::new(Topology::ctepower(1)).with_fault_plan(plan));
+        {
+            let inner = rt.inner.borrow();
+            let mem = inner.devices[0].mem.borrow();
+            assert_eq!(mem.pool().used(), gib);
+            assert_eq!(mem.backing_bytes(), 0);
+            assert_eq!(inner.injector_live[0], gib);
+        }
+        let mut rt = rt;
+        rt.sim.run_until_idle();
+        assert_eq!(rt.device_mem_used(0), 0, "the spike was released");
+        assert_eq!(rt.inner.borrow().injector_live[0], 0);
+    }
+
+    fn double(a: HostArray) -> KernelSpec {
+        KernelSpec::new("double", 1.0, |chunk, v| {
+            for i in chunk {
+                v.set(0, i, 2.0 * v.get(0, i));
+            }
+        })
+        .arg(kernel::KernelArg::read_write(a, |r| r))
+    }
+
+    /// Run `launch` (which issues `nowait` directives) one simulator event
+    /// at a time. Returns the most D2H sets registered as staged at once,
+    /// the most snapshots they held, and the host result.
+    fn staging_of(
+        plan: Option<FaultPlan>,
+        launch: fn(&mut Scope<'_>, HostArray) -> Result<(), RtError>,
+    ) -> (usize, usize, Vec<f64>) {
+        let mut cfg = RuntimeConfig::new(Topology::ctepower(1)).with_team_threads(1);
+        if let Some(plan) = plan {
+            cfg = cfg.with_fault_plan(plan);
+        }
+        let mut rt = Runtime::new(cfg);
+        let a = rt.host_array("A", 256);
+        rt.fill_host(a, |i| i as f64);
+        launch(&mut rt.scope(), a).unwrap();
+        let (mut sets, mut snapshots) = (0, 0);
+        while rt.sim.step() {
+            let inner = rt.inner.borrow();
+            let live: Vec<_> = inner
+                .staged_registry
+                .iter()
+                .filter_map(|(_, w)| w.upgrade())
+                .collect();
+            sets = sets.max(live.len());
+            let held = live.iter().map(|s| {
+                let s = s.borrow();
+                s.iter()
+                    .filter(|w| matches!(w, StagedWrite::Snapshot { .. }))
+                    .count()
+            });
+            snapshots = snapshots.max(held.sum());
+        }
+        rt.scope().drain_all().unwrap();
+        (sets, snapshots, rt.snapshot_host(a))
+    }
+
+    /// One predicate decides staging: a construct stages its D2H only
+    /// when something could reject the write after the copy started, or
+    /// when it copies from an entry it does not release.
+    #[test]
+    fn d2h_snapshots_exactly_when_something_can_reject_them() {
+        use crate::directives::{Target, TargetEnterData, TargetExitData, TargetUpdate};
+        use crate::map::{release, to, tofrom};
+        type Launch = fn(&mut Scope<'_>, HostArray) -> Result<(), RtError>;
+        fn target(s: &mut Scope<'_>, a: HostArray, t: Target) -> Result<(), RtError> {
+            t.map(tofrom(a, 0..256))
+                .nowait()
+                .parallel_for(s, 0..256, double(a))
+                .map(drop)
+        }
+        let rows: [(&str, Option<FaultPlan>, Launch, bool); 6] = [
+            (
+                "clause-free",
+                None,
+                |s, a| target(s, a, Target::device(0)),
+                false,
+            ),
+            (
+                "verify",
+                None,
+                |s, a| target(s, a, Target::device(0).integrity(IntegrityMode::Verify)),
+                true,
+            ),
+            (
+                "heal",
+                None,
+                |s, a| target(s, a, Target::device(0).integrity(IntegrityMode::Heal)),
+                true,
+            ),
+            (
+                "straggler gate",
+                None,
+                |s, a| {
+                    let gate = crate::commit::CommitGate::new();
+                    target(s, a, Target::device(0).commit_gate(gate, 0))
+                },
+                true,
+            ),
+            (
+                "empty fault plan",
+                Some(FaultPlan::new(9)),
+                |s, a| target(s, a, Target::device(0)),
+                true,
+            ),
+            (
+                "update from a live entry",
+                None,
+                |s, a| {
+                    let all = a.section(0..256);
+                    TargetEnterData::device(0).map(to(a, 0..256)).launch(s)?;
+                    target(s, a, Target::device(0).depend_out(all))?;
+                    let update = TargetUpdate::device(0).from(all).depend_out(all);
+                    update.nowait().launch(s)?;
+                    let exit = TargetExitData::device(0).map(release(a, 0..256));
+                    exit.depend_in(all).nowait().launch(s).map(drop)
+                },
+                true,
+            ),
+        ];
+        let mut results = Vec::new();
+        for (what, plan, launch, stages) in rows {
+            let (sets, snapshots, host) = staging_of(plan, launch);
+            assert_eq!(sets > 0, stages, "{what}: {sets} staged set(s)");
+            assert_eq!(snapshots > 0, stages, "{what}: {snapshots} snapshot(s)");
+            results.push(host);
+        }
+        let want: Vec<f64> = (0..256).map(|i| 2.0 * i as f64).collect();
+        assert!(results.iter().all(|r| *r == want), "host results differ");
     }
 }

@@ -487,3 +487,56 @@ fn kernels_on_two_devices_run_concurrently() {
         "kernels on different devices overlap in virtual time"
     );
 }
+
+/// Device backing stores are recycled, but only a mapping whose copy-in
+/// overwrites the whole buffer may inherit a recycled store's old bytes:
+/// an `alloc` or `from` section mapped right after a same-size section
+/// was written and released still reads 0.0 in its kernel.
+#[test]
+fn alloc_and_from_maps_read_zero_after_a_released_buffer() {
+    let n = 256;
+    let fresh_maps: [fn(HostArray, std::ops::Range<usize>) -> MapClause; 2] = [alloc, from];
+    for fresh in fresh_maps {
+        let mut rt = runtime();
+        let dirty = rt.host_array("D", n);
+        let a = rt.host_array("A", n);
+        let seen = rt.host_array("S", n);
+        rt.fill_host(dirty, |i| i as f64 + 1.0);
+        rt.fill_host(seen, |_| -1.0);
+        rt.run(|s| {
+            Target::device(0).map(tofrom(dirty, 0..n)).parallel_for(
+                s,
+                0..n,
+                KernelSpec::new("bump", 1.0, |chunk, v| {
+                    for i in chunk {
+                        v.set(0, i, v.get(0, i) + 1.0);
+                    }
+                })
+                .arg(KernelArg::read_write(dirty, |r| r)),
+            )?;
+            // `A` is mapped first, so it takes the store `D` released.
+            Target::device(0)
+                .map(fresh(a, 0..n))
+                .map(from(seen, 0..n))
+                .parallel_for(
+                    s,
+                    0..n,
+                    KernelSpec::new("look", 1.0, |chunk, v| {
+                        for i in chunk {
+                            v.set(1, i, v.get(0, i));
+                        }
+                    })
+                    .arg(KernelArg::read(a, |r| r))
+                    .arg(KernelArg::write(seen, |r| r)),
+                )?;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(rt.snapshot_host(dirty)[0], 2.0, "the first construct ran");
+        assert!(
+            rt.snapshot_host(seen).iter().all(|&x| x == 0.0),
+            "{:?} map read a released buffer's bytes",
+            fresh(a, 0..n).map_type
+        );
+    }
+}

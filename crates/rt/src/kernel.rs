@@ -32,7 +32,10 @@ use std::sync::Arc;
 
 use spread_devices::memory::DeviceMemory;
 use spread_devices::AllocId;
-use spread_teams::{ChunkDispenser, LoopSchedule, SliceCells, TeamPool};
+use spread_teams::{ChunkDispenser, SliceCells, TeamPool};
+
+/// The intra-device schedule [`KernelSpec::with_schedule`] takes.
+pub use spread_teams::LoopSchedule;
 
 use crate::host::HostArray;
 

@@ -19,7 +19,7 @@ use std::ops::Range;
 
 use spread_rt::directives::{ExchangeMode, TargetEnterData, TargetExitData, TargetUpdate};
 use spread_rt::map::MapType;
-use spread_rt::{HostArray, IntegrityMode, MapClause, RtError, Scope, Section, TaskId};
+use spread_rt::{HostArray, IntegrityMode, MapClause, RtError, Scope, Section, TaskId, TaskLabel};
 
 use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, SpreadClausesExt, Supports};
@@ -266,7 +266,7 @@ impl TargetEnterDataSpread {
             }
             let mut b = TargetEnterData::device(device)
                 .nowait()
-                .label(format!("enter-spread(dev{device})[{}]", chunk.index));
+                .label(TaskLabel::chunk("enter-spread", device, chunk.index));
             for m in self.clauses.map_list() {
                 b = b.map(m.at(c));
             }
@@ -395,7 +395,7 @@ impl TargetExitDataSpread {
             }
             let mut b = TargetExitData::device(device)
                 .nowait()
-                .label(format!("exit-spread(dev{device})[{}]", chunk.index));
+                .label(TaskLabel::chunk("exit-spread", device, chunk.index));
             for m in self.clauses.map_list() {
                 b = b.map(m.at(c));
             }

@@ -38,7 +38,7 @@ use crate::target_spread::TargetSpread;
 /// Shared heal state for one `spread_integrity(heal)` launch.
 pub(crate) struct Healer {
     spread: Rc<TargetSpread>,
-    kernel: KernelSpec,
+    kernel: Rc<KernelSpec>,
     /// Whether `spread_resilience(redistribute)` was also given: genuine
     /// device loss re-places the chunk instead of poisoning the runtime.
     redistribute: bool,
@@ -54,7 +54,7 @@ pub(crate) struct Healer {
 impl Healer {
     pub(crate) fn new(
         spread: Rc<TargetSpread>,
-        kernel: KernelSpec,
+        kernel: Rc<KernelSpec>,
         redistribute: bool,
     ) -> Rc<Self> {
         Rc::new(Healer {

@@ -323,7 +323,7 @@ pub fn spec_admission(
 /// reactive recovery handlers need to rebuild a piece.
 pub(crate) struct PressureCoordinator {
     spread: Rc<TargetSpread>,
-    kernel: KernelSpec,
+    kernel: Rc<KernelSpec>,
     policy: PressurePolicy,
     /// Failure-injection hook forwarded to the spill executor.
     drop_last_spill_slice: bool,
@@ -334,7 +334,7 @@ pub(crate) struct PressureCoordinator {
 impl PressureCoordinator {
     pub(crate) fn new(
         spread: Rc<TargetSpread>,
-        kernel: KernelSpec,
+        kernel: Rc<KernelSpec>,
         policy: PressurePolicy,
         drop_last_spill_slice: bool,
     ) -> Rc<Self> {

@@ -49,7 +49,7 @@ pub enum ResiliencePolicy {
 /// Shared recovery state for one resilient spread launch.
 pub(crate) struct Coordinator {
     spread: Rc<TargetSpread>,
-    kernel: KernelSpec,
+    kernel: Rc<KernelSpec>,
     /// The construct's straggler monitor, when it has one: a piece it
     /// already rescued is not rebuilt here.
     monitor: Option<Rc<Monitor>>,
@@ -64,7 +64,7 @@ pub(crate) struct Coordinator {
 impl Coordinator {
     pub(crate) fn new(
         spread: Rc<TargetSpread>,
-        kernel: KernelSpec,
+        kernel: Rc<KernelSpec>,
         monitor: Option<Rc<Monitor>>,
     ) -> Rc<Self> {
         Rc::new(Coordinator {

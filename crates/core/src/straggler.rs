@@ -76,7 +76,7 @@ struct Watched {
 /// `spread_straggler(steal|replicate)`.
 pub(crate) struct Monitor {
     spread: Rc<TargetSpread>,
-    kernel: KernelSpec,
+    kernel: Rc<KernelSpec>,
     policy: StragglerPolicy,
     beta: f64,
     t0: SimTime,
@@ -99,7 +99,7 @@ pub(crate) struct Monitor {
 }
 
 impl Monitor {
-    pub(crate) fn new(spread: Rc<TargetSpread>, kernel: KernelSpec, t0: SimTime) -> Rc<Self> {
+    pub(crate) fn new(spread: Rc<TargetSpread>, kernel: Rc<KernelSpec>, t0: SimTime) -> Rc<Self> {
         let policy = spread.straggler();
         let beta = spread.straggler_beta();
         let force_double = spread.force_rescue_double_commit();

@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use spread_rt::directives::Target;
-use spread_rt::{IntegrityMode, KernelSpec, RtError, Scope, Section, TaskId};
+use spread_rt::{IntegrityMode, KernelSpec, RtError, Scope, Section, TaskId, TaskLabel};
 
 use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, OverlapPolicy, SpreadClausesExt};
@@ -807,9 +807,12 @@ impl TargetSpread {
         let straggle =
             self.clauses.straggler != StragglerPolicy::Wait && device_pieces >= 2 && distinct >= 2;
         let this = Rc::new(self);
-        let coord = PressureCoordinator::new(Rc::clone(&this), kernel.clone(), policy, drop_last);
-        let monitor = straggle
-            .then(|| crate::straggler::Monitor::new(Rc::clone(&this), kernel.clone(), scope.now()));
+        let kernel = Rc::new(kernel);
+        let coord =
+            PressureCoordinator::new(Rc::clone(&this), Rc::clone(&kernel), policy, drop_last);
+        let monitor = straggle.then(|| {
+            crate::straggler::Monitor::new(Rc::clone(&this), Rc::clone(&kernel), scope.now())
+        });
         let mut tail: HashMap<u32, TaskId> = HashMap::new();
         let mut ids = Vec::with_capacity(pieces.len());
         for (piece, secs) in pieces.iter().zip(sections) {
@@ -827,7 +830,7 @@ impl TargetSpread {
                     } else {
                         None
                     };
-                    let phases = t.parallel_for_phases(scope, piece.range(), kernel.clone())?;
+                    let phases = t.parallel_for_phases(scope, piece.range(), Rc::clone(&kernel))?;
                     pressure::guard(scope, &coord, d, piece.start, piece.len, phases);
                     if let (Some(m), Some(g)) = (&monitor, gate) {
                         crate::straggler::watch(scope, m, d, piece.start, piece.len, phases, g);
@@ -840,7 +843,7 @@ impl TargetSpread {
                         scope,
                         format!("spread-spill[{}..{})", piece.start, piece.start + piece.len),
                         piece.range(),
-                        kernel.clone(),
+                        Rc::clone(&kernel),
                         Vec::new(),
                         drop_last,
                     );
@@ -948,16 +951,21 @@ impl TargetSpread {
             self.clauses.straggler != StragglerPolicy::Wait && chunks.len() >= 2 && distinct >= 2;
         let heal = self.clauses.integrity == IntegrityMode::Heal;
         let this = Rc::new(self);
+        // One spec for every chunk: a chunk launch shares it, never
+        // copies it.
+        let kernel = Rc::new(kernel);
         // Under `spread_integrity(heal)` the healer subsumes the
         // resilience coordinator: its handler covers device loss (real
         // or quarantine) *and* integrity violations, because the runtime
         // keeps a single recovery registration per task.
-        let monitor = straggle
-            .then(|| crate::straggler::Monitor::new(Rc::clone(&this), kernel.clone(), scope.now()));
+        let monitor = straggle.then(|| {
+            crate::straggler::Monitor::new(Rc::clone(&this), Rc::clone(&kernel), scope.now())
+        });
         let coord = (resilient && !heal)
-            .then(|| Coordinator::new(Rc::clone(&this), kernel.clone(), monitor.clone()));
-        let healer = heal
-            .then(|| crate::integrity::Healer::new(Rc::clone(&this), kernel.clone(), resilient));
+            .then(|| Coordinator::new(Rc::clone(&this), Rc::clone(&kernel), monitor.clone()));
+        let healer = heal.then(|| {
+            crate::integrity::Healer::new(Rc::clone(&this), Rc::clone(&kernel), resilient)
+        });
         let mut ids = Vec::with_capacity(chunks.len());
         for (chunk, secs) in chunks.iter().zip(sections) {
             let device = chunk.device.expect("static chunks are assigned");
@@ -970,7 +978,7 @@ impl TargetSpread {
                 None
             };
             if coord.is_some() || monitor.is_some() || healer.is_some() {
-                let phases = t.parallel_for_phases(scope, chunk.range(), kernel.clone())?;
+                let phases = t.parallel_for_phases(scope, chunk.range(), Rc::clone(&kernel))?;
                 if let Some(coord) = &coord {
                     crate::resilience::guard(scope, coord, device, chunk.start, chunk.len, phases);
                 }
@@ -982,7 +990,7 @@ impl TargetSpread {
                 }
                 ids.push(phases.exit);
             } else {
-                ids.push(t.parallel_for(scope, chunk.range(), kernel.clone())?);
+                ids.push(t.parallel_for(scope, chunk.range(), Rc::clone(&kernel))?);
             }
         }
         if !nowait {
@@ -1026,6 +1034,7 @@ impl TargetSpread {
         let queue: Rc<RefCell<VecDeque<crate::schedule::Chunk>>> =
             Rc::new(RefCell::new(chunks.into_iter().collect()));
         let this = Rc::new(self);
+        let kernel = Rc::new(kernel);
 
         /// Claim the next chunk for `device`; on completion of its
         /// offload, claim again. `done_gate` collects the whole chain.
@@ -1033,20 +1042,20 @@ impl TargetSpread {
             s: &mut Scope<'_>,
             this: &Rc<TargetSpread>,
             queue: &Rc<RefCell<VecDeque<crate::schedule::Chunk>>>,
-            kernel: &KernelSpec,
+            kernel: &Rc<KernelSpec>,
             device: u32,
         ) {
             let next = queue.borrow_mut().pop_front();
             let Some(chunk) = next else { return };
             let c = ChunkCtx::new(chunk.start, chunk.len);
             let t = this.build_target(device, c); // nowait construct
-            match t.parallel_for(s, chunk.range(), kernel.clone()) {
+            match t.parallel_for(s, chunk.range(), Rc::clone(kernel)) {
                 Ok(construct_done) => {
                     let this = Rc::clone(this);
                     let queue = Rc::clone(queue);
-                    let kernel = kernel.clone();
+                    let kernel = Rc::clone(kernel);
                     s.task_chained(
-                        format!("spread-dyn-claim(dev{device})"),
+                        TaskLabel::on_device("spread-dyn-claim", device),
                         vec![construct_done],
                         None,
                         move |s| claim_next(s, &this, &queue, &kernel, device),
@@ -1061,8 +1070,8 @@ impl TargetSpread {
             for &device in this.devices.iter() {
                 let this2 = Rc::clone(&this);
                 let queue = Rc::clone(&queue);
-                let kernel = kernel.clone();
-                let id = scope.task(format!("spread-dyn-start(dev{device})"), move |s| {
+                let kernel = Rc::clone(&kernel);
+                let id = scope.task(TaskLabel::on_device("spread-dyn-start", device), move |s| {
                     claim_next(s, &this2, &queue, &kernel, device);
                 });
                 chain_heads.push(id);

@@ -176,16 +176,13 @@ impl ComputeEngine {
             let (_, label, start, gate) = inner.running.take().unwrap();
             inner.epoch += 1;
             inner.busy = false;
-            let now = sim.now();
-            let lane = Lane::compute(inner.device);
-            inner.trace.record(
-                lane,
-                SpanKind::Kernel,
-                format!("{label}: cancelled"),
-                start,
-                now,
-                0,
-            );
+            if inner.trace.is_enabled() {
+                let lane = Lane::compute(inner.device);
+                let label = format!("{label}: cancelled");
+                inner
+                    .trace
+                    .record(lane, SpanKind::Kernel, label, start, sim.now(), 0);
+            }
             gate
         };
         if let Some(g) = gate {
@@ -205,15 +202,11 @@ impl ComputeEngine {
                 let at = sim.now();
                 {
                     let mut inner = self.inner.borrow_mut();
-                    let lane = Lane::compute(inner.device);
-                    inner.trace.record(
-                        lane,
-                        SpanKind::Fault,
-                        format!("{}: failed", op.name),
-                        at,
-                        at,
-                        0,
-                    );
+                    if inner.trace.is_enabled() {
+                        let lane = Lane::compute(inner.device);
+                        let label = format!("{}: failed", op.name);
+                        inner.trace.record(lane, SpanKind::Fault, label, at, at, 0);
+                    }
                     inner.busy = false;
                 }
                 if let Some(g) = held_gate {
@@ -262,7 +255,7 @@ impl ComputeEngine {
         let on_complete = op.on_complete;
         let epoch = {
             let mut inner = self.inner.borrow_mut();
-            inner.running = Some((op.tag, name.clone(), start_t, held_gate.clone()));
+            inner.running = Some((op.tag, name, start_t, held_gate.clone()));
             inner.epoch
         };
         sim.schedule_after(
@@ -276,7 +269,7 @@ impl ComputeEngine {
                         // and restarted the queue.
                         return;
                     }
-                    inner.running = None;
+                    let (_, name, ..) = inner.running.take().expect("the running kernel");
                     let lane = Lane::compute(inner.device);
                     inner
                         .trace

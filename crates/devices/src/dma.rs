@@ -228,24 +228,17 @@ impl DmaEngine {
                 Attempt::Ok => {}
                 Attempt::Transient => {
                     let lane = dir.lane(device);
-                    self.inner.borrow().trace.record(
-                        lane,
-                        SpanKind::Fault,
-                        format!("{}: transient", op.label),
-                        now,
-                        now,
-                        0,
-                    );
+                    let trace = self.inner.borrow().trace.clone();
+                    if trace.is_enabled() {
+                        let label = format!("{}: transient", op.label);
+                        trace.record(lane, SpanKind::Fault, label, now, now, 0);
+                    }
                     if attempt < ctx.retry().max_retries {
                         let delay = ctx.backoff(attempt);
-                        self.inner.borrow().trace.record(
-                            lane,
-                            SpanKind::Retry,
-                            format!("{}: retry {}", op.label, attempt + 1),
-                            now,
-                            now + delay,
-                            0,
-                        );
+                        if trace.is_enabled() {
+                            let label = format!("{}: retry {}", op.label, attempt + 1);
+                            trace.record(lane, SpanKind::Retry, label, now, now + delay, 0);
+                        }
                         let this = self.clone();
                         sim.schedule_after(
                             delay,
@@ -360,15 +353,13 @@ impl DmaEngine {
     ) {
         {
             let mut inner = self.inner.borrow_mut();
-            let lane = inner.dir.lane(inner.device);
-            inner.trace.record(
-                lane,
-                SpanKind::Fault,
-                format!("{}: failed", op.label),
-                ev.at,
-                ev.at,
-                0,
-            );
+            if inner.trace.is_enabled() {
+                let lane = inner.dir.lane(inner.device);
+                let label = format!("{}: failed", op.label);
+                inner
+                    .trace
+                    .record(lane, SpanKind::Fault, label, ev.at, ev.at, 0);
+            }
             inner.busy = false;
         }
         if let Some(g) = held_gate {

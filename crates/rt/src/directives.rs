@@ -14,13 +14,14 @@
 //! until the construct completes, like the OpenMP originals.
 
 use std::ops::Range;
+use std::rc::Rc;
 
 use crate::error::RtError;
 use crate::kernel::KernelSpec;
 use crate::map::{MapClause, MapType};
 use crate::runtime::{run_kernel, run_transfers, run_transfers_ex, Action, Completion, Scope};
 use crate::section::Section;
-use crate::task::{FpAccess, TaskId, TaskSpec};
+use crate::task::{FpAccess, TaskId, TaskLabel, TaskSpec};
 
 /// Dependence clauses shared by the directive builders.
 #[derive(Clone, Default)]
@@ -72,7 +73,7 @@ pub struct TargetEnterData {
     maps: Vec<MapClause>,
     nowait: bool,
     deps: Depends,
-    label: Option<String>,
+    label: Option<TaskLabel>,
 }
 
 impl TargetEnterData {
@@ -118,7 +119,7 @@ impl TargetEnterData {
     }
 
     /// Override the task label.
-    pub fn label(mut self, l: impl Into<String>) -> Self {
+    pub fn label(mut self, l: impl Into<TaskLabel>) -> Self {
         self.label = Some(l.into());
         self
     }
@@ -138,7 +139,7 @@ impl TargetEnterData {
         let (fp_reads, fp_writes) = enter_footprints(device, &maps);
         let mut spec = TaskSpec::new(
             self.label
-                .unwrap_or_else(|| format!("enter-data(dev{device})")),
+                .unwrap_or_else(|| TaskLabel::on_device("enter-data", device)),
         );
         spec.wait_on = self.deps.wait_on();
         spec.publish = spec.wait_on.clone();
@@ -163,7 +164,7 @@ pub struct TargetExitData {
     maps: Vec<MapClause>,
     nowait: bool,
     deps: Depends,
-    label: Option<String>,
+    label: Option<TaskLabel>,
 }
 
 impl TargetExitData {
@@ -209,7 +210,7 @@ impl TargetExitData {
     }
 
     /// Override the task label.
-    pub fn label(mut self, l: impl Into<String>) -> Self {
+    pub fn label(mut self, l: impl Into<TaskLabel>) -> Self {
         self.label = Some(l.into());
         self
     }
@@ -229,7 +230,7 @@ impl TargetExitData {
         let (fp_reads, fp_writes) = exit_footprints(device, &maps);
         let mut spec = TaskSpec::new(
             self.label
-                .unwrap_or_else(|| format!("exit-data(dev{device})")),
+                .unwrap_or_else(|| TaskLabel::on_device("exit-data", device)),
         );
         spec.wait_on = self.deps.wait_on();
         spec.publish = spec.wait_on.clone();
@@ -358,7 +359,7 @@ impl TargetUpdate {
         }
         let exchange = self.exchange;
         let integrity = self.integrity;
-        let mut spec = TaskSpec::new(format!("update(dev{device})"));
+        let mut spec = TaskSpec::new(TaskLabel::on_device("update", device));
         spec.wait_on = self.deps.wait_on();
         spec.publish = spec.wait_on.clone();
         for &s in &to_items {
@@ -455,13 +456,15 @@ impl TargetData {
             .collect();
         let device = self.device;
         {
-            let mut b = TargetEnterData::device(device).label(format!("data-enter(dev{device})"));
+            let mut b =
+                TargetEnterData::device(device).label(TaskLabel::on_device("data-enter", device));
             b.maps = enter_maps;
             b.launch(scope)?;
         }
         let r = f(scope)?;
         {
-            let mut b = TargetExitData::device(device).label(format!("data-exit(dev{device})"));
+            let mut b =
+                TargetExitData::device(device).label(TaskLabel::on_device("data-exit", device));
             b.maps = exit_maps;
             b.launch(scope)?;
         }
@@ -661,11 +664,14 @@ impl Target {
     /// Offload `kernel` over `range`. Creates the construct's three
     /// phases (enter mappings → kernel → exit mappings) as chained tasks;
     /// downstream `depend` matching sees the construct as one unit.
+    ///
+    /// `kernel` is a [`KernelSpec`] or an `Rc` of one: a construct
+    /// launched once per chunk shares one spec across its chunks.
     pub fn parallel_for(
         self,
         scope: &mut Scope<'_>,
         range: Range<usize>,
-        kernel: KernelSpec,
+        kernel: impl Into<Rc<KernelSpec>>,
     ) -> Result<TaskId, RtError> {
         let nowait = self.nowait;
         let ids = self.parallel_for_phases(scope, range, kernel)?;
@@ -683,7 +689,7 @@ impl Target {
         self,
         scope: &mut Scope<'_>,
         range: Range<usize>,
-        kernel: KernelSpec,
+        kernel: impl Into<Rc<KernelSpec>>,
     ) -> Result<ConstructIds, RtError> {
         for m in &self.maps {
             if matches!(m.map_type, MapType::Release | MapType::Delete) {
@@ -693,8 +699,8 @@ impl Target {
                 )));
             }
         }
+        let kernel: Rc<KernelSpec> = kernel.into();
         let device = self.device;
-        let name = kernel.name.clone();
         let (teams, threads) = {
             let inner = scope.inner.borrow();
             (
@@ -716,30 +722,32 @@ impl Target {
                     self.overlap_leak,
                 )
             });
+        let exit_maps: Vec<MapClause> = self
+            .maps
+            .iter()
+            .map(|m| MapClause {
+                map_type: exit_equivalent(m.map_type),
+                section: m.section,
+            })
+            .collect();
 
         // Phase 1: enter mappings. Waits on the user's depends.
         let enter_id = {
-            let maps = self.maps.clone();
+            let maps = self.maps;
             let (fp_reads, fp_writes) = enter_footprints(device, &maps);
-            let mut spec = TaskSpec::new(format!("{name}-enter(dev{device})"));
+            let mut spec = TaskSpec::new(TaskLabel::kernel_phase(&kernel, "-enter", device));
             spec.wait_on = self.deps.wait_on();
-            spec.extra_preds = self.extra_preds.clone();
+            spec.extra_preds = self.extra_preds;
             spec.fp_reads = fp_reads;
             spec.fp_writes = fp_writes;
             let pressure = self.pressure_managed;
             let action: Action = match &pipe {
                 Some(p) => {
-                    let pipe = std::rc::Rc::clone(p);
-                    let spec_for_enter = kernel.clone();
+                    let pipe = Rc::clone(p);
+                    let kernel = Rc::clone(&kernel);
                     Box::new(move |sim, inner_rc, id| {
                         crate::overlap::pipelined_enter(
-                            sim,
-                            inner_rc,
-                            id,
-                            device,
-                            maps,
-                            &spec_for_enter,
-                            &pipe,
+                            sim, inner_rc, id, device, maps, &kernel, &pipe,
                         )
                     })
                 }
@@ -755,18 +763,9 @@ impl Target {
             scope.submit(spec, action)
         };
 
-        let exit_maps: Vec<MapClause> = self
-            .maps
-            .iter()
-            .map(|m| MapClause {
-                map_type: exit_equivalent(m.map_type),
-                section: m.section,
-            })
-            .collect();
-
         // Phase 2: the kernel.
         let kernel_id = {
-            let mut spec = TaskSpec::new(format!("{name}(dev{device})"));
+            let mut spec = TaskSpec::new(TaskLabel::kernel_phase(&kernel, "", device));
             spec.extra_preds = vec![enter_id];
             for arg in &kernel.args {
                 let sec = Section::from_range(arg.array.id(), (arg.section_of)(range.clone()));
@@ -777,21 +776,21 @@ impl Target {
                     spec.fp_reads.push(fp);
                 }
             }
-            let krange = range.clone();
+            let kernel = Rc::clone(&kernel);
             let action: Action = match &pipe {
                 Some(p) => {
-                    let pipe = std::rc::Rc::clone(p);
+                    let pipe = Rc::clone(p);
                     let exit_maps = exit_maps.clone();
                     let integrity = self.integrity;
                     Box::new(move |sim, inner_rc, id| {
                         crate::overlap::pipelined_kernel(
-                            sim, inner_rc, id, device, krange, &kernel, teams, threads, &exit_maps,
+                            sim, inner_rc, id, device, range, &kernel, teams, threads, &exit_maps,
                             integrity, &pipe,
                         )
                     })
                 }
                 None => Box::new(move |sim, inner_rc, id| {
-                    run_kernel(sim, inner_rc, id, device, krange, &kernel, teams, threads)?;
+                    run_kernel(sim, inner_rc, id, device, range, &kernel, teams, threads)?;
                     Ok(Completion::Async)
                 }),
             };
@@ -802,16 +801,16 @@ impl Target {
         let exit_id = {
             let maps = exit_maps;
             let (fp_reads, fp_writes) = exit_footprints(device, &maps);
-            let mut spec = TaskSpec::new(format!("{name}-exit(dev{device})"));
+            let mut spec = TaskSpec::new(TaskLabel::kernel_phase(&kernel, "-exit", device));
             spec.extra_preds = vec![kernel_id];
             spec.publish = self.deps.wait_on();
             spec.fp_reads = fp_reads;
             spec.fp_writes = fp_writes;
-            let gate = self.commit_gate.clone();
+            let gate = self.commit_gate;
             let integrity = self.integrity;
             let action: Action = match &pipe {
                 Some(p) => {
-                    let pipe = std::rc::Rc::clone(p);
+                    let pipe = Rc::clone(p);
                     Box::new(move |sim, inner_rc, id| {
                         crate::overlap::pipelined_exit(
                             sim, inner_rc, id, device, &maps, integrity, gate, &pipe,

@@ -50,7 +50,8 @@ impl HostArray {
 #[derive(Default)]
 pub struct HostRegistry {
     arrays: Vec<Rc<RefCell<Vec<f64>>>>,
-    names: Vec<String>,
+    /// Shared so a copy label can name its array without copying it.
+    names: Vec<Rc<str>>,
 }
 
 impl HostRegistry {
@@ -63,13 +64,18 @@ impl HostRegistry {
     pub fn register(&mut self, name: impl Into<String>, len: usize) -> HostArray {
         let id = ArrayId(self.arrays.len() as u32);
         self.arrays.push(Rc::new(RefCell::new(vec![0.0; len])));
-        self.names.push(name.into());
+        self.names.push(name.into().into());
         HostArray { id, len }
     }
 
     /// Name of an array.
     pub fn name(&self, id: ArrayId) -> &str {
         &self.names[id.0 as usize]
+    }
+
+    /// Name of an array, as a handle a label can keep.
+    pub(crate) fn shared_name(&self, id: ArrayId) -> Rc<str> {
+        Rc::clone(&self.names[id.0 as usize])
     }
 
     /// Shared storage handle for one array (used by transfer effects).

@@ -75,7 +75,7 @@ pub use runtime::{
 };
 pub use section::{ArrayId, Section};
 pub use spill::{kernel_footprint_bytes, spill_chunk, spill_slices};
-pub use task::{GroupId, TaskId};
+pub use task::{GroupId, TaskId, TaskLabel};
 
 /// Convenience re-exports for building runtime programs.
 pub mod prelude {

@@ -58,17 +58,17 @@ use spread_devices::compute::KernelOp;
 use spread_devices::dma::DmaOp;
 use spread_devices::node::DeviceHandle;
 use spread_devices::AllocId;
-use spread_sim::{FaultEventKind, Simulator};
-use spread_teams::{LoopSchedule, TeamPool};
+use spread_sim::Simulator;
+use spread_teams::TeamPool;
 
 use crate::error::RtError;
 use crate::integrity::IntegrityMode;
-use crate::kernel::{self, KernelBody, KernelSpec, ResolvedArg};
+use crate::kernel::{self, KernelSpec, ResolvedArg};
 use crate::map::MapClause;
-use crate::mapping::EntryKey;
 use crate::runtime::{
-    complete_task, flip_one_bit, run_kernel, run_transfers_ex, staged_commit_finish, task_failed,
-    Completion, CopyPlanItem, Inner, StagedWrite,
+    complete_task, fault_error, flip_one_bit, run_kernel, run_transfers_ex, span_label,
+    staged_commit_finish, task_failed, CommitArgs, Completion, CopyKind, CopyLabel, CopyPlanItem,
+    Inner, StagedWrite, TransferSet,
 };
 use crate::section::Section;
 use crate::task::TaskId;
@@ -180,7 +180,7 @@ struct SubCopy {
     alloc: AllocId,
     /// Element offset of `sec.start` within the device buffer.
     offset: usize,
-    label: String,
+    label: CopyLabel,
 }
 
 /// Kernel-phase context captured once when the kernel task starts.
@@ -188,18 +188,11 @@ struct KernelCtx {
     dev: DeviceHandle,
     pool: Rc<TeamPool>,
     resolved: Rc<Vec<ResolvedArg>>,
-    body: KernelBody,
-    schedule: LoopSchedule,
-    name: String,
-    work_per_iter_ns: f64,
+    kernel: Rc<KernelSpec>,
     teams: u32,
     threads_per_team: u32,
     integrity: IntegrityMode,
 }
-
-/// The exit's deferred commit finish, armed by the exit action and run
-/// when the last outstanding D2H lands.
-type ExitFinish = Box<dyn FnOnce(&mut Simulator)>;
 
 /// Shared state of one pipelined construct, threaded through the three
 /// phase actions and every streamed operation's callbacks.
@@ -225,14 +218,14 @@ pub(crate) struct PipeState {
     d2h_stages: RefCell<Vec<Vec<SubCopy>>>,
     /// Map-level sections the D2H prediction covered.
     predicted: RefCell<Vec<Section>>,
-    d2h_outstanding: Cell<usize>,
-    /// Staged sub-slice snapshots awaiting the exit's commit drain.
-    staged: Rc<RefCell<Vec<StagedWrite>>>,
-    /// First error seen by any pipelined operation.
-    failed: Rc<RefCell<Option<RtError>>>,
-    /// The exit's commit finish, armed by the exit action and run when
-    /// the last outstanding D2H lands.
-    exit_finish: RefCell<Option<ExitFinish>>,
+    /// Stage-0 H2D descriptors: the enter task completes (or fails) when
+    /// the last of them lands.
+    enter: TransferSet,
+    /// The D2H descriptors in flight, their staged sub-slice snapshots
+    /// awaiting the exit's commit drain, the first error seen by any
+    /// pipelined operation, and the drain's arguments — armed by the
+    /// exit action, run when the last outstanding D2H lands.
+    exit: Rc<TransferSet>,
     /// Degraded to the classic path (enter parked for memory).
     bypass: Cell<bool>,
     /// The exit committed and freed the device buffers: late stragglers
@@ -262,10 +255,8 @@ impl PipeState {
             krn: RefCell::new(None),
             d2h_stages: RefCell::new((0..k).map(|_| Vec::new()).collect()),
             predicted: RefCell::new(Vec::new()),
-            d2h_outstanding: Cell::new(0),
-            staged: Rc::new(RefCell::new(Vec::new())),
-            failed: Rc::new(RefCell::new(None)),
-            exit_finish: RefCell::new(None),
+            enter: TransferSet::new(device, 0, None),
+            exit: Rc::new(TransferSet::new(device, 0, None)),
             bypass: Cell::new(false),
             freed: Cell::new(false),
             leaked: Cell::new(false),
@@ -292,21 +283,6 @@ impl PipeState {
     }
 }
 
-/// Map a device fault event to the runtime error it means for `what`.
-fn fault_err(ev: &spread_sim::FaultEvent, what: String) -> RtError {
-    match ev.kind {
-        FaultEventKind::TransientExhausted { attempts } => RtError::TransientCopy {
-            device: ev.device,
-            what,
-            attempts,
-        },
-        FaultEventKind::DeviceLost => RtError::DeviceLost {
-            device: ev.device,
-            what,
-        },
-    }
-}
-
 /// Record an error and fail the construct's kernel task if it is the
 /// live phase (started, unfinished, not yet routed). A fault that lands
 /// before the kernel starts stays in `failed` and surfaces when the
@@ -319,7 +295,7 @@ fn route_kernel_fault(
     pipe: &Rc<PipeState>,
     err: RtError,
 ) {
-    pipe.failed.borrow_mut().get_or_insert(err);
+    pipe.exit.fail(err);
     if pipe.fault_routed.get() || !pipe.kernel_started.get() {
         return;
     }
@@ -331,6 +307,7 @@ fn route_kernel_fault(
     }
     pipe.fault_routed.set(true);
     let err = pipe
+        .exit
         .failed
         .borrow_mut()
         .take()
@@ -374,7 +351,7 @@ pub(crate) fn pipelined_enter(
     // sub-kernel is the first to touch; bytes no stage touches ship with
     // stage 0 (a written-only `tofrom` region must be resident before
     // any read-modify-write sub-kernel runs over its entry).
-    let mut ops: Vec<(usize, Section, AllocId, usize, String)> = Vec::new();
+    let mut ops: Vec<(usize, Section, AllocId, usize, CopyLabel)> = Vec::new();
     {
         let inner = inner_rc.borrow();
         for c in &plan.copies {
@@ -401,14 +378,12 @@ pub(crate) fn pipelined_enter(
                 for r in runs {
                     let sec = Section::from_range(c.section.array, r.clone());
                     let off = c.offset + (r.start - c.section.start);
-                    let label = format!(
-                        "{} H2D[p{}/{}] {}",
-                        inner.host.name(sec.array),
-                        j + 1,
-                        k,
-                        sec
-                    );
-                    ops.push((j, sec, c.alloc, off, label));
+                    let kind = CopyKind::Stage {
+                        out: false,
+                        stage: j + 1,
+                        of: k,
+                    };
+                    ops.push((j, sec, c.alloc, off, inner.copy_label(kind, sec)));
                 }
             }
         }
@@ -423,9 +398,15 @@ pub(crate) fn pipelined_enter(
         // enter is logically done; later stages still stream behind it.
         complete_task(sim, inner_rc, id);
     }
-    let enter_remaining = Rc::new(Cell::new(stage0));
-    let enter_failed: Rc<RefCell<Option<RtError>>> = Rc::new(RefCell::new(None));
-    let dev = inner_rc.borrow().devices[device as usize].clone();
+    pipe.enter.add(stage0);
+    let (dev, trace, faults) = {
+        let inner = inner_rc.borrow();
+        (
+            inner.devices[device as usize].clone(),
+            inner.trace.clone(),
+            inner.fault.is_some(),
+        )
+    };
     for (j, sec, alloc, off, label) in ops {
         let host_store = inner_rc.borrow().host.storage(sec.array);
         let mem = dev.mem.clone();
@@ -439,48 +420,44 @@ pub(crate) fn pipelined_enter(
             let buf = mem.buffer_mut(alloc);
             buf[off..off + sec.len].copy_from_slice(&host[sec.range()]);
         });
-        let what = label.clone();
         let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
             let inner2 = Rc::clone(inner_rc);
             let pipe2 = Rc::clone(pipe);
-            let rem = Rc::clone(&enter_remaining);
-            let efail = Rc::clone(&enter_failed);
             Box::new(move |sim| {
                 h2d_stage_done(sim, &inner2, &pipe2, j);
                 if j == 0 {
-                    enter_one_done(sim, &inner2, id, &rem, &efail);
+                    enter_one_done(sim, &inner2, id, &pipe2);
                 }
             })
         };
-        let on_fault: spread_devices::health::OnFault = {
+        let span = span_label(&trace, &label);
+        let on_fault = faults.then(|| {
             let inner2 = Rc::clone(inner_rc);
             let pipe2 = Rc::clone(pipe);
-            let rem = Rc::clone(&enter_remaining);
-            let efail = Rc::clone(&enter_failed);
-            Box::new(move |sim, ev| {
-                let err = fault_err(&ev, what);
+            Box::new(move |sim: &mut Simulator, ev: spread_sim::FaultEvent| {
+                let err = fault_error(&ev, label.to_string());
                 pipe2.h2d_pending[j].set(pipe2.h2d_pending[j].get().saturating_sub(1));
                 if j == 0 {
                     // A stage-0 loss fails the enter phase, exactly like
                     // a classic enter transfer fault.
-                    pipe2.failed.borrow_mut().get_or_insert(err.clone());
-                    efail.borrow_mut().get_or_insert(err);
-                    enter_one_done(sim, &inner2, id, &rem, &efail);
+                    pipe2.exit.fail(err.clone());
+                    pipe2.enter.fail(err);
+                    enter_one_done(sim, &inner2, id, &pipe2);
                 } else {
                     // Later stages belong to the pipeline's steady
                     // state: the kernel phase owns the failure.
                     route_kernel_fault(sim, &inner2, &pipe2, err);
                 }
-            })
-        };
+            }) as spread_devices::health::OnFault
+        });
         dev.dma_in.enqueue(
             sim,
             DmaOp {
                 bytes: sec.len as u64 * 8,
-                label,
+                label: span,
                 effect: Some(effect),
                 on_complete,
-                on_fault: Some(on_fault),
+                on_fault,
                 extra_caps: Vec::new(),
                 streamed: true,
             },
@@ -495,14 +472,13 @@ fn enter_one_done(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
     enter: TaskId,
-    remaining: &Rc<Cell<usize>>,
-    failed: &Rc<RefCell<Option<RtError>>>,
+    pipe: &PipeState,
 ) {
-    remaining.set(remaining.get().saturating_sub(1));
-    if remaining.get() != 0 {
+    if !pipe.enter.one_done() {
         return;
     }
-    match failed.borrow_mut().take() {
+    let failed = pipe.enter.failed.borrow_mut().take();
+    match failed {
         Some(err) => task_failed(sim, inner_rc, enter, err),
         None => complete_task(sim, inner_rc, enter),
     }
@@ -535,7 +511,7 @@ pub(crate) fn pipelined_kernel(
     id: TaskId,
     device: u32,
     range: Range<usize>,
-    spec: &KernelSpec,
+    spec: &Rc<KernelSpec>,
     teams: u32,
     threads_per_team: u32,
     exit_maps: &[MapClause],
@@ -555,7 +531,7 @@ pub(crate) fn pipelined_kernel(
         )?;
         return Ok(Completion::Async);
     }
-    if let Some(err) = pipe.failed.borrow_mut().take() {
+    if let Some(err) = pipe.exit.failed.borrow_mut().take() {
         return Err(err);
     }
     // Resolve arguments exactly like the classic kernel launch; the
@@ -631,13 +607,12 @@ pub(crate) fn pipelined_kernel(
             for (j, runs) in per_stage.into_iter().enumerate() {
                 for r in runs {
                     let sec = Section::from_range(m.section.array, r.clone());
-                    let label = format!(
-                        "{} D2H[p{}/{}] {}",
-                        inner.host.name(sec.array),
-                        j + 1,
-                        k,
-                        sec
-                    );
+                    let kind = CopyKind::Stage {
+                        out: true,
+                        stage: j + 1,
+                        of: k,
+                    };
+                    let label = inner.copy_label(kind, sec);
                     d2h[j].push(SubCopy {
                         sec,
                         alloc,
@@ -656,19 +631,14 @@ pub(crate) fn pipelined_kernel(
         // (MemoryScribble) for as long as it is live — same contract as
         // the classic staged exit.
         let mut inner = inner_rc.borrow_mut();
-        inner.staged_registry.retain(|(_, w)| w.strong_count() > 0);
-        inner
-            .staged_registry
-            .push((device, Rc::downgrade(&pipe.staged)));
+        inner.staged_registry.retain(|w| w.strong_count() > 0);
+        inner.staged_registry.push(Rc::downgrade(&pipe.exit));
     }
     *pipe.krn.borrow_mut() = Some(KernelCtx {
         dev,
         pool,
         resolved: Rc::new(resolved),
-        body: std::sync::Arc::clone(&spec.body),
-        schedule: spec.schedule,
-        name: spec.name.clone(),
-        work_per_iter_ns: spec.work_per_iter_ns,
+        kernel: Rc::clone(spec),
         teams,
         threads_per_team,
         integrity,
@@ -684,7 +654,7 @@ pub(crate) fn pipelined_kernel(
 /// reordering stages.
 fn pump(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc<PipeState>) {
     loop {
-        if pipe.freed.get() || pipe.failed.borrow().is_some() {
+        if pipe.freed.get() || pipe.exit.failed.borrow().is_some() {
             return;
         }
         let j = pipe.next_kernel.get();
@@ -703,15 +673,18 @@ fn launch_stage(
     pipe: &Rc<PipeState>,
     j: usize,
 ) {
+    let (trace, faults) = {
+        let inner = inner_rc.borrow();
+        (inner.trace.clone(), inner.fault.is_some())
+    };
     let (dev, op) = {
         let krn = pipe.krn.borrow();
         let ctx = krn.as_ref().expect("kernel context set before pumping");
         let st = pipe.stages[j].clone();
         let mem = ctx.dev.mem.clone();
         let pool = Rc::clone(&ctx.pool);
-        let body = std::sync::Arc::clone(&ctx.body);
+        let kernel = Rc::clone(&ctx.kernel);
         let resolved = Rc::clone(&ctx.resolved);
-        let schedule = ctx.schedule;
         let pipe_b = Rc::clone(pipe);
         let stb = st.clone();
         let exec: Box<dyn FnOnce()> = Box::new(move || {
@@ -721,33 +694,46 @@ fn launch_stage(
                 return;
             }
             let mut mem = mem.borrow_mut();
-            kernel::execute_on_device(&mut mem, &pool, schedule, stb, &body, &resolved);
+            kernel::execute_on_device(
+                &mut mem,
+                &pool,
+                kernel.schedule,
+                stb,
+                &kernel.body,
+                &resolved,
+            );
         });
         let inner2 = Rc::clone(inner_rc);
         let pipe2 = Rc::clone(pipe);
-        let inner3 = Rc::clone(inner_rc);
-        let pipe3 = Rc::clone(pipe);
-        let kname = ctx.name.clone();
-        let op = KernelOp {
-            tag: pipe.kernel_task.get().map_or(0, |t| t.0),
-            name: format!("{}[p{}/{}]", ctx.name, j + 1, pipe.stages.len()),
-            iters: st.len() as u64,
-            work_per_iter_ns: ctx.work_per_iter_ns,
-            teams: ctx.teams,
-            threads_per_team: ctx.threads_per_team,
-            body: Some(exec),
-            on_complete: Box::new(move |sim| stage_kernel_done(sim, &inner2, &pipe2, j)),
-            on_fault: Some(Box::new(move |sim, ev| {
+        let name = span_label(
+            &trace,
+            &format_args!("{}[p{}/{}]", ctx.kernel.name, j + 1, pipe.stages.len()),
+        );
+        let on_fault = faults.then(|| {
+            let (inner3, pipe3, kernel) =
+                (Rc::clone(inner_rc), Rc::clone(pipe), Rc::clone(&ctx.kernel));
+            Box::new(move |sim: &mut Simulator, ev: spread_sim::FaultEvent| {
                 route_kernel_fault(
                     sim,
                     &inner3,
                     &pipe3,
                     RtError::DeviceLost {
                         device: ev.device,
-                        what: format!("kernel `{kname}`"),
+                        what: format!("kernel `{}`", kernel.name),
                     },
                 );
-            })),
+            }) as spread_devices::health::OnFault
+        });
+        let op = KernelOp {
+            tag: pipe.kernel_task.get().map_or(0, |t| t.0),
+            name,
+            iters: st.len() as u64,
+            work_per_iter_ns: ctx.kernel.work_per_iter_ns,
+            teams: ctx.teams,
+            threads_per_team: ctx.threads_per_team,
+            body: Some(exec),
+            on_complete: Box::new(move |sim| stage_kernel_done(sim, &inner2, &pipe2, j)),
+            on_fault,
             streamed: true,
         };
         (ctx.dev.clone(), op)
@@ -800,12 +786,18 @@ fn enqueue_staged_d2h(
         let ctx = krn.as_ref().expect("kernel context set");
         (ctx.dev.clone(), ctx.integrity)
     };
-    pipe.d2h_outstanding.set(pipe.d2h_outstanding.get() + 1);
+    pipe.exit.add(1);
     let device = pipe.device;
-    let host_store = inner_rc.borrow().host.storage(sc.sec.array);
+    let (host_store, trace, faults) = {
+        let inner = inner_rc.borrow();
+        (
+            inner.host.storage(sc.sec.array),
+            inner.trace.clone(),
+            inner.fault.is_some(),
+        )
+    };
     let mem = dev.mem.clone();
     let (sec, alloc, off) = (sc.sec, sc.alloc, sc.offset);
-    let staged = Rc::clone(&pipe.staged);
     let pipe_e = Rc::clone(pipe);
     let effect: Box<dyn FnOnce()> = Box::new(move || {
         if pipe_e.freed.get() {
@@ -817,14 +809,13 @@ fn enqueue_staged_d2h(
         let crc = integrity
             .checks()
             .then(|| spread_devices::digest_f64(&data));
-        staged.borrow_mut().push(StagedWrite::Snapshot {
+        pipe_e.exit.staged.borrow_mut().push(StagedWrite::Snapshot {
             store: host_store,
             section: sec,
             data,
             crc,
         });
     });
-    let what = sc.label.clone();
     let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
         let inner2 = Rc::clone(inner_rc);
         let pipe2 = Rc::clone(pipe);
@@ -839,7 +830,7 @@ fn enqueue_staged_d2h(
                 .as_ref()
                 .is_some_and(|ctx| ctx.take_flip(device, sim.now()));
             if flip {
-                let mut st = pipe2.staged.borrow_mut();
+                let mut st = pipe2.exit.staged.borrow_mut();
                 if let Some(data) = st
                     .iter_mut()
                     .filter(|w| w.section() == sec)
@@ -855,7 +846,7 @@ fn enqueue_staged_d2h(
                 // to a differential harness (same discipline as the
                 // forced-duplicate straggler canary).
                 let entry = {
-                    let mut st = pipe2.staged.borrow_mut();
+                    let mut st = pipe2.exit.staged.borrow_mut();
                     (!st.is_empty()).then(|| st.remove(0))
                 };
                 if let Some(w) = entry {
@@ -864,27 +855,25 @@ fn enqueue_staged_d2h(
                     pipe2.record.borrow_mut().leaked = true;
                 }
             }
-            d2h_one_done(sim, &pipe2);
+            d2h_one_done(sim, &inner2, &pipe2);
         })
     };
-    let on_fault: spread_devices::health::OnFault = {
-        let pipe2 = Rc::clone(pipe);
-        Box::new(move |sim, ev| {
-            pipe2
-                .failed
-                .borrow_mut()
-                .get_or_insert(fault_err(&ev, what));
-            d2h_one_done(sim, &pipe2);
-        })
-    };
+    let on_fault = faults.then(|| {
+        let (inner2, pipe2) = (Rc::clone(inner_rc), Rc::clone(pipe));
+        let what = sc.label.clone();
+        Box::new(move |sim: &mut Simulator, ev: spread_sim::FaultEvent| {
+            pipe2.exit.fail(fault_error(&ev, what.to_string()));
+            d2h_one_done(sim, &inner2, &pipe2);
+        }) as spread_devices::health::OnFault
+    });
     dev.dma_out.enqueue(
         sim,
         DmaOp {
             bytes: sec.len as u64 * 8,
-            label: sc.label,
+            label: span_label(&trace, &sc.label),
             effect: Some(effect),
             on_complete,
-            on_fault: Some(on_fault),
+            on_fault,
             extra_caps: Vec::new(),
             streamed: true,
         },
@@ -893,21 +882,27 @@ fn enqueue_staged_d2h(
 
 /// Count one D2H as landed; when the exit is armed and nothing is
 /// outstanding, run the commit finish.
-fn d2h_one_done(sim: &mut Simulator, pipe: &Rc<PipeState>) {
-    pipe.d2h_outstanding
-        .set(pipe.d2h_outstanding.get().saturating_sub(1));
-    try_exit_finish(sim, pipe);
+fn d2h_one_done(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc<PipeState>) {
+    pipe.exit.one_done();
+    try_exit_finish(sim, inner_rc, pipe);
 }
 
-/// Run the armed exit finish once every outstanding D2H has landed.
-fn try_exit_finish(sim: &mut Simulator, pipe: &Rc<PipeState>) {
-    if pipe.d2h_outstanding.get() != 0 {
+/// Run the armed exit's commit drain once every outstanding D2H has
+/// landed. From then on the dying entries are released and their
+/// buffers freed: queued stragglers of a stolen pipeline must not touch
+/// the device again.
+fn try_exit_finish(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc<PipeState>) {
+    if pipe.exit.remaining() != 0 {
         return;
     }
-    let f = pipe.exit_finish.borrow_mut().take();
-    if let Some(f) = f {
-        f(sim);
-    }
+    let Some(args) = pipe.exit.take_commit() else {
+        return;
+    };
+    pipe.freed.set(true);
+    pipe.record.borrow_mut().staged = pipe.exit.staged.borrow().len() as u32;
+    let committed = staged_commit_finish(sim, inner_rc, &pipe.exit, args);
+    pipe.record.borrow_mut().committed = committed as u32;
+    push_record(inner_rc, pipe);
 }
 
 /// Phase 3: plan the real exit, reconcile it against the kernel-time
@@ -954,7 +949,8 @@ pub(crate) fn pipelined_exit(
         .copied()
         .collect();
     if !stale.is_empty() {
-        pipe.staged
+        pipe.exit
+            .staged
             .borrow_mut()
             .retain(|w| !stale.iter().any(|p| p.contains(&w.section())));
     }
@@ -966,32 +962,12 @@ pub(crate) fn pipelined_exit(
         .into_iter()
         .filter(|c| !predicted.contains(&c.section))
         .collect();
-    let to_free: Vec<EntryKey> = plan.to_free;
-    let finish: Box<dyn FnOnce(&mut Simulator)> = {
-        let inner_rc = Rc::clone(inner_rc);
-        let pipe = Rc::clone(pipe);
-        Box::new(move |sim| {
-            // From here on the dying entries are released and their
-            // buffers freed: queued stragglers of a stolen pipeline
-            // must not touch the device again.
-            pipe.freed.set(true);
-            pipe.record.borrow_mut().staged = pipe.staged.borrow().len() as u32;
-            let committed = staged_commit_finish(
-                sim,
-                &inner_rc,
-                id,
-                device,
-                &pipe.staged,
-                &pipe.failed,
-                &to_free,
-                integrity,
-                &gate,
-            );
-            pipe.record.borrow_mut().committed = committed as u32;
-            push_record(&inner_rc, &pipe);
-        })
-    };
-    *pipe.exit_finish.borrow_mut() = Some(finish);
+    pipe.exit.arm(CommitArgs {
+        task: id,
+        to_free: plan.to_free,
+        integrity,
+        gate,
+    });
     for c in fallback {
         enqueue_staged_d2h(
             sim,
@@ -1006,7 +982,7 @@ pub(crate) fn pipelined_exit(
             false,
         );
     }
-    try_exit_finish(sim, pipe);
+    try_exit_finish(sim, inner_rc, pipe);
     Ok(Completion::Async)
 }
 

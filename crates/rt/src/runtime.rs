@@ -18,7 +18,7 @@
 //! (a `nowait` directive cannot fail at its pragma). The first error
 //! poisons the runtime; every subsequent drain returns it.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -40,7 +40,7 @@ use crate::kernel::{self, KernelSpec, ResolvedArg};
 use crate::map::{MapClause, MapType};
 use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, ShardedPresence};
 use crate::section::Section;
-use crate::task::{GroupId, LiveCounts, RaceReport, TaskGraph, TaskId, TaskSpec};
+use crate::task::{GroupId, LiveCounts, RaceReport, TaskGraph, TaskId, TaskLabel, TaskSpec};
 
 /// Construction parameters for a [`Runtime`].
 #[derive(Clone)]
@@ -314,13 +314,13 @@ pub(crate) struct Inner {
     /// Every digest mismatch caught at a trust boundary, in detection
     /// order (see [`Runtime::integrity_events`]).
     pub(crate) integrity_log: Vec<IntegrityEvent>,
-    /// Live staged-commit buffers, keyed by the construct's device: the
-    /// at-rest corruption surface. A
+    /// Live transfer sets that stage D2H snapshots (each knows its
+    /// device): the at-rest corruption surface. A
     /// [`MemoryScribble`](PlannedFault::MemoryScribble) flips one bit in
     /// the first non-empty staged snapshot it finds here — the window
     /// between a D2H's eager device read and its commit into host
     /// memory. Dead weak handles are pruned on insert.
-    pub(crate) staged_registry: Vec<(u32, std::rc::Weak<RefCell<Vec<StagedWrite>>>)>,
+    pub(crate) staged_registry: Vec<std::rc::Weak<TransferSet>>,
     /// Every pipelined (`spread_overlap`) construct completed so far, in
     /// completion order (see [`Runtime::overlap_records`]).
     pub(crate) overlap_log: Vec<crate::overlap::OverlapRecord>,
@@ -403,7 +403,102 @@ pub(crate) struct CopyPlanItem {
     pub alloc: AllocId,
     /// Element offset of `section.start` within the device buffer.
     pub offset: usize,
-    pub label: String,
+    pub label: CopyLabel,
+}
+
+/// What a copy is called in its trace span and its fault text —
+/// `A H2D arr0[0:32]`, `p2p[0->1] A upd-to arr0[0:32]`,
+/// `A H2D[p1/2] arr0[0:16]` — kept as its parts and rendered only when
+/// read (see [`span_label`]).
+#[derive(Clone)]
+pub(crate) struct CopyLabel {
+    pub array: Rc<str>,
+    pub kind: CopyKind,
+    pub section: Section,
+    pub route: CopyRoute,
+}
+
+/// The direction word of a [`CopyLabel`].
+#[derive(Clone, Copy)]
+pub(crate) enum CopyKind {
+    H2D,
+    D2H,
+    UpdateTo,
+    UpdateFrom,
+    /// Stage `stage` (1-based) of `of` of a pipelined copy.
+    Stage {
+        out: bool,
+        stage: usize,
+        of: usize,
+    },
+}
+
+/// How a [`CopyLabel`]'s bytes travel.
+#[derive(Clone, Copy)]
+pub(crate) enum CopyRoute {
+    Host,
+    /// Pulled device-to-device from `src` by `dst`.
+    Peer {
+        src: u32,
+        dst: u32,
+    },
+    /// A diverted or healed peer pull replayed over the host path.
+    HostFallback,
+}
+
+impl CopyLabel {
+    pub(crate) fn new(array: Rc<str>, kind: CopyKind, section: Section) -> Self {
+        CopyLabel {
+            array,
+            kind,
+            section,
+            route: CopyRoute::Host,
+        }
+    }
+
+    /// The same copy travelling by `route`.
+    pub(crate) fn via(&self, route: CopyRoute) -> Self {
+        CopyLabel {
+            route,
+            ..self.clone()
+        }
+    }
+}
+
+impl std::fmt::Display for CopyLabel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if let CopyRoute::Peer { src, dst } = self.route {
+            write!(f, "p2p[{src}->{dst}] ")?;
+        }
+        write!(f, "{} ", self.array)?;
+        match self.kind {
+            CopyKind::H2D => f.write_str("H2D")?,
+            CopyKind::D2H => f.write_str("D2H")?,
+            CopyKind::UpdateTo => f.write_str("upd-to")?,
+            CopyKind::UpdateFrom => f.write_str("upd-from")?,
+            CopyKind::Stage { out, stage, of } => {
+                let dir = if out { "D2H" } else { "H2D" };
+                write!(f, "{dir}[p{stage}/{of}]")?;
+            }
+        }
+        write!(f, " {}", self.section)?;
+        if let CopyRoute::HostFallback = self.route {
+            f.write_str(" (host fallback)")?;
+        }
+        Ok(())
+    }
+}
+
+/// The label a span records for `what`: rendered when the run's recorder
+/// keeps spans, empty otherwise — nothing will read it. (A recorder
+/// switched on mid-construct records the ops planned while it was off
+/// with empty labels.)
+pub(crate) fn span_label(trace: &TraceRecorder, what: &dyn std::fmt::Display) -> String {
+    if trace.is_enabled() {
+        what.to_string()
+    } else {
+        String::new()
+    }
 }
 
 /// Result of planning an enter-mapping set.
@@ -500,7 +595,7 @@ impl Inner {
                             section: m.section,
                             alloc,
                             offset: 0,
-                            label: format!("{} H2D {}", self.host.name(m.section.array), m.section),
+                            label: self.copy_label(CopyKind::H2D, m.section),
                         });
                     }
                 }
@@ -586,7 +681,7 @@ impl Inner {
                             section: m.section,
                             alloc: entry.alloc,
                             offset: m.section.start - entry.section.start,
-                            label: format!("{} D2H {}", self.host.name(m.section.array), m.section),
+                            label: self.copy_label(CopyKind::D2H, m.section),
                         });
                     }
                     to_free.push(key);
@@ -605,7 +700,7 @@ impl Inner {
     ) -> Result<(Vec<CopyPlanItem>, Vec<CopyPlanItem>), RtError> {
         self.check_device(device)?;
         let d = device as usize;
-        let plan = |items: &[Section], dir: &str| -> Result<Vec<CopyPlanItem>, RtError> {
+        let plan = |items: &[Section], kind: CopyKind| -> Result<Vec<CopyPlanItem>, RtError> {
             let mut out = Vec::new();
             for &s in items {
                 if s.is_empty() {
@@ -622,12 +717,20 @@ impl Inner {
                     section: s,
                     alloc: entry.alloc,
                     offset: s.start - entry.section.start,
-                    label: format!("{} upd-{dir} {}", self.host.name(s.array), s),
+                    label: self.copy_label(kind, s),
                 });
             }
             Ok(out)
         };
-        Ok((plan(to_items, "to")?, plan(from_items, "from")?))
+        Ok((
+            plan(to_items, CopyKind::UpdateTo)?,
+            plan(from_items, CopyKind::UpdateFrom)?,
+        ))
+    }
+
+    /// The label of a `kind` copy of `section`.
+    pub(crate) fn copy_label(&self, kind: CopyKind, section: Section) -> CopyLabel {
+        CopyLabel::new(self.host.shared_name(section.array), kind, section)
     }
 
     /// The eligible peer source for a to-copy of `sec` onto `device`:
@@ -1074,18 +1177,20 @@ pub(crate) fn flip_one_bit(data: &mut [f64]) {
 /// marker span on the offending device's compute lane (like fault and
 /// degradation markers).
 fn record_integrity_inner(now: SimTime, inner: &mut Inner, ev: IntegrityEvent) {
-    let label = format!(
-        "{:?} {:?} {} dev{}",
-        ev.action, ev.boundary, ev.section, ev.device
-    );
-    inner.trace.record(
-        spread_trace::Lane::compute(ev.device),
-        spread_trace::SpanKind::Verify,
-        label,
-        now,
-        now,
-        0,
-    );
+    if inner.trace.is_enabled() {
+        let label = format!(
+            "{:?} {:?} {} dev{}",
+            ev.action, ev.boundary, ev.section, ev.device
+        );
+        inner.trace.record(
+            spread_trace::Lane::compute(ev.device),
+            spread_trace::SpanKind::Verify,
+            label,
+            now,
+            now,
+            0,
+        );
+    }
     inner.integrity_log.push(ev);
 }
 
@@ -1095,14 +1200,14 @@ fn record_integrity_inner(now: SimTime, inner: &mut Inner, ev: IntegrityEvent) {
 /// planned instant — at-rest corruption needs bytes at rest.
 pub(crate) fn scribble_staged(inner_rc: &Rc<RefCell<Inner>>, device: u32) {
     let inner = inner_rc.borrow();
-    for (d, weak) in &inner.staged_registry {
-        if *d != device {
-            continue;
-        }
-        let Some(staged) = weak.upgrade() else {
+    for weak in &inner.staged_registry {
+        let Some(set) = weak.upgrade() else {
             continue;
         };
-        let mut staged = staged.borrow_mut();
+        if set.device != device {
+            continue;
+        }
+        let mut staged = set.staged.borrow_mut();
         if let Some(data) = staged
             .iter_mut()
             .filter_map(StagedWrite::snapshot_mut)
@@ -1111,6 +1216,76 @@ pub(crate) fn scribble_staged(inner_rc: &Rc<RefCell<Inner>>, device: u32) {
             flip_one_bit(data);
             return;
         }
+    }
+}
+
+/// One transfer set's shared record, held by every copy of the set: the
+/// copies still in flight, the first error any of them hit, the D2H
+/// copies staged for the commit drain and — once known — the drain's
+/// arguments. The pipelined overlap path keeps its enter and its exit
+/// copies in one such record each.
+pub(crate) struct TransferSet {
+    /// The device the set's copies run on.
+    pub(crate) device: u32,
+    remaining: Cell<usize>,
+    pub(crate) failed: RefCell<Option<RtError>>,
+    pub(crate) staged: RefCell<Vec<StagedWrite>>,
+    commit: RefCell<Option<CommitArgs>>,
+}
+
+/// What a transfer set's commit drain needs besides the set itself.
+pub(crate) struct CommitArgs {
+    /// The task the drain completes or fails.
+    pub task: TaskId,
+    /// The dying presence entries the drain releases.
+    pub to_free: Vec<EntryKey>,
+    pub integrity: IntegrityMode,
+    pub gate: Option<(crate::commit::CommitGate, u32)>,
+}
+
+impl TransferSet {
+    /// A set of `remaining` copies on `device`, its drain armed with
+    /// `commit` (or armed later, see [`TransferSet::arm`]).
+    pub(crate) fn new(device: u32, remaining: usize, commit: Option<CommitArgs>) -> Self {
+        TransferSet {
+            device,
+            remaining: Cell::new(remaining),
+            failed: RefCell::new(None),
+            staged: RefCell::new(Vec::new()),
+            commit: RefCell::new(commit),
+        }
+    }
+
+    /// Copies still in flight.
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining.get()
+    }
+
+    /// Count `n` more copies in flight.
+    pub(crate) fn add(&self, n: usize) {
+        self.remaining.set(self.remaining.get() + n);
+    }
+
+    /// Count one copy as done; true when none remain.
+    pub(crate) fn one_done(&self) -> bool {
+        self.remaining.set(self.remaining.get().saturating_sub(1));
+        self.remaining.get() == 0
+    }
+
+    /// Record `err` unless an earlier copy already failed.
+    pub(crate) fn fail(&self, err: RtError) {
+        self.failed.borrow_mut().get_or_insert(err);
+    }
+
+    /// Arm the commit drain.
+    pub(crate) fn arm(&self, args: CommitArgs) {
+        *self.commit.borrow_mut() = Some(args);
+    }
+
+    /// The drain's arguments, once: `None` before the drain is armed and
+    /// after it ran.
+    pub(crate) fn take_commit(&self) -> Option<CommitArgs> {
+        self.commit.borrow_mut().take()
     }
 }
 
@@ -1129,7 +1304,6 @@ pub(crate) fn scribble_staged(inner_rc: &Rc<RefCell<Inner>>, device: u32) {
 /// write, each copy snapshots the device bytes at its virtual start;
 /// otherwise the drain reads them once from the dying entry (see
 /// [`stages_d2h`]), so each D2H byte is written to the host once.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_transfers(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
@@ -1153,41 +1327,42 @@ pub(crate) fn run_transfers(
     );
 }
 
-/// A one-shot transfer-set finalizer, shared by every op's completion
-/// and fault paths.
-type FinishSlot = Rc<RefCell<Option<Box<dyn FnOnce(&mut Simulator)>>>>;
-
-/// Count one op as done; the last one runs the set's finalizer.
-fn finish_one(sim: &mut Simulator, remaining: &Rc<std::cell::Cell<usize>>, finish: &FinishSlot) {
-    remaining.set(remaining.get() - 1);
-    if remaining.get() == 0 {
-        let f = finish.borrow_mut().take().expect("finish once");
-        f(sim);
+/// Count one copy of a set as done; the last one runs the set's drain.
+fn transfer_done(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, set: &TransferSet) {
+    if set.one_done() {
+        if let Some(args) = set.take_commit() {
+            staged_commit_finish(sim, inner_rc, set, args);
+        }
     }
 }
 
-/// The shared fault handler of a transfer set: record the first error,
-/// count the op as done.
+/// The runtime error a device fault means for the operation `what`.
+pub(crate) fn fault_error(ev: &spread_sim::FaultEvent, what: String) -> RtError {
+    match ev.kind {
+        FaultEventKind::TransientExhausted { attempts } => RtError::TransientCopy {
+            device: ev.device,
+            what,
+            attempts,
+        },
+        FaultEventKind::DeviceLost => RtError::DeviceLost {
+            device: ev.device,
+            what,
+        },
+    }
+}
+
+/// The fault handler of one copy of a set: record the first error —
+/// naming the copy, rendered now that the fault fired — and count the
+/// copy as done.
 fn transfer_fault(
-    what: String,
-    failed: Rc<RefCell<Option<RtError>>>,
-    remaining: Rc<std::cell::Cell<usize>>,
-    finish: FinishSlot,
+    inner_rc: &Rc<RefCell<Inner>>,
+    set: &Rc<TransferSet>,
+    what: CopyLabel,
 ) -> spread_devices::health::OnFault {
+    let (inner_rc, set) = (Rc::clone(inner_rc), Rc::clone(set));
     Box::new(move |sim, ev| {
-        let err = match ev.kind {
-            FaultEventKind::TransientExhausted { attempts } => RtError::TransientCopy {
-                device: ev.device,
-                what,
-                attempts,
-            },
-            FaultEventKind::DeviceLost => RtError::DeviceLost {
-                device: ev.device,
-                what,
-            },
-        };
-        failed.borrow_mut().get_or_insert(err);
-        finish_one(sim, &remaining, &finish);
+        set.fail(fault_error(&ev, what.to_string()));
+        transfer_done(sim, &inner_rc, &set);
     })
 }
 
@@ -1198,19 +1373,21 @@ fn transfer_fault(
 /// all-or-nothing, release the dying presence entries, and complete or
 /// fail the task. Returns the number of staged snapshots actually
 /// written to host memory.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn staged_commit_finish(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
-    task: TaskId,
-    device: u32,
-    staged: &Rc<RefCell<Vec<StagedWrite>>>,
-    failed: &Rc<RefCell<Option<RtError>>>,
-    to_free: &[EntryKey],
-    integrity: IntegrityMode,
-    gate: &Option<(crate::commit::CommitGate, u32)>,
+    set: &TransferSet,
+    args: CommitArgs,
 ) -> usize {
-    if let Some(err) = failed.borrow_mut().take() {
+    let CommitArgs {
+        task,
+        to_free,
+        integrity,
+        gate,
+    } = args;
+    let device = set.device;
+    let staged = &set.staged;
+    if let Some(err) = set.failed.borrow_mut().take() {
         // No host writes, no presence cleanup: the dying entries
         // (if any) were wiped by the device-loss hook, and a
         // poisoned runtime never reuses them.
@@ -1237,7 +1414,7 @@ pub(crate) fn staged_commit_finish(
         })
         .collect();
     if !tainted.is_empty() {
-        if let Some((g, copy)) = gate {
+        if let Some((g, copy)) = &gate {
             // Never arbitrate with rotten bytes: a clean racing
             // sibling (if any) takes the win.
             g.disqualify(*copy);
@@ -1309,7 +1486,7 @@ pub(crate) fn staged_commit_finish(
             let freed = {
                 let inner = inner_rc.borrow();
                 let d = device as usize;
-                for key in to_free {
+                for key in &to_free {
                     if let Some(alloc) = inner.presence.write(d).finish_exit(*key) {
                         inner.devices[d].mem.borrow_mut().dealloc(alloc);
                     }
@@ -1335,7 +1512,7 @@ pub(crate) fn staged_commit_finish(
             ctx.record_integrity_ok(device);
         }
     }
-    let committed = match gate {
+    let committed = match &gate {
         None => true,
         Some((g, copy)) => g.try_commit(sim.now(), *copy),
     };
@@ -1355,14 +1532,14 @@ pub(crate) fn staged_commit_finish(
             drained += 1;
         }
         if forced {
-            if let Some((g, _)) = gate {
+            if let Some((g, _)) = &gate {
                 g.count_forced_commit();
             }
         }
     } else {
         staged.borrow_mut().clear();
     }
-    if let Some((g, _)) = gate {
+    if let Some((g, _)) = &gate {
         if let Some(ix) = g.log_idx() {
             let mut inner = inner_rc.borrow_mut();
             if let Some(rec) = inner.rescue_log.get_mut(ix) {
@@ -1374,7 +1551,7 @@ pub(crate) fn staged_commit_finish(
     let freed = {
         let inner = inner_rc.borrow();
         let d = device as usize;
-        for key in to_free {
+        for key in &to_free {
             if let Some(alloc) = inner.presence.write(d).finish_exit(*key) {
                 inner.devices[d].mem.borrow_mut().dealloc(alloc);
             }
@@ -1422,62 +1599,45 @@ pub(crate) fn run_transfers_ex(
     integrity: IntegrityMode,
     gate: Option<(crate::commit::CommitGate, u32)>,
 ) {
+    debug_assert!(peer_routes.is_empty() || peer_routes.len() == in_copies.len());
     let total = in_copies.len() + out_copies.len();
-    let staged: Rc<RefCell<Vec<StagedWrite>>> = Rc::new(RefCell::new(Vec::new()));
-    let snapshot = {
+    let snapshot = stages_d2h(&inner_rc.borrow(), !to_free.is_empty(), integrity, &gate);
+    let args = CommitArgs {
+        task,
+        to_free,
+        integrity,
+        gate,
+    };
+    let set = Rc::new(TransferSet::new(device, total, Some(args)));
+    let (dev, trace, faults) = {
         let mut inner = inner_rc.borrow_mut();
-        let snapshot = stages_d2h(&inner, !to_free.is_empty(), integrity, &gate);
         if snapshot && !out_copies.is_empty() {
             // Expose the snapshots to the at-rest corruption surface
             // (MemoryScribble) for as long as they are live.
-            inner.staged_registry.retain(|(_, w)| w.strong_count() > 0);
-            inner.staged_registry.push((device, Rc::downgrade(&staged)));
+            inner.staged_registry.retain(|w| w.strong_count() > 0);
+            inner.staged_registry.push(Rc::downgrade(&set));
         }
-        snapshot
-    };
-    let failed: Rc<RefCell<Option<RtError>>> = Rc::new(RefCell::new(None));
-    let finish = {
-        let inner_rc = Rc::clone(inner_rc);
-        let staged = Rc::clone(&staged);
-        let failed = Rc::clone(&failed);
-        move |sim: &mut Simulator| {
-            staged_commit_finish(
-                sim, &inner_rc, task, device, &staged, &failed, &to_free, integrity, &gate,
-            );
-        }
+        (
+            inner.devices[device as usize].clone(),
+            inner.trace.clone(),
+            inner.fault.is_some(),
+        )
     };
     if total == 0 {
-        finish(sim);
+        transfer_done(sim, inner_rc, &set);
         return;
     }
-    let remaining = Rc::new(std::cell::Cell::new(total));
-    let finish: FinishSlot = Rc::new(RefCell::new(Some(
-        Box::new(finish) as Box<dyn FnOnce(&mut Simulator)>
-    )));
-    let dev = inner_rc.borrow().devices[device as usize].clone();
-    let routes = if peer_routes.is_empty() {
-        vec![None; in_copies.len()]
-    } else {
-        debug_assert_eq!(peer_routes.len(), in_copies.len());
-        peer_routes
-    };
-    let items = in_copies
+    let ins = in_copies
         .into_iter()
-        .zip(routes)
-        .map(|(c, r)| (c, Direction::In, r))
-        .chain(out_copies.into_iter().map(|c| (c, Direction::Out, None)));
+        .enumerate()
+        .map(|(i, c)| (c, Direction::In, peer_routes.get(i).copied().flatten()));
+    let items = ins.chain(out_copies.into_iter().map(|c| (c, Direction::Out, None)));
     for (c, dir, route) in items {
-        let remaining = Rc::clone(&remaining);
-        let finish = Rc::clone(&finish);
-        let failed = Rc::clone(&failed);
         if let Some(src) = route {
-            enqueue_peer_copy(
-                sim, inner_rc, &dev, device, src, c, integrity, remaining, finish, failed,
-            );
+            enqueue_peer_copy(sim, inner_rc, &dev, src, c, integrity, &set);
             continue;
         }
         let host_store = inner_rc.borrow().host.storage(c.section.array);
-        let elem_bytes = 8u64;
         let mem = dev.mem.clone();
         let (sec, alloc, off) = (c.section, c.alloc, c.offset);
         let effect: Box<dyn FnOnce()> = match dir {
@@ -1488,7 +1648,7 @@ pub(crate) fn run_transfers_ex(
                 buf[off..off + sec.len].copy_from_slice(&host[sec.range()]);
             }),
             _ if snapshot => {
-                let staged = Rc::clone(&staged);
+                let set = Rc::clone(&set);
                 Box::new(move || {
                     let mem = mem.borrow();
                     let buf = mem.buffer(alloc);
@@ -1498,7 +1658,7 @@ pub(crate) fn run_transfers_ex(
                     let crc = integrity
                         .checks()
                         .then(|| spread_devices::digest_f64(&data));
-                    staged.borrow_mut().push(StagedWrite::Snapshot {
+                    set.staged.borrow_mut().push(StagedWrite::Snapshot {
                         store: host_store,
                         section: sec,
                         data,
@@ -1507,9 +1667,9 @@ pub(crate) fn run_transfers_ex(
                 })
             }
             _ => {
-                let staged = Rc::clone(&staged);
+                let set = Rc::clone(&set);
                 Box::new(move || {
-                    staged.borrow_mut().push(StagedWrite::Deferred {
+                    set.staged.borrow_mut().push(StagedWrite::Deferred {
                         store: host_store,
                         section: sec,
                         alloc,
@@ -1518,57 +1678,48 @@ pub(crate) fn run_transfers_ex(
                 })
             }
         };
-        let what = c.label.clone();
         let engine = match dir {
             Direction::In => dev.dma_in.clone(),
             _ => dev.dma_out.clone(),
         };
+        let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
+            let (inner_rc, set) = (Rc::clone(inner_rc), Rc::clone(&set));
+            match dir {
+                Direction::In => Box::new(move |sim| transfer_done(sim, &inner_rc, &set)),
+                // In-flight silent corruption: a SilentFlip token flips
+                // one bit in the staged payload *after* the source digest
+                // was taken, raising no fault. Applied regardless of the
+                // integrity mode — under `off` the rot flows through to
+                // host memory exactly as it would on a real machine
+                // without end-to-end checksums.
+                _ => Box::new(move |sim| {
+                    let flip = inner_rc
+                        .borrow()
+                        .fault
+                        .as_ref()
+                        .is_some_and(|ctx| ctx.take_flip(device, sim.now()));
+                    if flip {
+                        let mut st = set.staged.borrow_mut();
+                        if let Some(data) = st
+                            .iter_mut()
+                            .filter(|w| w.section() == sec)
+                            .find_map(StagedWrite::snapshot_mut)
+                        {
+                            flip_one_bit(data);
+                        }
+                    }
+                    transfer_done(sim, &inner_rc, &set)
+                }),
+            }
+        };
         engine.enqueue(
             sim,
             DmaOp {
-                bytes: c.section.len as u64 * elem_bytes,
-                label: c.label,
+                bytes: sec.len as u64 * 8,
+                label: span_label(&trace, &c.label),
                 effect: Some(effect),
-                on_complete: match dir {
-                    Direction::In => {
-                        let remaining = Rc::clone(&remaining);
-                        let finish = Rc::clone(&finish);
-                        Box::new(move |sim| finish_one(sim, &remaining, &finish))
-                    }
-                    _ => {
-                        // In-flight silent corruption: a SilentFlip
-                        // token flips one bit in the staged payload
-                        // *after* the source digest was taken, raising
-                        // no fault. Applied regardless of the integrity
-                        // mode — under `off` the rot flows through to
-                        // host memory exactly as it would on a real
-                        // machine without end-to-end checksums.
-                        let remaining = Rc::clone(&remaining);
-                        let finish = Rc::clone(&finish);
-                        let staged = Rc::clone(&staged);
-                        let weak = Rc::downgrade(inner_rc);
-                        Box::new(move |sim| {
-                            let flip = weak.upgrade().is_some_and(|rc| {
-                                rc.borrow()
-                                    .fault
-                                    .as_ref()
-                                    .is_some_and(|ctx| ctx.take_flip(device, sim.now()))
-                            });
-                            if flip {
-                                let mut st = staged.borrow_mut();
-                                if let Some(data) = st
-                                    .iter_mut()
-                                    .filter(|w| w.section() == sec)
-                                    .find_map(StagedWrite::snapshot_mut)
-                                {
-                                    flip_one_bit(data);
-                                }
-                            }
-                            finish_one(sim, &remaining, &finish)
-                        })
-                    }
-                },
-                on_fault: Some(transfer_fault(what, failed, remaining, finish)),
+                on_complete,
+                on_fault: faults.then(|| transfer_fault(inner_rc, &set, c.label)),
                 extra_caps: Vec::new(),
                 streamed: false,
             },
@@ -1592,24 +1743,23 @@ pub(crate) fn run_transfers_ex(
 /// consumed on this pull — fails the task under `verify`, or under
 /// `heal` discards the tainted bytes and re-fetches the section from
 /// the unharmed host image over the same fallback path a divert uses.
-#[allow(clippy::too_many_arguments)]
 fn enqueue_peer_copy(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
     dev: &DeviceHandle,
-    device: u32,
     src: u32,
     c: CopyPlanItem,
     integrity: IntegrityMode,
-    remaining: Rc<std::cell::Cell<usize>>,
-    finish: FinishSlot,
-    failed: Rc<RefCell<Option<RtError>>>,
+    set: &Rc<TransferSet>,
 ) {
-    let (host_store, src_dev) = {
+    let device = set.device;
+    let (host_store, src_dev, trace, faults) = {
         let inner = inner_rc.borrow();
         (
             inner.host.storage(c.section.array),
             inner.devices[src as usize].clone(),
+            inner.trace.clone(),
+            inner.fault.is_some(),
         )
     };
     let (sec, alloc, off) = (c.section, c.alloc, c.offset);
@@ -1625,12 +1775,12 @@ fn enqueue_peer_copy(
         });
         inner.peer_log.len() - 1
     };
-    let diverted = Rc::new(std::cell::Cell::new(false));
+    let diverted = Rc::new(Cell::new(false));
     // Source-side digest of the payload, set by the effect when the
     // pull goes ahead under verify/heal; the receive re-checks it.
-    let src_crc: Rc<std::cell::Cell<Option<u32>>> = Rc::new(std::cell::Cell::new(None));
-    let label = format!("p2p[{src}->{device}] {}", c.label);
-    let what = label.clone();
+    let src_crc: Rc<Cell<Option<u32>>> = Rc::new(Cell::new(None));
+    let label = c.label.via(CopyRoute::Peer { src, dst: device });
+    let span = span_label(&trace, &label);
     let effect: Box<dyn FnOnce()> = {
         let diverted = Rc::clone(&diverted);
         let src_crc = Rc::clone(&src_crc);
@@ -1679,128 +1829,124 @@ fn enqueue_peer_copy(
     let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
         let diverted = Rc::clone(&diverted);
         let src_crc = Rc::clone(&src_crc);
-        let remaining = Rc::clone(&remaining);
-        let finish = Rc::clone(&finish);
-        let failed = Rc::clone(&failed);
+        let set = Rc::clone(set);
         let mem = dev.mem.clone();
         let dma_in = dev.dma_in.clone();
-        let weak = Rc::downgrade(inner_rc);
-        let fb_label = format!("{} (host fallback)", c.label);
+        let inner_rc = Rc::clone(inner_rc);
+        let fallback = c.label.via(CopyRoute::HostFallback);
         Box::new(move |sim| {
             let mut refetch = diverted.get();
             if !refetch {
-                if let Some(rc) = weak.upgrade() {
-                    // In-flight silent corruption: a SilentFlip token
-                    // consumed on this pull flips one bit in the
-                    // received payload, raising no fault (mode-blind —
-                    // under `off` the rot stays).
-                    let flip = rc
-                        .borrow()
-                        .fault
-                        .as_ref()
-                        .is_some_and(|ctx| ctx.take_flip(device, sim.now()));
-                    if flip {
-                        let mut m = mem.borrow_mut();
-                        flip_one_bit(&mut m.buffer_mut(alloc)[off..off + sec.len]);
-                    }
-                    // Trust boundary 2 — peer receive: re-digest the
-                    // destination bytes against the source digest.
-                    if let Some(want) = src_crc.get() {
-                        let got = {
-                            let m = mem.borrow();
-                            spread_devices::digest_f64(&m.buffer(alloc)[off..off + sec.len])
+                // In-flight silent corruption: a SilentFlip token
+                // consumed on this pull flips one bit in the received
+                // payload, raising no fault (mode-blind — under `off`
+                // the rot stays).
+                let flip = inner_rc
+                    .borrow()
+                    .fault
+                    .as_ref()
+                    .is_some_and(|ctx| ctx.take_flip(device, sim.now()));
+                if flip {
+                    let mut m = mem.borrow_mut();
+                    flip_one_bit(&mut m.buffer_mut(alloc)[off..off + sec.len]);
+                }
+                // Trust boundary 2 — peer receive: re-digest the
+                // destination bytes against the source digest.
+                if let Some(want) = src_crc.get() {
+                    let got = {
+                        let m = mem.borrow();
+                        spread_devices::digest_f64(&m.buffer(alloc)[off..off + sec.len])
+                    };
+                    if got == want {
+                        if let Some(ctx) = &inner_rc.borrow().fault {
+                            ctx.record_integrity_ok(device);
+                        }
+                    } else {
+                        let now = sim.now();
+                        let quarantined = integrity == IntegrityMode::Heal
+                            && inner_rc
+                                .borrow()
+                                .fault
+                                .as_ref()
+                                .is_some_and(|ctx| ctx.record_integrity_mismatch(device));
+                        let action = match (integrity, quarantined) {
+                            (_, true) => IntegrityAction::Quarantined,
+                            (IntegrityMode::Heal, _) => IntegrityAction::Healed,
+                            _ => IntegrityAction::Failed,
                         };
-                        if got == want {
-                            if let Some(ctx) = &rc.borrow().fault {
-                                ctx.record_integrity_ok(device);
-                            }
-                        } else {
-                            let now = sim.now();
-                            let quarantined = integrity == IntegrityMode::Heal
-                                && rc
-                                    .borrow()
-                                    .fault
-                                    .as_ref()
-                                    .is_some_and(|ctx| ctx.record_integrity_mismatch(device));
-                            let action = match (integrity, quarantined) {
-                                (_, true) => IntegrityAction::Quarantined,
-                                (IntegrityMode::Heal, _) => IntegrityAction::Healed,
-                                _ => IntegrityAction::Failed,
-                            };
-                            {
-                                let mut inner = rc.borrow_mut();
-                                record_integrity_inner(
+                        {
+                            let mut inner = inner_rc.borrow_mut();
+                            record_integrity_inner(
+                                now,
+                                &mut inner,
+                                IntegrityEvent {
+                                    device,
+                                    section: sec,
+                                    at: now,
+                                    boundary: IntegrityBoundary::Peer,
+                                    action,
+                                },
+                            );
+                            if action == IntegrityAction::Healed {
+                                record_degradation_inner(
                                     now,
                                     &mut inner,
-                                    IntegrityEvent {
-                                        device,
-                                        section: sec,
-                                        at: now,
-                                        boundary: IntegrityBoundary::Peer,
-                                        action,
+                                    DegradationEvent {
+                                        kind: DegradationKind::CorruptionHealed,
+                                        device: Some(device),
+                                        start: sec.start,
+                                        len: sec.len,
+                                        bytes,
                                     },
                                 );
-                                if action == IntegrityAction::Healed {
-                                    record_degradation_inner(
-                                        now,
-                                        &mut inner,
-                                        DegradationEvent {
-                                            kind: DegradationKind::CorruptionHealed,
-                                            device: Some(device),
-                                            start: sec.start,
-                                            len: sec.len,
-                                            bytes,
-                                        },
-                                    );
-                                    // The heal *is* a divert: the tainted
-                                    // bytes are discarded and the section
-                                    // replayed from the host image.
-                                    inner.peer_log[idx].diverted = true;
-                                }
+                                // The heal *is* a divert: the tainted
+                                // bytes are discarded and the section
+                                // replayed from the host image.
+                                inner.peer_log[idx].diverted = true;
                             }
-                            match action {
-                                IntegrityAction::Healed => refetch = true,
-                                _ => {
-                                    if quarantined {
-                                        let ctx = rc.borrow().fault.clone();
-                                        if let Some(ctx) = ctx {
-                                            ctx.mark_lost(sim, device);
-                                        }
+                        }
+                        match action {
+                            IntegrityAction::Healed => refetch = true,
+                            _ => {
+                                if quarantined {
+                                    let ctx = inner_rc.borrow().fault.clone();
+                                    if let Some(ctx) = ctx {
+                                        ctx.mark_lost(sim, device);
                                     }
-                                    failed.borrow_mut().get_or_insert(
-                                        RtError::IntegrityViolation {
-                                            device,
-                                            section: sec,
-                                        },
-                                    );
-                                    finish_one(sim, &remaining, &finish);
-                                    return;
                                 }
+                                set.fail(RtError::IntegrityViolation {
+                                    device,
+                                    section: sec,
+                                });
+                                transfer_done(sim, &inner_rc, &set);
+                                return;
                             }
                         }
                     }
                 }
             }
             if !refetch {
-                finish_one(sim, &remaining, &finish);
+                transfer_done(sim, &inner_rc, &set);
                 return;
             }
-            let what = fb_label.clone();
-            let rem2 = Rc::clone(&remaining);
-            let fin2 = Rc::clone(&finish);
+            let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
+                let (inner_rc, set) = (Rc::clone(&inner_rc), Rc::clone(&set));
+                Box::new(move |sim| transfer_done(sim, &inner_rc, &set))
+            };
+            let on_fault = faults.then(|| transfer_fault(&inner_rc, &set, fallback.clone()));
             dma_in.enqueue(
                 sim,
                 DmaOp {
                     bytes,
-                    label: fb_label,
+                    label: span_label(&trace, &fallback),
                     effect: Some(Box::new(move || {
                         let host = host_store.borrow();
                         let mut m = mem.borrow_mut();
                         let buf = m.buffer_mut(alloc);
                         buf[off..off + sec.len].copy_from_slice(&host[sec.range()]);
                     })),
-                    on_complete: Box::new(move |sim| finish_one(sim, &rem2, &fin2)),
-                    on_fault: Some(transfer_fault(what, failed, remaining, finish)),
+                    on_complete,
+                    on_fault,
                     extra_caps: Vec::new(),
                     streamed: false,
                 },
@@ -1811,10 +1957,10 @@ fn enqueue_peer_copy(
         sim,
         DmaOp {
             bytes,
-            label,
+            label: span,
             effect: Some(effect),
             on_complete,
-            on_fault: Some(transfer_fault(what, failed, remaining, finish)),
+            on_fault: faults.then(|| transfer_fault(inner_rc, set, label)),
             extra_caps: dev.peer_route_caps(&src_dev),
             streamed: false,
         },
@@ -1830,11 +1976,11 @@ pub(crate) fn run_kernel(
     task: TaskId,
     device: u32,
     range: Range<usize>,
-    spec: &KernelSpec,
+    spec: &Rc<KernelSpec>,
     teams: u32,
     threads_per_team: u32,
 ) -> Result<(), RtError> {
-    let (dev, pool, resolved) = {
+    let (dev, pool, resolved, name, faults) = {
         let inner = inner_rc.borrow();
         inner.check_device(device)?;
         let d = device as usize;
@@ -1859,7 +2005,13 @@ pub(crate) fn run_kernel(
             });
         }
         drop(table);
-        (inner.devices[d].clone(), Rc::clone(&inner.pool), resolved)
+        (
+            inner.devices[d].clone(),
+            Rc::clone(&inner.pool),
+            resolved,
+            span_label(&inner.trace, &spec.name),
+            inner.fault.is_some(),
+        )
     };
     let mem = dev.mem.clone();
     let body = std::sync::Arc::clone(&spec.body);
@@ -1870,30 +2022,32 @@ pub(crate) fn run_kernel(
         kernel::execute_on_device(&mut mem, &pool, schedule, exec_range, &body, &resolved);
     });
     let inner_rc2 = Rc::clone(inner_rc);
-    let inner_rc3 = Rc::clone(inner_rc);
-    let kname = spec.name.clone();
+    let on_fault = faults.then(|| {
+        let (inner_rc, kernel) = (Rc::clone(inner_rc), Rc::clone(spec));
+        Box::new(move |sim: &mut Simulator, ev: spread_sim::FaultEvent| {
+            task_failed(
+                sim,
+                &inner_rc,
+                task,
+                RtError::DeviceLost {
+                    device: ev.device,
+                    what: format!("kernel `{}`", kernel.name),
+                },
+            );
+        }) as spread_devices::health::OnFault
+    });
     dev.compute.enqueue(
         sim,
         spread_devices::compute::KernelOp {
             tag: task.0,
-            name: spec.name.clone(),
+            name,
             iters: range.len() as u64,
             work_per_iter_ns: spec.work_per_iter_ns,
             teams,
             threads_per_team,
             body: Some(exec),
             on_complete: Box::new(move |sim| complete_task(sim, &inner_rc2, task)),
-            on_fault: Some(Box::new(move |sim, ev| {
-                task_failed(
-                    sim,
-                    &inner_rc3,
-                    task,
-                    RtError::DeviceLost {
-                        device: ev.device,
-                        what: format!("kernel `{kname}`"),
-                    },
-                );
-            })),
+            on_fault,
             streamed: false,
         },
     );
@@ -2509,12 +2663,12 @@ impl Scope<'_> {
     /// alternative to blocking on a taskgroup from inside a task.
     pub fn task_chained(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<TaskLabel>,
         preds: Vec<TaskId>,
         gate: Option<GroupId>,
         f: impl FnOnce(&mut Scope<'_>) + 'static,
     ) -> TaskId {
-        let mut spec = TaskSpec::new(label.into());
+        let mut spec = TaskSpec::new(label);
         spec.extra_preds = preds;
         spec.gate_group = gate;
         self.submit(spec, host_task_action(f))
@@ -2525,7 +2679,7 @@ impl Scope<'_> {
     /// ones).
     pub fn task(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<TaskLabel>,
         f: impl FnOnce(&mut Scope<'_>) + 'static,
     ) -> TaskId {
         self.task_chained(label, Vec::new(), None, f)
@@ -2537,12 +2691,12 @@ impl Scope<'_> {
     /// items.
     pub fn task_depend(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<TaskLabel>,
         ins: Vec<Section>,
         outs: Vec<Section>,
         f: impl FnOnce(&mut Scope<'_>) + 'static,
     ) -> TaskId {
-        let mut spec = TaskSpec::new(label.into());
+        let mut spec = TaskSpec::new(label);
         spec.wait_on = ins
             .iter()
             .map(|&s| (s, false))
@@ -2993,8 +3147,10 @@ pub(crate) fn record_degradation_inner(now: SimTime, inner: &mut Inner, ev: Degr
             ev.bytes,
         ),
     };
-    let label = format!("{:?} [{}..{})", ev.kind, ev.start, ev.start + ev.len);
-    inner.trace.record(lane, kind, label, now, now, bytes);
+    if inner.trace.is_enabled() {
+        let label = format!("{:?} [{}..{})", ev.kind, ev.start, ev.start + ev.len);
+        inner.trace.record(lane, kind, label, now, now, bytes);
+    }
     inner.degradations.push(ev);
 }
 
@@ -3199,11 +3355,11 @@ mod tests {
             let live: Vec<_> = inner
                 .staged_registry
                 .iter()
-                .filter_map(|(_, w)| w.upgrade())
+                .filter_map(|w| w.upgrade())
                 .collect();
             sets = sets.max(live.len());
             let held = live.iter().map(|s| {
-                let s = s.borrow();
+                let s = s.staged.borrow();
                 s.iter()
                     .filter(|w| matches!(w, StagedWrite::Snapshot { .. }))
                     .count()

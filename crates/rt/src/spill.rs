@@ -31,7 +31,7 @@ use spread_devices::memory::DeviceMemory;
 use crate::kernel::{KernelSpec, ResolvedArg};
 use crate::runtime::{Action, Completion, Scope};
 use crate::section::Section;
-use crate::task::{FpAccess, TaskId, TaskSpec};
+use crate::task::{FpAccess, TaskId, TaskLabel, TaskSpec};
 
 /// The total device-footprint bytes a kernel's arguments need for
 /// `range` (the figure the admission planner budgets and the slicer
@@ -81,13 +81,14 @@ pub fn spill_slices(
 /// catch. Never set outside the conformance harness.
 pub fn spill_chunk(
     scope: &mut Scope<'_>,
-    label: impl Into<String>,
+    label: impl Into<TaskLabel>,
     range: Range<usize>,
-    kernel: KernelSpec,
+    kernel: impl Into<Rc<KernelSpec>>,
     preds: Vec<TaskId>,
     drop_last_slice_writes: bool,
 ) -> TaskId {
-    let mut spec = TaskSpec::new(label.into());
+    let kernel: Rc<KernelSpec> = kernel.into();
+    let mut spec = TaskSpec::new(label);
     spec.extra_preds = preds;
     for arg in &kernel.args {
         let sec = Section::from_range(arg.array.id(), (arg.section_of)(range.clone()));

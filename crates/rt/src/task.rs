@@ -25,11 +25,15 @@
 //! the running set are `SectionIndex`es, so `create` and `start` visit
 //! only overlapping live sections (DESIGN.md §16).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 use std::hash::Hash;
+use std::rc::Rc;
 
 use spread_prng::FnvBuild;
 
+use crate::kernel::KernelSpec;
 use crate::runtime::Action;
 use crate::section::{ArrayId, Section};
 
@@ -92,11 +96,92 @@ pub enum TaskState {
     Finished,
 }
 
+/// A task's label: what race reports and diagnostics call the task.
+///
+/// Kept as its parts — a name, a phase, a device, a chunk index — and
+/// rendered by `Display` only when something reads it, so issuing a task
+/// formats nothing. It renders as `{name}{phase}(dev{device})[{index}]`,
+/// each part only when set: `bump-exit(dev1)`, `update(dev0)`,
+/// `enter-spread(dev2)[5]`, or free text as given.
+#[derive(Clone)]
+pub struct TaskLabel {
+    name: LabelName,
+    phase: &'static str,
+    device: Option<u32>,
+    index: Option<usize>,
+}
+
+#[derive(Clone)]
+enum LabelName {
+    Text(Cow<'static, str>),
+    /// The kernel of a `target` construct, shared with its actions.
+    Kernel(Rc<KernelSpec>),
+}
+
+impl TaskLabel {
+    fn new(name: LabelName, phase: &'static str, device: Option<u32>) -> Self {
+        TaskLabel {
+            name,
+            phase,
+            device,
+            index: None,
+        }
+    }
+
+    /// `{name}(dev{device})`, e.g. `update(dev0)`.
+    pub fn on_device(name: &'static str, device: u32) -> Self {
+        Self::new(LabelName::Text(Cow::Borrowed(name)), "", Some(device))
+    }
+
+    /// `{name}(dev{device})[{index}]`, e.g. `enter-spread(dev2)[5]`.
+    pub fn chunk(name: &'static str, device: u32, index: usize) -> Self {
+        TaskLabel {
+            index: Some(index),
+            ..Self::on_device(name, device)
+        }
+    }
+
+    /// A phase of a `target` construct running `kernel` on `device`:
+    /// `{kernel}{phase}(dev{device})`, e.g. `bump-enter(dev1)`.
+    pub(crate) fn kernel_phase(kernel: &Rc<KernelSpec>, phase: &'static str, device: u32) -> Self {
+        Self::new(LabelName::Kernel(Rc::clone(kernel)), phase, Some(device))
+    }
+}
+
+impl From<&str> for TaskLabel {
+    fn from(text: &str) -> Self {
+        text.to_owned().into()
+    }
+}
+
+impl From<String> for TaskLabel {
+    fn from(text: String) -> Self {
+        Self::new(LabelName::Text(Cow::Owned(text)), "", None)
+    }
+}
+
+impl fmt::Display for TaskLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.name {
+            LabelName::Text(text) => f.write_str(text)?,
+            LabelName::Kernel(kernel) => f.write_str(&kernel.name)?,
+        }
+        f.write_str(self.phase)?;
+        if let Some(d) = self.device {
+            write!(f, "(dev{d})")?;
+        }
+        if let Some(i) = self.index {
+            write!(f, "[{i}]")?;
+        }
+        Ok(())
+    }
+}
+
 /// Everything needed to create a task.
 #[derive(Clone)]
 pub struct TaskSpec {
-    /// Human-readable label (traces, diagnostics).
-    pub label: String,
+    /// Human-readable label (race reports, diagnostics).
+    pub label: TaskLabel,
     /// Sections whose previous writers/readers this task must wait for:
     /// `(section, is_write)`.
     pub wait_on: Vec<(Section, bool)>,
@@ -122,7 +207,7 @@ pub struct TaskSpec {
 
 impl TaskSpec {
     /// A minimal spec with just a label.
-    pub fn new(label: impl Into<String>) -> Self {
+    pub fn new(label: impl Into<TaskLabel>) -> Self {
         TaskSpec {
             label: label.into(),
             wait_on: Vec::new(),
@@ -139,7 +224,7 @@ impl TaskSpec {
 
 /// A live (unfinished) task. Dropped whole by [`TaskGraph::finish`].
 struct Task {
-    label: String,
+    label: TaskLabel,
     state: TaskState,
     unfinished_preds: usize,
     succs: Vec<TaskId>,
@@ -542,9 +627,9 @@ impl TaskGraph {
             .expect("an indexed overlap is a footprint conflict");
             self.races.push(RaceReport {
                 first: other_id,
-                first_label: other.label.clone(),
+                first_label: other.label.to_string(),
                 second: id,
-                second_label: me.label.clone(),
+                second_label: me.label.to_string(),
                 section,
             });
         }

@@ -140,7 +140,7 @@ impl NaiveGraph {
         let ready = n_preds == 0 && gate_open;
 
         let mut task = NaiveTask {
-            label: spec.label,
+            label: spec.label.to_string(),
             state: if ready {
                 TaskState::Ready
             } else {

@@ -147,6 +147,16 @@ impl Simulator {
         self.payloads.remove(&id.0).is_some()
     }
 
+    /// Move a pending event's callback to a new instant: exactly
+    /// [`cancel`](Self::cancel) followed by [`schedule_at`](Self::schedule_at)
+    /// with the same callback (a new id, a new place among same-instant
+    /// ties), minus boxing the callback again. `None` if the event
+    /// already fired or was cancelled.
+    pub fn reschedule(&mut self, id: EventId, at: SimTime) -> Option<EventId> {
+        let f = self.payloads.remove(&id.0)?;
+        Some(self.schedule_at(at, f))
+    }
+
     /// Time of the next pending event, if any.
     pub fn peek_next(&mut self) -> Option<SimTime> {
         self.skim_cancelled();
@@ -325,6 +335,26 @@ mod tests {
         assert_eq!(sim.now(), t(25));
         sim.run_until_idle();
         assert_eq!(*log.borrow(), vec![10, 20, 30]);
+    }
+
+    /// Rescheduling is cancel + schedule of the same callback: a new
+    /// place among same-instant ties, the old id dead.
+    #[test]
+    fn reschedule_moves_the_callback_behind_later_ties() {
+        let mut sim = Simulator::without_trace();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut ids = Vec::new();
+        for tag in ['a', 'b'] {
+            let log = log.clone();
+            ids.push(sim.schedule_at(t(5), Box::new(move |_| log.borrow_mut().push(tag))));
+        }
+        let moved = sim.reschedule(ids[0], t(5)).expect("still pending");
+        assert_ne!(moved, ids[0]);
+        assert!(!sim.cancel(ids[0]), "the old id is dead");
+        assert_eq!(sim.pending(), 2);
+        sim.run_until_idle();
+        assert_eq!(*log.borrow(), vec!['b', 'a']);
+        assert_eq!(sim.reschedule(moved, t(9)), None, "already fired");
     }
 
     #[test]

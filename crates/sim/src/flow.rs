@@ -65,6 +65,23 @@ pub struct FlowNet {
     flows: BTreeMap<u64, FlowState>,
     next_flow: u64,
     last_progress: SimTime,
+    /// Buffers every flow start and finish would otherwise allocate
+    /// afresh: cleared, never shrunk.
+    scratch: Scratch,
+}
+
+/// The reused working set of [`FlowNet`]: the per-constraint byte tally
+/// of a progress step, the active flows' routes laid end to end (flow
+/// `f` traverses `routes[bounds[f]..bounds[f + 1]]`), the max–min
+/// solver's state, and the completion instants a reallocation
+/// reschedules.
+#[derive(Default)]
+struct Scratch {
+    per_cap: Vec<f64>,
+    routes: Vec<usize>,
+    bounds: Vec<usize>,
+    solver: MaxMin,
+    pending: Vec<(u64, SimTime, Option<EventId>)>,
 }
 
 impl FlowNet {
@@ -74,6 +91,7 @@ impl FlowNet {
             flows: BTreeMap::new(),
             next_flow: 0,
             last_progress: SimTime::ZERO,
+            scratch: Scratch::default(),
         }
     }
 
@@ -83,14 +101,16 @@ impl FlowNet {
     fn progress_to(&mut self, now: SimTime) {
         let dt = now.since(self.last_progress).as_secs_f64();
         if dt > 0.0 {
-            let mut per_cap = vec![0.0f64; self.caps.len()];
+            let per_cap = &mut self.scratch.per_cap;
+            per_cap.clear();
+            per_cap.resize(self.caps.len(), 0.0);
             for f in self.flows.values_mut() {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
                 for &c in &f.caps {
                     per_cap[c] += f.rate * dt;
                 }
             }
-            for (cap, moved) in self.caps.iter_mut().zip(per_cap) {
+            for (cap, &moved) in self.caps.iter_mut().zip(per_cap.iter()) {
                 cap.bytes_through += moved;
                 if cap.bytes_per_sec > 0.0 {
                     cap.busy_seconds += moved / cap.bytes_per_sec;
@@ -102,15 +122,109 @@ impl FlowNet {
 
     /// Recompute every active flow's max–min fair rate.
     fn compute_rates(&mut self) {
-        let cap_rates: Vec<f64> = self.caps.iter().map(|c| c.bytes_per_sec).collect();
-        let ids: Vec<u64> = self.flows.keys().copied().collect();
-        let flow_caps: Vec<&[usize]> = ids
-            .iter()
-            .map(|id| self.flows[id].caps.as_slice())
-            .collect();
-        let rates = maxmin_rates(&cap_rates, &flow_caps);
-        for (id, rate) in ids.into_iter().zip(rates) {
-            self.flows.get_mut(&id).expect("flow exists").rate = rate;
+        let Scratch {
+            routes,
+            bounds,
+            solver,
+            ..
+        } = &mut self.scratch;
+        routes.clear();
+        bounds.clear();
+        bounds.push(0);
+        for f in self.flows.values() {
+            routes.extend_from_slice(&f.caps);
+            bounds.push(routes.len());
+        }
+        solver.solve(
+            self.caps.iter().map(|c| c.bytes_per_sec),
+            self.flows.len(),
+            |f| &routes[bounds[f]..bounds[f + 1]],
+        );
+        for (f, &rate) in self.flows.values_mut().zip(&solver.rates) {
+            f.rate = rate;
+        }
+    }
+}
+
+/// The max–min solver's working set, kept across solves so a solve
+/// allocates nothing once the buffers have grown to the network's size.
+#[derive(Default)]
+struct MaxMin {
+    cap_left: Vec<f64>,
+    users: Vec<usize>,
+    frozen: Vec<bool>,
+    rates: Vec<f64>,
+}
+
+impl MaxMin {
+    /// Progressive filling over `cap_rates` and `n_flows` flows, flow
+    /// `f` traversing `route(f)`; leaves one rate per flow in `rates`.
+    fn solve<'r>(
+        &mut self,
+        cap_rates: impl IntoIterator<Item = f64>,
+        n_flows: usize,
+        route: impl Fn(usize) -> &'r [usize],
+    ) {
+        let MaxMin {
+            cap_left,
+            users,
+            frozen,
+            rates,
+        } = self;
+        rates.clear();
+        rates.resize(n_flows, 0.0);
+        if n_flows == 0 {
+            return;
+        }
+        cap_left.clear();
+        cap_left.extend(cap_rates);
+        users.clear();
+        users.resize(cap_left.len(), 0);
+        for f in 0..n_flows {
+            let caps = route(f);
+            assert!(
+                !caps.is_empty(),
+                "flow must traverse at least one constraint"
+            );
+            for &c in caps {
+                users[c] += 1;
+            }
+        }
+        frozen.clear();
+        frozen.resize(n_flows, false);
+        let mut n_frozen = 0usize;
+        while n_frozen < n_flows {
+            // Bottleneck constraint: smallest fair share among used
+            // constraints.
+            let mut best: Option<(f64, usize)> = None;
+            for (c, &left) in cap_left.iter().enumerate() {
+                if users[c] == 0 {
+                    continue;
+                }
+                let share = left / users[c] as f64;
+                match best {
+                    Some((s, _)) if s <= share => {}
+                    _ => best = Some((share, c)),
+                }
+            }
+            let Some((share, bottleneck)) = best else {
+                break; // no used constraints remain (shouldn't happen)
+            };
+            let share = share.max(0.0);
+            // Freeze every unfrozen flow through the bottleneck at `share`.
+            for f in 0..n_flows {
+                let caps = route(f);
+                if frozen[f] || !caps.contains(&bottleneck) {
+                    continue;
+                }
+                rates[f] = share;
+                frozen[f] = true;
+                n_frozen += 1;
+                for &c in caps {
+                    cap_left[c] = (cap_left[c] - share).max(0.0);
+                    users[c] -= 1;
+                }
+            }
         }
     }
 }
@@ -125,57 +239,13 @@ impl FlowNet {
 /// through it never exceeds its capacity; every flow has a positive rate;
 /// and the allocation is *work conserving* — each flow is bottlenecked by
 /// at least one saturated constraint.
+///
+/// This is the flow network's own solver on a fresh working set; the
+/// network keeps one across solves instead.
 pub fn maxmin_rates(cap_rates: &[f64], flow_caps: &[&[usize]]) -> Vec<f64> {
-    let n_flows = flow_caps.len();
-    let mut rates = vec![0.0f64; n_flows];
-    if n_flows == 0 {
-        return rates;
-    }
-    let mut cap_left = cap_rates.to_vec();
-    let mut users: Vec<usize> = vec![0; cap_rates.len()];
-    for caps in flow_caps {
-        assert!(
-            !caps.is_empty(),
-            "flow must traverse at least one constraint"
-        );
-        for &c in *caps {
-            users[c] += 1;
-        }
-    }
-    let mut frozen = vec![false; n_flows];
-    let mut n_frozen = 0usize;
-    while n_frozen < n_flows {
-        // Bottleneck constraint: smallest fair share among used constraints.
-        let mut best: Option<(f64, usize)> = None;
-        for (c, &left) in cap_left.iter().enumerate() {
-            if users[c] == 0 {
-                continue;
-            }
-            let share = left / users[c] as f64;
-            match best {
-                Some((s, _)) if s <= share => {}
-                _ => best = Some((share, c)),
-            }
-        }
-        let Some((share, bottleneck)) = best else {
-            break; // no used constraints remain (shouldn't happen)
-        };
-        let share = share.max(0.0);
-        // Freeze every unfrozen flow through the bottleneck at `share`.
-        for (f, caps) in flow_caps.iter().enumerate() {
-            if frozen[f] || !caps.contains(&bottleneck) {
-                continue;
-            }
-            rates[f] = share;
-            frozen[f] = true;
-            n_frozen += 1;
-            for &c in *caps {
-                cap_left[c] = (cap_left[c] - share).max(0.0);
-                users[c] -= 1;
-            }
-        }
-    }
-    rates
+    let mut solver = MaxMin::default();
+    solver.solve(cap_rates.iter().copied(), flow_caps.len(), |f| flow_caps[f]);
+    solver.rates
 }
 
 /// Shared handle to a [`FlowNet`]; clone freely.
@@ -314,18 +384,17 @@ impl SharedFlowNet {
         FlowId(id)
     }
 
-    /// Progress, recompute rates, and reschedule every completion event.
+    /// Progress, recompute rates, and reschedule every completion event
+    /// (moving a pending completion's callback rather than boxing a new
+    /// one).
     fn reallocate(&self, sim: &mut Simulator) {
         let now = sim.now();
-        let mut pending: Vec<(u64, SimTime)> = Vec::new();
-        {
+        let mut pending = {
             let mut net = self.inner.borrow_mut();
             net.progress_to(now);
             net.compute_rates();
+            let mut pending = std::mem::take(&mut net.scratch.pending);
             for (&id, f) in net.flows.iter_mut() {
-                if let Some(ev) = f.completion.take() {
-                    sim.cancel(ev);
-                }
                 let at = if f.rate > 0.0 {
                     // +1 ns guards against round-to-nearest leaving a
                     // sub-byte residue at the event instant.
@@ -334,12 +403,17 @@ impl SharedFlowNet {
                 } else {
                     SimTime::MAX
                 };
-                pending.push((id, at));
+                pending.push((id, at, f.completion.take()));
             }
-        }
-        for (id, at) in pending {
-            let shared = self.clone();
-            let ev = sim.schedule_at(at, Box::new(move |s| shared.finish_flow(s, id)));
+            pending
+        };
+        for &(id, at, old) in &pending {
+            let ev = old
+                .and_then(|ev| sim.reschedule(ev, at))
+                .unwrap_or_else(|| {
+                    let shared = self.clone();
+                    sim.schedule_at(at, Box::new(move |s| shared.finish_flow(s, id)))
+                });
             self.inner
                 .borrow_mut()
                 .flows
@@ -347,6 +421,8 @@ impl SharedFlowNet {
                 .expect("flow still present")
                 .completion = Some(ev);
         }
+        pending.clear();
+        self.inner.borrow_mut().scratch.pending = pending;
     }
 
     fn finish_flow(&self, sim: &mut Simulator, id: u64) {

@@ -115,6 +115,76 @@ fn identical_routes_get_identical_rates() {
     }
 }
 
+/// Bit-pinned flow model: 64 seeded flows over a CTE-POWER-shaped
+/// network (four links under two switches under one host bus, plus two
+/// private side links), half started together at t = 0 and half arriving
+/// late while others are in flight. An FNV-1a digest over every
+/// completion `(flow, instant)` in firing order and every constraint's
+/// `bytes_through` and `saturated_seconds` bits must not move: the
+/// properties above hold for many allocators, but only these bits say
+/// that a refactor of the solver kept every rate and instant.
+#[test]
+fn the_flow_model_is_bit_pinned() {
+    use spread_prng::hash::FnvHasher;
+    use spread_sim::SimTime;
+    use std::hash::Hasher;
+
+    let mut r = Prng::new(0xf10f_0006);
+    let mut sim = Simulator::without_trace();
+    let net = SharedFlowNet::new();
+    let bus = net.add_capacity("host-bus", 21e9);
+    let switches = [net.add_capacity("sw0", 14e9), net.add_capacity("sw1", 14e9)];
+    let links: Vec<_> = (0..4)
+        .map(|d| net.add_capacity(format!("link{d}"), 12e9))
+        .collect();
+    let side = [
+        net.add_capacity("side0", 3e9),
+        net.add_capacity("side1", 5e9),
+    ];
+    let mut all = vec![bus, switches[0], switches[1]];
+    all.extend(&links);
+    all.extend(side);
+    let done: Rc<RefCell<Vec<(usize, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+    for i in 0..64 {
+        let d = r.range(0, 4);
+        let mut route = vec![links[d], switches[d / 2], bus];
+        if r.chance(0.25) {
+            route.push(side[r.range(0, 2)]);
+        }
+        let bytes = 1 + r.below(64 << 20);
+        let at = if i < 32 {
+            SimTime::ZERO
+        } else {
+            SimTime::from_nanos(r.below(20_000_000))
+        };
+        let (net, done) = (net.clone(), done.clone());
+        sim.schedule_at(
+            at,
+            Box::new(move |s| {
+                net.start_flow(
+                    s,
+                    bytes,
+                    route,
+                    Box::new(move |s| done.borrow_mut().push((i, s.now().as_nanos()))),
+                );
+            }),
+        );
+    }
+    sim.run_until_idle();
+    let done = done.borrow();
+    assert_eq!(done.len(), 64);
+    let mut h = FnvHasher::default();
+    for &(i, t) in done.iter() {
+        h.write(&(i as u64).to_le_bytes());
+        h.write(&t.to_le_bytes());
+    }
+    for &c in &all {
+        h.write(&net.bytes_through(c).to_le_bytes());
+        h.write(&net.saturated_seconds(c).to_bits().to_le_bytes());
+    }
+    assert_eq!(h.finish(), 0x9680_9bf4_d65e_d8c5, "flow model digest moved");
+}
+
 /// End-to-end: random flows through a random network all complete, and
 /// each flow's completion time is at least bytes / (its fastest
 /// constraint) — you cannot beat the physics.

@@ -16,6 +16,7 @@
 //! paper's per-pragma spelling at call sites.
 
 use std::ops::Range;
+use std::rc::Rc;
 
 use spread_rt::directives::{ExchangeMode, TargetEnterData, TargetExitData, TargetUpdate};
 use spread_rt::map::MapType;
@@ -223,11 +224,11 @@ impl TargetEnterDataSpread {
     pub fn depend_out(
         mut self,
         array: HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
         self.dep_outs.push(SpreadDep {
             array,
-            expr: std::sync::Arc::new(expr),
+            expr: Rc::new(expr),
         });
         self
     }
@@ -236,11 +237,11 @@ impl TargetEnterDataSpread {
     pub fn depend_in(
         mut self,
         array: HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
         self.dep_ins.push(SpreadDep {
             array,
-            expr: std::sync::Arc::new(expr),
+            expr: Rc::new(expr),
         });
         self
     }
@@ -352,11 +353,11 @@ impl TargetExitDataSpread {
     pub fn depend_in(
         mut self,
         array: HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
         self.dep_ins.push(SpreadDep {
             array,
-            expr: std::sync::Arc::new(expr),
+            expr: Rc::new(expr),
         });
         self
     }
@@ -365,11 +366,11 @@ impl TargetExitDataSpread {
     pub fn depend_out(
         mut self,
         array: HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
         self.dep_outs.push(SpreadDep {
             array,
-            expr: std::sync::Arc::new(expr),
+            expr: Rc::new(expr),
         });
         self
     }
@@ -478,9 +479,9 @@ impl TargetUpdateSpread {
     pub fn to(
         mut self,
         array: HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
-        self.to_items.push((array, std::sync::Arc::new(expr)));
+        self.to_items.push((array, Rc::new(expr)));
         self
     }
 
@@ -488,9 +489,9 @@ impl TargetUpdateSpread {
     pub fn from(
         mut self,
         array: HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
-        self.from_items.push((array, std::sync::Arc::new(expr)));
+        self.from_items.push((array, Rc::new(expr)));
         self
     }
 
@@ -637,7 +638,7 @@ impl TargetDataSpread {
                     t => t,
                 },
                 array: m.array,
-                expr: std::sync::Arc::clone(&m.expr),
+                expr: Rc::clone(&m.expr),
             })
             .collect();
         let exit_maps: Vec<SpreadMap> = self
@@ -651,7 +652,7 @@ impl TargetDataSpread {
                     t => t,
                 },
                 array: m.array,
-                expr: std::sync::Arc::clone(&m.expr),
+                expr: Rc::clone(&m.expr),
             })
             .collect();
         // The structured region forwards its clause set (schedule and

@@ -2,7 +2,7 @@
 //! spread placeholders.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use spread_rt::map::MapType;
 use spread_rt::{HostArray, MapClause};
@@ -10,7 +10,7 @@ use spread_rt::{HostArray, MapClause};
 use crate::chunk::ChunkCtx;
 
 /// A section expression over the spread placeholders.
-pub type SectionOf = Arc<dyn Fn(ChunkCtx) -> Range<usize> + Send + Sync>;
+pub type SectionOf = Rc<dyn Fn(ChunkCtx) -> Range<usize>>;
 
 /// One `map(type: array[expr(omp_spread_start, omp_spread_size)])` item.
 #[derive(Clone)]
@@ -28,12 +28,12 @@ impl SpreadMap {
     pub fn new(
         map_type: MapType,
         array: HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
         SpreadMap {
             map_type,
             array,
-            expr: Arc::new(expr),
+            expr: Rc::new(expr),
         }
     }
 
@@ -44,17 +44,14 @@ impl SpreadMap {
 }
 
 /// `map(to: a[expr])`.
-pub fn spread_to(
-    array: HostArray,
-    expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
-) -> SpreadMap {
+pub fn spread_to(array: HostArray, expr: impl Fn(ChunkCtx) -> Range<usize> + 'static) -> SpreadMap {
     SpreadMap::new(MapType::To, array, expr)
 }
 
 /// `map(from: a[expr])`.
 pub fn spread_from(
     array: HostArray,
-    expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+    expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
 ) -> SpreadMap {
     SpreadMap::new(MapType::From, array, expr)
 }
@@ -62,7 +59,7 @@ pub fn spread_from(
 /// `map(tofrom: a[expr])`.
 pub fn spread_tofrom(
     array: HostArray,
-    expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+    expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
 ) -> SpreadMap {
     SpreadMap::new(MapType::ToFrom, array, expr)
 }
@@ -70,7 +67,7 @@ pub fn spread_tofrom(
 /// `map(alloc: a[expr])`.
 pub fn spread_alloc(
     array: HostArray,
-    expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+    expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
 ) -> SpreadMap {
     SpreadMap::new(MapType::Alloc, array, expr)
 }
@@ -78,7 +75,7 @@ pub fn spread_alloc(
 /// `map(release: a[expr])` (exit-data only).
 pub fn spread_release(
     array: HostArray,
-    expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+    expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
 ) -> SpreadMap {
     SpreadMap::new(MapType::Release, array, expr)
 }

@@ -117,11 +117,11 @@ impl TargetSpread {
     pub fn depend_in(
         mut self,
         array: spread_rt::HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
         self.dep_ins.push(SpreadDep {
             array,
-            expr: std::sync::Arc::new(expr),
+            expr: Rc::new(expr),
         });
         self
     }
@@ -130,11 +130,11 @@ impl TargetSpread {
     pub fn depend_out(
         mut self,
         array: spread_rt::HostArray,
-        expr: impl Fn(ChunkCtx) -> Range<usize> + Send + Sync + 'static,
+        expr: impl Fn(ChunkCtx) -> Range<usize> + 'static,
     ) -> Self {
         self.dep_outs.push(SpreadDep {
             array,
-            expr: std::sync::Arc::new(expr),
+            expr: Rc::new(expr),
         });
         self
     }

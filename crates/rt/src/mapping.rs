@@ -27,7 +27,6 @@
 //! out.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use spread_devices::AllocId;
 
@@ -325,78 +324,11 @@ impl PresenceTable {
     }
 }
 
-/// Per-device **sharded** presence tables.
-///
-/// One shard — one independently locked [`PresenceTable`] — per device.
-/// Enter/exit/update on device *d* takes only shard *d*'s lock, so
-/// constructs touching disjoint devices never contend, and the
-/// read-mostly paths (kernel argument resolution, update planning, peer
-/// source scans) take a shared read lock that excludes nothing but a
-/// concurrent mutation of the *same* device's table. The
-/// `#[cfg(debug_assertions)]` spec-mirror `DeviceMap` lives inside each
-/// [`PresenceTable`], so it moves into the shard wholesale and the
-/// semantics cross-check survives sharding unchanged.
-///
-/// Shards are `Arc`ed so property tests can hand individual shards to
-/// OS threads (`tests/races.rs`); the deterministic simulator itself
-/// drives them single-threaded, where every lock acquisition is
-/// uncontended.
-pub struct ShardedPresence {
-    shards: Vec<Arc<RwLock<PresenceTable>>>,
-}
-
-impl ShardedPresence {
-    /// One empty shard per device.
-    pub fn new(n_devices: usize) -> Self {
-        ShardedPresence {
-            shards: (0..n_devices)
-                .map(|_| Arc::new(RwLock::new(PresenceTable::new())))
-                .collect(),
-        }
-    }
-
-    /// Number of device shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Shared (read-mostly) access to device `d`'s table.
-    pub fn read(&self, d: usize) -> RwLockReadGuard<'_, PresenceTable> {
-        self.shards[d].read().unwrap()
-    }
-
-    /// Exclusive access to device `d`'s table. Takes no lock on any
-    /// other device's shard.
-    pub fn write(&self, d: usize) -> RwLockWriteGuard<'_, PresenceTable> {
-        self.shards[d].write().unwrap()
-    }
-
-    /// The shard itself, for handing to another thread.
-    pub fn shard(&self, d: usize) -> Arc<RwLock<PresenceTable>> {
-        Arc::clone(&self.shards[d])
-    }
-
-    /// Validate every shard against its `spread-semantics` mirror
-    /// (no-op in release builds, which take no lock either).
-    pub fn debug_validate_all(&self) {
-        #[cfg(debug_assertions)]
-        for shard in &self.shards {
-            shard.read().unwrap().debug_validate();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::section::ArrayId;
     use spread_devices::MemoryPool;
-
-    /// Shards must be shareable across OS threads (`tests/races.rs`).
-    const _: fn() = || {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<ShardedPresence>();
-    };
 
     const A: ArrayId = ArrayId(0);
 

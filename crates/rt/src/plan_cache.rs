@@ -87,8 +87,7 @@ struct CacheEntry {
     plan: Rc<dyn Any>,
 }
 
-/// The per-runtime launch-plan cache. Single-threaded like the rest of
-/// `Inner`; the sharded structures around it carry the concurrency.
+/// The per-runtime launch-plan cache, part of `Inner`.
 pub(crate) struct PlanCache {
     entries: HashMap<String, CacheEntry, FnvBuild>,
     epoch: u64,

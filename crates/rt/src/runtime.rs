@@ -38,7 +38,7 @@ use crate::host::{HostArray, HostRegistry};
 use crate::integrity::{IntegrityAction, IntegrityBoundary, IntegrityEvent, IntegrityMode};
 use crate::kernel::{self, KernelSpec, ResolvedArg};
 use crate::map::{MapClause, MapType};
-use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, ShardedPresence};
+use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, PresenceTable};
 use crate::section::Section;
 use crate::task::{GroupId, LiveCounts, RaceReport, TaskGraph, TaskId, TaskLabel, TaskSpec};
 
@@ -270,7 +270,8 @@ pub(crate) struct Recoverer {
 pub(crate) struct Inner {
     pub(crate) host: HostRegistry,
     pub(crate) devices: Vec<DeviceHandle>,
-    pub(crate) presence: ShardedPresence,
+    /// One presence table per device.
+    pub(crate) presence: Vec<PresenceTable>,
     pub(crate) graph: TaskGraph,
     pub(crate) current_parent: Option<TaskId>,
     pub(crate) current_group: Option<GroupId>,
@@ -540,7 +541,7 @@ impl Inner {
         let mut copies = Vec::new();
         // Undo log: reused entries (refcount to drop) and fresh inserts.
         let mut reused: Vec<Section> = Vec::new();
-        let mut fresh: Vec<crate::mapping::EntryKey> = Vec::new();
+        let mut fresh: Vec<Section> = Vec::new();
         for m in maps {
             if !m.map_type.valid_on_enter() && m.map_type != MapType::From {
                 self.rollback_enter(d, reused, fresh);
@@ -552,8 +553,7 @@ impl Inner {
             if m.section.is_empty() {
                 continue;
             }
-            let enter = self.presence.write(d).begin_enter(m.section);
-            let decision = match enter {
+            let decision = match self.presence[d].begin_enter(m.section) {
                 Ok(dec) => dec,
                 Err(c) => {
                     let err = self.conflict_to_error(device, m.section, c);
@@ -588,8 +588,8 @@ impl Inner {
                             return Err(err);
                         }
                     };
-                    let key = self.presence.write(d).insert_fresh(m.section, alloc);
-                    fresh.push(key);
+                    self.presence[d].insert_fresh(m.section, alloc);
+                    fresh.push(m.section);
                     if m.map_type.copies_in() {
                         copies.push(CopyPlanItem {
                             section: m.section,
@@ -604,46 +604,32 @@ impl Inner {
         Ok(EnterPlan { copies })
     }
 
-    /// Undo the bookkeeping of a partially applied enter-plan.
-    fn rollback_enter(
-        &mut self,
-        d: usize,
-        reused: Vec<Section>,
-        fresh: Vec<crate::mapping::EntryKey>,
-    ) {
-        for s in reused {
-            // Drop the extra reference we took. The scrutinee is hoisted
-            // into a `let` so the shard's write guard is released before
-            // the `LastRef` arm relocks it (a guard in a `match` head
-            // lives for the whole match).
-            let undone = self.presence.write(d).begin_exit(&s, false);
-            match undone {
+    /// Undo the bookkeeping of a partially applied enter-plan: drop the
+    /// extra reference on every reused entry, then force-release every
+    /// fresh insert.
+    fn rollback_enter(&mut self, d: usize, reused: Vec<Section>, fresh: Vec<Section>) {
+        let undo = reused.iter().map(|s| (s, false));
+        for (s, delete) in undo.chain(fresh.iter().map(|s| (s, true))) {
+            match self.presence[d].begin_exit(s, delete) {
                 Ok(ExitDecision::Keep(_)) => {}
                 Ok(ExitDecision::LastRef(key)) => {
-                    if let Some(alloc) = self.presence.write(d).finish_exit(key) {
-                        self.devices[d].mem.borrow_mut().dealloc(alloc);
-                    }
+                    self.release_dying(d, &[key]);
                 }
-                Err(_) => unreachable!("undoing a reuse we just made"),
+                Err(_) => unreachable!("undoing a mapping we just made"),
             }
         }
-        for key in fresh {
-            let sec = self
-                .presence
-                .read(d)
-                .entry(key)
-                .expect("fresh entry still present")
-                .section;
-            let undone = self.presence.write(d).begin_exit(&sec, true);
-            match undone {
-                Ok(ExitDecision::LastRef(k)) => {
-                    if let Some(a) = self.presence.write(d).finish_exit(k) {
-                        self.devices[d].mem.borrow_mut().dealloc(a);
-                    }
-                }
-                _ => unreachable!("undoing a fresh insert we just made"),
+    }
+
+    /// Remove the dying entries `keys` from device `d`'s table and free
+    /// their storage (an entry a device-loss wipe already dropped is
+    /// skipped). True when there was anything to release.
+    fn release_dying(&mut self, d: usize, keys: &[EntryKey]) -> bool {
+        for &key in keys {
+            if let Some(alloc) = self.presence[d].finish_exit(key) {
+                self.devices[d].mem.borrow_mut().dealloc(alloc);
             }
         }
+        !keys.is_empty()
     }
 
     /// Apply the exit half of a map set.
@@ -666,17 +652,14 @@ impl Inner {
                 continue;
             }
             let d = device as usize;
-            let decision = self
-                .presence
-                .write(d)
+            let decision = self.presence[d]
                 .begin_exit(&m.section, m.map_type == MapType::Delete)
                 .map_err(|c| self.conflict_to_error(device, m.section, c))?;
             match decision {
                 ExitDecision::Keep(_) => {}
                 ExitDecision::LastRef(key) => {
                     if m.map_type.copies_out() {
-                        let table = self.presence.read(d);
-                        let entry = table.entry(key).expect("dying entry");
+                        let entry = self.presence[d].entry(key).expect("dying entry");
                         copies.push(CopyPlanItem {
                             section: m.section,
                             alloc: entry.alloc,
@@ -706,8 +689,7 @@ impl Inner {
                 if s.is_empty() {
                     continue;
                 }
-                let table = self.presence.read(d);
-                let Some((_, entry)) = table.lookup_containing(&s) else {
+                let Some((_, entry)) = self.presence[d].lookup_containing(&s) else {
                     return Err(RtError::NotMapped {
                         device,
                         requested: s,
@@ -743,12 +725,11 @@ impl Inner {
     pub(crate) fn peer_source_for(&self, device: u32, sec: &Section) -> Option<u32> {
         let host = self.host.storage(sec.array);
         let host = host.borrow();
-        for sd in 0..self.presence.num_shards() {
+        for (sd, table) in self.presence.iter().enumerate() {
             let src = sd as u32;
             if src == device || self.fault.as_ref().is_some_and(|ctx| ctx.is_lost(src)) {
                 continue;
             }
-            let table = self.presence.read(sd);
             let Some((_, entry)) = table.lookup_containing(sec) else {
                 continue;
             };
@@ -1015,7 +996,7 @@ pub(crate) fn device_lost_cleanup(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inn
     let stranded = {
         let mut inner = inner_rc.borrow_mut();
         let d = device as usize;
-        inner.presence.write(d).clear();
+        inner.presence[d].clear();
         // The topology changed: any cached launch plan placing work on
         // this device is now wrong. Covers integrity-breaker quarantine
         // too — quarantine routes through `mark_lost` into this hook.
@@ -1483,17 +1464,10 @@ pub(crate) fn staged_commit_finish(
             // The device is alive: release its mapping normally
             // so the recoverer's fresh enter→kernel→exit starts
             // from a clean table.
-            let freed = {
-                let inner = inner_rc.borrow();
-                let d = device as usize;
-                for key in &to_free {
-                    if let Some(alloc) = inner.presence.write(d).finish_exit(*key) {
-                        inner.devices[d].mem.borrow_mut().dealloc(alloc);
-                    }
-                }
-                !to_free.is_empty()
-            };
-            if freed {
+            if inner_rc
+                .borrow_mut()
+                .release_dying(device as usize, &to_free)
+            {
                 retry_mem_waiters(sim, inner_rc, device);
             }
         }
@@ -1548,17 +1522,10 @@ pub(crate) fn staged_commit_finish(
             }
         }
     }
-    let freed = {
-        let inner = inner_rc.borrow();
-        let d = device as usize;
-        for key in &to_free {
-            if let Some(alloc) = inner.presence.write(d).finish_exit(*key) {
-                inner.devices[d].mem.borrow_mut().dealloc(alloc);
-            }
-        }
-        !to_free.is_empty()
-    };
-    if freed {
+    if inner_rc
+        .borrow_mut()
+        .release_dying(device as usize, &to_free)
+    {
         retry_mem_waiters(sim, inner_rc, device);
     }
     complete_task(sim, inner_rc, task);
@@ -1794,9 +1761,7 @@ fn enqueue_peer_copy(
                 if inner.fault.as_ref().is_some_and(|ctx| ctx.is_lost(src)) {
                     None
                 } else {
-                    inner
-                        .presence
-                        .read(src as usize)
+                    inner.presence[src as usize]
                         .lookup_containing(&sec)
                         .and_then(|(_, entry)| {
                             let off_s = sec.start - entry.section.start;
@@ -1985,7 +1950,7 @@ pub(crate) fn run_kernel(
         inner.check_device(device)?;
         let d = device as usize;
         let mut resolved = Vec::with_capacity(spec.args.len());
-        let table = inner.presence.read(d);
+        let table = &inner.presence[d];
         for arg in &spec.args {
             let rng = (arg.section_of)(range.clone());
             let sec = Section::from_range(arg.array.id(), rng);
@@ -2004,7 +1969,6 @@ pub(crate) fn run_kernel(
                 section_of: std::sync::Arc::clone(&arg.section_of),
             });
         }
-        drop(table);
         (
             inner.devices[d].clone(),
             Rc::clone(&inner.pool),
@@ -2102,7 +2066,7 @@ impl Runtime {
         let inner = Inner {
             host: HostRegistry::new(),
             devices: node.devices().to_vec(),
-            presence: ShardedPresence::new(n),
+            presence: (0..n).map(|_| PresenceTable::new()).collect(),
             graph: TaskGraph::new(),
             current_parent: None,
             current_group: None,
@@ -2400,10 +2364,7 @@ impl Runtime {
     /// The sections currently mapped on a device (diagnostics): section,
     /// reference count, dying flag.
     pub fn mapped_sections(&self, device: u32) -> Vec<(Section, u32, bool)> {
-        self.inner
-            .borrow()
-            .presence
-            .read(device as usize)
+        self.inner.borrow().presence[device as usize]
             .iter()
             .map(|(_, e)| (e.section, e.refcount, e.dying))
             .collect()
@@ -2416,11 +2377,11 @@ impl Runtime {
     /// oracle's presence model after every program.
     pub fn mapping_snapshot(&self) -> Vec<Vec<(Section, u32)>> {
         let inner = self.inner.borrow();
-        (0..inner.presence.num_shards())
-            .map(|d| {
-                let mut v: Vec<(Section, u32)> = inner
-                    .presence
-                    .read(d)
+        inner
+            .presence
+            .iter()
+            .map(|table| {
+                let mut v: Vec<(Section, u32)> = table
                     .iter()
                     .filter(|(_, e)| !e.dying)
                     .map(|(_, e)| (e.section, e.refcount))
@@ -2576,7 +2537,9 @@ impl Scope<'_> {
                     // Quiescence reached: validate every device's live
                     // mapping state against its `spread-semantics`
                     // mirror (no-op in release builds).
-                    inner.presence.debug_validate_all();
+                    for table in &inner.presence {
+                        table.debug_validate();
+                    }
                     return Ok(());
                 }
                 let finished = inner.graph.finished_total();

@@ -312,9 +312,7 @@ fn oom_is_reported() {
 
 /// Regression: a *partial* enter (some items mapped, a later one OOMs)
 /// must roll back its fresh inserts and dropped reuses and report the
-/// OOM — it once self-deadlocked on the presence shard's lock because
-/// the rollback re-locked the shard inside a `match` whose scrutinee
-/// still held the write guard.
+/// OOM, leaving the table as it was before the enter.
 #[test]
 fn partial_enter_oom_rolls_back_and_reports() {
     let mut rt = runtime_mem(1024); // 128 elements

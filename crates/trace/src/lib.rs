@@ -13,7 +13,7 @@
 //! * [`time`] — nanosecond-resolution virtual clock types with the paper's
 //!   `XmY.ZZZs` formatting (e.g. `8m22.019s`).
 //! * [`span`] — [`Span`]s (a timed interval on a [`Lane`] with a
-//!   [`SpanKind`]) and the thread-safe [`TraceRecorder`].
+//!   [`SpanKind`]) and the [`TraceRecorder`].
 //! * [`interval`] — interval-set algebra (union length, intersection,
 //!   complement) used by the analyses.
 //! * [`profile`] — per-construct launch profiles ([`ConstructProfile`],

@@ -2,19 +2,13 @@
 //! (`Runtime::races()` / `RaceReport`): a genuine host-footprint
 //! conflict between unordered `nowait` data directives must be
 //! reported, and a busy but well-formed `nowait` spread program must
-//! report none. Also: the sharded presence tables hammered from real
-//! OS threads, one shard per thread, with no cross-shard interference.
-
-use std::sync::Arc;
-use std::thread;
+//! report none.
 
 use target_spread::core::prelude::*;
 use target_spread::core::SpreadMap;
 use target_spread::devices::{DeviceSpec, Topology};
 use target_spread::rt::kernel::KernelArg;
-use target_spread::rt::mapping::{EnterDecision, ExitDecision, ShardedPresence};
 use target_spread::rt::prelude::*;
-use target_spread::rt::{ArrayId, Section};
 
 fn runtime(n_dev: usize) -> Runtime {
     let topo = Topology::uniform(
@@ -125,78 +119,4 @@ fn conflict_free_nowait_spread_reports_no_races() {
         assert_eq!(av[i], i as f64 + 1.0);
         assert_eq!(bv[i], 2.0 * i as f64 + 10.0);
     }
-}
-
-/// The sharded presence tables under genuine OS-thread concurrency: one
-/// writer thread per device shard, each also continuously reading its
-/// neighbour's shard through the shared-lock path. Writers must never
-/// interfere across shards, readers must never observe a half-applied
-/// mutation (an entry with `refcount == 0` that isn't dying), and every
-/// shard must land in exactly the state its own thread's script built.
-#[test]
-fn concurrent_per_shard_traffic_is_isolated_and_tear_free() {
-    const DEVICES: usize = 4;
-    const ROUNDS: usize = 2_000;
-    let sharded = Arc::new(ShardedPresence::new(DEVICES));
-    let handles: Vec<_> = (0..DEVICES)
-        .map(|d| {
-            let sharded = Arc::clone(&sharded);
-            thread::spawn(move || {
-                let mut pool = target_spread::devices::MemoryPool::new(1 << 20);
-                let home = Section::new(ArrayId(d as u32), 0, 64);
-                let scratch = Section::new(ArrayId(d as u32), 100, 16);
-                {
-                    let mut t = sharded.write(d);
-                    assert_eq!(t.begin_enter(home), Ok(EnterDecision::Fresh));
-                    let a = pool.alloc(home.len as u64 * 8).unwrap();
-                    t.insert_fresh(home, a);
-                }
-                for _ in 0..ROUNDS {
-                    // Writer half: a refcount round-trip on `home` plus a
-                    // full fresh→dying→free life of `scratch`, all under
-                    // this shard's lock only.
-                    {
-                        let mut t = sharded.write(d);
-                        assert!(matches!(t.begin_enter(home), Ok(EnterDecision::Reuse(_))));
-                        assert!(matches!(
-                            t.begin_exit(&home, false),
-                            Ok(ExitDecision::Keep(_))
-                        ));
-                        assert_eq!(t.begin_enter(scratch), Ok(EnterDecision::Fresh));
-                        let a = pool.alloc(scratch.len as u64 * 8).unwrap();
-                        let key = t.insert_fresh(scratch, a);
-                        assert_eq!(
-                            t.begin_exit(&scratch, false),
-                            Ok(ExitDecision::LastRef(key))
-                        );
-                        assert_eq!(t.finish_exit(key), Some(a));
-                        pool.dealloc(a);
-                    }
-                    // Reader half: observe the neighbour's shard through
-                    // the shared lock while its owner is mutating it.
-                    let t = sharded.read((d + 1) % DEVICES);
-                    for (_, e) in t.iter() {
-                        assert!(
-                            e.refcount >= 1 || e.dying,
-                            "torn read: a live entry with refcount 0 on \
-                             device {}'s shard",
-                            (d + 1) % DEVICES
-                        );
-                    }
-                }
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-    for d in 0..DEVICES {
-        let t = sharded.read(d);
-        assert_eq!(t.len(), 1, "device {d}: only `home` survives");
-        let (_, e) = t.iter().next().unwrap();
-        assert_eq!(e.section, Section::new(ArrayId(d as u32), 0, 64));
-        assert_eq!(e.refcount, 1);
-        assert!(!e.dying);
-    }
-    sharded.debug_validate_all();
 }

@@ -399,17 +399,19 @@ pub(crate) fn pipelined_enter(
         complete_task(sim, inner_rc, id);
     }
     pipe.enter.add(stage0);
-    let (dev, trace, faults) = {
+    let (dev_mem, dma_in, trace, faults) = {
         let inner = inner_rc.borrow();
+        let dev = &inner.devices[device as usize];
         (
-            inner.devices[device as usize].clone(),
+            Rc::clone(&dev.mem),
+            dev.dma_in.clone(),
             inner.trace.clone(),
             inner.fault.is_some(),
         )
     };
     for (j, sec, alloc, off, label) in ops {
         let host_store = inner_rc.borrow().host.storage(sec.array);
-        let mem = dev.mem.clone();
+        let mem = Rc::clone(&dev_mem);
         let pipe_e = Rc::clone(pipe);
         let effect: Box<dyn FnOnce()> = Box::new(move || {
             if pipe_e.freed.get() {
@@ -450,7 +452,7 @@ pub(crate) fn pipelined_enter(
                 }
             }) as spread_devices::health::OnFault
         });
-        dev.dma_in.enqueue(
+        dma_in.enqueue(
             sim,
             DmaOp {
                 bytes: sec.len as u64 * 8,

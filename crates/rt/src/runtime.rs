@@ -1576,7 +1576,7 @@ pub(crate) fn run_transfers_ex(
         gate,
     };
     let set = Rc::new(TransferSet::new(device, total, Some(args)));
-    let (dev, trace, faults) = {
+    let (dev_mem, dma_in, dma_out, trace, faults) = {
         let mut inner = inner_rc.borrow_mut();
         if snapshot && !out_copies.is_empty() {
             // Expose the snapshots to the at-rest corruption surface
@@ -1584,8 +1584,11 @@ pub(crate) fn run_transfers_ex(
             inner.staged_registry.retain(|w| w.strong_count() > 0);
             inner.staged_registry.push(Rc::downgrade(&set));
         }
+        let dev = &inner.devices[device as usize];
         (
-            inner.devices[device as usize].clone(),
+            Rc::clone(&dev.mem),
+            dev.dma_in.clone(),
+            dev.dma_out.clone(),
             inner.trace.clone(),
             inner.fault.is_some(),
         )
@@ -1601,11 +1604,11 @@ pub(crate) fn run_transfers_ex(
     let items = ins.chain(out_copies.into_iter().map(|c| (c, Direction::Out, None)));
     for (c, dir, route) in items {
         if let Some(src) = route {
-            enqueue_peer_copy(sim, inner_rc, &dev, src, c, integrity, &set);
+            enqueue_peer_copy(sim, inner_rc, src, c, integrity, &set);
             continue;
         }
         let host_store = inner_rc.borrow().host.storage(c.section.array);
-        let mem = dev.mem.clone();
+        let mem = Rc::clone(&dev_mem);
         let (sec, alloc, off) = (c.section, c.alloc, c.offset);
         let effect: Box<dyn FnOnce()> = match dir {
             Direction::In => Box::new(move || {
@@ -1646,8 +1649,8 @@ pub(crate) fn run_transfers_ex(
             }
         };
         let engine = match dir {
-            Direction::In => dev.dma_in.clone(),
-            _ => dev.dma_out.clone(),
+            Direction::In => &dma_in,
+            _ => &dma_out,
         };
         let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
             let (inner_rc, set) = (Rc::clone(inner_rc), Rc::clone(&set));
@@ -1713,18 +1716,20 @@ pub(crate) fn run_transfers_ex(
 fn enqueue_peer_copy(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
-    dev: &DeviceHandle,
     src: u32,
     c: CopyPlanItem,
     integrity: IntegrityMode,
     set: &Rc<TransferSet>,
 ) {
     let device = set.device;
-    let (host_store, src_dev, trace, faults) = {
+    let (host_store, dev, route_caps, trace, faults) = {
         let inner = inner_rc.borrow();
+        let dev = inner.devices[device as usize].clone();
+        let route_caps = dev.peer_route_caps(&inner.devices[src as usize]);
         (
             inner.host.storage(c.section.array),
-            inner.devices[src as usize].clone(),
+            dev,
+            route_caps,
             inner.trace.clone(),
             inner.fault.is_some(),
         )
@@ -1926,7 +1931,7 @@ fn enqueue_peer_copy(
             effect: Some(effect),
             on_complete,
             on_fault: faults.then(|| transfer_fault(inner_rc, set, label)),
-            extra_caps: dev.peer_route_caps(&src_dev),
+            extra_caps: route_caps,
             streamed: false,
         },
     );
@@ -1945,7 +1950,7 @@ pub(crate) fn run_kernel(
     teams: u32,
     threads_per_team: u32,
 ) -> Result<(), RtError> {
-    let (dev, pool, resolved, name, faults) = {
+    let (mem, compute, pool, resolved, name, faults) = {
         let inner = inner_rc.borrow();
         inner.check_device(device)?;
         let d = device as usize;
@@ -1970,14 +1975,14 @@ pub(crate) fn run_kernel(
             });
         }
         (
-            inner.devices[d].clone(),
+            Rc::clone(&inner.devices[d].mem),
+            inner.devices[d].compute.clone(),
             Rc::clone(&inner.pool),
             resolved,
             span_label(&inner.trace, &spec.name),
             inner.fault.is_some(),
         )
     };
-    let mem = dev.mem.clone();
     let body = std::sync::Arc::clone(&spec.body);
     let schedule = spec.schedule;
     let exec_range = range.clone();
@@ -2000,7 +2005,7 @@ pub(crate) fn run_kernel(
             );
         }) as spread_devices::health::OnFault
     });
-    dev.compute.enqueue(
+    compute.enqueue(
         sim,
         spread_devices::compute::KernelOp {
             tag: task.0,

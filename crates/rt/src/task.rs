@@ -21,12 +21,14 @@
 //! its entries in the race detector's running set, so cost and memory
 //! follow the *live* width of the graph, not its history. Ids are
 //! monotone and never recycled — an id below the next one that is no
-//! longer stored *is* a finished task. Both the dependence records and
-//! the running set are `SectionIndex`es, so `create` and `start` visit
-//! only overlapping live sections (DESIGN.md §16).
+//! longer stored *is* a finished task. The dependence records and the
+//! running set are each one `SectionGrid`, so `create` and `start` visit
+//! only the live sections near their own, and allocate nothing once the
+//! grids have grown (DESIGN.md §16).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 use std::rc::Rc;
@@ -259,101 +261,275 @@ struct GroupState {
     gated: Vec<TaskId>,
 }
 
-/// The live sections of one array (in one parent context or one memory
-/// space), findable by overlap in O(log n + k).
-///
-/// Entries are ordered by `(length class, start)`, where a section of
-/// length `len` has class `⌊log2 len⌋`. Within a class every length is
-/// below `2^(class+1)`, which bounds how far left of a query an
-/// overlapping section can start — so a query is one short range scan
-/// per class in use. Chunked constructs put near-uniform sections in
-/// one or two classes; a whole-array section lands in a class of its
-/// own instead of widening every other scan. Empty sections overlap
-/// nothing and are never stored.
-#[derive(Default)]
-struct SectionIndex {
-    /// `(class, start, owner, slot)` → `(len, is_write)`. `slot` is the
-    /// item's position in its owner's list: it keeps the key unique when
-    /// a task names one section twice.
-    entries: BTreeMap<(u32, usize, u64, u32), (usize, bool)>,
+/// No entry: the end of a chain, an empty list, an empty free list.
+const NIL: u32 = u32::MAX;
+
+/// One stored section of a [`SectionGrid`].
+struct GridEntry {
+    start: usize,
+    len: usize,
+    owner: TaskId,
+    /// The item's position in its owner's list: with `owner` it names the
+    /// one entry a `remove` undoes when a task stores several.
+    slot: u32,
+    write: bool,
+    /// Next entry of the same cell; on the free list, the next free slot.
+    next_in_cell: u32,
+    /// Neighbours in the context's list.
+    prev_in_context: u32,
+    next_in_context: u32,
+}
+
+/// The live entries of one context: one `(parent, array)` or one
+/// `(space, array)`.
+struct Context {
+    /// First entry of the context's list; on the free list, the next
+    /// free context.
+    head: u32,
+    live: usize,
     /// Bit `c` is set if a class-`c` section was inserted since the
-    /// index was created. Never cleared (the index is dropped when it
-    /// empties); a stale bit costs one empty range probe.
+    /// context opened. Cleared only when it closes; a stale bit widens a
+    /// query by a few empty cells, never past the context's live entries.
     classes: u64,
 }
 
-impl SectionIndex {
-    fn key(owner: TaskId, slot: u32, section: &Section) -> (u32, usize, u64, u32) {
-        (section.len.ilog2(), section.start, owner.0, slot)
+impl Context {
+    const EMPTY: Context = Context {
+        head: NIL,
+        live: 0,
+        classes: 0,
+    };
+}
+
+/// The live sections of one relation — dependence records by
+/// `(parent, array)`, the running set by `(space, array)` — findable by
+/// overlap.
+///
+/// A section of length `len` has class `c = ⌊log2 len⌋` and lives in cell
+/// `(context, c, start >> c)`. Every length in class `c` is below
+/// `2^(c+1)`, so a section overlapping `[s, e)` starts in
+/// `[s − 2^(c+1) + 2, e − 1]`: a query probes those cells of each class in
+/// use, or — when they outnumber the context's live entries — walks the
+/// context's list instead, so a query costs O(min(cells, live) + hits).
+/// Chunked constructs put near-uniform sections in one or two classes; a
+/// whole-array section lands in a class of its own. Entries sit in one
+/// slab with a free list, chained into their cell and into their context,
+/// so insert and remove are O(cell) and, once the slab and the maps have
+/// grown to a workload, allocate nothing. Empty sections overlap nothing
+/// and are never stored. Queries yield entries in no particular order.
+struct SectionGrid<K> {
+    entries: Vec<GridEntry>,
+    free_entry: u32,
+    contexts: Vec<Context>,
+    free_context: u32,
+    /// Open (non-empty) contexts by key → index in `contexts`.
+    open: HashMap<K, u32, FnvBuild>,
+    /// `(context, class, start >> class)` → first entry of the cell, `NIL`
+    /// once it empties. Keys stay until the whole grid empties and the
+    /// map is cleared in one pass: a removed key would leave a tombstone,
+    /// and tombstones can make a table grow while it holds no more keys
+    /// than before.
+    cells: HashMap<(u32, u32, usize), u32, FnvBuild>,
+    live: usize,
+    /// Cells probed plus list entries walked by queries.
+    #[cfg(test)]
+    visits: std::cell::Cell<usize>,
+}
+
+impl<K> Default for SectionGrid<K> {
+    fn default() -> Self {
+        SectionGrid {
+            entries: Vec::new(),
+            free_entry: NIL,
+            contexts: Vec::new(),
+            free_context: NIL,
+            open: HashMap::default(),
+            cells: HashMap::default(),
+            live: 0,
+            #[cfg(test)]
+            visits: std::cell::Cell::new(0),
+        }
+    }
+}
+
+/// The cell `(context, class, start >> class)` a non-empty section lives in.
+fn cell_of(ctx: u32, section: &Section) -> (u32, u32, usize) {
+    let class = section.len.ilog2();
+    (ctx, class, section.start >> class)
+}
+
+impl<K: Hash + Eq> SectionGrid<K> {
+    /// Live entries over all contexts.
+    fn len(&self) -> usize {
+        self.live
     }
 
-    fn insert(&mut self, owner: TaskId, slot: u32, section: &Section, write: bool) {
-        let key = Self::key(owner, slot, section);
-        self.classes |= 1 << key.0;
-        self.entries.insert(key, (section.len, write));
+    /// Open contexts: those holding at least one entry.
+    fn open_contexts(&self) -> usize {
+        self.open.len()
     }
 
-    fn remove(&mut self, owner: TaskId, slot: u32, section: &Section) {
-        self.entries.remove(&Self::key(owner, slot, section));
+    fn insert(&mut self, key: K, owner: TaskId, slot: u32, section: &Section, write: bool) {
+        if section.is_empty() {
+            return;
+        }
+        let ctx = match self.open.entry(key) {
+            Entry::Occupied(o) => *o.get(),
+            Entry::Vacant(v) => {
+                let ctx = if self.free_context == NIL {
+                    self.contexts.push(Context::EMPTY);
+                    (self.contexts.len() - 1) as u32
+                } else {
+                    let ctx = self.free_context;
+                    self.free_context = self.contexts[ctx as usize].head;
+                    self.contexts[ctx as usize] = Context::EMPTY;
+                    ctx
+                };
+                *v.insert(ctx)
+            }
+        };
+        let cell = cell_of(ctx, section);
+        let context = &mut self.contexts[ctx as usize];
+        context.classes |= 1 << cell.1;
+        context.live += 1;
+        let entry = GridEntry {
+            start: section.start,
+            len: section.len,
+            owner,
+            slot,
+            write,
+            next_in_cell: NIL,
+            prev_in_context: NIL,
+            next_in_context: context.head,
+        };
+        let at = if self.free_entry == NIL {
+            self.entries.push(entry);
+            (self.entries.len() - 1) as u32
+        } else {
+            let at = self.free_entry;
+            self.free_entry = self.entries[at as usize].next_in_cell;
+            self.entries[at as usize] = entry;
+            at
+        };
+        if context.head != NIL {
+            self.entries[context.head as usize].prev_in_context = at;
+        }
+        context.head = at;
+        let head = self.cells.entry(cell).or_insert(NIL);
+        self.entries[at as usize].next_in_cell = std::mem::replace(head, at);
+        self.live += 1;
     }
 
-    /// Call `f(owner, is_write)` for every stored section overlapping
-    /// `q` (once per stored section, so an owner may repeat).
-    fn for_each_overlap(&self, q: &Section, mut f: impl FnMut(TaskId, bool)) {
+    /// Remove the entry `insert(key, owner, slot, section, _)` stored.
+    fn remove(&mut self, key: K, owner: TaskId, slot: u32, section: &Section) {
+        if section.is_empty() {
+            return;
+        }
+        let ctx = *self
+            .open
+            .get(&key)
+            .expect("a stored section's context is open");
+        let cell = cell_of(ctx, section);
+        let head = self.cells.get_mut(&cell).expect("a stored section's cell");
+        let (mut prev, mut at) = (NIL, *head);
+        loop {
+            assert!(at != NIL, "remove of a section that was never stored");
+            let e = &self.entries[at as usize];
+            if e.owner == owner && e.slot == slot {
+                break;
+            }
+            (prev, at) = (at, e.next_in_cell);
+        }
+        let e = &self.entries[at as usize];
+        debug_assert_eq!((e.start, e.len), (section.start, section.len));
+        let (next, before, after) = (e.next_in_cell, e.prev_in_context, e.next_in_context);
+        if prev != NIL {
+            self.entries[prev as usize].next_in_cell = next;
+        } else {
+            *head = next;
+        }
+        if before != NIL {
+            self.entries[before as usize].next_in_context = after;
+        } else {
+            self.contexts[ctx as usize].head = after;
+        }
+        if after != NIL {
+            self.entries[after as usize].prev_in_context = before;
+        }
+        self.entries[at as usize].next_in_cell = self.free_entry;
+        self.free_entry = at;
+        self.live -= 1;
+        let context = &mut self.contexts[ctx as usize];
+        context.live -= 1;
+        if context.live == 0 {
+            context.head = self.free_context;
+            self.free_context = ctx;
+            self.open.remove(&key);
+        }
+        if self.live == 0 {
+            self.cells.clear();
+        }
+    }
+
+    /// Call `f(owner, is_write)` for every stored section of context
+    /// `key` overlapping `q` (once per stored section, so an owner may
+    /// repeat), in no particular order.
+    fn for_each_overlap(&self, key: &K, q: &Section, mut f: impl FnMut(TaskId, bool)) {
         if q.is_empty() {
             return;
         }
-        let mut classes = self.classes;
-        while classes != 0 {
-            let class = classes.trailing_zeros();
-            classes &= classes - 1;
-            // Longest section of this class: 2^(class+1) - 1. A stored
-            // section reaching into `q` starts after `q.start - longest`.
+        let Some(&ctx) = self.open.get(key) else {
+            return;
+        };
+        let context = &self.contexts[ctx as usize];
+        let mut overlap = |e: &GridEntry| {
+            if e.start < q.end() && e.start + e.len > q.start {
+                f(e.owner, e.write);
+            }
+        };
+        // Per class: the first and last cell an overlapping section can
+        // start in. Longest section of class c: 2^(c+1) - 1.
+        let bounds = |class: u32| {
             let longest = usize::MAX >> (usize::BITS - 1 - class);
-            let lo = q.start.saturating_sub(longest - 1);
-            for (&(_, start, owner, _), &(len, write)) in self
-                .entries
-                .range((class, lo, 0, 0)..(class, q.end(), 0, 0))
-            {
-                if start + len > q.start {
-                    f(TaskId(owner), write);
+            let lo = q.start.saturating_sub(longest - 1) >> class;
+            (lo, (q.end() - 1) >> class)
+        };
+        let classes = || {
+            let mut bits = context.classes;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let class = bits.trailing_zeros();
+                    bits &= bits - 1;
+                    class
+                })
+            })
+        };
+        let span = classes()
+            .map(bounds)
+            .fold(0usize, |n, (lo, hi)| n.saturating_add(hi - lo + 1));
+        if span > context.live {
+            let mut at = context.head;
+            while at != NIL {
+                #[cfg(test)]
+                self.visits.set(self.visits.get() + 1);
+                let e = &self.entries[at as usize];
+                overlap(e);
+                at = e.next_in_context;
+            }
+            return;
+        }
+        for class in classes() {
+            let (lo, hi) = bounds(class);
+            for cell in lo..=hi {
+                #[cfg(test)]
+                self.visits.set(self.visits.get() + 1);
+                let mut at = self.cells.get(&(ctx, class, cell)).copied().unwrap_or(NIL);
+                while at != NIL {
+                    let e = &self.entries[at as usize];
+                    overlap(e);
+                    at = e.next_in_cell;
                 }
             }
-        }
-    }
-}
-
-/// Insert a non-empty section into the index under `key`.
-fn index_section<K: Hash + Eq>(
-    map: &mut HashMap<K, SectionIndex, FnvBuild>,
-    key: K,
-    owner: TaskId,
-    slot: u32,
-    section: &Section,
-    write: bool,
-) {
-    if !section.is_empty() {
-        map.entry(key)
-            .or_default()
-            .insert(owner, slot, section, write);
-    }
-}
-
-/// Undo [`index_section`], dropping the index once it empties.
-fn unindex_section<K: Hash + Eq>(
-    map: &mut HashMap<K, SectionIndex, FnvBuild>,
-    key: K,
-    owner: TaskId,
-    slot: u32,
-    section: &Section,
-) {
-    if section.is_empty() {
-        return;
-    }
-    if let Some(ix) = map.get_mut(&key) {
-        ix.remove(owner, slot, section);
-        if ix.entries.is_empty() {
-            map.remove(&key);
         }
     }
 }
@@ -403,9 +579,13 @@ pub struct TaskGraph {
     next_task: u64,
     groups: Vec<GroupState>,
     /// Dependence records of live tasks, by (parent context, array).
-    records: HashMap<(Option<TaskId>, ArrayId), SectionIndex, FnvBuild>,
+    records: SectionGrid<(Option<TaskId>, ArrayId)>,
     /// Footprints of running tasks, by (memory space, array).
-    running: HashMap<(Option<u32>, ArrayId), SectionIndex, FnvBuild>,
+    running: SectionGrid<(Option<u32>, ArrayId)>,
+    /// `create`'s predecessor set and `start`'s race hits, kept between
+    /// calls so neither allocates once grown.
+    preds: Vec<TaskId>,
+    hits: Vec<(u64, TaskId)>,
     next_start: u64,
     races: Vec<RaceReport>,
     unfinished: usize,
@@ -483,13 +663,14 @@ impl TaskGraph {
     /// The graph's share of [`LiveCounts`].
     #[doc(hidden)]
     pub fn live_counts(&self) -> LiveCounts {
-        let entries = |ix: &SectionIndex| ix.entries.len();
         LiveCounts {
             tasks: self.tasks.len(),
-            dep_records: self.records.values().map(entries).sum(),
-            running_entries: self.running.values().map(entries).sum(),
+            dep_records: self.records.len(),
+            running_entries: self.running.len(),
             pending_actions: self.tasks.values().filter(|t| t.action.is_some()).count(),
-            contexts: self.children.len() + self.records.len() + self.running.len(),
+            contexts: self.children.len()
+                + self.records.open_contexts()
+                + self.running.open_contexts(),
             ..LiveCounts::default()
         }
     }
@@ -510,15 +691,15 @@ impl TaskGraph {
         // `out` waits on overlapping `in` and `out`, an `in` on `out`
         // only. Only the *set* of predecessors matters (each gets `id`
         // appended to its successors once), so collect, then dedup.
-        let mut preds: Vec<TaskId> = Vec::new();
+        let mut preds = std::mem::take(&mut self.preds);
+        preds.clear();
         for (sec, is_write) in &spec.wait_on {
-            if let Some(ix) = self.records.get(&(spec.parent, sec.array)) {
-                ix.for_each_overlap(sec, |task, write| {
-                    if *is_write || write {
-                        preds.push(task);
-                    }
-                });
-            }
+            let key = (spec.parent, sec.array);
+            self.records.for_each_overlap(&key, sec, |task, write| {
+                if *is_write || write {
+                    preds.push(task);
+                }
+            });
         }
         for &p in &spec.extra_preds {
             if !self.is_finished(p) {
@@ -531,7 +712,7 @@ impl TaskGraph {
         // Publish this task's records for future siblings.
         for (slot, (section, write)) in spec.publish.iter().enumerate() {
             let key = (spec.parent, section.array);
-            index_section(&mut self.records, key, id, slot as u32, section, *write);
+            self.records.insert(key, id, slot as u32, section, *write);
         }
 
         if let Some(g) = spec.group {
@@ -541,13 +722,14 @@ impl TaskGraph {
         self.unfinished += 1;
 
         let n_preds = preds.len();
-        for p in preds {
+        for p in &preds {
             self.tasks
                 .get_mut(&p.0)
                 .expect("predecessor is live")
                 .succs
                 .push(id);
         }
+        self.preds = preds;
 
         let gate_open = spec
             .gate_group
@@ -604,21 +786,22 @@ impl TaskGraph {
         // Running tasks with a same-space access overlapping one of
         // mine, at least one of the two a write — exactly the tasks
         // `footprint_conflict` answers `Some` for.
-        let mut hits: Vec<(u64, TaskId)> = Vec::new();
+        let mut hits = std::mem::take(&mut self.hits);
+        hits.clear();
         for (_, a, mine_writes) in me.accesses() {
-            if let Some(ix) = self.running.get(&(a.device, a.section.array)) {
-                ix.for_each_overlap(&a.section, |other, theirs_writes| {
+            let key = (a.device, a.section.array);
+            self.running
+                .for_each_overlap(&key, &a.section, |other, theirs_writes| {
                     if mine_writes || theirs_writes {
                         hits.push((self.tasks[&other.0].started, other));
                     }
                 });
-            }
         }
         // One report per pair, earliest-started first, carrying the
         // first conflict in footprint order.
         hits.sort_unstable();
         hits.dedup();
-        for (_, other_id) in hits {
+        for &(_, other_id) in &hits {
             let other = &self.tasks[&other_id.0];
             let section = footprint_conflict(
                 (&me.fp_reads, &me.fp_writes),
@@ -633,9 +816,10 @@ impl TaskGraph {
                 section,
             });
         }
+        self.hits = hits;
         for (slot, a, write) in me.accesses() {
             let key = (a.device, a.section.array);
-            index_section(&mut self.running, key, id, slot, &a.section, write);
+            self.running.insert(key, id, slot, &a.section, write);
         }
         let me = self.tasks.get_mut(&id.0).expect("checked above");
         me.state = TaskState::Running;
@@ -655,11 +839,11 @@ impl TaskGraph {
         );
         for (slot, a, _) in t.accesses() {
             let key = (a.device, a.section.array);
-            unindex_section(&mut self.running, key, id, slot, &a.section);
+            self.running.remove(key, id, slot, &a.section);
         }
         for (slot, (section, _)) in t.publish.iter().enumerate() {
             let key = (t.parent, section.array);
-            unindex_section(&mut self.records, key, id, slot as u32, section);
+            self.records.remove(key, id, slot as u32, section);
         }
         self.unfinished -= 1;
         self.finished_total += 1;
@@ -725,7 +909,7 @@ impl TaskGraph {
         if t.state == TaskState::Running {
             for (slot, a, _) in t.accesses() {
                 let key = (a.device, a.section.array);
-                unindex_section(&mut self.running, key, id, slot, &a.section);
+                self.running.remove(key, id, slot, &a.section);
             }
         }
         t.fp_reads.clear();
@@ -1050,9 +1234,17 @@ mod tests {
         TaskGraph::new().state(TaskId(0));
     }
 
+    /// All owners `grid` reports for `q` in context `key`, sorted.
+    fn overlaps_of(grid: &SectionGrid<u32>, key: u32, q: Section) -> Vec<u64> {
+        let mut found = Vec::new();
+        grid.for_each_overlap(&key, &q, |t, _| found.push(t.0));
+        found.sort_unstable();
+        found
+    }
+
     #[test]
-    fn section_index_finds_every_overlap_across_length_classes() {
-        let mut ix = SectionIndex::default();
+    fn section_grid_finds_every_overlap_across_length_classes() {
+        let mut grid = SectionGrid::default();
         let stored = [
             sec(0, 4096),
             sec(64, 64),
@@ -1061,14 +1253,11 @@ mod tests {
             sec(191, 3),
         ];
         for (i, s) in stored.iter().enumerate() {
-            ix.insert(TaskId(i as u64), 0, s, true);
+            grid.insert(0, TaskId(i as u64), 0, s, true);
         }
-        let hits = |q: Section| {
-            let mut found = Vec::new();
-            ix.for_each_overlap(&q, |t, _| found.push(t.0 as usize));
-            found.sort_unstable();
-            found
-        };
+        // A second context's sections never answer for the first.
+        grid.insert(1, TaskId(99), 0, &sec(0, 4096), true);
+        let hits = |q: Section| overlaps_of(&grid, 0, q);
         for q in [
             sec(0, 1),
             sec(100, 1),
@@ -1077,8 +1266,8 @@ mod tests {
             sec(4095, 1),
             sec(0, 4096),
         ] {
-            let expect: Vec<usize> = (0..stored.len())
-                .filter(|&i| stored[i].overlaps(&q))
+            let expect: Vec<u64> = (0..stored.len() as u64)
+                .filter(|&i| stored[i as usize].overlaps(&q))
                 .collect();
             assert_eq!(hits(q), expect, "query {q}");
         }
@@ -1087,6 +1276,101 @@ mod tests {
             "an empty query overlaps nothing"
         );
         assert!(hits(sec(4096, 10)).is_empty());
+        assert!(overlaps_of(&grid, 2, sec(0, 4096)).is_empty());
+    }
+
+    #[test]
+    fn a_wide_query_walks_live_entries_not_cells() {
+        let mut grid = SectionGrid::default();
+        let starts = [3, 70_000, 300_001, 512_000, 1_048_575];
+        for (i, &s) in starts.iter().enumerate() {
+            grid.insert(0, TaskId(i as u64), 0, &sec(s, 1), false);
+        }
+        grid.visits.set(0);
+        let found = overlaps_of(&grid, 0, sec(0, 1 << 20));
+        assert_eq!(found, vec![0, 1, 2, 3, 4]);
+        assert!(
+            grid.visits.get() <= starts.len(),
+            "{} visits for {} live entries",
+            grid.visits.get(),
+            starts.len()
+        );
+        // A narrow query still probes cells: one, for one element.
+        grid.visits.set(0);
+        assert_eq!(overlaps_of(&grid, 0, sec(70_000, 1)), vec![1]);
+        assert_eq!(grid.visits.get(), 1);
+    }
+
+    #[test]
+    fn churn_matches_a_naive_model_and_stops_growing() {
+        use spread_prng::Prng;
+
+        /// `(context, owner, slot, section, write)` of every live entry.
+        type Model = Vec<(u32, TaskId, u32, Section, bool)>;
+
+        fn round(grid: &mut SectionGrid<u32>, seed: u64) {
+            let mut rng = Prng::new(seed);
+            let mut model: Model = Vec::new();
+            let mut next_owner = 0;
+            for step in 0..3_000 {
+                if step < 2_000 && (model.is_empty() || rng.chance(0.6)) {
+                    let ctx = rng.below(4) as u32;
+                    let start = rng.range(0, 4_096);
+                    let len = match rng.below(4) {
+                        0 => 0,
+                        1 => 64,
+                        2 => rng.range(1, 8),
+                        _ => rng.range(1, 4_096),
+                    };
+                    let owner = TaskId(next_owner / 3);
+                    let slot = (next_owner % 3) as u32;
+                    next_owner += 1;
+                    let s = sec(start, len);
+                    let write = rng.chance(0.5);
+                    grid.insert(ctx, owner, slot, &s, write);
+                    if !s.is_empty() {
+                        model.push((ctx, owner, slot, s, write));
+                    }
+                } else if !model.is_empty() {
+                    let i = rng.range(0, model.len());
+                    let (ctx, owner, slot, s, _) = model.swap_remove(i);
+                    grid.remove(ctx, owner, slot, &s);
+                }
+                assert_eq!(grid.len(), model.len(), "step {step}");
+                // Short queries probe cells, long ones walk the context.
+                let ctx = rng.below(5) as u32;
+                let max_len = if rng.chance(0.5) { 48 } else { 600 };
+                let q = sec(rng.range(0, 4_200), rng.range(0, max_len));
+                let mut got = Vec::new();
+                grid.for_each_overlap(&ctx, &q, |t, w| got.push((t, w)));
+                let mut want: Vec<(TaskId, bool)> = model
+                    .iter()
+                    .filter(|e| e.0 == ctx && e.3.overlaps(&q))
+                    .map(|e| (e.1, e.4))
+                    .collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "step {step}: query {q} in context {ctx}");
+            }
+            while let Some((ctx, owner, slot, s, _)) = model.pop() {
+                grid.remove(ctx, owner, slot, &s);
+            }
+            assert_eq!((grid.len(), grid.open_contexts()), (0, 0));
+        }
+
+        let capacities = |g: &SectionGrid<u32>| {
+            (
+                g.entries.capacity(),
+                g.contexts.capacity(),
+                g.open.capacity(),
+                g.cells.capacity(),
+            )
+        };
+        let mut grid = SectionGrid::default();
+        round(&mut grid, 7);
+        let warm = capacities(&grid);
+        round(&mut grid, 7);
+        assert_eq!(capacities(&grid), warm, "a repeated round allocated");
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Differential test for the task graph: seeded random `TaskSpec`
 //! programs driven in lockstep through [`TaskGraph`] (which retires
 //! tasks at `finish` and finds dependence records and running
-//! footprints through interval indexes) and through [`NaiveGraph`], the
+//! footprints through a hash grid of length-class cells, walking a
+//! context's live list when a query spans more cells than the context
+//! holds entries) and through [`NaiveGraph`], the
 //! algorithm the graph used before — every task kept forever, records
 //! pruned and rescanned on every `create`, every running task's
 //! footprints walked on every `start`. Both must agree on every

@@ -237,8 +237,7 @@ pub struct IntegritySpec {
 /// harness requires bit-identical results plus a structurally sound
 /// [`spread_rt::OverlapRecord`] ledger: one record per piece of two or
 /// more iterations, stage count `min(depth, len)`, every staged
-/// sub-slice committed exactly at the whole-piece boundary, nothing
-/// leaked early.
+/// sub-slice committed exactly at the whole-piece boundary.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OverlapSpec {
     /// The pipeline depth every spread construct requests (`2 ≤ depth

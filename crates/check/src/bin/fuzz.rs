@@ -4,7 +4,7 @@
 //! cargo run --release -p spread-check --bin fuzz -- \
 //!     [--programs N] [--seed S] [--interleavings K] [--faults] \
 //!     [--pressure] [--auto] [--peer] [--stragglers] [--integrity] [--overlap] \
-//!     [--inject stencil|reduce|recovery|spill|peer|rescue|integrity|overlap]
+//!     [--inject stencil|reduce|recovery|peer|integrity]
 //! ```
 //!
 //! Checks `N` generated programs (seeds `mix(S, 0..N)`), each under the

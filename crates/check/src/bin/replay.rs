@@ -4,7 +4,7 @@
 //! cargo run -p spread-check --bin replay -- <seed> \
 //!     [--interleavings K] [--faults] [--pressure] [--auto] [--peer] \
 //!     [--stragglers] [--integrity] [--overlap] \
-//!     [--inject stencil|reduce|recovery|spill|peer|rescue|integrity|overlap]
+//!     [--inject stencil|reduce|recovery|peer|integrity]
 //! ```
 //!
 //! Regenerates the program for `<seed>` under the given mode, prints it

@@ -123,8 +123,10 @@ impl Mode {
 /// A deliberate perturbation injected into one side of the comparison,
 /// used to prove the harness catches disagreements (and to exercise
 /// replay + shrinking on a reproducible failure). The first three
-/// perturb the *oracle*; the other five perturb the *runtime*, so each
-/// doubles as proof that the real bug it imitates would be flagged.
+/// perturb the *oracle*; the other two perturb the *program* the
+/// harness runs, so each doubles as proof that the real bug it imitates
+/// would be flagged. Bugs in the runtime itself are committed mutation
+/// rows under `mutants/`, not canaries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// The oracle "forgets" the left halo element of the stencil.
@@ -135,32 +137,19 @@ pub enum Fault {
     /// drops the lost device's chunks instead of replaying them — the
     /// canary proving the harness catches recovery divergence.
     RecoveryDropsLostChunk,
-    /// The *runtime* silently drops the writes of the last slice of
-    /// every host-spilled piece — the canary proving the harness
-    /// catches a truncated spill.
-    SpillDropsSlice,
-    /// The *runtime* perturbs one element of the first device-to-device
-    /// copy it completes — the canary proving the differential peer
-    /// harness really watches the peer route: the host-forced runs stay
-    /// bit-clean and only the `exchange(auto)` run diverges.
+    /// The program's fault plan arms one silent flip against the
+    /// destination of the first predicted device-to-device route — the
+    /// canary proving the differential peer harness really watches the
+    /// peer route: the host-forced runs stay bit-clean and only the
+    /// `exchange(auto)` run diverges.
     PeerCorrupt,
-    /// The *runtime* lets the losing copy of every straggler rescue
-    /// commit its staged writes anyway, first element perturbed — the
-    /// canary proving the harness catches a broken first-commit-wins
-    /// gate.
-    RescueDoubleCommit,
-    /// The *runtime* downgrades every construct's `spread_integrity(…)`
-    /// clause to `off` while the program's silent flips stay armed —
+    /// The program downgrades every construct's `spread_integrity(…)`
+    /// clause to `off` while its silent flips stay armed —
     /// the corruption reaches the host unnoticed, and the flip-blind
     /// oracle comparison must catch the bit divergence. The canary
     /// proving the harness would flag a checksum layer that silently
     /// stopped checking.
     IntegrityCorrupt,
-    /// The *runtime* commits one staged sub-slice of every pipelined
-    /// piece to host memory *before* the whole-piece commit point,
-    /// first element perturbed — the canary proving the harness catches
-    /// a pipeline whose staged writes become externally visible early.
-    OverlapLeak,
 }
 
 impl Fault {
@@ -169,15 +158,12 @@ impl Fault {
     /// perturbs that family's scenario and is inert without it; the two
     /// naming [`Mode::Plain`] fire wherever a stencil or a reduction is
     /// generated.
-    pub const ALL: [(&'static str, Fault, Mode); 8] = [
+    pub const ALL: [(&'static str, Fault, Mode); 5] = [
         ("stencil", Fault::StencilDropsLeftHalo, Mode::Plain),
         ("reduce", Fault::ReduceSkipsLast, Mode::Plain),
         ("recovery", Fault::RecoveryDropsLostChunk, Mode::Faults),
-        ("spill", Fault::SpillDropsSlice, Mode::Pressure),
         ("peer", Fault::PeerCorrupt, Mode::Peer),
-        ("rescue", Fault::RescueDoubleCommit, Mode::Stragglers),
         ("integrity", Fault::IntegrityCorrupt, Mode::Integrity),
-        ("overlap", Fault::OverlapLeak, Mode::Overlap),
     ];
 
     /// Parse a `--inject` argument.
@@ -316,22 +302,22 @@ mod tests {
     #[test]
     fn shared_options_parse_and_reject() {
         let mut cfg = CheckConfig::default();
-        let mut rest = ["rescue", "3"].map(String::from).into_iter();
-        assert_eq!(cfg.parse_arg("--stragglers", &mut rest), Ok(true));
-        assert_eq!(cfg.parse_arg("--stragglers", &mut rest), Ok(true));
+        let mut rest = ["integrity", "3"].map(String::from).into_iter();
+        assert_eq!(cfg.parse_arg("--integrity", &mut rest), Ok(true));
+        assert_eq!(cfg.parse_arg("--integrity", &mut rest), Ok(true));
         assert_eq!(cfg.parse_arg("--inject", &mut rest), Ok(true));
         assert_eq!(cfg.parse_arg("--interleavings", &mut rest), Ok(true));
         assert_eq!(cfg.parse_arg("--interleavings", &mut rest).ok(), None);
         assert_eq!(cfg.parse_arg("--programs", &mut rest), Ok(false));
         assert!(cfg.parse_arg("--peer", &mut rest).is_err(), "two modes");
-        assert_eq!((cfg.mode, cfg.interleavings), (Mode::Stragglers, 3));
-        assert_eq!(cfg.replay_args(), " --stragglers --inject rescue");
+        assert_eq!((cfg.mode, cfg.interleavings), (Mode::Integrity, 3));
+        assert_eq!(cfg.replay_args(), " --integrity --inject integrity");
         assert_eq!(cfg.reject_inert_canary(), Ok(()));
         // The same canary anywhere else is inert; the oracle-side
         // stencil/reduce canaries fire wherever their statements occur.
         cfg.mode = Mode::Pressure;
         let err = cfg.reject_inert_canary().unwrap_err();
-        assert!(err.contains("--stragglers"), "{err}");
+        assert!(err.contains("--integrity"), "{err}");
         cfg.fault = Some(Fault::ReduceSkipsLast);
         assert_eq!(cfg.reject_inert_canary(), Ok(()));
     }

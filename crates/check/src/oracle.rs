@@ -134,19 +134,15 @@ fn deg_event(d: &Degradation) -> DegradationEvent {
 }
 
 /// The machine perturbation of an injected oracle canary.
-/// `SpillDropsSlice`, `PeerCorrupt`, `RescueDoubleCommit`,
-/// `IntegrityCorrupt` and `OverlapLeak` perturb the *runtime*, not the
-/// oracle, so they map to `None` and leave the spec honest.
+/// `PeerCorrupt` and `IntegrityCorrupt` perturb the *program* the
+/// runtime runs, not the oracle, so they map to `None` and leave the
+/// spec honest.
 fn perturb_of(fault: Option<Fault>) -> Option<Perturb> {
     match fault? {
         Fault::StencilDropsLeftHalo => Some(Perturb::StencilDropsLeftHalo),
         Fault::ReduceSkipsLast => Some(Perturb::ReduceSkipsLast),
         Fault::RecoveryDropsLostChunk => Some(Perturb::RecoveryDropsLostChunk),
-        Fault::SpillDropsSlice
-        | Fault::PeerCorrupt
-        | Fault::RescueDoubleCommit
-        | Fault::IntegrityCorrupt
-        | Fault::OverlapLeak => None,
+        Fault::PeerCorrupt | Fault::IntegrityCorrupt => None,
     }
 }
 

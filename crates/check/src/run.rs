@@ -4,11 +4,10 @@
 //! mapping-table snapshot, race reports, and the first error.
 
 use spread_core::spread_map::SpreadMap;
-use spread_core::testing::TargetSpreadTestingExt;
 use spread_core::{
     spread_from, spread_to, spread_tofrom, ClauseSet, ExchangeMode, IntegrityMode, OverlapPolicy,
-    PressurePolicy, ResiliencePolicy, SpreadClausesExt, SpreadSchedule, StragglerPolicy,
-    TargetEnterDataSpread, TargetExitDataSpread, TargetSpread, TargetUpdateSpread,
+    ResiliencePolicy, SpreadClausesExt, SpreadSchedule, StragglerPolicy, TargetEnterDataSpread,
+    TargetExitDataSpread, TargetSpread, TargetUpdateSpread,
 };
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
@@ -239,29 +238,14 @@ impl Lowering<'_> {
         if straggling {
             b = b.num_teams(1).num_threads(1);
         }
-        // The runtime-side canaries, each armed only on a construct
-        // carrying the clause it perturbs — and each a deliberate bug
-        // the harness must catch as divergence from the (correct)
+        // The integrity canary downgrades `spread_integrity(…)` to
+        // `off` while the program's flip bursts stay armed: the harness
+        // must catch the corruption as divergence from the (correct)
         // oracle. (`--inject peer` perturbs the fault plan instead, see
         // `runtime`; the remaining faults perturb the oracle.)
-        b = match self.inject {
-            // Silently drop the last slice of every spilled piece.
-            Some(Fault::SpillDropsSlice) if b.pressure() != PressurePolicy::Fail => {
-                b.inject_drop_last_spill_slice()
-            }
-            // Let the losing copy of every rescue commit its staged
-            // writes anyway, first element perturbed.
-            Some(Fault::RescueDoubleCommit) if straggling => b.inject_rescue_double_commit(),
-            // Commit one staged sub-slice to host memory before the
-            // whole-piece commit point, first element perturbed.
-            Some(Fault::OverlapLeak) if b.overlap() != OverlapPolicy::Off => {
-                b.inject_overlap_leak()
-            }
-            // Downgrade `spread_integrity(…)` to `off` while the
-            // program's flip bursts stay armed.
-            Some(Fault::IntegrityCorrupt) => b.with_integrity(IntegrityMode::Off),
-            _ => b,
-        };
+        if self.inject == Some(Fault::IntegrityCorrupt) {
+            b = b.with_integrity(IntegrityMode::Off);
+        }
         if nowait {
             b = b.nowait();
         }
@@ -714,6 +698,7 @@ pub fn execute_cached(
 mod tests {
     use super::*;
     use crate::ast::{PressureSpec, Sched};
+    use spread_core::PressurePolicy;
 
     #[test]
     fn executor_matches_a_hand_prediction() {
@@ -810,7 +795,7 @@ mod tests {
     }
 
     #[test]
-    fn lowered_pressure_spec_degrades_and_the_canary_truncates() {
+    fn lowered_pressure_spec_degrades_to_a_host_spill() {
         // One device whose 64 bytes are fully held by a sustained
         // window: the single 12-iteration chunk (96 B) is hopeless on
         // every device and spills through the host staging buffer in
@@ -837,13 +822,5 @@ mod tests {
         for i in 0..12 {
             assert_eq!(o.arrays[0][i], Program::initial(0, i) + 1.5);
         }
-        // The spill canary silently drops the last slice's writes.
-        let o = execute(&p, TieBreak::Fifo, Some(Fault::SpillDropsSlice));
-        assert!(o.error.is_none(), "{:?}", o.error);
-        assert_ne!(
-            o.arrays[0][11],
-            Program::initial(0, 11) + 1.5,
-            "the dropped slice must be observable"
-        );
     }
 }

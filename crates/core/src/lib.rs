@@ -90,8 +90,6 @@ pub mod schedule;
 pub mod spread_map;
 pub mod straggler;
 pub mod target_spread;
-#[doc(hidden)]
-pub mod testing;
 
 pub use chunk::ChunkCtx;
 pub use clauses::{ClauseSet, OverlapPolicy, SpreadClausesExt};

@@ -325,8 +325,6 @@ pub(crate) struct PressureCoordinator {
     spread: Rc<TargetSpread>,
     kernel: Rc<KernelSpec>,
     policy: PressurePolicy,
-    /// Failure-injection hook forwarded to the spill executor.
-    drop_last_spill_slice: bool,
     /// Recursion guard: reactive splits outstanding (diagnostics only).
     splits: RefCell<u32>,
 }
@@ -336,19 +334,13 @@ impl PressureCoordinator {
         spread: Rc<TargetSpread>,
         kernel: Rc<KernelSpec>,
         policy: PressurePolicy,
-        drop_last_spill_slice: bool,
     ) -> Rc<Self> {
         Rc::new(PressureCoordinator {
             spread,
             kernel,
             policy,
-            drop_last_spill_slice,
             splits: RefCell::new(0),
         })
-    }
-
-    pub(crate) fn drop_last_spill_slice(&self) -> bool {
-        self.drop_last_spill_slice
     }
 }
 
@@ -413,7 +405,6 @@ fn recover(
                     start..start + len,
                     coord.kernel.clone(),
                     Vec::new(),
-                    coord.drop_last_spill_slice(),
                 );
                 s.task_chained(
                     format!("spread-pressure-done(dev{device})"),

@@ -93,16 +93,12 @@ pub(crate) struct Monitor {
     pending_rescue_exits: RefCell<Vec<TaskId>>,
     /// Piece start → exit of the rescue that now owns the piece.
     rescued_by: RefCell<HashMap<usize, TaskId>>,
-    /// Canary: force losing commits through (see
-    /// [`crate::testing::TargetSpreadTestingExt`]).
-    force_double: bool,
 }
 
 impl Monitor {
     pub(crate) fn new(spread: Rc<TargetSpread>, kernel: Rc<KernelSpec>, t0: SimTime) -> Rc<Self> {
         let policy = spread.straggler();
         let beta = spread.straggler_beta();
-        let force_double = spread.force_rescue_double_commit();
         Rc::new(Monitor {
             spread,
             kernel,
@@ -115,7 +111,6 @@ impl Monitor {
             rescue_load: RefCell::new(HashMap::new()),
             pending_rescue_exits: RefCell::new(Vec::new()),
             rescued_by: RefCell::new(HashMap::new()),
-            force_double,
         })
     }
 
@@ -234,9 +229,6 @@ impl Monitor {
             stolen,
         });
         gate.set_log_idx(idx);
-        if self.force_double {
-            gate.force_duplicate();
-        }
         let preds = self.exits.borrow().get(&to).cloned().unwrap_or_default();
         let c = ChunkCtx::new(start, len);
         // No depend clauses on the rescue: it must *race* the original

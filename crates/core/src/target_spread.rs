@@ -60,9 +60,6 @@ pub struct TargetSpread {
     num_teams: Option<u32>,
     num_threads: Option<u32>,
     serial: bool,
-    drop_last_spill_slice: bool,
-    force_rescue_double_commit: bool,
-    force_overlap_leak: bool,
 }
 
 impl SpreadClausesExt for TargetSpread {
@@ -88,9 +85,6 @@ impl TargetSpread {
             num_teams: None,
             num_threads: None,
             serial: false,
-            drop_last_spill_slice: false,
-            force_rescue_double_commit: false,
-            force_overlap_leak: false,
         }
     }
 
@@ -189,31 +183,6 @@ impl TargetSpread {
         self.clauses.straggler_beta
     }
 
-    /// Whether the rescue double-commit canary is armed.
-    pub(crate) fn force_rescue_double_commit(&self) -> bool {
-        self.force_rescue_double_commit
-    }
-
-    /// Setter behind the `testing` module's injection hook (see
-    /// [`crate::testing`]); the field stays module-private.
-    pub(crate) fn set_force_rescue_double_commit(&mut self) {
-        self.force_rescue_double_commit = true;
-    }
-
-    /// Setter behind the `testing` module's injection hook (see
-    /// [`crate::testing`]); the field stays module-private.
-    pub(crate) fn set_drop_last_spill_slice(&mut self) {
-        self.drop_last_spill_slice = true;
-    }
-
-    /// Setter behind the `testing` module's injection hook (see
-    /// [`crate::testing`]): arm the overlap sub-slice leak canary, which
-    /// makes pipelined pieces commit one staged sub-slice *early* (a
-    /// deliberate bug the `--overlap` fuzz mode must catch).
-    pub(crate) fn set_force_overlap_leak(&mut self) {
-        self.force_overlap_leak = true;
-    }
-
     /// The mapped-footprint bytes of the piece `[start, start + len)` —
     /// the sum over the construct's map clauses of their section lengths
     /// × 8 (halo arithmetic included). This is the figure the pressure
@@ -256,8 +225,8 @@ impl TargetSpread {
     /// everything the plan depends on, computed **without** evaluating
     /// a single map/dep closure. Covers the range, device list,
     /// schedule (including `StaticWeighted` weight bits), every clause,
-    /// the map/dep shape (count, types, arrays), the per-device
-    /// knobs and the test canaries; the pressure path adds the live
+    /// the map/dep shape (count, types, arrays) and the per-device
+    /// knobs; the pressure path adds the live
     /// headroom vector so a cached admission plan is only replayed when
     /// admission would decide identically. Closure identity is the
     /// `spread_plan_cache(key)` contract (checked outright in debug
@@ -316,9 +285,6 @@ impl TargetSpread {
         fp.bool(self.nowait).bool(self.serial);
         fp.u64(self.num_teams.map_or(u64::MAX, u64::from));
         fp.u64(self.num_threads.map_or(u64::MAX, u64::from));
-        fp.bool(self.drop_last_spill_slice)
-            .bool(self.force_rescue_double_commit)
-            .bool(self.force_overlap_leak);
         fp.usize(self.maps.len());
         for m in &self.maps {
             fp.u64(match m.map_type {
@@ -398,9 +364,6 @@ impl TargetSpread {
         if let Some(depth) = self.clauses.overlap.depth() {
             if depth > 1 {
                 t = t.overlap(depth);
-                if self.force_overlap_leak {
-                    t = t.overlap_leak();
-                }
             }
         }
         if self.serial {
@@ -784,7 +747,6 @@ impl TargetSpread {
         else {
             unreachable!("shape checked above")
         };
-        let drop_last = self.drop_last_spill_slice;
         // Straggler watch composes with pressure management over the
         // *device* pieces of the admission plan (host spills have no
         // kernel task to watch, and no commit to arbitrate).
@@ -808,8 +770,7 @@ impl TargetSpread {
             self.clauses.straggler != StragglerPolicy::Wait && device_pieces >= 2 && distinct >= 2;
         let this = Rc::new(self);
         let kernel = Rc::new(kernel);
-        let coord =
-            PressureCoordinator::new(Rc::clone(&this), Rc::clone(&kernel), policy, drop_last);
+        let coord = PressureCoordinator::new(Rc::clone(&this), Rc::clone(&kernel), policy);
         let monitor = straggle.then(|| {
             crate::straggler::Monitor::new(Rc::clone(&this), Rc::clone(&kernel), scope.now())
         });
@@ -845,7 +806,6 @@ impl TargetSpread {
                         piece.range(),
                         Rc::clone(&kernel),
                         Vec::new(),
-                        drop_last,
                     );
                     ids.push(id);
                 }

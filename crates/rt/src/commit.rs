@@ -33,9 +33,6 @@ struct GateState {
     /// (`spread_integrity`). A set, because both can happen to the same
     /// gate — a stolen original *and* a corrupted rescue.
     disqualified: Vec<u32>,
-    /// Canary: losers commit too (with a perturbed first element) so a
-    /// conformance harness can prove double commits are caught.
-    force_duplicate: bool,
     /// Index of this gate's entry in the runtime's rescue log, set when
     /// a rescue is actually launched.
     log_idx: Option<usize>,
@@ -104,23 +101,6 @@ impl CommitGate {
     /// Number of staged-write sets actually drained through this gate.
     pub fn commits(&self) -> u32 {
         self.inner.borrow().commits
-    }
-
-    /// Canary hook: make every losing copy commit anyway, with its first
-    /// staged element perturbed, so the double commit is value-visible.
-    #[doc(hidden)]
-    pub fn force_duplicate(&self) {
-        self.inner.borrow_mut().force_duplicate = true;
-    }
-
-    /// Whether the duplicate-commit canary is armed.
-    pub fn duplicates_forced(&self) -> bool {
-        self.inner.borrow().force_duplicate
-    }
-
-    /// Record that a losing copy committed anyway (canary path).
-    pub(crate) fn count_forced_commit(&self) {
-        self.inner.borrow_mut().commits += 1;
     }
 
     /// Attach this gate to an entry of the runtime's rescue log (the

@@ -517,7 +517,6 @@ pub struct Target {
     commit_gate: Option<(crate::commit::CommitGate, u32)>,
     integrity: crate::integrity::IntegrityMode,
     overlap_depth: u32,
-    overlap_leak: bool,
 }
 
 impl Target {
@@ -535,7 +534,6 @@ impl Target {
             commit_gate: None,
             integrity: crate::integrity::IntegrityMode::default(),
             overlap_depth: 1,
-            overlap_leak: false,
         }
     }
 
@@ -549,16 +547,6 @@ impl Target {
     /// unchanged.
     pub fn overlap(mut self, depth: u32) -> Self {
         self.overlap_depth = depth.max(1);
-        self
-    }
-
-    /// Fault-injection canary: make the pipelined exit leak one staged
-    /// sub-slice to host memory before the commit point (value-visibly
-    /// perturbed). Used by the conformance harness to prove its
-    /// whole-piece commit check has teeth.
-    #[doc(hidden)]
-    pub fn overlap_leak(mut self) -> Self {
-        self.overlap_leak = true;
         self
     }
 
@@ -713,15 +701,8 @@ impl Target {
         // phase actions. The task shapes (footprints, dependences,
         // labels) are identical to the classic path — the pipeline is
         // an internal reorganization only.
-        let pipe =
-            (self.overlap_depth >= 2 && range.len() >= 2 && !self.pressure_managed).then(|| {
-                crate::overlap::PipeState::new(
-                    device,
-                    range.clone(),
-                    self.overlap_depth,
-                    self.overlap_leak,
-                )
-            });
+        let pipe = (self.overlap_depth >= 2 && range.len() >= 2 && !self.pressure_managed)
+            .then(|| crate::overlap::PipeState::new(device, range.clone(), self.overlap_depth));
         let exit_maps: Vec<MapClause> = self
             .maps
             .iter()

@@ -91,7 +91,10 @@ pub struct OverlapRecord {
     pub h2d_ops: u32,
     /// Pipelined D2H descriptors predicted and issued.
     pub d2h_ops: u32,
-    /// Staged sub-slice snapshots present at the exit's commit point.
+    /// Staged sub-slice snapshots taken, counted as each D2H effect
+    /// stages one (less those the exit discards as stale). A sub-slice
+    /// committed before the whole-piece boundary still counts here but
+    /// not in `committed`.
     pub staged: u32,
     /// Snapshots actually drained to host memory by the commit (0 when
     /// the commit gate lost the race or the drain failed verification).
@@ -99,9 +102,6 @@ pub struct OverlapRecord {
     /// The construct degraded to the classic un-pipelined path (enter
     /// parked under allocation backpressure).
     pub bypassed: bool,
-    /// Leak canary fired: a sub-slice commit escaped before the exit's
-    /// commit point (only with the hidden fault-injection knob).
-    pub leaked: bool,
 }
 
 /// A half-open interval of loop iterations / array elements.
@@ -199,8 +199,6 @@ struct KernelCtx {
 pub(crate) struct PipeState {
     device: u32,
     stages: Vec<Range<usize>>,
-    /// Leak canary armed (hidden fault-injection knob).
-    leak: bool,
     /// Outstanding H2D descriptors per stage; a stage at zero has all
     /// its input bytes resident.
     h2d_pending: Vec<Cell<usize>>,
@@ -232,20 +230,17 @@ pub(crate) struct PipeState {
     /// of a stolen pipeline (queued sub-kernels, unreached copies) must
     /// not touch the device again.
     freed: Cell<bool>,
-    /// Canary fired already (leak at most one sub-slice).
-    leaked: Cell<bool>,
     record: RefCell<OverlapRecord>,
 }
 
 impl PipeState {
     /// State for one construct over `range` at the requested depth
     /// (clamped to the range length).
-    pub(crate) fn new(device: u32, range: Range<usize>, depth: u32, leak: bool) -> Rc<Self> {
+    pub(crate) fn new(device: u32, range: Range<usize>, depth: u32) -> Rc<Self> {
         let stages = split_stages(&range, depth);
         let k = stages.len();
         Rc::new(PipeState {
             device,
-            leak,
             h2d_pending: (0..k).map(|_| Cell::new(0)).collect(),
             next_kernel: Cell::new(0),
             kernels_done: Cell::new(0),
@@ -259,7 +254,6 @@ impl PipeState {
             exit: Rc::new(TransferSet::new(device, 0, None)),
             bypass: Cell::new(false),
             freed: Cell::new(false),
-            leaked: Cell::new(false),
             record: RefCell::new(OverlapRecord {
                 device,
                 start: range.start,
@@ -270,7 +264,6 @@ impl PipeState {
                 staged: 0,
                 committed: 0,
                 bypassed: false,
-                leaked: false,
             }),
             stages,
         })
@@ -757,7 +750,7 @@ fn stage_kernel_done(
     }
     let subs = std::mem::take(&mut pipe.d2h_stages.borrow_mut()[j]);
     for sc in subs {
-        enqueue_staged_d2h(sim, inner_rc, pipe, sc, true);
+        enqueue_staged_d2h(sim, inner_rc, pipe, sc);
     }
     pump(sim, inner_rc, pipe);
     let done = pipe.kernels_done.get() + 1;
@@ -781,7 +774,6 @@ fn enqueue_staged_d2h(
     inner_rc: &Rc<RefCell<Inner>>,
     pipe: &Rc<PipeState>,
     sc: SubCopy,
-    canary: bool,
 ) {
     let (dev, integrity) = {
         let krn = pipe.krn.borrow();
@@ -817,11 +809,11 @@ fn enqueue_staged_d2h(
             data,
             crc,
         });
+        pipe_e.record.borrow_mut().staged += 1;
     });
     let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
         let inner2 = Rc::clone(inner_rc);
         let pipe2 = Rc::clone(pipe);
-        let mem2 = dev.mem.clone();
         Box::new(move |sim| {
             // In-flight silent corruption, identical to the classic
             // staged D2H: a SilentFlip token flips one bit after the
@@ -839,22 +831,6 @@ fn enqueue_staged_d2h(
                     .find_map(StagedWrite::snapshot_mut)
                 {
                     flip_one_bit(data);
-                }
-            }
-            if canary && pipe2.leak && !pipe2.leaked.get() {
-                // Leak canary: commit one staged sub-slice to host
-                // memory *now*, before the exit's commit point, with its
-                // first element perturbed so the escape is value-visible
-                // to a differential harness (same discipline as the
-                // forced-duplicate straggler canary).
-                let entry = {
-                    let mut st = pipe2.exit.staged.borrow_mut();
-                    (!st.is_empty()).then(|| st.remove(0))
-                };
-                if let Some(w) = entry {
-                    w.commit(&mem2.borrow(), true);
-                    pipe2.leaked.set(true);
-                    pipe2.record.borrow_mut().leaked = true;
                 }
             }
             d2h_one_done(sim, &inner2, &pipe2);
@@ -901,7 +877,6 @@ fn try_exit_finish(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc
         return;
     };
     pipe.freed.set(true);
-    pipe.record.borrow_mut().staged = pipe.exit.staged.borrow().len() as u32;
     let committed = staged_commit_finish(sim, inner_rc, &pipe.exit, args);
     pipe.record.borrow_mut().committed = committed as u32;
     push_record(inner_rc, pipe);
@@ -951,10 +926,10 @@ pub(crate) fn pipelined_exit(
         .copied()
         .collect();
     if !stale.is_empty() {
-        pipe.exit
-            .staged
-            .borrow_mut()
-            .retain(|w| !stale.iter().any(|p| p.contains(&w.section())));
+        let mut staged = pipe.exit.staged.borrow_mut();
+        let before = staged.len();
+        staged.retain(|w| !stale.iter().any(|p| p.contains(&w.section())));
+        pipe.record.borrow_mut().staged -= (before - staged.len()) as u32;
     }
     // Kept-but-dying: the prediction saw a shared entry, but the exit
     // releases it after all — fetch the whole section classically into
@@ -981,7 +956,6 @@ pub(crate) fn pipelined_exit(
                 offset: c.offset,
                 label: c.label,
             },
-            false,
         );
     }
     try_exit_finish(sim, inner_rc, pipe);

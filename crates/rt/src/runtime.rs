@@ -1084,9 +1084,8 @@ impl StagedWrite {
     }
 
     /// Write the copy to host memory. `mem` is the source device's
-    /// memory; `perturb` adds 1.0 to the first element on the way (the
-    /// duplicate-commit canaries).
-    pub(crate) fn commit(self, mem: &DeviceMemory, perturb: bool) {
+    /// memory.
+    pub(crate) fn commit(self, mem: &DeviceMemory) {
         let (store, section, bytes) = match &self {
             StagedWrite::Snapshot {
                 store,
@@ -1105,14 +1104,7 @@ impl StagedWrite {
                 &mem.buffer(*alloc)[*offset..*offset + section.len],
             ),
         };
-        let mut host = store.borrow_mut();
-        let dst = &mut host[section.range()];
-        dst.copy_from_slice(bytes);
-        if perturb {
-            if let Some(v) = dst.first_mut() {
-                *v += 1.0;
-            }
-        }
+        store.borrow_mut()[section.range()].copy_from_slice(bytes);
     }
 }
 
@@ -1491,24 +1483,12 @@ pub(crate) fn staged_commit_finish(
         Some((g, copy)) => g.try_commit(sim.now(), *copy),
     };
     let mut drained = 0usize;
-    let forced = !committed && gate.as_ref().is_some_and(|(g, _)| g.duplicates_forced());
-    if committed || forced {
-        // Canary path (`forced`): the losing copy commits anyway, with
-        // its first staged element perturbed so the double commit is
-        // value-visible to a differential harness.
-        let mut perturb = forced;
+    if committed {
         let mem = inner_rc.borrow().devices[device as usize].mem.clone();
         let mem = mem.borrow();
         for w in staged.borrow_mut().drain(..) {
-            let first = perturb && !w.section().is_empty();
-            perturb &= !first;
-            w.commit(&mem, first);
+            w.commit(&mem);
             drained += 1;
-        }
-        if forced {
-            if let Some((g, _)) = &gate {
-                g.count_forced_commit();
-            }
         }
     } else {
         staged.borrow_mut().clear();

@@ -74,18 +74,12 @@ pub fn spill_slices(
 /// Submit the host task that executes `kernel` over `range` through the
 /// staging buffer, ordered after `preds`. Returns the task id (the
 /// piece's "exit" from the construct's point of view).
-///
-/// `drop_last_slice_writes` is a failure-injection hook for
-/// `spread-check`: when set, the staged outputs of the *last* slice are
-/// silently discarded — a truncated spill that the semantic oracle must
-/// catch. Never set outside the conformance harness.
 pub fn spill_chunk(
     scope: &mut Scope<'_>,
     label: impl Into<TaskLabel>,
     range: Range<usize>,
     kernel: impl Into<Rc<KernelSpec>>,
     preds: Vec<TaskId>,
-    drop_last_slice_writes: bool,
 ) -> TaskId {
     let kernel: Rc<KernelSpec> = kernel.into();
     let mut spec = TaskSpec::new(label);
@@ -158,12 +152,8 @@ pub fn spill_chunk(
                 &kernel.body,
                 &resolved,
             );
-            let is_last = std::ptr::eq(slice, slices.last().unwrap());
             for (i, (arg, sec)) in kernel.args.iter().zip(&sections).enumerate() {
                 if !arg.access.writes() || sec.is_empty() {
-                    continue;
-                }
-                if drop_last_slice_writes && is_last {
                     continue;
                 }
                 let data = scratch.buffer(resolved[i].alloc).to_vec();

@@ -178,12 +178,11 @@ fn fuzz_with_pressure_agrees_with_oracle() {
 }
 
 /// A pressure program whose only chunk fits no device: the runtime must
-/// stream it through the host staging buffer, and the `--inject spill`
-/// canary — a runtime ordered to drop the last spill slice's writes —
-/// must be caught as value divergence. This is the proof that a runtime
-/// which silently truncated a spill would not slip past the harness.
+/// stream it through the host staging buffer and match the oracle
+/// bit-for-bit. The `spill-drops-last-slice` mutation row shows this
+/// test failing on a runtime that silently truncated the spill.
 #[test]
-fn spill_canary_is_caught() {
+fn a_spilled_run_matches_the_oracle() {
     let p = Program {
         phases: vec![vec![Stmt::Spread {
             devices: vec![0],
@@ -206,16 +205,6 @@ fn spill_canary_is_caught() {
         ..CheckConfig::default()
     };
     check_program(&p, 17, &clean).expect("the spilled run matches the oracle bit-for-bit");
-    let canary = CheckConfig {
-        fault: Some(Fault::SpillDropsSlice),
-        ..clean
-    };
-    let failure = check_program(&p, 17, &canary)
-        .expect_err("a spill that truncated its last slice must be flagged");
-    assert!(
-        failure.detail.contains("array"),
-        "divergence shows in host arrays: {failure}"
-    );
 }
 
 #[test]

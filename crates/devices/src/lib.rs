@@ -50,7 +50,7 @@ pub use dma::{Direction, DmaEngine};
 pub use gate::SerialGate;
 pub use health::{Attempt, FaultCtx, OnFault};
 pub use integrity::{crc32c, digest_f64};
-pub use memory::{AllocId, DeviceMemory, Fill, MemoryPool, OutOfMemory};
+pub use memory::{AllocId, DeviceMemory, Fill, MemoryPool, OutOfMemory, StoreCounts};
 pub use node::{DeviceHandle, Node};
 pub use spec::{ComputeModel, DeviceSpec};
 pub use topology::Topology;

@@ -10,13 +10,16 @@
 //! manipulates real values that the test suite checks against a CPU
 //! reference.
 //!
-//! Backing stores are recycled: a freed buffer is kept as a spare for
-//! the next allocation of exactly its element count, as long as live
-//! plus spare backing stays within the pool's high-watermark — so the
-//! host memory a device holds never exceeds the modelled device peak.
-//! Recycling is invisible to the modelled allocator: offsets, usage,
-//! fragmentation and out-of-memory errors are the [`MemoryPool`]'s
-//! alone.
+//! Backing stores are recycled by capacity: a freed buffer is kept as a
+//! spare, and an allocation takes the smallest spare whose capacity
+//! holds it and resizes it to the request inside that capacity. Live
+//! plus spare *capacity* stays within the pool's high-watermark — a new
+//! store first drops spares, largest first, then gives back the slack
+//! of live recycled stores — so the host memory a device holds never
+//! exceeds the modelled device peak. Recycling is invisible to the
+//! modelled allocator: offsets, usage, fragmentation and out-of-memory
+//! errors are the [`MemoryPool`]'s alone. [`StoreCounts`] says how many
+//! allocations got a fresh store and how many a recycled one.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -204,17 +207,33 @@ pub enum Fill {
     Overwritten,
 }
 
+/// How many allocations got a fresh backing store and how many reused a
+/// spare. Zero-element allocations hold no store and count as fresh.
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct StoreCounts {
+    /// Allocations that made a new store.
+    pub fresh: u64,
+    /// Allocations that reused a spare.
+    pub recycled: u64,
+}
+
 /// Device memory: the pool plus real `f64` backing stores, in *element*
 /// units (8 bytes each).
 pub struct DeviceMemory {
     pool: MemoryPool,
     buffers: BTreeMap<AllocId, Vec<f64>>,
-    /// Retired backing stores, keyed by exact element count. Never holds
-    /// an empty list or an empty store.
+    /// Retired backing stores, keyed by capacity in elements. Never holds
+    /// an empty list or a store without capacity.
     spares: BTreeMap<usize, Vec<Vec<f64>>>,
-    /// Bytes of live plus spare backing; at most the pool's
+    /// Bytes of live plus spare backing capacity; at most the pool's
     /// high-watermark.
     backing: u64,
+    stores: StoreCounts,
+}
+
+/// Bytes of a store's capacity.
+fn capacity_bytes(buf: &Vec<f64>) -> u64 {
+    buf.capacity() as u64 * ELEM_BYTES
 }
 
 impl DeviceMemory {
@@ -225,6 +244,7 @@ impl DeviceMemory {
             buffers: BTreeMap::new(),
             spares: BTreeMap::new(),
             backing: 0,
+            stores: StoreCounts::default(),
         }
     }
 
@@ -243,18 +263,20 @@ impl DeviceMemory {
         self.alloc_filled(elems, Fill::Zero)
     }
 
-    /// Allocate a buffer of `elems` f64 elements, reusing a spare backing
-    /// store of exactly that size when there is one.
+    /// Allocate a buffer of `elems` f64 elements, reusing the smallest
+    /// spare backing store that can hold them when there is one.
     pub fn alloc_filled(&mut self, elems: usize, fill: Fill) -> Result<AllocId, OutOfMemory> {
         let id = self.pool.alloc(elems as u64 * ELEM_BYTES)?;
         let buf = match self.take_spare(elems) {
             Some(mut buf) => {
+                self.stores.recycled += 1;
                 if fill == Fill::Zero {
                     buf.fill(0.0);
                 }
                 buf
             }
             None => {
+                self.stores.fresh += 1;
                 // Make room under the watermark before the new store
                 // exists, so host memory never overshoots it.
                 self.backing += elems as u64 * ELEM_BYTES;
@@ -272,41 +294,67 @@ impl DeviceMemory {
     pub fn dealloc(&mut self, id: AllocId) -> bool {
         let known = self.pool.dealloc(id);
         if let Some(buf) = self.buffers.remove(&id) {
-            if !buf.is_empty() {
-                self.spares.entry(buf.len()).or_default().push(buf);
-                self.trim();
+            // Live to spare leaves `backing` as it was: still under the watermark.
+            if buf.capacity() > 0 {
+                self.spares.entry(buf.capacity()).or_default().push(buf);
             }
         }
         known
     }
 
-    /// Bytes of host memory backing this device: live buffers plus
-    /// spares. Never more than the pool's high-watermark.
+    /// Bytes of host memory backing this device: the capacity of live
+    /// buffers plus spares. Never more than the pool's high-watermark.
     pub fn backing_bytes(&self) -> u64 {
         self.backing
     }
 
-    fn take_spare(&mut self, elems: usize) -> Option<Vec<f64>> {
-        let class = self.spares.get_mut(&elems)?;
-        let buf = class.pop();
-        if class.is_empty() {
-            self.spares.remove(&elems);
-        }
-        buf
+    /// Allocations that made a fresh store and that reused a spare, since
+    /// this memory was created.
+    pub fn store_counts(&self) -> StoreCounts {
+        self.stores
     }
 
-    /// Drop spares, largest first, until live plus spare backing fits
-    /// under the high-watermark. Live backing alone always fits: every
-    /// live store is a pool allocation.
+    /// The smallest spare that holds `elems`, resized to them inside its
+    /// capacity (no reallocation, so `backing` is unchanged).
+    fn take_spare(&mut self, elems: usize) -> Option<Vec<f64>> {
+        if elems == 0 {
+            return None;
+        }
+        let (&capacity, class) = self.spares.range_mut(elems..).next()?;
+        let mut buf = class.pop().expect("spare classes are never empty");
+        if class.is_empty() {
+            self.spares.remove(&capacity);
+        }
+        buf.resize(elems, 0.0);
+        Some(buf)
+    }
+
+    /// Bring live plus spare capacity under the high-watermark: drop
+    /// spares, largest first, then give back live slack (the capacity a
+    /// recycled store holds beyond its length). Live lengths alone
+    /// always fit: every live store is a pool allocation.
     fn trim(&mut self) {
-        while self.backing > self.pool.high_watermark() {
-            let Some(&elems) = self.spares.keys().next_back() else {
+        let watermark = self.pool.high_watermark();
+        while self.backing > watermark {
+            let Some(mut class) = self.spares.last_entry() else {
                 break;
             };
-            let buf = self
-                .take_spare(elems)
+            let buf = class
+                .get_mut()
+                .pop()
                 .expect("spare classes are never empty");
-            self.backing -= buf.len() as u64 * ELEM_BYTES;
+            if class.get().is_empty() {
+                class.remove();
+            }
+            self.backing -= capacity_bytes(&buf);
+        }
+        for buf in self.buffers.values_mut() {
+            if self.backing <= watermark {
+                break;
+            }
+            let before = capacity_bytes(buf);
+            buf.shrink_to_fit();
+            self.backing -= before - capacity_bytes(buf);
         }
     }
 
@@ -551,10 +599,13 @@ mod tests {
         let a = m.alloc_elems(60).unwrap();
         m.dealloc(a);
         assert_eq!(m.backing_bytes(), 480, "the freed store is kept");
-        // A different size does not fit beside the spare under the
-        // 480-byte peak: the spare goes before the new store is made.
+        // A smaller request reuses the spare inside its capacity.
         let b = m.alloc_elems(40).unwrap();
-        assert_eq!(m.backing_bytes(), 320);
+        assert_eq!(m.buffer(b).len(), 40);
+        assert_eq!(m.backing_bytes(), 480);
+        // 320 + 160 pool bytes fit the 480-byte peak, but 480 + 160
+        // backing bytes would not: the live store gives its slack back
+        // before the new store is made.
         let c = m.alloc_elems(20).unwrap();
         assert_eq!(m.pool().high_watermark(), 480);
         assert_eq!(m.backing_bytes(), 480);
@@ -562,6 +613,13 @@ mod tests {
         m.dealloc(c);
         assert_eq!(m.backing_bytes(), 480);
         assert_eq!(m.pool().used(), 0);
+        // No spare holds 50 elements: both go, largest first, until the
+        // new store fits.
+        let d = m.alloc_elems(50).unwrap();
+        assert_eq!(m.backing_bytes(), 400);
+        m.dealloc(d);
+        let counts = m.store_counts();
+        assert_eq!((counts.fresh, counts.recycled), (3, 1));
     }
 
     /// The modelled allocator cannot tell recycling apart from fresh
@@ -577,11 +635,12 @@ mod tests {
             let mut reference = MemoryPool::new(capacity);
             let mut live: Vec<AllocId> = Vec::new();
             let mut retired: Vec<AllocId> = Vec::new();
+            let mut allocs = 0;
             for step in 0..300 {
                 let what = format!("seed {seed} step {step}");
                 match rng.below(10) {
                     0..=4 => {
-                        // Few sizes, so exact-size spares get reused.
+                        // Few sizes, so spares get reused, some with slack.
                         let elems = 4 * rng.range(0, 6);
                         let fill = if rng.chance(0.5) {
                             Fill::Zero
@@ -598,6 +657,7 @@ mod tests {
                             }
                             mem.buffer_mut(id).fill(seed as f64 + 1.0);
                             live.push(id);
+                            allocs += 1;
                         }
                     }
                     5..=8 if !live.is_empty() => {
@@ -615,6 +675,7 @@ mod tests {
                         mem = DeviceMemory::new(capacity);
                         reference = MemoryPool::new(capacity);
                         retired.append(&mut live);
+                        allocs = 0;
                         assert_eq!(mem.backing_bytes(), 0, "{what}: a wipe drops the spares");
                     }
                 }
@@ -635,14 +696,11 @@ mod tests {
                     mem.backing_bytes(),
                     pool.high_watermark()
                 );
-                let live_bytes: u64 = mem.buffers.values().map(|b| b.len() as u64 * 8).sum();
-                let spare_bytes: u64 = mem
-                    .spares
-                    .values()
-                    .flatten()
-                    .map(|b| b.len() as u64 * 8)
-                    .sum();
+                let live_bytes: u64 = mem.buffers.values().map(capacity_bytes).sum();
+                let spare_bytes: u64 = mem.spares.values().flatten().map(capacity_bytes).sum();
                 assert_eq!(mem.backing_bytes(), live_bytes + spare_bytes, "{what}");
+                let counts = mem.store_counts();
+                assert_eq!(counts.fresh + counts.recycled, allocs, "{what}");
             }
         }
     }

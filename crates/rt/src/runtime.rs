@@ -25,7 +25,7 @@ use std::rc::Rc;
 use spread_devices::dma::{Direction, DmaOp};
 use spread_devices::node::{DeviceHandle, Node};
 use spread_devices::topology::Topology;
-use spread_devices::{AllocId, DeviceMemory, FaultCtx, Fill};
+use spread_devices::{AllocId, DeviceMemory, FaultCtx, Fill, StoreCounts};
 use spread_prng::FnvBuild;
 use spread_sim::{
     FaultEventKind, FaultPlan, PlannedFault, RetryPolicy, SharedFlowNet, Simulator, TieBreak,
@@ -2297,6 +2297,21 @@ impl Runtime {
             .borrow()
             .pool()
             .used()
+    }
+
+    /// Device allocations, summed over devices, that made a fresh
+    /// backing store and that reused a spare. Host-side only: the
+    /// modelled machine cannot tell the two apart. A device-loss wipe
+    /// restarts that device's counts.
+    pub fn store_counts(&self) -> StoreCounts {
+        let inner = self.inner.borrow();
+        inner.devices.iter().fold(StoreCounts::default(), |sum, d| {
+            let c = d.mem.borrow().store_counts();
+            StoreCounts {
+                fresh: sum.fresh + c.fresh,
+                recycled: sum.recycled + c.recycled,
+            }
+        })
     }
 
     /// Peak bytes allocated on a device.

@@ -16,9 +16,9 @@
 //! Kernel bodies bind one checked row per plane and component
 //! ([`ChunkViews::row`](spread_rt::kernel::ChunkViews::row) /
 //! [`row_mut`](spread_rt::kernel::ChunkViews::row_mut): mapped section
-//! and chunk write section) and index the slices, instead of a checked
-//! `get`/`set` per element. The arithmetic and its order are the CPU
-//! reference's, so results stay bit-exact. A chunk's planes are handed
+//! and chunk write section) and hand the slices to the
+//! [`physics`](crate::physics) row functions the CPU reference calls
+//! too, so results stay bit-exact. A chunk's planes are handed
 //! to the team threads with a guided schedule: one plane's result never
 //! depends on another's, so the split is invisible in every value.
 
@@ -28,7 +28,7 @@ use spread_rt::kernel::{KernelArg, KernelSpec, LoopSchedule};
 
 use crate::arrays::{Grid, SomierArrays};
 use crate::config::SomierConfig;
-use crate::physics::{idx, plane_sum, spring_force};
+use crate::physics::{plane_forces, plane_positions, plane_sums};
 
 /// Which elements of a grid a range of planes touches.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -149,15 +149,7 @@ fn forces(cfg: &SomierConfig) -> KernelSpec {
                 let base = halo.start;
                 let x = [0, 1, 2].map(|c| v.row(c, halo.clone()));
                 let f = [0, 1, 2].map(|c| v.row_mut(3 + c, p * n2..(p + 1) * n2));
-                for y in 0..n {
-                    for z in 0..n {
-                        let i = idx(n, 0, y, z); // within plane p
-                        let force = spring_force(&phys, n, p, y, z, |c, j| x[c][j - base]);
-                        for c in 0..3 {
-                            f[c][i] = force.map_or(0.0, |force| force[c]);
-                        }
-                    }
-                }
+                plane_forces(&phys, n, p, x, base, f);
             }
         },
     )
@@ -214,19 +206,10 @@ fn positions(cfg: &SomierConfig) -> KernelSpec {
         cfg.plane_cost(cfg.costs.position),
         move |planes, v| {
             for p in planes {
-                if p == 0 || p == n - 1 {
-                    continue; // whole plane is fixed boundary
-                }
                 let plane = p * n2..(p + 1) * n2;
-                let vel = [0, 1, 2].map(|c| v.row(c, plane.clone()));
-                let x = [0, 1, 2].map(|c| v.row_mut(3 + c, plane.clone()));
-                for y in 1..n - 1 {
-                    for z in 1..n - 1 {
-                        let i = idx(n, 0, y, z); // within plane p
-                        for c in 0..3 {
-                            x[c][i] += vel[c][i] * dt;
-                        }
-                    }
+                for c in 0..3 {
+                    let vel = v.row(c, plane.clone());
+                    plane_positions(n, p, dt, vel, v.row_mut(3 + c, plane.clone()));
                 }
             }
         },
@@ -237,16 +220,14 @@ fn positions(cfg: &SomierConfig) -> KernelSpec {
 /// — the paper's *manual* reduction (§V: "we implemented a manual
 /// reduction for this kernel").
 fn centers(cfg: &SomierConfig) -> KernelSpec {
-    let n = cfg.n;
     let n2 = cfg.plane_elems();
     KernelSpec::new(
         "centers",
         cfg.plane_cost(cfg.costs.centers),
         move |planes, v| {
             for p in planes {
-                for c in 0..3 {
-                    let x = v.row(c, p * n2..(p + 1) * n2);
-                    let s = plane_sum(n, p, |i| x[i - p * n2]);
+                let sums = plane_sums([0, 1, 2].map(|c| v.row(c, p * n2..(p + 1) * n2)));
+                for (c, s) in sums.into_iter().enumerate() {
                     v.set(3 + c, p, s);
                 }
             }

@@ -11,7 +11,7 @@
 //! our race detector reports).
 
 use crate::config::SomierConfig;
-use crate::physics::{idx, plane_sum, spring_force};
+use crate::physics::{plane_forces, plane_positions, plane_sums};
 
 /// Final state of a reference run.
 pub struct RefState {
@@ -50,23 +50,9 @@ pub fn run_reference(cfg: &SomierConfig, buffer_planes: usize) -> RefState {
             let b1 = (b0 + buffer_planes).min(n);
             // forces over the buffer's planes (reads X with ±1 halo).
             for p in b0..b1 {
-                for y in 0..n {
-                    for z in 0..n {
-                        let i = idx(n, p, y, z);
-                        match spring_force(&phys, n, p, y, z, |c, j| x[c][j]) {
-                            Some(force) => {
-                                for c in 0..3 {
-                                    f[c][i] = force[c];
-                                }
-                            }
-                            None => {
-                                for c in 0..3 {
-                                    f[c][i] = 0.0;
-                                }
-                            }
-                        }
-                    }
-                }
+                let plane = p * n2..(p + 1) * n2;
+                let out = f.each_mut().map(|f| &mut f[plane.clone()]);
+                plane_forces(&phys, n, p, x.each_ref().map(Vec::as_slice), 0, out);
             }
             // accelerations.
             for c in 0..3 {
@@ -82,22 +68,16 @@ pub fn run_reference(cfg: &SomierConfig, buffer_planes: usize) -> RefState {
             }
             // positions (interior only).
             for p in b0..b1 {
-                if p == 0 || p == n - 1 {
-                    continue;
-                }
-                for y in 1..n - 1 {
-                    for z in 1..n - 1 {
-                        let i = idx(n, p, y, z);
-                        for c in 0..3 {
-                            x[c][i] += v[c][i] * dt;
-                        }
-                    }
+                let plane = p * n2..(p + 1) * n2;
+                for c in 0..3 {
+                    plane_positions(n, p, dt, &v[c][plane.clone()], &mut x[c][plane.clone()]);
                 }
             }
             // centers partials.
             for p in b0..b1 {
+                let partial = plane_sums(x.each_ref().map(|x| &x[p * n2..(p + 1) * n2]));
                 for c in 0..3 {
-                    sums[c] += plane_sum(n, p, |i| x[c][i]);
+                    sums[c] += partial[c];
                 }
             }
             b0 = b1;

@@ -2,7 +2,9 @@
 //! the final centers, the race count and a digest of the whole span
 //! timeline. A host-side change to the runtime (allocation, copies,
 //! kernel bodies) must leave all three where they are; the modelled
-//! machine is the paper's result.
+//! machine is the paper's result. Beside them sits one host-side
+//! receipt: how many device allocations made a fresh backing store
+//! rather than recycling a spare.
 //!
 //! The tier-1 test covers every cell at a small size; the `#[ignore]`d
 //! one covers the paper's seven Table I/II cells
@@ -35,6 +37,7 @@ struct Pin {
     centers: [u64; 3],
     races: usize,
     timeline: u64,
+    fresh_stores: u64,
 }
 
 const fn pin(
@@ -43,6 +46,7 @@ const fn pin(
     centers: [u64; 3],
     races: usize,
     timeline: u64,
+    fresh_stores: u64,
 ) -> Pin {
     Pin {
         which,
@@ -50,6 +54,7 @@ const fn pin(
         centers,
         races,
         timeline,
+        fresh_stores,
     }
 }
 
@@ -68,6 +73,11 @@ fn check(cfg: &SomierConfig, pins: &[Pin]) {
         assert_eq!(
             digest, p.timeline,
             "{cell}: span timeline moved (digest {digest:016x})"
+        );
+        assert_eq!(
+            rt.store_counts().fresh,
+            p.fresh_stores,
+            "{cell}: fresh backing stores"
         );
     }
 }
@@ -100,14 +110,14 @@ fn every_small_cell_is_pinned() {
     check(
         &cfg,
         &[
-            pin(OneBufferTarget, 1, c, 0, 0xa012b51048bf408a),
-            pin(OneBufferSpread, 1, c, 0, 0xa012b51048bf408a),
-            pin(OneBufferSpread, 2, c2, 0, 0x7d2d4e0d9eb1f4ad),
-            pin(OneBufferSpread, 4, c4, 0, 0xcca34f16a95b0aa9),
-            pin(TwoBuffers, 2, halves, 76, 0xb7000a52a85505ad),
-            pin(TwoBuffers, 4, halves, 34, 0xb85f54368416896d),
-            pin(DoubleBuffering, 2, halves, 28, 0xf8dee570c0d22cc9),
-            pin(DoubleBuffering, 4, halves, 14, 0x2283cf96e7b1460d),
+            pin(OneBufferTarget, 1, c, 0, 0xa012b51048bf408a, 22),
+            pin(OneBufferSpread, 1, c, 0, 0xa012b51048bf408a, 22),
+            pin(OneBufferSpread, 2, c2, 0, 0x7d2d4e0d9eb1f4ad, 37),
+            pin(OneBufferSpread, 4, c4, 0, 0xcca34f16a95b0aa9, 67),
+            pin(TwoBuffers, 2, halves, 76, 0xb7000a52a85505ad, 59),
+            pin(TwoBuffers, 4, halves, 34, 0xb85f54368416896d, 116),
+            pin(DoubleBuffering, 2, halves, 28, 0xf8dee570c0d22cc9, 136),
+            pin(DoubleBuffering, 4, halves, 14, 0x2283cf96e7b1460d, 217),
         ],
     );
 }
@@ -145,13 +155,14 @@ fn every_paper_cell_is_pinned() {
                 ],
                 0,
                 0xc31d5ec9df4ec88e,
+                22,
             ),
-            pin(OneBufferSpread, 2, ob2, 0, 0xfe6917d127c1f373),
-            pin(OneBufferSpread, 4, ob4, 0, 0xaa5fe48a5ff9cd40),
-            pin(TwoBuffers, 2, halves, 1178, 0x80ad20bc8213ba34),
-            pin(TwoBuffers, 4, halves, 558, 0xcceec0eff2502f25),
-            pin(DoubleBuffering, 2, halves, 434, 0x0e1f7b267ad4e0f1),
-            pin(DoubleBuffering, 4, halves, 217, 0xe474f74bd522b70b),
+            pin(OneBufferSpread, 2, ob2, 0, 0xfe6917d127c1f373, 37),
+            pin(OneBufferSpread, 4, ob4, 0, 0xaa5fe48a5ff9cd40, 67),
+            pin(TwoBuffers, 2, halves, 1178, 0x80ad20bc8213ba34, 58),
+            pin(TwoBuffers, 4, halves, 558, 0xcceec0eff2502f25, 115),
+            pin(DoubleBuffering, 2, halves, 434, 0x0e1f7b267ad4e0f1, 222),
+            pin(DoubleBuffering, 4, halves, 217, 0xe474f74bd522b70b, 376),
         ],
     );
 }

@@ -9,11 +9,10 @@
 //! [`TargetEnterDataSpread`], [`TargetExitDataSpread`],
 //! [`TargetUpdateSpread`]) and the shared [`SpreadClauses`] core — now
 //! carries the *same* clause storage and accepts the *same* builder
-//! methods, documented once, here. A clause that a particular directive
-//! cannot honor is **rejected at launch** with
-//! [`RtError::InvalidDirective`] naming the clause, never silently
-//! dropped; the composition rules live in the DESIGN.md clause matrix
-//! and in each method's documentation below.
+//! methods, documented once, here. Which directive takes which clause,
+//! and which clauses compose, is one table, [`compose`](crate::compose):
+//! a launch it refuses fails with [`RtError::InvalidDirective`], never
+//! silently dropping a clause.
 //!
 //! | Clause (paper / extension) | Method | Default |
 //! |---|---|---|
@@ -38,7 +37,7 @@
 //! [`SpreadClauses`]: crate::data_spread::SpreadClauses
 //! [`RtError::InvalidDirective`]: spread_rt::RtError::InvalidDirective
 
-use spread_rt::{IntegrityMode, RtError};
+use spread_rt::IntegrityMode;
 
 use crate::pressure::PressurePolicy;
 use crate::resilience::ResiliencePolicy;
@@ -64,13 +63,11 @@ pub enum OverlapPolicy {
     #[default]
     Off,
     /// Pipeline each piece over exactly `depth` sub-slices
-    /// (`depth ≥ 1`; `Depth(1)` is equivalent to `Off`, `Depth(0)` is
-    /// rejected at launch).
+    /// (`Depth(1)` is equivalent to `Off`).
     Depth(u32),
     /// Profile-guided: the runtime's profile store behind
     /// `spread_schedule(auto)` learns the best depth per construct key
-    /// (explore, then exponentially-weighted argmin). Requires
-    /// `spread_schedule(auto)` on the same construct.
+    /// (explore, then exponentially-weighted argmin).
     Auto,
 }
 
@@ -88,9 +85,8 @@ impl OverlapPolicy {
 /// The clause storage shared by every spread builder.
 ///
 /// Builders embed one `ClauseSet` and expose it through
-/// [`SpreadClausesExt`]; directive-specific launch code validates the
-/// set against what that directive supports and rejects the rest with
-/// [`RtError::InvalidDirective`].
+/// [`SpreadClausesExt`]; each launch checks the set against
+/// [`compose`](crate::compose).
 #[derive(Clone, Debug)]
 pub struct ClauseSet {
     /// `spread_schedule(…)` — `None` means the directive's own default
@@ -135,67 +131,15 @@ impl SpreadClausesExt for ClauseSet {
     }
 }
 
-/// What a directive's launch path supports; everything else in the
-/// [`ClauseSet`] must still be at its default or the launch is
-/// rejected.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct Supports {
-    pub schedule: bool,
-    pub resilience: bool,
-    pub pressure: bool,
-    pub straggler: bool,
-    pub integrity: bool,
-    pub overlap: bool,
-    pub plan: bool,
-}
-
-impl ClauseSet {
-    /// Reject every non-default clause the directive does not support.
-    /// `directive` names the pragma in the error message.
-    pub(crate) fn reject_unsupported(
-        &self,
-        directive: &str,
-        allow: Supports,
-    ) -> Result<(), RtError> {
-        let bad = |clause: &str| {
-            Err(RtError::InvalidDirective(format!(
-                "{directive}: the {clause} clause is not supported on this directive"
-            )))
-        };
-        if !allow.schedule && self.schedule.is_some() {
-            return bad("spread_schedule(…)");
-        }
-        if !allow.resilience && self.resilience != ResiliencePolicy::FailStop {
-            return bad("spread_resilience(…)");
-        }
-        if !allow.pressure && self.pressure != PressurePolicy::Fail {
-            return bad("spread_pressure(…)");
-        }
-        if !allow.straggler && self.straggler != StragglerPolicy::Wait {
-            return bad("spread_straggler(…)");
-        }
-        if !allow.integrity && self.integrity != IntegrityMode::Off {
-            return bad("spread_integrity(…)");
-        }
-        if !allow.overlap && self.overlap != OverlapPolicy::Off {
-            return bad("spread_overlap(…)");
-        }
-        if !allow.plan && self.plan_key.is_some() {
-            return bad("spread_plan_cache(…)");
-        }
-        Ok(())
-    }
-}
-
 /// The unified clause surface of every spread builder.
 ///
 /// This trait is the **canonical reference** for the spread clause set:
-/// each method documents one clause — its semantics, default, and
-/// composition rules. All spread builders ([`TargetSpread`], the four
-/// data-directive builders, and the shared [`SpreadClauses`] core)
-/// implement it over one embedded [`ClauseSet`], so the surface is
-/// identical everywhere; clauses a given directive cannot honor are
-/// rejected at launch, never silently ignored.
+/// each method documents one clause — its semantics and default. All
+/// spread builders ([`TargetSpread`], the four data-directive builders,
+/// and the shared [`SpreadClauses`] core) implement it over one embedded
+/// [`ClauseSet`], so the surface is identical everywhere; which
+/// directive takes which clause, and which clauses compose, is
+/// [`compose`](crate::compose).
 ///
 /// ```
 /// use spread_core::prelude::*;
@@ -232,11 +176,7 @@ pub trait SpreadClausesExt: Sized {
     /// and distributed round-robin over the `devices(…)` list.
     ///
     /// Default: `static,1` on `target spread`; on the data directives
-    /// the `chunk_size(c)` round-robin. Data directives require a
-    /// *static* distribution ([`SpreadSchedule::Static`] /
-    /// [`SpreadSchedule::StaticWeighted`]) — dynamic placement is
-    /// undecidable at mapping time and `auto` resolves only against an
-    /// executable construct's profile history.
+    /// the `chunk_size(c)` round-robin. Legality: [`compose`](crate::compose).
     fn with_schedule(mut self, s: SpreadSchedule) -> Self {
         self.clause_set_mut().schedule = Some(s);
         self
@@ -248,8 +188,8 @@ pub trait SpreadClausesExt: Sized {
     /// [`Redistribute`](ResiliencePolicy::Redistribute) an executable
     /// construct rebuilds the lost device's pieces on the survivors
     /// from the unharmed host image; data directives skip the lost
-    /// device's chunks and absorb in-flight loss. Requires a static
-    /// schedule; incompatible with `spread_pressure(split|spill)`.
+    /// device's chunks and absorb in-flight loss. Legality:
+    /// [`compose`](crate::compose).
     fn with_resilience(mut self, policy: ResiliencePolicy) -> Self {
         self.clause_set_mut().resilience = policy;
         self
@@ -259,10 +199,8 @@ pub trait SpreadClausesExt: Sized {
     /// does when a chunk's mapped footprint exceeds available device
     /// memory (default: [`PressurePolicy::Fail`]). See the
     /// [`pressure`](crate::pressure) module for the degradation ladder
-    /// (admission control → split → host spill). Requires a static
-    /// schedule and a blocking construct; incompatible with
-    /// `spread_resilience(redistribute)`, `spread_integrity(heal)` and
-    /// `spread_overlap(…)`.
+    /// (admission control → split → host spill). Legality:
+    /// [`compose`](crate::compose).
     fn with_pressure(mut self, policy: PressurePolicy) -> Self {
         self.clause_set_mut().pressure = policy;
         self
@@ -274,8 +212,7 @@ pub trait SpreadClausesExt: Sized {
     /// [`straggler`](crate::straggler) module for the deadline rule and
     /// the first-commit-wins rescue protocol; rescues always re-execute
     /// **whole pieces**, even when the original piece was pipelined by
-    /// `spread_overlap`. Requires a static schedule and a blocking
-    /// construct.
+    /// `spread_overlap`. Legality: [`compose`](crate::compose).
     fn with_straggler(mut self, policy: StragglerPolicy) -> Self {
         self.clause_set_mut().straggler = policy;
         self
@@ -300,10 +237,8 @@ pub trait SpreadClausesExt: Sized {
     /// [`integrity`](crate::integrity) module). Digests always cover
     /// **whole pieces**: under `spread_overlap` the per-sub-slice
     /// drains are digested individually at their source and verified at
-    /// the same whole-piece commit boundary. `heal` requires a static
-    /// schedule and a blocking construct and is incompatible with
-    /// `spread_straggler(steal|replicate)` and
-    /// `spread_pressure(split|spill)`.
+    /// the same whole-piece commit boundary. Legality:
+    /// [`compose`](crate::compose).
     fn with_integrity(mut self, mode: IntegrityMode) -> Self {
         self.clause_set_mut().integrity = mode;
         self
@@ -312,13 +247,8 @@ pub trait SpreadClausesExt: Sized {
     /// The `spread_overlap(…)` clause: pipeline each device piece over
     /// `depth` sub-slices so transfers overlap compute (default:
     /// [`OverlapPolicy::Off`]). See [`OverlapPolicy`] for the pipeline
-    /// shape. Only executable constructs pipeline; requires a static
-    /// schedule and a blocking construct (`nowait` rejects), and
-    /// `OverlapPolicy::Auto` additionally requires
-    /// `spread_schedule(auto)` on the same construct. Incompatible with
-    /// `spread_pressure(split|spill)` (admission plans whole pieces).
-    /// Composes with resilience, straggler rescue and integrity — all
-    /// of which keep seeing whole-piece commits.
+    /// shape; resilience, straggler rescue and integrity keep seeing
+    /// whole-piece commits. Legality: [`compose`](crate::compose).
     fn with_overlap(mut self, policy: OverlapPolicy) -> Self {
         self.clause_set_mut().overlap = policy;
         self
@@ -339,10 +269,9 @@ pub trait SpreadClausesExt: Sized {
     /// epoch and invalidates, and debug builds re-plan every hit from
     /// scratch and assert the cached plan identical.
     ///
-    /// Only `target spread` supports the clause (data directives
-    /// reject it); dynamic schedules and auto-scheduled constructs
-    /// never hit (their plans depend on claim-time or per-launch
-    /// adaptive state). Default: no key, every launch cold-plans.
+    /// Auto-scheduled constructs never hit (their plans depend on
+    /// per-launch adaptive state). Default: no key, every launch
+    /// cold-plans. Legality: [`compose`](crate::compose).
     fn with_plan_cache(mut self, key: impl Into<String>) -> Self {
         self.clause_set_mut().plan_key = Some(key.into());
         self

@@ -20,10 +20,11 @@ use std::rc::Rc;
 
 use spread_rt::directives::{ExchangeMode, TargetEnterData, TargetExitData, TargetUpdate};
 use spread_rt::map::MapType;
-use spread_rt::{HostArray, IntegrityMode, MapClause, RtError, Scope, Section, TaskId, TaskLabel};
+use spread_rt::{HostArray, MapClause, RtError, Scope, Section, TaskId, TaskLabel};
 
 use crate::chunk::ChunkCtx;
-use crate::clauses::{ClauseSet, SpreadClausesExt, Supports};
+use crate::clauses::{ClauseSet, SpreadClausesExt};
+use crate::compose::{self, Launch, Pragma};
 use crate::resilience::ResiliencePolicy;
 use crate::schedule::{distribute, Chunk, SpreadSchedule};
 use crate::spread_map::{SectionOf, SpreadMap};
@@ -111,9 +112,18 @@ impl SpreadClauses {
         &self.devices
     }
 
-    /// Validate the clause set and distribute the range into chunks —
-    /// the single distribution path of all four data directives.
+    /// Validate the clause set and distribute the range into chunks.
+    /// On its own the set is checked as `target data spread`'s; the
+    /// directive builders check it as theirs.
     pub fn chunks(&self) -> Result<Vec<Chunk>, RtError> {
+        self.chunks_as(Pragma::Data, &Launch::of(&self.set))
+    }
+
+    /// The single validation and distribution path of all four data
+    /// directives: `launch` (this set plus the directive's own items)
+    /// checked as `pragma`, then the range carved into chunks.
+    fn chunks_as(&self, pragma: Pragma, launch: &Launch<'_>) -> Result<Vec<Chunk>, RtError> {
+        compose::check(pragma, launch)?;
         if self.devices.is_empty() {
             return Err(RtError::InvalidDirective(
                 "devices(…) must not be empty".into(),
@@ -127,24 +137,8 @@ impl SpreadClauses {
         // them into the syntax of the target spread data transfer
         // directives via the spread_schedule clause." — an explicit
         // static schedule may replace the default `chunk_size`
-        // round-robin. Dynamic schedules cannot place data (the
-        // chunk→device assignment must be known when the mapping is
-        // created), and `auto` resolves against a *construct's* profile
-        // history, which a standalone data directive does not have.
+        // round-robin (the check refuses the dynamic and auto kinds).
         if let Some(s) = &self.set.schedule {
-            if matches!(s, SpreadSchedule::Dynamic { .. }) {
-                return Err(RtError::InvalidDirective(
-                    "data spread directives require a static distribution                  (dynamic placement is undecidable at mapping time)"
-                        .into(),
-                ));
-            }
-            if matches!(s, SpreadSchedule::Auto { .. }) {
-                return Err(RtError::InvalidDirective(
-                    "data spread directives require a static distribution \
-                     (spread_schedule(auto) only resolves on executable constructs)"
-                        .into(),
-                ));
-            }
             s.validate("data spread", self.devices.len())?;
             return Ok(distribute(range, &self.devices, s));
         }
@@ -248,15 +242,13 @@ impl TargetEnterDataSpread {
 
     /// Issue the directive: one enter-data task per chunk.
     pub fn launch(self, scope: &mut Scope<'_>) -> Result<Vec<TaskId>, RtError> {
-        self.clauses.set.reject_unsupported(
-            "target enter data spread",
-            Supports {
-                schedule: true,
-                resilience: true,
-                ..Supports::default()
+        let chunks = self.clauses.chunks_as(
+            Pragma::EnterData,
+            &Launch {
+                nowait: self.nowait,
+                ..Launch::of(&self.clauses.set)
             },
         )?;
-        let chunks = self.clauses.chunks()?;
         let resilient = self.clauses.set.resilience == ResiliencePolicy::Redistribute;
         let mut ids = Vec::with_capacity(chunks.len());
         for chunk in &chunks {
@@ -377,15 +369,13 @@ impl TargetExitDataSpread {
 
     /// Issue the directive: one exit-data task per chunk.
     pub fn launch(self, scope: &mut Scope<'_>) -> Result<Vec<TaskId>, RtError> {
-        self.clauses.set.reject_unsupported(
-            "target exit data spread",
-            Supports {
-                schedule: true,
-                resilience: true,
-                ..Supports::default()
+        let chunks = self.clauses.chunks_as(
+            Pragma::ExitData,
+            &Launch {
+                nowait: self.nowait,
+                ..Launch::of(&self.clauses.set)
             },
         )?;
-        let chunks = self.clauses.chunks()?;
         let resilient = self.clauses.set.resilience == ResiliencePolicy::Redistribute;
         let mut ids = Vec::with_capacity(chunks.len());
         for chunk in &chunks {
@@ -503,38 +493,17 @@ impl TargetUpdateSpread {
 
     /// Issue the directive: one update task per chunk.
     pub fn launch(self, scope: &mut Scope<'_>) -> Result<Vec<TaskId>, RtError> {
-        self.clauses.set.reject_unsupported(
-            "target update spread",
-            Supports {
-                schedule: true,
-                resilience: true,
-                integrity: true,
-                ..Supports::default()
+        let chunks = self.clauses.chunks_as(
+            Pragma::Update,
+            &Launch {
+                nowait: self.nowait,
+                peer: self.exchange == ExchangeMode::Peer,
+                from_items: !self.from_items.is_empty(),
+                ..Launch::of(&self.clauses.set)
             },
         )?;
-        let resilience = self.clauses.set.resilience;
         let integrity = self.clauses.set.integrity;
-        if self.exchange == ExchangeMode::Peer && resilience == ResiliencePolicy::Redistribute {
-            // `peer` forbids the host fallback that redistribution's
-            // "replay from the staged host image" contract relies on.
-            return Err(RtError::InvalidDirective(
-                "exchange(peer) cannot compose with spread_resilience(redistribute): \
-                 a lost peer leaves no permitted route"
-                    .into(),
-            ));
-        }
-        if integrity == IntegrityMode::Heal && !self.from_items.is_empty() {
-            // A `from(…)` drain makes the host the destination; healing
-            // re-reads the very device bytes that failed verification.
-            return Err(RtError::InvalidDirective(
-                "target update spread: spread_integrity(heal) cannot compose with from(…) \
-                 items (the host image is being overwritten — nothing unharmed to heal \
-                 from); use spread_integrity(verify)"
-                    .into(),
-            ));
-        }
-        let chunks = self.clauses.chunks()?;
-        let resilient = resilience == ResiliencePolicy::Redistribute;
+        let resilient = self.clauses.set.resilience == ResiliencePolicy::Redistribute;
         let mut ids = Vec::with_capacity(chunks.len());
         for chunk in &chunks {
             let c = ChunkCtx::new(chunk.start, chunk.len);
@@ -620,14 +589,7 @@ impl TargetDataSpread {
         scope: &mut Scope<'_>,
         f: impl FnOnce(&mut Scope<'_>) -> Result<R, RtError>,
     ) -> Result<R, RtError> {
-        self.clauses.set.reject_unsupported(
-            "target data spread",
-            Supports {
-                schedule: true,
-                resilience: true,
-                ..Supports::default()
-            },
-        )?;
+        compose::check(Pragma::Data, &Launch::of(&self.clauses.set))?;
         let enter_maps: Vec<SpreadMap> = self
             .clauses
             .map_list()

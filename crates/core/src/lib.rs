@@ -80,6 +80,7 @@
 
 pub mod chunk;
 pub mod clauses;
+pub mod compose;
 pub mod data_spread;
 pub mod integrity;
 pub(crate) mod plan;

@@ -42,7 +42,7 @@ pub enum ResiliencePolicy {
     /// Rebuild the lost device's chunks on the surviving devices of the
     /// `devices(…)` list, round-robin. The construct completes with
     /// results bit-identical to a fault-free run; only virtual time and
-    /// the trace differ. Requires a static schedule.
+    /// the trace differ.
     Redistribute,
 }
 

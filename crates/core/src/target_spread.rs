@@ -27,6 +27,7 @@ use spread_rt::{IntegrityMode, KernelSpec, RtError, Scope, Section, TaskId, Task
 
 use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, OverlapPolicy, SpreadClausesExt};
+use crate::compose::{self, Launch, Pragma};
 use crate::plan::{ChunkSections, Fingerprint, LaunchPlan, PlanBody};
 use crate::pressure::{self, Placement, PressureCoordinator, PressurePolicy};
 use crate::resilience::{Coordinator, ResiliencePolicy};
@@ -429,18 +430,17 @@ impl TargetSpread {
                 "target spread: devices(…) must not be empty".into(),
             ));
         }
+        compose::check(
+            Pragma::Spread,
+            &Launch {
+                nowait: self.nowait,
+                ..Launch::of(&self.clauses)
+            },
+        )?;
         // Resolve `spread_schedule(auto)` into a concrete StaticWeighted
-        // plan before any further validation, so auto composes with
-        // resilience/pressure exactly where StaticWeighted does.
+        // plan, so auto launches exactly where StaticWeighted does.
         let auto = if let Some(SpreadSchedule::Auto { key }) = &self.clauses.schedule {
             let key = key.clone();
-            if self.nowait {
-                // The profile window closes at construct completion; a
-                // nowait construct has no such point to observe.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_schedule(auto) requires a blocking construct".into(),
-                ));
-            }
             let weights = scope.adaptive_weights(&key, self.devices.len());
             let round = range.len().max(1);
             self.clauses.schedule = Some(SpreadSchedule::StaticWeighted {
@@ -451,24 +451,25 @@ impl TargetSpread {
         } else {
             None
         };
-        // Resolve `spread_overlap(auto)` against the same construct key:
-        // the ProfileStore explores depths {1, 2, 4} first, then keeps
-        // the exponentially-weighted argmin of construct duration.
-        let auto_depth = if self.clauses.overlap == OverlapPolicy::Auto {
-            let Some((key, ..)) = &auto else {
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_overlap(auto) requires spread_schedule(auto) \
-                     on the same construct"
-                        .into(),
-                ));
-            };
-            let depth = scope.adaptive_depth(key);
-            self.clauses.overlap = OverlapPolicy::Depth(depth);
-            Some((key.clone(), depth, scope.now()))
-        } else {
-            None
+        // Resolve `spread_overlap(auto)` against the same construct key
+        // (the check demands one): the ProfileStore explores depths
+        // {1, 2, 4} first, then keeps the exponentially-weighted argmin
+        // of construct duration.
+        let auto_depth = match (&auto, self.clauses.overlap) {
+            (Some((key, ..)), OverlapPolicy::Auto) => {
+                let depth = scope.adaptive_depth(key);
+                self.clauses.overlap = OverlapPolicy::Depth(depth);
+                Some((key.clone(), depth, scope.now()))
+            }
+            _ => None,
         };
-        let ids = self.dispatch(scope, range, kernel)?;
+        let ids = if self.clauses.pressure != PressurePolicy::Fail {
+            self.launch_pressure(scope, range, kernel)
+        } else if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
+            self.launch_dynamic(scope, range, kernel)
+        } else {
+            self.launch_static(scope, range, kernel)
+        }?;
         if let Some((key, devices, weights, round, t0)) = auto {
             scope.record_construct_profile(&key, &devices, &weights, round, t0);
         }
@@ -476,171 +477,6 @@ impl TargetSpread {
             scope.record_overlap_depth(&key, depth, t0);
         }
         Ok(ids)
-    }
-
-    /// Validation + launch-path selection, on a concrete (never `Auto`)
-    /// schedule.
-    fn dispatch(
-        self,
-        scope: &mut Scope<'_>,
-        range: Range<usize>,
-        kernel: KernelSpec,
-    ) -> Result<Vec<TaskId>, RtError> {
-        if self.clauses.resilience == ResiliencePolicy::Redistribute
-            && matches!(self.schedule(), SpreadSchedule::Dynamic { .. })
-        {
-            // Dynamic chunks have no pre-assigned device to route off;
-            // the claim chains already absorb loss-shaped imbalance.
-            return Err(RtError::InvalidDirective(
-                "target spread: spread_resilience(redistribute) requires a static schedule".into(),
-            ));
-        }
-        if self.clauses.plan_key.is_some()
-            && matches!(self.schedule(), SpreadSchedule::Dynamic { .. })
-        {
-            // Dynamic placement happens at claim time — there is no
-            // launch-time plan to cache. Rejected rather than silently
-            // ignored, like every other clause misuse.
-            return Err(RtError::InvalidDirective(
-                "target spread: spread_plan_cache(…) requires a static schedule".into(),
-            ));
-        }
-        match self.clauses.overlap {
-            OverlapPolicy::Off => {}
-            OverlapPolicy::Auto => {
-                // `parallel_for` resolves Auto against the construct's
-                // profile key before dispatch; reaching here means the
-                // schedule was not `auto`.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_overlap(auto) requires spread_schedule(auto) \
-                     on the same construct"
-                        .into(),
-                ));
-            }
-            OverlapPolicy::Depth(0) => {
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_overlap(0) is invalid (depth must be ≥ 1)".into(),
-                ));
-            }
-            OverlapPolicy::Depth(_) => {
-                if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                    // Sub-slice planning works off the static chunk →
-                    // device assignment.
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_overlap(…) requires a static schedule".into(),
-                    ));
-                }
-                if self.nowait {
-                    // The pipeline's staged commits drain at the
-                    // construct's blocking completion; a nowait
-                    // construct has no such point.
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_overlap(…) requires a blocking construct".into(),
-                    ));
-                }
-                if self.clauses.pressure != PressurePolicy::Fail {
-                    // Admission budgets whole pieces against headroom;
-                    // splitting/spilling pieces mid-pipeline would
-                    // invalidate both plans.
-                    return Err(RtError::InvalidDirective(
-                        "target spread: spread_overlap(…) is incompatible with \
-                         spread_pressure(split|spill)"
-                            .into(),
-                    ));
-                }
-            }
-        }
-        if self.clauses.straggler != StragglerPolicy::Wait {
-            if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                // The deadline sweep and the least-loaded pick both work
-                // off the static chunk → device assignment; dynamic
-                // chunks already absorb imbalance through claim order.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_straggler(steal|replicate) requires a static schedule"
-                        .into(),
-                ));
-            }
-            if self.nowait {
-                // The construct's blocking drain owns the rescue exits;
-                // a nowait construct has no drain to hand them to.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_straggler(steal|replicate) requires a blocking \
-                     construct"
-                        .into(),
-                ));
-            }
-        }
-        if self.clauses.integrity == IntegrityMode::Heal {
-            if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                // Healing rebuilds the *same* piece on a known device;
-                // dynamic chunks have no stable piece → device identity
-                // to rebuild against.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) requires a static schedule".into(),
-                ));
-            }
-            if self.nowait {
-                // The blocking drain owns the redo exits; a nowait
-                // construct has no drain to absorb them into.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) requires a blocking construct".into(),
-                ));
-            }
-            if self.clauses.straggler != StragglerPolicy::Wait {
-                // A rescue's first-commit-wins arbitration assumes every
-                // commit is trustworthy; a healing redo racing a rescue
-                // of the same piece would double-arbitrate it. `verify`
-                // composes (a mismatch just fails the construct).
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) is incompatible with \
-                     spread_straggler(steal|replicate); use spread_integrity(verify)"
-                        .into(),
-                ));
-            }
-            if self.clauses.pressure != PressurePolicy::Fail {
-                // Both clauses register recovery handlers on the same
-                // construct phases; composing the two degradation
-                // ladders is future work. `verify` composes.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_integrity(heal) is incompatible with \
-                     spread_pressure(split|spill); use spread_integrity(verify)"
-                        .into(),
-                ));
-            }
-        }
-        if self.clauses.pressure != PressurePolicy::Fail {
-            if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-                // Admission plans against the static chunk → device
-                // assignment; dynamic chunks have none until claim time.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_pressure(split|spill) requires a static schedule".into(),
-                ));
-            }
-            if self.clauses.resilience == ResiliencePolicy::Redistribute {
-                // Both clauses re-place chunks through their own
-                // recovery coordinators; composing them is future work.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_pressure(split|spill) is incompatible with \
-                     spread_resilience(redistribute)"
-                        .into(),
-                ));
-            }
-            if self.nowait {
-                // The admission plan budgets the whole construct against
-                // headroom sampled at launch; letting the caller race
-                // more constructs in underneath would invalidate it.
-                return Err(RtError::InvalidDirective(
-                    "target spread: spread_pressure(split|spill) requires a blocking construct"
-                        .into(),
-                ));
-            }
-            return self.launch_pressure(scope, range, kernel);
-        }
-        if matches!(self.schedule(), SpreadSchedule::Dynamic { .. }) {
-            self.launch_dynamic(scope, range, kernel)
-        } else {
-            self.launch_static(scope, range, kernel)
-        }
     }
 
     /// The pressure-managed launch path: plan admission against live

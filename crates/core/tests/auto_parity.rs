@@ -7,10 +7,9 @@
 //! does for an explicit `StaticWeighted` — same `Ok`/`Err` outcome,
 //! same [`RtError`] variant on rejection (never a panic), and
 //! bit-identical results where both succeed (the first `auto` launch
-//! uses the equal split, i.e. the same plan as equal weights). The one
-//! documented divergence is `nowait`: a nowait construct has no
-//! completion point to close the profile window, so `auto` rejects it
-//! with [`RtError::InvalidDirective`] where `StaticWeighted` accepts.
+//! uses the equal split, i.e. the same plan as equal weights). Which
+//! combinations are refused, `nowait` included, is swept in
+//! `tests/clause_legality.rs`.
 
 use std::mem::discriminant;
 
@@ -187,15 +186,8 @@ fn auto_composes_with_pressure_split_and_spill() {
 
 #[test]
 fn auto_rejects_the_same_invalid_combos_as_static() {
-    // pressure + redistribute is invalid for every schedule.
-    assert_parity(
-        1 << 22,
-        None,
-        ResiliencePolicy::Redistribute,
-        PressurePolicy::Split,
-        "pressure+redistribute",
-    );
-    // Empty devices is invalid for every schedule.
+    // Empty devices is invalid for every schedule (clause combinations
+    // are swept in tests/clause_legality.rs).
     let mut rt = runtime(1 << 22, None);
     let a = rt.host_array("A", N);
     for schedule in [equal_static(), SpreadSchedule::auto("empty")] {
@@ -217,153 +209,4 @@ fn auto_rejects_the_same_invalid_combos_as_static() {
             "empty devices: {err:?}"
         );
     }
-}
-
-#[test]
-fn auto_with_nowait_is_an_invalid_directive_not_a_panic() {
-    // The documented divergence: StaticWeighted accepts nowait, auto
-    // cannot (no completion point closes the profile window).
-    let mut rt = runtime(1 << 22, None);
-    let ok = run_scale(
-        &mut rt,
-        equal_static(),
-        ResiliencePolicy::FailStop,
-        PressurePolicy::Fail,
-        true,
-    );
-    assert!(ok.is_ok(), "StaticWeighted + nowait is legal: {ok:?}");
-    let mut rt = runtime(1 << 22, None);
-    let err = run_scale(
-        &mut rt,
-        SpreadSchedule::auto("nowait"),
-        ResiliencePolicy::FailStop,
-        PressurePolicy::Fail,
-        true,
-    )
-    .unwrap_err();
-    match err {
-        RtError::InvalidDirective(msg) => {
-            assert!(msg.contains("blocking construct"), "message: {msg}")
-        }
-        other => panic!("expected InvalidDirective, got {other:?}"),
-    }
-    // pressure + nowait is rejected for both schedules (auto reaches
-    // its own nowait gate first; the variant is the same).
-    for schedule in [equal_static(), SpreadSchedule::auto("pn")] {
-        let mut rt = runtime(1 << 22, None);
-        let err = run_scale(
-            &mut rt,
-            schedule,
-            ResiliencePolicy::FailStop,
-            PressurePolicy::Split,
-            true,
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, RtError::InvalidDirective(_)),
-            "pressure+nowait: {err:?}"
-        );
-    }
-}
-
-#[test]
-fn dynamic_rejections_do_not_loosen_under_auto() {
-    // The contrast cases: Dynamic + redistribute / pressure are
-    // invalid, and auto (which resolves to StaticWeighted) is accepted
-    // in exactly those spots.
-    let mut rt = runtime(1 << 22, None);
-    let err = run_scale(
-        &mut rt,
-        SpreadSchedule::dynamic(32),
-        ResiliencePolicy::Redistribute,
-        PressurePolicy::Fail,
-        false,
-    )
-    .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err:?}");
-    let mut rt = runtime(1 << 22, None);
-    run_scale(
-        &mut rt,
-        SpreadSchedule::auto("dyn-contrast"),
-        ResiliencePolicy::Redistribute,
-        PressurePolicy::Fail,
-        false,
-    )
-    .expect("auto + redistribute is legal where dynamic is not");
-    let mut rt = runtime(1 << 22, None);
-    let err = run_scale(
-        &mut rt,
-        SpreadSchedule::dynamic(32),
-        ResiliencePolicy::FailStop,
-        PressurePolicy::Split,
-        false,
-    )
-    .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err:?}");
-    let mut rt = runtime(1 << 22, None);
-    run_scale(
-        &mut rt,
-        SpreadSchedule::auto("dyn-contrast-2"),
-        ResiliencePolicy::FailStop,
-        PressurePolicy::Split,
-        false,
-    )
-    .expect("auto + pressure is legal where dynamic is not");
-}
-
-#[test]
-fn data_directives_reject_auto_with_invalid_directive() {
-    // A standalone data directive has no construct profile to resolve
-    // against; `auto` must be an InvalidDirective there, not a panic.
-    let mut rt = runtime(1 << 22, None);
-    let a = rt.host_array("A", N);
-    let err = rt
-        .run(|s| {
-            TargetEnterDataSpread::devices(0..N_DEV as u32)
-                .range(0, N)
-                .chunk_size(32)
-                .with_schedule(SpreadSchedule::auto("data"))
-                .map(spread_to(a, |c| c.range()))
-                .launch(s)?;
-            Ok(())
-        })
-        .unwrap_err();
-    match err {
-        RtError::InvalidDirective(msg) => assert!(
-            msg.contains("static distribution"),
-            "enter data message: {msg}"
-        ),
-        other => panic!("expected InvalidDirective, got {other:?}"),
-    }
-    let err = rt
-        .run(|s| {
-            TargetExitDataSpread::devices(0..N_DEV as u32)
-                .range(0, N)
-                .chunk_size(32)
-                .with_schedule(SpreadSchedule::auto("data"))
-                .map(spread_from(a, |c| c.range()))
-                .launch(s)?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(
-        matches!(err, RtError::InvalidDirective(_)),
-        "exit data: {err:?}"
-    );
-    // An explicit StaticWeighted in the same spot is accepted — the
-    // rejection is about auto, not about the schedule clause itself.
-    rt.run(|s| {
-        TargetEnterDataSpread::devices(0..N_DEV as u32)
-            .range(0, N)
-            .with_schedule(equal_static())
-            .map(spread_to(a, |c| c.range()))
-            .launch(s)?;
-        TargetExitDataSpread::devices(0..N_DEV as u32)
-            .range(0, N)
-            .with_schedule(equal_static())
-            .map(spread_from(a, |c| c.range()))
-            .launch(s)?;
-        Ok(())
-    })
-    .unwrap();
 }

@@ -273,52 +273,6 @@ fn healing_is_deterministic() {
     assert_eq!(run(), run(), "same plan, same seed => identical healing");
 }
 
-fn reject_case(build: impl FnOnce(TargetSpread) -> TargetSpread) -> RtError {
-    let mut rt = runtime(2, None, 8);
-    let a = rt.host_array("A", 64);
-    rt.run(|s| {
-        build(TargetSpread::devices([0, 1]).with_integrity(IntegrityMode::Heal))
-            .map(spread_tofrom(a, |c| c.range()))
-            .parallel_for(
-                s,
-                0..64,
-                KernelSpec::new("id", 1.0, |_, _| {}).arg(KernelArg::read(a, |r| r)),
-            )?;
-        Ok(())
-    })
-    .unwrap_err()
-}
-
-#[test]
-fn heal_rejects_incompatible_clauses() {
-    for err in [
-        reject_case(|t| t.with_schedule(SpreadSchedule::dynamic(16))),
-        reject_case(|t| t.nowait()),
-        reject_case(|t| t.with_straggler(StragglerPolicy::Steal)),
-        reject_case(|t| t.with_pressure(PressurePolicy::Split)),
-    ] {
-        assert!(matches!(err, RtError::InvalidDirective(_)), "{err:?}");
-    }
-}
-
-#[test]
-fn update_spread_rejects_heal_with_from_items() {
-    let mut rt = runtime(2, None, 8);
-    let a = rt.host_array("A", 64);
-    let err = rt
-        .run(|s| {
-            TargetUpdateSpread::devices([0, 1])
-                .range(0, 64)
-                .chunk_size(32)
-                .with_integrity(IntegrityMode::Heal)
-                .from(a, |c| c.range())
-                .launch(s)?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err:?}");
-}
-
 #[test]
 fn update_spread_verify_catches_a_flipped_drain() {
     let n = 128;

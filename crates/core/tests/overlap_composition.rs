@@ -1,6 +1,6 @@
-//! The `spread_overlap(…)` row/column of the clause-composition matrix
-//! (DESIGN.md §15), cell by cell: every reject fires `InvalidDirective`
-//! at issue time, and every compose keeps whole-piece semantics —
+//! The `spread_overlap(…)` row of the clause-composition matrix
+//! (DESIGN.md §14–15), compose cell by cell (the refusals are swept in
+//! `tests/clause_legality.rs`): every compose keeps whole-piece semantics —
 //! straggler rescues re-execute whole pieces, integrity digests verify
 //! whole pieces, resilience replays whole pieces — all bit-identical to
 //! the un-pipelined runs.
@@ -60,94 +60,6 @@ fn run_scale(
     })?;
     Ok(rt.snapshot_host(b))
 }
-
-fn expect_invalid(res: Result<Vec<f64>, RtError>, needle: &str) {
-    match res {
-        Err(RtError::InvalidDirective(msg)) => {
-            assert!(msg.contains(needle), "wrong message: {msg}");
-        }
-        other => panic!("expected InvalidDirective({needle}), got {other:?}"),
-    }
-}
-
-// ---- Reject cells -------------------------------------------------------
-
-#[test]
-fn overlap_rejects_dynamic_schedule() {
-    let mut rt = runtime(2, None);
-    let res = run_scale(&mut rt, vec![0, 1], 256, 2.0, |t| {
-        t.with_schedule(SpreadSchedule::dynamic(64))
-            .with_overlap(OverlapPolicy::Depth(2))
-    });
-    expect_invalid(res, "requires a static schedule");
-}
-
-#[test]
-fn overlap_rejects_nowait() {
-    let mut rt = runtime(2, None);
-    let res = run_scale(&mut rt, vec![0, 1], 256, 2.0, |t| {
-        t.nowait().with_overlap(OverlapPolicy::Depth(2))
-    });
-    expect_invalid(res, "requires a blocking construct");
-}
-
-#[test]
-fn overlap_depth_zero_rejects() {
-    let mut rt = runtime(2, None);
-    let res = run_scale(&mut rt, vec![0, 1], 256, 2.0, |t| {
-        t.with_overlap(OverlapPolicy::Depth(0))
-    });
-    expect_invalid(res, "spread_overlap(0) is invalid");
-}
-
-#[test]
-fn overlap_auto_requires_schedule_auto() {
-    let mut rt = runtime(2, None);
-    let res = run_scale(&mut rt, vec![0, 1], 256, 2.0, |t| {
-        t.with_overlap(OverlapPolicy::Auto)
-    });
-    expect_invalid(res, "requires spread_schedule(auto)");
-}
-
-#[test]
-fn overlap_rejects_pressure_degradation() {
-    for policy in [PressurePolicy::Split, PressurePolicy::Spill] {
-        let mut rt = runtime(2, None);
-        let res = run_scale(&mut rt, vec![0, 1], 256, 2.0, |t| {
-            t.with_pressure(policy)
-                .with_overlap(OverlapPolicy::Depth(2))
-        });
-        expect_invalid(res, "incompatible with");
-    }
-}
-
-#[test]
-fn data_directives_reject_overlap() {
-    // `spread_overlap` pipelines an executable construct's kernel; the
-    // four data-management directives have no kernel to overlap with.
-    let mut rt = runtime(2, None);
-    let n = 128;
-    let a = rt.host_array("A", n);
-    let err = rt
-        .run(|s| {
-            TargetEnterDataSpread::devices([0, 1])
-                .range(0, n)
-                .chunk_size(64)
-                .with_overlap(OverlapPolicy::Depth(2))
-                .map(spread_to(a, |c| c.range()))
-                .launch(s)?;
-            Ok(())
-        })
-        .unwrap_err();
-    match err {
-        RtError::InvalidDirective(msg) => {
-            assert!(msg.contains("spread_overlap"), "wrong message: {msg}")
-        }
-        other => panic!("expected InvalidDirective, got {other:?}"),
-    }
-}
-
-// ---- Compose cells ------------------------------------------------------
 
 /// overlap × static schedule (the monitored case): bit-identical across
 /// depths and devices.

@@ -1,8 +1,8 @@
 //! End-to-end tests of the `spread_plan_cache(key)` clause: repeated
-//! launches replay the cached plan, misuse is rejected loudly, and the
-//! topology epoch invalidates — never serves — a stale plan after
-//! device loss, integrity-breaker quarantine, or an adaptive-weight
-//! update.
+//! launches replay the cached plan, and the topology epoch invalidates
+//! — never serves — a stale plan after device loss, integrity-breaker
+//! quarantine, or an adaptive-weight update. Misuse is refused
+//! (`tests/clause_legality.rs`).
 
 use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
@@ -129,54 +129,6 @@ fn unkeyed_constructs_leave_the_cache_idle() {
         (0, 0, 0, 0),
         "an unkeyed construct must never touch the cache: {stats:?}"
     );
-}
-
-#[test]
-fn dynamic_schedules_reject_the_clause() {
-    let n = 256;
-    let mut rt = runtime(2, None, 8);
-    let a = rt.host_array("A", n);
-    let err = rt
-        .run(|s| {
-            TargetSpread::devices([0, 1])
-                .with_schedule(SpreadSchedule::dynamic(32))
-                .with_plan_cache("dyn")
-                .map(spread_tofrom(a, |c| c.range()))
-                .parallel_for(s, 0..n, KernelSpec::new("noop", 1.0, |_, _| {}))?;
-            Ok(())
-        })
-        .unwrap_err();
-    match err {
-        RtError::InvalidDirective(msg) => {
-            assert!(msg.contains("spread_plan_cache"), "{msg}");
-            assert!(msg.contains("static schedule"), "{msg}");
-        }
-        other => panic!("expected InvalidDirective, got {other:?}"),
-    }
-}
-
-#[test]
-fn data_directives_reject_the_clause() {
-    let n = 256;
-    let mut rt = runtime(2, None, 8);
-    let a = rt.host_array("A", n);
-    let err = rt
-        .run(|s| {
-            TargetEnterDataSpread::devices([0, 1])
-                .range(0, n)
-                .chunk_size(64)
-                .with_plan_cache("enter")
-                .map(spread_to(a, |c| c.range()))
-                .launch(s)?;
-            Ok(())
-        })
-        .unwrap_err();
-    match err {
-        RtError::InvalidDirective(msg) => {
-            assert!(msg.contains("spread_plan_cache"), "{msg}");
-        }
-        other => panic!("expected InvalidDirective, got {other:?}"),
-    }
 }
 
 /// Permanent device loss mid-construct bumps the topology epoch: the

@@ -231,40 +231,3 @@ fn pressure_under_pressure_is_deterministic() {
         "same plan, same seed => identical degradation"
     );
 }
-
-#[test]
-fn pressure_rejects_dynamic_nowait_and_redistribute() {
-    let mut rt = runtime(2, 1 << 22, None);
-    let a = rt.host_array("A", 64);
-    let kernel = || KernelSpec::new("id", 1.0, |_, _| {}).arg(KernelArg::read(a, |r| r));
-    let build = || {
-        TargetSpread::devices([0, 1])
-            .with_pressure(PressurePolicy::Split)
-            .map(spread_to(a, |c| c.range()))
-    };
-    let err = rt
-        .run(|s| {
-            build()
-                .with_schedule(SpreadSchedule::dynamic(16))
-                .parallel_for(s, 0..64, kernel())?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err}");
-    let err = rt
-        .run(|s| {
-            build().nowait().parallel_for(s, 0..64, kernel())?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err}");
-    let err = rt
-        .run(|s| {
-            build()
-                .with_resilience(ResiliencePolicy::Redistribute)
-                .parallel_for(s, 0..64, kernel())?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err}");
-}

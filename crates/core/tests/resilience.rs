@@ -181,27 +181,6 @@ fn redistribute_fails_when_every_device_is_dead() {
 }
 
 #[test]
-fn dynamic_schedule_rejects_redistribute() {
-    let mut rt = runtime(2, None);
-    let a = rt.host_array("A", 64);
-    let err = rt
-        .run(|s| {
-            TargetSpread::devices([0, 1])
-                .with_schedule(SpreadSchedule::dynamic(16))
-                .with_resilience(ResiliencePolicy::Redistribute)
-                .map(spread_tofrom(a, |c| c.range()))
-                .parallel_for(
-                    s,
-                    0..64,
-                    KernelSpec::new("id", 1.0, |_, _| {}).arg(KernelArg::read(a, |r| r)),
-                )?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)));
-}
-
-#[test]
 fn resilient_spread_without_faults_matches_fail_stop_exactly() {
     let n = 512;
     let (expect, _) = clean_run(4, n);

@@ -164,46 +164,6 @@ fn fast_runs_never_rescue() {
 }
 
 #[test]
-fn straggler_rejects_dynamic_and_nowait() {
-    let mut rt = runtime(2, None);
-    let err = rt
-        .run(|s| {
-            let a = s.host_array("A", 64);
-            TargetSpread::devices([0, 1])
-                .with_schedule(SpreadSchedule::dynamic(16))
-                .with_straggler(StragglerPolicy::Steal)
-                .map(spread_tofrom(a, |c| c.range()))
-                .parallel_for(
-                    s,
-                    0..64,
-                    KernelSpec::new("id", 1.0, |_, _| {}).arg(KernelArg::read_write(a, |r| r)),
-                )?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err:?}");
-
-    let mut rt = runtime(2, None);
-    let err = rt
-        .run(|s| {
-            let a = s.host_array("A", 64);
-            TargetSpread::devices([0, 1])
-                .with_schedule(SpreadSchedule::static_chunk(16))
-                .with_straggler(StragglerPolicy::Replicate)
-                .nowait()
-                .map(spread_tofrom(a, |c| c.range()))
-                .parallel_for(
-                    s,
-                    0..64,
-                    KernelSpec::new("id", 1.0, |_, _| {}).arg(KernelArg::read_write(a, |r| r)),
-                )?;
-            Ok(())
-        })
-        .unwrap_err();
-    assert!(matches!(err, RtError::InvalidDirective(_)), "{err:?}");
-}
-
-#[test]
 fn straggler_composes_with_resilience() {
     // Device 1 is slow *and* device 3 dies mid-run: the straggler
     // monitor rescues the slow piece while the resilience coordinator

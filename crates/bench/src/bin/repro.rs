@@ -1,10 +1,15 @@
 //! One-shot reproduction driver: runs every table/figure/ablation
 //! binary at paper scale and writes the outputs under `results/`.
 //!
-//! Usage: `cargo run --release -p spread-bench --bin repro [--small]`
-//! (expect ~15–30 minutes at paper scale; `--small` finishes in seconds).
+//! Usage: `cargo build --release -p spread-bench`, then
+//! `cargo run --release -p spread-bench --bin repro [--small]`. At paper
+//! scale it takes about a minute on two vCPUs, and its outputs are
+//! byte-reproducible: `git diff --exit-code results/` after a run shows
+//! exactly which paper number a change moved. `--small` finishes in
+//! seconds and prints to stdout; it never writes `results/`.
 
 use std::fs;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -28,7 +33,9 @@ fn main() {
         .parent()
         .expect("bin dir")
         .to_path_buf();
-    fs::create_dir_all("results").expect("mkdir results");
+    if !small {
+        fs::create_dir_all("results").expect("mkdir results");
+    }
     let mut failures = 0;
     for (name, extra) in TARGETS {
         let mut cmd = Command::new(bin_dir.join(name));
@@ -47,8 +54,12 @@ fn main() {
                     content.extend_from_slice(&out.stderr);
                     eprintln!("    FAILED ({})", out.status);
                 }
-                fs::write(&path, content).expect("write result");
-                eprintln!("    -> {path}");
+                if small {
+                    std::io::stdout().write_all(&content).expect("write stdout");
+                } else {
+                    fs::write(&path, content).expect("write result");
+                    eprintln!("    -> {path}");
+                }
             }
             Err(e) => {
                 failures += 1;
@@ -63,5 +74,7 @@ fn main() {
         eprintln!("{failures} target(s) failed");
         std::process::exit(1);
     }
-    eprintln!("all reproduction targets written to results/");
+    if !small {
+        eprintln!("all reproduction targets written to results/");
+    }
 }

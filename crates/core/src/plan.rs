@@ -31,6 +31,8 @@
 //!
 //! [`distribute`]: crate::schedule::distribute
 
+use std::rc::Rc;
+
 use spread_rt::{MapClause, Section};
 
 use crate::pressure::PlannedPiece;
@@ -44,8 +46,9 @@ use spread_rt::DegradationEvent;
 /// [`build_target_from`]: crate::target_spread::TargetSpread::build_target_from
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct ChunkSections {
-    /// Evaluated `map` items, in clause order.
-    pub maps: Vec<MapClause>,
+    /// Evaluated `map` items, in clause order; every launch of the
+    /// chunk shares the list.
+    pub maps: Rc<[MapClause]>,
     /// Evaluated `depend(in: …)` sections, in clause order.
     pub dep_ins: Vec<Section>,
     /// Evaluated `depend(out: …)` sections, in clause order.

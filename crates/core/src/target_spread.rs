@@ -377,9 +377,7 @@ impl TargetSpread {
                 t = t.num_threads(n);
             }
         }
-        for m in &secs.maps {
-            t = t.map(m.clone());
-        }
+        t = t.map_list(Rc::clone(&secs.maps));
         for &d in &secs.dep_ins {
             t = t.depend_in(d);
         }

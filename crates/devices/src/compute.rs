@@ -18,7 +18,7 @@ use spread_sim::fault::{FaultEvent, FaultEventKind};
 use spread_sim::Simulator;
 use spread_trace::{Lane, SpanKind, TraceRecorder};
 
-use crate::gate::SerialGate;
+use crate::gate::{SerialGate, Waiter};
 use crate::health::FaultCtx;
 use crate::spec::ComputeModel;
 
@@ -62,6 +62,8 @@ struct Inner {
     fault: Option<FaultCtx>,
     busy: bool,
     queue: VecDeque<KernelOp>,
+    /// The kernel waiting for the gate.
+    held: Option<KernelOp>,
     completed: u64,
     /// The running kernel, for cancellation:
     /// `(tag, label, start, held gate)`.
@@ -89,6 +91,7 @@ impl ComputeEngine {
                 fault: None,
                 busy: false,
                 queue: VecDeque::new(),
+                held: None,
                 completed: 0,
                 running: None,
                 epoch: 0,
@@ -145,17 +148,22 @@ impl ComputeEngine {
             inner.busy = true;
             (op, inner.gate.clone())
         };
-        let this = self.clone();
         match gate {
             // Streamed kernels bypass default-stream serialization so
             // the overlap engine can run copy-in/kernel/copy-out of
             // different pipeline stages concurrently on one device.
             Some(g) if !op.streamed => {
-                let g2 = g.clone();
-                g.acquire(sim, Box::new(move |sim| this.start_op(sim, op, Some(g2))));
+                self.inner.borrow_mut().held = Some(op);
+                g.acquire(sim, Waiter::Compute(self.clone()));
             }
-            _ => this.start_op(sim, op, None),
+            _ => self.start_op(sim, op, None),
         }
+    }
+
+    /// The gate is ours: start the kernel that waited for it.
+    pub(crate) fn granted(&self, sim: &mut Simulator, gate: SerialGate) {
+        let op = self.inner.borrow_mut().held.take();
+        self.start_op(sim, op.expect("a kernel waits for the gate"), Some(gate));
     }
 
     /// Cancel the *running* kernel if its tag matches: the modeled

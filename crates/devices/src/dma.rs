@@ -23,7 +23,7 @@ use spread_sim::fault::{FaultEvent, FaultEventKind};
 use spread_sim::{CapacityId, SharedFlowNet, Simulator};
 use spread_trace::{Lane, SimDuration, SpanKind, TraceRecorder};
 
-use crate::gate::SerialGate;
+use crate::gate::{SerialGate, Waiter};
 use crate::health::{Attempt, FaultCtx};
 
 /// Transfer direction.
@@ -96,6 +96,8 @@ struct Inner {
     fault: Option<FaultCtx>,
     busy: bool,
     queue: VecDeque<DmaOp>,
+    /// The operation waiting for the gate.
+    held: Option<DmaOp>,
     completed_ops: u64,
     total_bytes: u64,
 }
@@ -129,6 +131,7 @@ impl DmaEngine {
                 fault: None,
                 busy: false,
                 queue: VecDeque::new(),
+                held: None,
                 completed_ops: 0,
                 total_bytes: 0,
             })),
@@ -190,21 +193,28 @@ impl DmaEngine {
             inner.busy = true;
             (op, inner.gate.clone())
         };
-        let this = self.clone();
         match gate {
             // Streamed ops bypass default-stream serialization: the
             // pipelined overlap engine issues its sub-slice copies on
             // runtime-allocated streams, so they never contend with the
             // device's compute engine for the gate.
             Some(g) if !op.streamed => {
-                let g2 = g.clone();
-                g.acquire(
-                    sim,
-                    Box::new(move |sim| this.start_op(sim, op, Some(g2), 0)),
-                );
+                self.inner.borrow_mut().held = Some(op);
+                g.acquire(sim, Waiter::Dma(self.clone()));
             }
-            _ => this.start_op(sim, op, None, 0),
+            _ => self.start_op(sim, op, None, 0),
         }
+    }
+
+    /// The gate is ours: start the operation that waited for it.
+    pub(crate) fn granted(&self, sim: &mut Simulator, gate: SerialGate) {
+        let op = self.inner.borrow_mut().held.take();
+        self.start_op(
+            sim,
+            op.expect("an operation waits for the gate"),
+            Some(gate),
+            0,
+        );
     }
 
     fn start_op(

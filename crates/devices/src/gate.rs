@@ -21,12 +21,30 @@ use std::rc::Rc;
 
 use spread_sim::Simulator;
 
-/// Callback invoked when the gate is acquired.
-pub type GateAction = Box<dyn FnOnce(&mut Simulator)>;
+use crate::compute::ComputeEngine;
+use crate::dma::DmaEngine;
+
+/// An engine queued for the gate. It holds back the operation it wants
+/// to start, and starts it when the gate is granted to it.
+pub enum Waiter {
+    /// A DMA engine.
+    Dma(DmaEngine),
+    /// A compute engine.
+    Compute(ComputeEngine),
+}
+
+impl Waiter {
+    fn grant(self, sim: &mut Simulator, gate: &SerialGate) {
+        match self {
+            Waiter::Dma(engine) => engine.granted(sim, gate.clone()),
+            Waiter::Compute(engine) => engine.granted(sim, gate.clone()),
+        }
+    }
+}
 
 struct Inner {
     busy: bool,
-    waiters: VecDeque<GateAction>,
+    waiters: VecDeque<Waiter>,
 }
 
 /// A FIFO mutual-exclusion gate over the simulator's virtual time.
@@ -52,21 +70,21 @@ impl SerialGate {
         }
     }
 
-    /// Run `action` once the gate is free (immediately if it is);
-    /// the holder must call [`SerialGate::release`] when done.
-    pub fn acquire(&self, sim: &mut Simulator, action: GateAction) {
+    /// Grant the gate to `waiter` once it is free (immediately if it
+    /// is); the holder must call [`SerialGate::release`] when done.
+    pub fn acquire(&self, sim: &mut Simulator, waiter: Waiter) {
         let run_now = {
             let mut inner = self.inner.borrow_mut();
             if inner.busy {
-                inner.waiters.push_back(action);
+                inner.waiters.push_back(waiter);
                 None
             } else {
                 inner.busy = true;
-                Some(action)
+                Some(waiter)
             }
         };
-        if let Some(action) = run_now {
-            action(sim);
+        if let Some(waiter) = run_now {
+            waiter.grant(sim, self);
         }
     }
 
@@ -83,8 +101,8 @@ impl SerialGate {
                 }
             }
         };
-        if let Some(action) = next {
-            action(sim);
+        if let Some(waiter) = next {
+            waiter.grant(sim, self);
         }
     }
 
@@ -97,51 +115,66 @@ impl SerialGate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spread_trace::SimDuration;
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    use crate::compute::KernelOp;
+    use crate::spec::ComputeModel;
+    use spread_trace::TraceRecorder;
+
+    /// A kernel of `ns` nanoseconds that logs `tag` and the virtual time
+    /// when it completes.
+    fn kernel(tag: u64, ns: u64, log: &Rc<RefCell<Vec<(u64, u64)>>>) -> KernelOp {
+        let log = Rc::clone(log);
+        KernelOp {
+            tag,
+            name: String::new(),
+            iters: ns,
+            work_per_iter_ns: 1.0,
+            teams: 1,
+            threads_per_team: 1,
+            body: None,
+            on_complete: Box::new(move |sim| log.borrow_mut().push((tag, sim.now().as_nanos()))),
+            on_fault: None,
+            streamed: false,
+        }
+    }
+
+    fn engine(device: u32, gate: &SerialGate) -> ComputeEngine {
+        let model = ComputeModel {
+            launch_latency: spread_trace::SimDuration::ZERO,
+            max_parallelism: 1,
+            time_scale: 1.0,
+        };
+        ComputeEngine::new(device, model, TraceRecorder::disabled()).with_gate(gate.clone())
+    }
 
     #[test]
     fn serializes_in_fifo_order() {
         let mut sim = Simulator::without_trace();
         let gate = SerialGate::new();
-        let log: Rc<RefCell<Vec<u32>>> = Rc::new(RefCell::new(Vec::new()));
-        for i in 0..3u32 {
-            let gate2 = gate.clone();
-            let log2 = log.clone();
-            gate.acquire(
-                &mut sim,
-                Box::new(move |sim| {
-                    log2.borrow_mut().push(i * 10);
-                    let gate3 = gate2.clone();
-                    let log3 = log2.clone();
-                    // Hold the gate for 5 ns of virtual time.
-                    sim.schedule_after(
-                        SimDuration::from_nanos(5),
-                        Box::new(move |sim| {
-                            log3.borrow_mut().push(i * 10 + 1);
-                            gate3.release(sim);
-                        }),
-                    );
-                }),
-            );
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let engines: Vec<_> = (0..3).map(|d| engine(d, &gate)).collect();
+        for (i, e) in engines.iter().enumerate() {
+            e.enqueue(&mut sim, kernel(i as u64 + 1, 5, &log));
         }
         assert_eq!(gate.queued(), 2);
         sim.run_until_idle();
-        assert_eq!(*log.borrow(), vec![0, 1, 10, 11, 20, 21]);
-        // Time: three serialized 5 ns holds.
-        assert_eq!(sim.now().as_nanos(), 15);
+        // Three serialized 5 ns holds, in acquire order.
+        assert_eq!(*log.borrow(), vec![(1, 5), (2, 10), (3, 15)]);
     }
 
     #[test]
     fn free_gate_runs_immediately() {
         let mut sim = Simulator::without_trace();
         let gate = SerialGate::new();
-        let hit = Rc::new(RefCell::new(false));
-        let h = hit.clone();
-        gate.acquire(&mut sim, Box::new(move |_| *h.borrow_mut() = true));
-        assert!(*hit.borrow(), "no event round-trip needed");
-        gate.release(&mut sim);
+        let e = engine(0, &gate);
+        let started = Rc::new(std::cell::Cell::new(false));
+        let flag = Rc::clone(&started);
+        let mut op = kernel(1, 5, &Rc::default());
+        // The body runs when the gate is granted and the kernel starts.
+        op.body = Some(Box::new(move || flag.set(true)));
+        e.enqueue(&mut sim, op);
+        assert!(started.get(), "granted inside acquire, no event round-trip");
         assert_eq!(gate.queued(), 0);
+        sim.run_until_idle();
+        assert_eq!(e.completed(), 1);
     }
 }

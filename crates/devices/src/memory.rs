@@ -373,25 +373,26 @@ impl DeviceMemory {
     }
 
     /// Mutable views of several *distinct* buffers at once (the kernel
-    /// launcher binds every mapped array of a kernel simultaneously).
-    /// Panics if `ids` contains duplicates or unknown ids.
-    pub fn buffers_mut(&mut self, ids: &[AllocId]) -> Vec<&mut [f64]> {
+    /// launcher binds every mapped array of a kernel simultaneously),
+    /// handed to `each` in `ids` order. Panics if `ids` contains
+    /// duplicates or unknown ids.
+    pub fn buffers_mut<'a>(&'a mut self, ids: &[AllocId], mut each: impl FnMut(&'a mut [f64])) {
         for (i, a) in ids.iter().enumerate() {
             assert!(
                 !ids[..i].contains(a),
                 "duplicate buffer {a:?} in simultaneous bind"
             );
         }
-        let mut out: Vec<Option<&mut [f64]>> = ids.iter().map(|_| None).collect();
-        for (id, buf) in self.buffers.iter_mut() {
-            if let Some(pos) = ids.iter().position(|x| x == id) {
-                out[pos] = Some(buf.as_mut_slice());
-            }
+        let buffers: *mut BTreeMap<AllocId, Vec<f64>> = &mut self.buffers;
+        for id in ids {
+            // SAFETY: the ids are distinct (checked above), so every view
+            // is of a different `Vec`'s heap buffer, and `'a` borrows
+            // `self` mutably: nothing inserts, removes or resizes a
+            // buffer while the views live.
+            let buf = unsafe { (*buffers).get_mut(id) }
+                .unwrap_or_else(|| panic!("unknown device buffer {id:?}"));
+            each(buf.as_mut_slice());
         }
-        out.into_iter()
-            .enumerate()
-            .map(|(i, o)| o.unwrap_or_else(|| panic!("unknown device buffer {:?}", ids[i])))
-            .collect()
     }
 }
 
@@ -562,7 +563,8 @@ mod tests {
         let a = m.alloc_elems(4).unwrap();
         let b = m.alloc_elems(4).unwrap();
         let c = m.alloc_elems(4).unwrap();
-        let views = m.buffers_mut(&[c, a, b]);
+        let mut views = Vec::new();
+        m.buffers_mut(&[c, a, b], |v| views.push(v));
         assert_eq!(views.len(), 3);
         // Order matches the request order.
         views.into_iter().enumerate().for_each(|(i, v)| {
@@ -710,7 +712,7 @@ mod tests {
     fn duplicate_bind_panics() {
         let mut m = DeviceMemory::new(1024);
         let a = m.alloc_elems(4).unwrap();
-        let _ = m.buffers_mut(&[a, a]);
+        m.buffers_mut(&[a, a], |_| {});
     }
 
     #[test]

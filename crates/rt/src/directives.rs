@@ -17,9 +17,10 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use crate::error::RtError;
+use crate::integrity::IntegrityMode;
 use crate::kernel::KernelSpec;
 use crate::map::{MapClause, MapType};
-use crate::runtime::{run_kernel, run_transfers, run_transfers_ex, Action, Completion, Scope};
+use crate::runtime::{Action, KernelLaunch, PipePhase, Pipelined, Scope};
 use crate::section::Section;
 use crate::task::{FpAccess, TaskId, TaskLabel, TaskSpec};
 
@@ -31,39 +32,34 @@ struct Depends {
 }
 
 impl Depends {
-    fn wait_on(&self) -> Vec<(Section, bool)> {
-        self.ins
-            .iter()
-            .map(|&s| (s, false))
-            .chain(self.outs.iter().map(|&s| (s, true)))
-            .collect()
+    /// Append the `(section, is_write)` records of the clauses to `out`.
+    fn add_to(&self, out: &mut Vec<(Section, bool)>) {
+        out.extend(self.ins.iter().map(|&s| (s, false)));
+        out.extend(self.outs.iter().map(|&s| (s, true)));
+    }
+
+    /// Wait on the clauses' sections at `spec` and publish them there.
+    fn wait_and_publish(&self, spec: &mut TaskSpec) {
+        self.add_to(&mut spec.wait_on);
+        self.add_to(&mut spec.publish);
     }
 }
 
-/// Footprints of the enter half of a map set (for race detection).
-fn enter_footprints(device: u32, maps: &[MapClause]) -> (Vec<FpAccess>, Vec<FpAccess>) {
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for m in maps {
-        if m.map_type.copies_in() {
-            reads.push(FpAccess::host(m.section));
-            writes.push(FpAccess::device(device, m.section));
-        }
+/// Add the footprints of the enter half of a map set to `spec` (for
+/// race detection).
+fn enter_footprints(device: u32, maps: &[MapClause], spec: &mut TaskSpec) {
+    for m in maps.iter().filter(|m| m.map_type.copies_in()) {
+        spec.fp_reads.push(FpAccess::host(m.section));
+        spec.fp_writes.push(FpAccess::device(device, m.section));
     }
-    (reads, writes)
 }
 
-/// Footprints of the exit half of a map set.
-fn exit_footprints(device: u32, maps: &[MapClause]) -> (Vec<FpAccess>, Vec<FpAccess>) {
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    for m in maps {
-        if m.map_type.copies_out() {
-            reads.push(FpAccess::device(device, m.section));
-            writes.push(FpAccess::host(m.section));
-        }
+/// Add the footprints of the exit half of a map set to `spec`.
+fn exit_footprints(device: u32, maps: &[MapClause], spec: &mut TaskSpec) {
+    for m in maps.iter().filter(|m| m.map_type.copies_out()) {
+        spec.fp_reads.push(FpAccess::device(device, m.section));
+        spec.fp_writes.push(FpAccess::host(m.section));
     }
-    (reads, writes)
 }
 
 /// `#pragma omp target enter data`.
@@ -135,20 +131,18 @@ impl TargetEnterData {
             }
         }
         let device = self.device;
-        let maps = self.maps;
-        let (fp_reads, fp_writes) = enter_footprints(device, &maps);
-        let mut spec = TaskSpec::new(
+        let maps: Rc<[MapClause]> = self.maps.into();
+        let mut spec = scope.spec(
             self.label
                 .unwrap_or_else(|| TaskLabel::on_device("enter-data", device)),
         );
-        spec.wait_on = self.deps.wait_on();
-        spec.publish = spec.wait_on.clone();
-        spec.fp_reads = fp_reads;
-        spec.fp_writes = fp_writes;
-        let action: Action = Box::new(move |sim, inner_rc, id| {
-            crate::runtime::enter_with_backpressure(sim, inner_rc, id, device, maps)?;
-            Ok(Completion::Async)
-        });
+        self.deps.wait_and_publish(&mut spec);
+        enter_footprints(device, &maps, &mut spec);
+        let action = Action::Enter {
+            device,
+            maps,
+            pressure: false,
+        };
         let id = scope.submit(spec, action);
         if !self.nowait {
             scope.drain_task(id)?;
@@ -226,29 +220,19 @@ impl TargetExitData {
             }
         }
         let device = self.device;
-        let maps = self.maps;
-        let (fp_reads, fp_writes) = exit_footprints(device, &maps);
-        let mut spec = TaskSpec::new(
+        let maps: Rc<[MapClause]> = self.maps.into();
+        let mut spec = scope.spec(
             self.label
                 .unwrap_or_else(|| TaskLabel::on_device("exit-data", device)),
         );
-        spec.wait_on = self.deps.wait_on();
-        spec.publish = spec.wait_on.clone();
-        spec.fp_reads = fp_reads;
-        spec.fp_writes = fp_writes;
-        let action: Action = Box::new(move |sim, inner_rc, id| {
-            let plan = inner_rc.borrow_mut().plan_exit(device, &maps)?;
-            run_transfers(
-                sim,
-                inner_rc,
-                id,
-                device,
-                Vec::new(),
-                plan.copies,
-                plan.to_free,
-            );
-            Ok(Completion::Async)
-        });
+        self.deps.wait_and_publish(&mut spec);
+        exit_footprints(device, &maps, &mut spec);
+        let action = Action::Exit {
+            device,
+            maps,
+            integrity: IntegrityMode::Off,
+            gate: None,
+        };
         let id = scope.submit(spec, action);
         if !self.nowait {
             scope.drain_task(id)?;
@@ -277,8 +261,9 @@ pub enum ExchangeMode {
 #[derive(Clone)]
 pub struct TargetUpdate {
     device: u32,
-    to_items: Vec<Section>,
-    from_items: Vec<Section>,
+    /// The `to(…)` items, then the `from(…)` items.
+    items: Vec<Section>,
+    n_to: usize,
     nowait: bool,
     deps: Depends,
     exchange: ExchangeMode,
@@ -290,8 +275,8 @@ impl TargetUpdate {
     pub fn device(device: u32) -> Self {
         TargetUpdate {
             device,
-            to_items: Vec::new(),
-            from_items: Vec::new(),
+            items: Vec::new(),
+            n_to: 0,
             nowait: false,
             deps: Depends::default(),
             exchange: ExchangeMode::Host,
@@ -320,13 +305,14 @@ impl TargetUpdate {
 
     /// `to(section)` — refresh the device image from the host.
     pub fn to(mut self, s: Section) -> Self {
-        self.to_items.push(s);
+        self.items.insert(self.n_to, s);
+        self.n_to += 1;
         self
     }
 
     /// `from(section)` — refresh the host from the device image.
     pub fn from(mut self, s: Section) -> Self {
-        self.from_items.push(s);
+        self.items.push(s);
         self
     }
 
@@ -350,47 +336,30 @@ impl TargetUpdate {
 
     /// Issue the directive.
     pub fn launch(self, scope: &mut Scope<'_>) -> Result<TaskId, RtError> {
-        let device = self.device;
-        let (to_items, from_items) = (self.to_items, self.from_items);
-        if self.exchange == ExchangeMode::Peer && to_items.is_empty() {
+        let (device, n_to) = (self.device, self.n_to);
+        if self.exchange == ExchangeMode::Peer && n_to == 0 {
             return Err(RtError::InvalidDirective(
                 "exchange(peer) requires at least one to(…) item".into(),
             ));
         }
-        let exchange = self.exchange;
-        let integrity = self.integrity;
-        let mut spec = TaskSpec::new(TaskLabel::on_device("update", device));
-        spec.wait_on = self.deps.wait_on();
-        spec.publish = spec.wait_on.clone();
-        for &s in &to_items {
+        let mut spec = scope.spec(TaskLabel::on_device("update", device));
+        self.deps.wait_and_publish(&mut spec);
+        let (to_items, from_items) = self.items.split_at(n_to);
+        for &s in to_items {
             spec.fp_reads.push(FpAccess::host(s));
             spec.fp_writes.push(FpAccess::device(device, s));
         }
-        for &s in &from_items {
+        for &s in from_items {
             spec.fp_reads.push(FpAccess::device(device, s));
             spec.fp_writes.push(FpAccess::host(s));
         }
-        let action: Action = Box::new(move |sim, inner_rc, id| {
-            let (to_copies, from_copies, routes) = {
-                let mut inner = inner_rc.borrow_mut();
-                let (to_copies, from_copies) = inner.plan_update(device, &to_items, &from_items)?;
-                let routes = inner.plan_peer_routes(device, exchange, &to_copies)?;
-                (to_copies, from_copies, routes)
-            };
-            run_transfers_ex(
-                sim,
-                inner_rc,
-                id,
-                device,
-                to_copies,
-                routes,
-                from_copies,
-                Vec::new(),
-                integrity,
-                None,
-            );
-            Ok(Completion::Async)
-        });
+        let action = Action::Update {
+            device,
+            items: self.items,
+            n_to,
+            exchange: self.exchange,
+            integrity: self.integrity,
+        };
         let id = scope.submit(spec, action);
         if !self.nowait {
             scope.drain_task(id)?;
@@ -450,7 +419,7 @@ impl TargetData {
             .maps
             .iter()
             .map(|m| MapClause {
-                map_type: exit_equivalent(m.map_type),
+                map_type: m.map_type.on_exit(),
                 section: m.section,
             })
             .collect();
@@ -469,15 +438,6 @@ impl TargetData {
             b.launch(scope)?;
         }
         Ok(r)
-    }
-}
-
-/// The exit-phase equivalent of a structured/`target` map type.
-fn exit_equivalent(t: MapType) -> MapType {
-    match t {
-        MapType::From | MapType::ToFrom => MapType::From,
-        MapType::To | MapType::Alloc => MapType::Release,
-        MapType::Release | MapType::Delete => t,
     }
 }
 
@@ -507,6 +467,9 @@ impl ConstructIds {
 #[derive(Clone)]
 pub struct Target {
     device: u32,
+    /// A list shared whole ([`Target::map_list`]); a target has either
+    /// this or the items added one by one.
+    shared_maps: Option<Rc<[MapClause]>>,
     maps: Vec<MapClause>,
     nowait: bool,
     deps: Depends,
@@ -524,6 +487,7 @@ impl Target {
     pub fn device(device: u32) -> Self {
         Target {
             device,
+            shared_maps: None,
             maps: Vec::new(),
             nowait: false,
             deps: Depends::default(),
@@ -585,13 +549,26 @@ impl Target {
 
     /// Add a map item.
     pub fn map(mut self, m: MapClause) -> Self {
+        assert!(self.shared_maps.is_none(), "map after map_list");
         self.maps.push(m);
         self
     }
 
     /// Add several map items.
     pub fn maps(mut self, items: impl IntoIterator<Item = MapClause>) -> Self {
+        assert!(self.shared_maps.is_none(), "maps after map_list");
         self.maps.extend(items);
+        self
+    }
+
+    /// Map exactly the items of `maps`, sharing the list instead of
+    /// copying it: a construct launched once per chunk hands each chunk
+    /// its evaluated list, and the construct's enter and exit phases
+    /// share it too. Not combined with [`Target::map`] or
+    /// [`Target::maps`].
+    pub fn map_list(mut self, maps: Rc<[MapClause]>) -> Self {
+        assert!(self.maps.is_empty(), "map_list after map");
+        self.shared_maps = Some(maps);
         self
     }
 
@@ -679,7 +656,8 @@ impl Target {
         range: Range<usize>,
         kernel: impl Into<Rc<KernelSpec>>,
     ) -> Result<ConstructIds, RtError> {
-        for m in &self.maps {
+        let maps: Rc<[MapClause]> = self.shared_maps.unwrap_or_else(|| self.maps.into());
+        for m in maps.iter() {
             if matches!(m.map_type, MapType::Release | MapType::Delete) {
                 return Err(RtError::InvalidDirective(format!(
                     "target: map type {:?} not allowed",
@@ -697,57 +675,51 @@ impl Target {
                     .unwrap_or(inner.default_threads_per_team),
             )
         };
+        let launch = || KernelLaunch {
+            device,
+            range: range.clone(),
+            kernel: Rc::clone(&kernel),
+            teams,
+            threads_per_team: threads,
+        };
+        let pipelined = |phase, pipe: &Rc<crate::overlap::PipeState>| {
+            Action::Pipelined(Box::new(Pipelined {
+                phase,
+                launch: launch(),
+                maps: Rc::clone(&maps),
+                integrity: self.integrity,
+                gate: self.commit_gate.clone(),
+                pipe: Rc::clone(pipe),
+            }))
+        };
         // The pipelined path: shared state threaded through the three
         // phase actions. The task shapes (footprints, dependences,
         // labels) are identical to the classic path — the pipeline is
         // an internal reorganization only.
         let pipe = (self.overlap_depth >= 2 && range.len() >= 2 && !self.pressure_managed)
             .then(|| crate::overlap::PipeState::new(device, range.clone(), self.overlap_depth));
-        let exit_maps: Vec<MapClause> = self
-            .maps
-            .iter()
-            .map(|m| MapClause {
-                map_type: exit_equivalent(m.map_type),
-                section: m.section,
-            })
-            .collect();
 
         // Phase 1: enter mappings. Waits on the user's depends.
         let enter_id = {
-            let maps = self.maps;
-            let (fp_reads, fp_writes) = enter_footprints(device, &maps);
-            let mut spec = TaskSpec::new(TaskLabel::kernel_phase(&kernel, "-enter", device));
-            spec.wait_on = self.deps.wait_on();
-            spec.extra_preds = self.extra_preds;
-            spec.fp_reads = fp_reads;
-            spec.fp_writes = fp_writes;
-            let pressure = self.pressure_managed;
-            let action: Action = match &pipe {
-                Some(p) => {
-                    let pipe = Rc::clone(p);
-                    let kernel = Rc::clone(&kernel);
-                    Box::new(move |sim, inner_rc, id| {
-                        crate::overlap::pipelined_enter(
-                            sim, inner_rc, id, device, maps, &kernel, &pipe,
-                        )
-                    })
-                }
-                None => Box::new(move |sim, inner_rc, id| {
-                    if pressure {
-                        crate::runtime::pressure_enter(sim, inner_rc, id, device, maps, 0);
-                    } else {
-                        crate::runtime::enter_with_backpressure(sim, inner_rc, id, device, maps)?;
-                    }
-                    Ok(Completion::Async)
-                }),
+            let mut spec = scope.spec(TaskLabel::kernel_phase(&kernel, "-enter", device));
+            self.deps.add_to(&mut spec.wait_on);
+            spec.extra_preds.extend(self.extra_preds);
+            enter_footprints(device, &maps, &mut spec);
+            let action = match &pipe {
+                Some(p) => pipelined(PipePhase::Enter, p),
+                None => Action::Enter {
+                    device,
+                    maps: Rc::clone(&maps),
+                    pressure: self.pressure_managed,
+                },
             };
             scope.submit(spec, action)
         };
 
         // Phase 2: the kernel.
         let kernel_id = {
-            let mut spec = TaskSpec::new(TaskLabel::kernel_phase(&kernel, "", device));
-            spec.extra_preds = vec![enter_id];
+            let mut spec = scope.spec(TaskLabel::kernel_phase(&kernel, "", device));
+            spec.extra_preds.push(enter_id);
             for arg in &kernel.args {
                 let sec = Section::from_range(arg.array.id(), (arg.section_of)(range.clone()));
                 let fp = FpAccess::device(device, sec);
@@ -757,63 +729,27 @@ impl Target {
                     spec.fp_reads.push(fp);
                 }
             }
-            let kernel = Rc::clone(&kernel);
-            let action: Action = match &pipe {
-                Some(p) => {
-                    let pipe = Rc::clone(p);
-                    let exit_maps = exit_maps.clone();
-                    let integrity = self.integrity;
-                    Box::new(move |sim, inner_rc, id| {
-                        crate::overlap::pipelined_kernel(
-                            sim, inner_rc, id, device, range, &kernel, teams, threads, &exit_maps,
-                            integrity, &pipe,
-                        )
-                    })
-                }
-                None => Box::new(move |sim, inner_rc, id| {
-                    run_kernel(sim, inner_rc, id, device, range, &kernel, teams, threads)?;
-                    Ok(Completion::Async)
-                }),
+            let action = match &pipe {
+                Some(p) => pipelined(PipePhase::Kernel, p),
+                None => Action::Kernel(launch()),
             };
             scope.submit(spec, action)
         };
 
         // Phase 3: exit mappings. Publishes the user's depends.
         let exit_id = {
-            let maps = exit_maps;
-            let (fp_reads, fp_writes) = exit_footprints(device, &maps);
-            let mut spec = TaskSpec::new(TaskLabel::kernel_phase(&kernel, "-exit", device));
-            spec.extra_preds = vec![kernel_id];
-            spec.publish = self.deps.wait_on();
-            spec.fp_reads = fp_reads;
-            spec.fp_writes = fp_writes;
-            let gate = self.commit_gate;
-            let integrity = self.integrity;
-            let action: Action = match &pipe {
-                Some(p) => {
-                    let pipe = Rc::clone(p);
-                    Box::new(move |sim, inner_rc, id| {
-                        crate::overlap::pipelined_exit(
-                            sim, inner_rc, id, device, &maps, integrity, gate, &pipe,
-                        )
-                    })
-                }
-                None => Box::new(move |sim, inner_rc, id| {
-                    let plan = inner_rc.borrow_mut().plan_exit(device, &maps)?;
-                    run_transfers_ex(
-                        sim,
-                        inner_rc,
-                        id,
-                        device,
-                        Vec::new(),
-                        Vec::new(),
-                        plan.copies,
-                        plan.to_free,
-                        integrity,
-                        gate,
-                    );
-                    Ok(Completion::Async)
-                }),
+            let mut spec = scope.spec(TaskLabel::kernel_phase(&kernel, "-exit", device));
+            spec.extra_preds.push(kernel_id);
+            self.deps.add_to(&mut spec.publish);
+            exit_footprints(device, &maps, &mut spec);
+            let action = match &pipe {
+                Some(p) => pipelined(PipePhase::Exit, p),
+                None => Action::Exit {
+                    device,
+                    maps: Rc::clone(&maps),
+                    integrity: self.integrity,
+                    gate: self.commit_gate.clone(),
+                },
             };
             scope.submit(spec, action)
         };

@@ -38,6 +38,7 @@ use spread_teams::{ChunkDispenser, SliceCells, TeamPool};
 pub use spread_teams::LoopSchedule;
 
 use crate::host::HostArray;
+use crate::spare::Spares;
 
 /// How a kernel uses one of its arrays.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -168,55 +169,85 @@ pub(crate) struct ResolvedArg {
     pub section_of: SectionExpr,
 }
 
-struct Binding {
-    cells_idx: usize,
-    entry_start: usize,
-    entry_len: usize,
-    access: Access,
-    section_of: SectionExpr,
+/// The vectors a kernel launch binds its arguments in, kept across
+/// launches so binding allocates nothing once they have grown: resolved
+/// argument lists of launched kernels that have not run yet, and the
+/// distinct buffers, their views, each argument's buffer and each team
+/// thread's write sections of the launch running now.
+#[derive(Default)]
+pub(crate) struct BindScratch {
+    lists: Spares<ResolvedArg>,
+    buffers: Vec<AllocId>,
+    /// Emptied between launches (see [`rebind`]).
+    cells: Vec<SliceCells<'static, f64>>,
+    slots: Vec<usize>,
+    write_ranges: Vec<Range<usize>>,
+}
+
+impl BindScratch {
+    /// An empty resolved-argument list.
+    pub(crate) fn list(&mut self) -> Vec<ResolvedArg> {
+        self.lists.take()
+    }
+
+    /// Take back a list whose launch has run.
+    pub(crate) fn recycle(&mut self, list: Vec<ResolvedArg>) {
+        self.lists.keep(list);
+    }
+}
+
+/// `cells`' allocation, emptied, for views of another borrow. (An
+/// element type of the same layout makes the collect reuse it in place.)
+fn rebind<'x>(mut cells: Vec<SliceCells<'_, f64>>) -> Vec<SliceCells<'x, f64>> {
+    cells.clear();
+    cells.into_iter().map(|_| unreachable!()).collect()
 }
 
 /// Bounds-checked, global-indexed views over the mapped device buffers,
 /// restricted to one scheduled chunk.
 pub struct ChunkViews<'a, 'b> {
     cells: &'a [SliceCells<'b, f64>],
-    bindings: &'a [Binding],
+    args: &'a [ResolvedArg],
+    /// Per-argument index into `cells`.
+    slots: &'a [usize],
     /// Per-argument allowed write section for this chunk (empty for
     /// read-only arguments).
-    write_ranges: Vec<Range<usize>>,
+    write_ranges: &'a [Range<usize>],
 }
 
 impl ChunkViews<'_, '_> {
     /// Read `array_arg[idx]` (global element index).
     #[inline]
     pub fn get(&self, arg: usize, idx: usize) -> f64 {
-        let b = &self.bindings[arg];
+        let b = &self.args[arg];
         self.check_mapped(b, idx, idx + 1);
         // SAFETY: bounds checked; concurrent writers excluded by the
         // chunk-disjoint write contract.
-        unsafe { self.cells[b.cells_idx].read(idx - b.entry_start) }
+        unsafe { self.cells[self.slots[arg]].read(idx - b.entry_start) }
     }
 
     /// Write `array_arg[idx] = v` (global element index, within this
     /// chunk's write section).
     #[inline]
     pub fn set(&self, arg: usize, idx: usize, v: f64) {
-        let b = &self.bindings[arg];
+        let b = &self.args[arg];
         self.check_writable(arg, b, idx, idx + 1);
         // SAFETY: bounds + ownership checked; disjoint chunks.
         unsafe {
-            self.cells[b.cells_idx].slice_mut(idx - b.entry_start..idx - b.entry_start + 1)[0] = v;
+            self.cells[self.slots[arg]].slice_mut(idx - b.entry_start..idx - b.entry_start + 1)
+                [0] = v;
         }
     }
 
     /// Borrow a read-only row `array_arg[range]` (global indexes).
     #[inline]
     pub fn row(&self, arg: usize, range: Range<usize>) -> &[f64] {
-        let b = &self.bindings[arg];
+        let b = &self.args[arg];
         self.check_mapped(b, range.start, range.end);
         // SAFETY: bounds checked; read contract as in `get`.
         unsafe {
-            self.cells[b.cells_idx].slice(range.start - b.entry_start..range.end - b.entry_start)
+            self.cells[self.slots[arg]]
+                .slice(range.start - b.entry_start..range.end - b.entry_start)
         }
     }
 
@@ -228,11 +259,11 @@ impl ChunkViews<'_, '_> {
     #[allow(clippy::mut_from_ref)]
     #[inline]
     pub fn row_mut(&self, arg: usize, range: Range<usize>) -> &mut [f64] {
-        let b = &self.bindings[arg];
+        let b = &self.args[arg];
         self.check_writable(arg, b, range.start, range.end);
         // SAFETY: bounds + ownership checked; disjoint chunks.
         unsafe {
-            self.cells[b.cells_idx]
+            self.cells[self.slots[arg]]
                 .slice_mut(range.start - b.entry_start..range.end - b.entry_start)
         }
     }
@@ -243,7 +274,7 @@ impl ChunkViews<'_, '_> {
     }
 
     #[inline]
-    fn check_mapped(&self, b: &Binding, start: usize, end: usize) {
+    fn check_mapped(&self, b: &ResolvedArg, start: usize, end: usize) {
         assert!(
             start >= b.entry_start && end <= b.entry_start + b.entry_len && start <= end,
             "kernel accessed elements [{start}, {end}) of an argument whose mapped \
@@ -254,7 +285,7 @@ impl ChunkViews<'_, '_> {
     }
 
     #[inline]
-    fn check_writable(&self, arg: usize, b: &Binding, start: usize, end: usize) {
+    fn check_writable(&self, arg: usize, b: &ResolvedArg, start: usize, end: usize) {
         assert!(
             b.access.writes(),
             "kernel wrote a read-only argument (arg {arg})"
@@ -274,7 +305,7 @@ impl ChunkViews<'_, '_> {
 /// Execute a kernel body over `range` on a device's buffers.
 ///
 /// `resolved` pairs each [`KernelArg`] with its presence-table entry; the
-/// body runs work-shared on `pool`.
+/// body runs work-shared on `pool`, bound through `scratch`.
 pub(crate) fn execute_on_device(
     mem: &mut DeviceMemory,
     pool: &TeamPool,
@@ -282,53 +313,56 @@ pub(crate) fn execute_on_device(
     range: Range<usize>,
     body: &KernelBody,
     resolved: &[ResolvedArg],
+    scratch: &mut BindScratch,
 ) {
+    let BindScratch {
+        buffers,
+        cells,
+        slots,
+        write_ranges,
+        ..
+    } = scratch;
     // Deduplicate buffers (two args may view the same presence entry).
-    let mut unique: Vec<AllocId> = Vec::with_capacity(resolved.len());
-    let mut cells_idx_of: Vec<usize> = Vec::with_capacity(resolved.len());
+    buffers.clear();
+    slots.clear();
     for r in resolved {
-        match unique.iter().position(|&a| a == r.alloc) {
-            Some(i) => cells_idx_of.push(i),
+        match buffers.iter().position(|&a| a == r.alloc) {
+            Some(i) => slots.push(i),
             None => {
-                unique.push(r.alloc);
-                cells_idx_of.push(unique.len() - 1);
+                buffers.push(r.alloc);
+                slots.push(buffers.len() - 1);
             }
         }
     }
-    let bufs = mem.buffers_mut(&unique);
-    let cells: Vec<SliceCells<'_, f64>> = bufs.into_iter().map(SliceCells::new).collect();
-    let bindings: Vec<Binding> = resolved
-        .iter()
-        .zip(&cells_idx_of)
-        .map(|(r, &ci)| Binding {
-            cells_idx: ci,
-            entry_start: r.entry_start,
-            entry_len: r.entry_len,
-            access: r.access,
-            section_of: Arc::clone(&r.section_of),
-        })
-        .collect();
+    let mut views = rebind(std::mem::take(cells));
+    mem.buffers_mut(buffers, |buf| views.push(SliceCells::new(buf)));
+    // One run of write sections per team thread.
+    let n = resolved.len();
+    write_ranges.clear();
+    write_ranges.resize(n * pool.n_threads(), 0..0);
+    let per_thread = SliceCells::new(write_ranges);
     let disp = ChunkDispenser::new(range, schedule, pool.n_threads());
     pool.broadcast(&|tid| {
+        // SAFETY: thread `tid` alone uses run `tid`.
+        let mine = unsafe { per_thread.slice_mut(tid * n..(tid + 1) * n) };
         disp.drive(tid, |chunk| {
-            let write_ranges: Vec<Range<usize>> = bindings
-                .iter()
-                .map(|b| {
-                    if b.access.writes() {
-                        (b.section_of)(chunk.clone())
-                    } else {
-                        0..0
-                    }
-                })
-                .collect();
+            for (w, r) in mine.iter_mut().zip(resolved) {
+                *w = if r.access.writes() {
+                    (r.section_of)(chunk.clone())
+                } else {
+                    0..0
+                };
+            }
             let views = ChunkViews {
-                cells: &cells,
-                bindings: &bindings,
-                write_ranges,
+                cells: &views,
+                args: resolved,
+                slots,
+                write_ranges: mine,
             };
             body(chunk.clone(), &views);
         });
     });
+    *cells = rebind(views);
 }
 
 #[cfg(test)]
@@ -383,6 +417,7 @@ mod tests {
             20..90,
             &body,
             &args,
+            &mut BindScratch::default(),
         );
         let buf = mem.buffer(alloc);
         // Elements [20, 90) doubled, the rest untouched.
@@ -414,6 +449,7 @@ mod tests {
             10..110,
             &body,
             &args,
+            &mut BindScratch::default(),
         );
         assert_eq!(mem.buffer(alloc)[0], 10.5);
         assert_eq!(mem.buffer(alloc)[99], 109.5);
@@ -452,6 +488,7 @@ mod tests {
             11..109,
             &body,
             &args,
+            &mut BindScratch::default(),
         );
         let buf = mem.buffer(out2);
         // out[i] = (i-1) + (i+1) = 2i
@@ -477,6 +514,7 @@ mod tests {
             20..21,
             &body,
             &args,
+            &mut BindScratch::default(),
         );
     }
 
@@ -497,6 +535,7 @@ mod tests {
             20..30,
             &body,
             &args,
+            &mut BindScratch::default(),
         );
     }
 
@@ -516,6 +555,7 @@ mod tests {
             20..30,
             &body,
             &args,
+            &mut BindScratch::default(),
         );
     }
 

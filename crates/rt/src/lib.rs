@@ -58,6 +58,7 @@ pub mod plan_cache;
 pub(crate) mod profile;
 pub mod runtime;
 pub mod section;
+pub(crate) mod spare;
 pub mod spill;
 pub mod task;
 

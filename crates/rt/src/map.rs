@@ -47,6 +47,17 @@ impl MapType {
             MapType::From | MapType::Release | MapType::Delete | MapType::ToFrom
         )
     }
+
+    /// What leaving a construct or data region does with a mapping of
+    /// this type: copy back (`from`), drop a reference (`release`) or
+    /// drop the mapping (`delete`). Identity on those three.
+    pub(crate) fn on_exit(self) -> MapType {
+        match self {
+            MapType::From | MapType::ToFrom => MapType::From,
+            MapType::To | MapType::Alloc => MapType::Release,
+            MapType::Release | MapType::Delete => self,
+        }
+    }
 }
 
 /// One item of a `map` clause: a typed array section.

@@ -68,7 +68,7 @@ use crate::map::MapClause;
 use crate::runtime::{
     complete_task, fault_error, flip_one_bit, run_kernel, run_transfers_ex, span_label,
     staged_commit_finish, task_failed, CommitArgs, Completion, CopyKind, CopyLabel, CopyPlanItem,
-    Inner, StagedWrite, TransferSet,
+    Inner, KernelLaunch, StagedWrite, TransferSet,
 };
 use crate::section::Section;
 use crate::task::TaskId;
@@ -319,7 +319,7 @@ pub(crate) fn pipelined_enter(
     inner_rc: &Rc<RefCell<Inner>>,
     id: TaskId,
     device: u32,
-    maps: Vec<MapClause>,
+    maps: Rc<[MapClause]>,
     spec: &KernelSpec,
     pipe: &Rc<PipeState>,
 ) -> Result<Completion, RtError> {
@@ -499,62 +499,36 @@ fn h2d_stage_done(
 /// Phase 2: resolve the kernel's arguments once, predict the per-stage
 /// D2H descriptors from the exit-equivalent maps, then launch
 /// sub-kernels as their stages' inputs become resident.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn pipelined_kernel(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
     id: TaskId,
-    device: u32,
-    range: Range<usize>,
-    spec: &Rc<KernelSpec>,
-    teams: u32,
-    threads_per_team: u32,
-    exit_maps: &[MapClause],
+    launch: &KernelLaunch,
+    maps: &[MapClause],
     integrity: IntegrityMode,
     pipe: &Rc<PipeState>,
 ) -> Result<Completion, RtError> {
     if pipe.bypass.get() {
-        run_kernel(
-            sim,
-            inner_rc,
-            id,
-            device,
-            range,
-            spec,
-            teams,
-            threads_per_team,
-        )?;
+        run_kernel(sim, inner_rc, id, launch)?;
         return Ok(Completion::Async);
     }
     if let Some(err) = pipe.exit.failed.borrow_mut().take() {
         return Err(err);
     }
+    let KernelLaunch {
+        device,
+        ref range,
+        kernel: ref spec,
+        teams,
+        threads_per_team,
+    } = *launch;
     // Resolve arguments exactly like the classic kernel launch; the
     // resolution is range-independent, so every sub-kernel shares it.
     let (dev, pool, resolved) = {
         let inner = inner_rc.borrow();
-        inner.check_device(device)?;
-        let d = device as usize;
         let mut resolved = Vec::with_capacity(spec.args.len());
-        let table = &inner.presence[d];
-        for arg in &spec.args {
-            let rng = (arg.section_of)(range.clone());
-            let sec = Section::from_range(arg.array.id(), rng);
-            let Some((_, entry)) = table.lookup_containing(&sec) else {
-                return Err(RtError::KernelSectionMissing {
-                    device,
-                    kernel: spec.name.clone(),
-                    requested: sec,
-                });
-            };
-            resolved.push(ResolvedArg {
-                alloc: entry.alloc,
-                entry_start: entry.section.start,
-                entry_len: entry.section.len,
-                access: arg.access,
-                section_of: std::sync::Arc::clone(&arg.section_of),
-            });
-        }
+        inner.resolve_args(device, spec, range, &mut resolved)?;
+        let d = device as usize;
         (inner.devices[d].clone(), Rc::clone(&inner.pool), resolved)
     };
     // Predict the exit's D2H: a dying copies-out map (refcount 1 right
@@ -567,7 +541,7 @@ pub(crate) fn pipelined_kernel(
         let d = device as usize;
         let table = &inner.presence[d];
         let mut d2h = pipe.d2h_stages.borrow_mut();
-        for m in exit_maps {
+        for m in maps {
             if !m.map_type.copies_out() || m.section.is_empty() {
                 continue;
             }
@@ -682,6 +656,7 @@ fn launch_stage(
         let resolved = Rc::clone(&ctx.resolved);
         let pipe_b = Rc::clone(pipe);
         let stb = st.clone();
+        let bind = Rc::clone(&inner_rc.borrow().bind);
         let exec: Box<dyn FnOnce()> = Box::new(move || {
             if pipe_b.freed.get() {
                 // A stolen piece's exit already committed and freed the
@@ -696,6 +671,7 @@ fn launch_stage(
                 stb,
                 &kernel.body,
                 &resolved,
+                &mut bind.borrow_mut(),
             );
         });
         let inner2 = Rc::clone(inner_rc);

@@ -40,6 +40,7 @@ use crate::kernel::{self, KernelSpec, ResolvedArg};
 use crate::map::{MapClause, MapType};
 use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, PresenceTable};
 use crate::section::Section;
+use crate::spare::Spares;
 use crate::task::{GroupId, LiveCounts, RaceReport, TaskGraph, TaskId, TaskLabel, TaskSpec};
 
 /// Construction parameters for a [`Runtime`].
@@ -232,9 +233,170 @@ pub(crate) enum Completion {
     Async,
 }
 
-/// A task's action: runs when the task starts in virtual time.
-pub(crate) type Action =
+/// What a task does when it starts in virtual time. The directive phases
+/// are data; a host task's body, the spill executor and test actions are
+/// closures.
+pub(crate) enum Action {
+    /// Map `maps` onto `device`: a `target enter data`, or the enter
+    /// phase of a `target` construct. `pressure` selects the bounded
+    /// retry ladder of a pressure-managed construct over backpressure
+    /// parking.
+    Enter {
+        device: u32,
+        maps: Rc<[MapClause]>,
+        pressure: bool,
+    },
+    /// A construct's kernel phase.
+    Kernel(KernelLaunch),
+    /// Unmap the exit equivalents of `maps` from `device` (see
+    /// [`MapType::on_exit`]): a `target exit data`, or the exit phase
+    /// of a `target` construct.
+    Exit {
+        device: u32,
+        maps: Rc<[MapClause]>,
+        integrity: IntegrityMode,
+        gate: Option<(crate::commit::CommitGate, u32)>,
+    },
+    /// `target update`: the `to(…)` items are `items[..n_to]`, the
+    /// `from(…)` items the rest.
+    Update {
+        device: u32,
+        items: Vec<Section>,
+        n_to: usize,
+        exchange: crate::directives::ExchangeMode,
+        integrity: IntegrityMode,
+    },
+    /// A phase of a pipelined (`spread_overlap`) construct (see
+    /// [`crate::overlap`]), boxed to keep the common variants, and every
+    /// task slot, small.
+    Pipelined(Box<Pipelined>),
+    /// Anything else.
+    Closure(TaskFn),
+}
+
+/// A closure [`Action`].
+pub(crate) type TaskFn =
     Box<dyn FnOnce(&mut Simulator, &Rc<RefCell<Inner>>, TaskId) -> Result<Completion, RtError>>;
+
+/// A pipelined construct's phase and the state its three phases share.
+pub(crate) struct Pipelined {
+    pub phase: PipePhase,
+    pub launch: KernelLaunch,
+    pub maps: Rc<[MapClause]>,
+    pub integrity: IntegrityMode,
+    pub gate: Option<(crate::commit::CommitGate, u32)>,
+    pub pipe: Rc<crate::overlap::PipeState>,
+}
+
+/// The phases of a `target` construct.
+#[derive(Clone, Copy)]
+pub(crate) enum PipePhase {
+    Enter,
+    Kernel,
+    Exit,
+}
+
+/// One kernel launch: `kernel` over `range` on `device`.
+pub(crate) struct KernelLaunch {
+    pub device: u32,
+    pub range: Range<usize>,
+    pub kernel: Rc<KernelSpec>,
+    pub teams: u32,
+    pub threads_per_team: u32,
+}
+
+impl Action {
+    fn run(
+        self,
+        sim: &mut Simulator,
+        inner_rc: &Rc<RefCell<Inner>>,
+        id: TaskId,
+    ) -> Result<Completion, RtError> {
+        use crate::overlap::{pipelined_enter, pipelined_exit, pipelined_kernel};
+        match self {
+            Action::Enter {
+                device,
+                maps,
+                pressure: true,
+            } => pressure_enter(sim, inner_rc, id, device, maps, 0),
+            Action::Enter { device, maps, .. } => {
+                enter_with_backpressure(sim, inner_rc, id, device, maps)?
+            }
+            Action::Kernel(launch) => run_kernel(sim, inner_rc, id, &launch)?,
+            Action::Exit {
+                device,
+                maps,
+                integrity,
+                gate,
+            } => {
+                let plan = inner_rc.borrow_mut().plan_exit(device, &maps)?;
+                run_transfers_ex(
+                    sim,
+                    inner_rc,
+                    id,
+                    device,
+                    Vec::new(),
+                    Vec::new(),
+                    plan.copies,
+                    plan.to_free,
+                    integrity,
+                    gate,
+                );
+            }
+            Action::Update {
+                device,
+                items,
+                n_to,
+                exchange,
+                integrity,
+            } => {
+                let (to_copies, from_copies, routes) = {
+                    let mut inner = inner_rc.borrow_mut();
+                    let (to, from) = items.split_at(n_to);
+                    let (to_copies, from_copies) = inner.plan_update(device, to, from)?;
+                    let routes = inner.plan_peer_routes(device, exchange, &to_copies)?;
+                    (to_copies, from_copies, routes)
+                };
+                run_transfers_ex(
+                    sim,
+                    inner_rc,
+                    id,
+                    device,
+                    to_copies,
+                    routes,
+                    from_copies,
+                    Vec::new(),
+                    integrity,
+                    None,
+                );
+            }
+            Action::Pipelined(p) => {
+                let Pipelined {
+                    phase,
+                    launch,
+                    maps,
+                    integrity,
+                    gate,
+                    pipe,
+                } = *p;
+                let device = launch.device;
+                return match phase {
+                    PipePhase::Enter => {
+                        pipelined_enter(sim, inner_rc, id, device, maps, &launch.kernel, &pipe)
+                    }
+                    PipePhase::Kernel => {
+                        pipelined_kernel(sim, inner_rc, id, &launch, &maps, integrity, &pipe)
+                    }
+                    PipePhase::Exit => {
+                        pipelined_exit(sim, inner_rc, id, device, &maps, integrity, gate, &pipe)
+                    }
+                };
+            }
+            Action::Closure(f) => return f(sim, inner_rc, id),
+        }
+        Ok(Completion::Async)
+    }
+}
 
 /// A fault handler shared by the tasks of one construct: fires at most
 /// once (the `Option` is taken), receiving the faulted task and its
@@ -278,7 +440,7 @@ pub(crate) struct Inner {
     pub(crate) error: Option<RtError>,
     pub(crate) alloc_backpressure: bool,
     /// Enter tasks waiting for device memory: (device, task, maps).
-    pub(crate) mem_waiters: Vec<(u32, TaskId, Vec<MapClause>)>,
+    pub(crate) mem_waiters: Vec<(u32, TaskId, Rc<[MapClause]>)>,
     pub(crate) pool: Rc<TeamPool>,
     pub(crate) flownet: SharedFlowNet,
     pub(crate) trace: TraceRecorder,
@@ -328,6 +490,10 @@ pub(crate) struct Inner {
     /// Launch plans of keyed constructs, invalidated wholesale by the
     /// topology epoch (see [`plan_cache`](crate::plan_cache)).
     pub(crate) plan_cache: crate::plan_cache::PlanCache,
+    /// Kernel-binding vectors reused across launches.
+    pub(crate) bind: Rc<RefCell<kernel::BindScratch>>,
+    /// Plan and transfer-set vectors reused across constructs.
+    pub(crate) spare: PlanSpare,
 }
 
 /// One straggler rescue: a lagging piece speculatively re-executed on a
@@ -393,6 +559,37 @@ impl Inner {
                     what: "a directive targeting it".into(),
                 });
             }
+        }
+        Ok(())
+    }
+
+    /// Resolve `kernel`'s arguments over `range` against `device`'s
+    /// presence table into `out`.
+    pub(crate) fn resolve_args(
+        &self,
+        device: u32,
+        kernel: &KernelSpec,
+        range: &Range<usize>,
+        out: &mut Vec<ResolvedArg>,
+    ) -> Result<(), RtError> {
+        self.check_device(device)?;
+        let table = &self.presence[device as usize];
+        for arg in &kernel.args {
+            let sec = Section::from_range(arg.array.id(), (arg.section_of)(range.clone()));
+            let Some((_, entry)) = table.lookup_containing(&sec) else {
+                return Err(RtError::KernelSectionMissing {
+                    device,
+                    kernel: kernel.name.clone(),
+                    requested: sec,
+                });
+            };
+            out.push(ResolvedArg {
+                alloc: entry.alloc,
+                entry_start: entry.section.start,
+                entry_len: entry.section.len,
+                access: arg.access,
+                section_of: std::sync::Arc::clone(&arg.section_of),
+            });
         }
         Ok(())
     }
@@ -502,6 +699,16 @@ pub(crate) fn span_label(trace: &TraceRecorder, what: &dyn std::fmt::Display) ->
     }
 }
 
+/// Emptied vectors of finished plans and transfer sets, reused by the
+/// next ones, and [`Inner::plan_enter`]'s undo log.
+#[derive(Default)]
+pub(crate) struct PlanSpare {
+    pub(crate) copies: Spares<CopyPlanItem>,
+    pub(crate) keys: Spares<EntryKey>,
+    pub(crate) staged: Spares<StagedWrite>,
+    undo: Vec<(Section, bool)>,
+}
+
 /// Result of planning an enter-mapping set.
 pub(crate) struct EnterPlan {
     pub copies: Vec<CopyPlanItem>,
@@ -538,13 +745,30 @@ impl Inner {
     ) -> Result<EnterPlan, RtError> {
         self.check_device(device)?;
         let d = device as usize;
-        let mut copies = Vec::new();
-        // Undo log: reused entries (refcount to drop) and fresh inserts.
-        let mut reused: Vec<Section> = Vec::new();
-        let mut fresh: Vec<Section> = Vec::new();
+        let mut copies = self.spare.copies.take();
+        // Undo log: `(section, fresh)` — a reused entry's reference to
+        // drop, or a fresh insert to force-release.
+        let mut undo = std::mem::take(&mut self.spare.undo);
+        let planned = self.enter_each(device, maps, &mut copies, &mut undo);
+        if planned.is_err() {
+            self.rollback_enter(d, &undo);
+        }
+        undo.clear();
+        self.spare.undo = undo;
+        planned.map(|()| EnterPlan { copies })
+    }
+
+    /// [`Self::plan_enter`]'s work, logging what a rollback must undo.
+    fn enter_each(
+        &mut self,
+        device: u32,
+        maps: &[MapClause],
+        copies: &mut Vec<CopyPlanItem>,
+        undo: &mut Vec<(Section, bool)>,
+    ) -> Result<(), RtError> {
+        let d = device as usize;
         for m in maps {
             if !m.map_type.valid_on_enter() && m.map_type != MapType::From {
-                self.rollback_enter(d, reused, fresh);
                 return Err(RtError::InvalidDirective(format!(
                     "map type {:?} is not valid when entering a mapping",
                     m.map_type
@@ -553,16 +777,11 @@ impl Inner {
             if m.section.is_empty() {
                 continue;
             }
-            let decision = match self.presence[d].begin_enter(m.section) {
-                Ok(dec) => dec,
-                Err(c) => {
-                    let err = self.conflict_to_error(device, m.section, c);
-                    self.rollback_enter(d, reused, fresh);
-                    return Err(err);
-                }
-            };
+            let decision = self.presence[d]
+                .begin_enter(m.section)
+                .map_err(|c| self.conflict_to_error(device, m.section, c))?;
             match decision {
-                EnterDecision::Reuse(_) => reused.push(m.section),
+                EnterDecision::Reuse(_) => undo.push((m.section, false)),
                 EnterDecision::Fresh => {
                     // A copy-in overwrites the whole allocation (offset 0,
                     // full section) before the kernel can read it.
@@ -571,25 +790,18 @@ impl Inner {
                     } else {
                         Fill::Zero
                     };
-                    let alloc_result = self.devices[d]
+                    let alloc = self.devices[d]
                         .mem
                         .borrow_mut()
-                        .alloc_filled(m.section.len, fill);
-                    let alloc = match alloc_result {
-                        Ok(a) => a,
-                        Err(oom) => {
-                            let err = RtError::OutOfMemory {
-                                device,
-                                requested: m.section,
-                                bytes: oom.requested,
-                                free: oom.free,
-                            };
-                            self.rollback_enter(d, reused, fresh);
-                            return Err(err);
-                        }
-                    };
+                        .alloc_filled(m.section.len, fill)
+                        .map_err(|oom| RtError::OutOfMemory {
+                            device,
+                            requested: m.section,
+                            bytes: oom.requested,
+                            free: oom.free,
+                        })?;
                     self.presence[d].insert_fresh(m.section, alloc);
-                    fresh.push(m.section);
+                    undo.push((m.section, true));
                     if m.map_type.copies_in() {
                         copies.push(CopyPlanItem {
                             section: m.section,
@@ -601,16 +813,16 @@ impl Inner {
                 }
             }
         }
-        Ok(EnterPlan { copies })
+        Ok(())
     }
 
     /// Undo the bookkeeping of a partially applied enter-plan: drop the
     /// extra reference on every reused entry, then force-release every
     /// fresh insert.
-    fn rollback_enter(&mut self, d: usize, reused: Vec<Section>, fresh: Vec<Section>) {
-        let undo = reused.iter().map(|s| (s, false));
-        for (s, delete) in undo.chain(fresh.iter().map(|s| (s, true))) {
-            match self.presence[d].begin_exit(s, delete) {
+    fn rollback_enter(&mut self, d: usize, undo: &[(Section, bool)]) {
+        let reused = undo.iter().filter(|(_, fresh)| !fresh);
+        for (s, delete) in reused.chain(undo.iter().filter(|(_, fresh)| *fresh)) {
+            match self.presence[d].begin_exit(s, *delete) {
                 Ok(ExitDecision::Keep(_)) => {}
                 Ok(ExitDecision::LastRef(key)) => {
                     self.release_dying(d, &[key]);
@@ -632,33 +844,29 @@ impl Inner {
         !keys.is_empty()
     }
 
-    /// Apply the exit half of a map set.
+    /// Apply the exit half of a map set: each map's
+    /// [`MapType::on_exit`].
     pub(crate) fn plan_exit(
         &mut self,
         device: u32,
         maps: &[MapClause],
     ) -> Result<ExitPlan, RtError> {
         self.check_device(device)?;
-        let mut copies = Vec::new();
-        let mut to_free = Vec::new();
+        let mut copies = self.spare.copies.take();
+        let mut to_free = self.spare.keys.take();
         for m in maps {
-            if !m.map_type.valid_on_exit() {
-                return Err(RtError::InvalidDirective(format!(
-                    "map type {:?} is not valid when exiting a mapping",
-                    m.map_type
-                )));
-            }
             if m.section.is_empty() {
                 continue;
             }
+            let map_type = m.map_type.on_exit();
             let d = device as usize;
             let decision = self.presence[d]
-                .begin_exit(&m.section, m.map_type == MapType::Delete)
+                .begin_exit(&m.section, map_type == MapType::Delete)
                 .map_err(|c| self.conflict_to_error(device, m.section, c))?;
             match decision {
                 ExitDecision::Keep(_) => {}
                 ExitDecision::LastRef(key) => {
-                    if m.map_type.copies_out() {
+                    if map_type.copies_out() {
                         let entry = self.presence[d].entry(key).expect("dying entry");
                         copies.push(CopyPlanItem {
                             section: m.section,
@@ -683,8 +891,11 @@ impl Inner {
     ) -> Result<(Vec<CopyPlanItem>, Vec<CopyPlanItem>), RtError> {
         self.check_device(device)?;
         let d = device as usize;
-        let plan = |items: &[Section], kind: CopyKind| -> Result<Vec<CopyPlanItem>, RtError> {
-            let mut out = Vec::new();
+        let (mut to, mut from) = (self.spare.copies.take(), self.spare.copies.take());
+        let plan = |items: &[Section],
+                    kind: CopyKind,
+                    out: &mut Vec<CopyPlanItem>|
+         -> Result<(), RtError> {
             for &s in items {
                 if s.is_empty() {
                     continue;
@@ -702,12 +913,11 @@ impl Inner {
                     label: self.copy_label(kind, s),
                 });
             }
-            Ok(out)
+            Ok(())
         };
-        Ok((
-            plan(to_items, CopyKind::UpdateTo)?,
-            plan(from_items, CopyKind::UpdateFrom)?,
-        ))
+        plan(to_items, CopyKind::UpdateTo, &mut to)?;
+        plan(from_items, CopyKind::UpdateFrom, &mut from)?;
+        Ok((to, from))
     }
 
     /// The label of a `kind` copy of `section`.
@@ -796,7 +1006,7 @@ pub(crate) fn enter_with_backpressure(
     inner_rc: &Rc<RefCell<Inner>>,
     id: TaskId,
     device: u32,
-    maps: Vec<MapClause>,
+    maps: Rc<[MapClause]>,
 ) -> Result<(), RtError> {
     let planned = {
         let mut inner = inner_rc.borrow_mut();
@@ -860,7 +1070,7 @@ pub(crate) fn pressure_enter(
     inner_rc: &Rc<RefCell<Inner>>,
     id: TaskId,
     device: u32,
-    maps: Vec<MapClause>,
+    maps: Rc<[MapClause]>,
     attempt: u32,
 ) {
     if inner_rc.borrow().error.is_some() {
@@ -929,7 +1139,7 @@ pub(crate) fn start_task(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, id:
     };
     match action {
         None => complete_task(sim, inner_rc, id),
-        Some(action) => match action(sim, inner_rc, id) {
+        Some(action) => match action.run(sim, inner_rc, id) {
             Ok(Completion::Done) => complete_task(sim, inner_rc, id),
             Ok(Completion::Async) => {}
             Err(e) => task_failed(sim, inner_rc, id, e),
@@ -1028,15 +1238,12 @@ pub(crate) fn device_lost_cleanup(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inn
 
 /// Mark a task finished; schedule newly ready successors.
 pub(crate) fn complete_task(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, id: TaskId) {
-    let ready = {
-        let mut inner = inner_rc.borrow_mut();
-        let ready = inner.graph.finish(id);
-        // A finished task can no longer fail: release its handler (and
-        // everything the closure captured).
-        inner.recoverers.remove(&id);
-        ready
-    };
-    for t in ready {
+    let mut inner = inner_rc.borrow_mut();
+    // A finished task can no longer fail: release its handler (and
+    // everything the closure captured).
+    inner.recoverers.remove(&id);
+    // Scheduling a start only queues an event: the graph stays borrowed.
+    for &t in inner.graph.finish(id) {
         schedule_start(sim, inner_rc, t);
     }
 }
@@ -1502,10 +1709,17 @@ pub(crate) fn staged_commit_finish(
             }
         }
     }
-    if inner_rc
-        .borrow_mut()
-        .release_dying(device as usize, &to_free)
-    {
+    let released = {
+        let mut inner = inner_rc.borrow_mut();
+        let released = inner.release_dying(device as usize, &to_free);
+        inner.spare.keys.keep(to_free);
+        inner
+            .spare
+            .staged
+            .keep(std::mem::take(&mut *staged.borrow_mut()));
+        released
+    };
+    if released {
         retry_mem_waiters(sim, inner_rc, device);
     }
     complete_task(sim, inner_rc, task);
@@ -1539,9 +1753,9 @@ pub(crate) fn run_transfers_ex(
     inner_rc: &Rc<RefCell<Inner>>,
     task: TaskId,
     device: u32,
-    in_copies: Vec<CopyPlanItem>,
+    mut in_copies: Vec<CopyPlanItem>,
     peer_routes: Vec<Option<u32>>,
-    out_copies: Vec<CopyPlanItem>,
+    mut out_copies: Vec<CopyPlanItem>,
     to_free: Vec<EntryKey>,
     integrity: IntegrityMode,
     gate: Option<(crate::commit::CommitGate, u32)>,
@@ -1555,7 +1769,21 @@ pub(crate) fn run_transfers_ex(
         integrity,
         gate,
     };
-    let set = Rc::new(TransferSet::new(device, total, Some(args)));
+    let mut set = TransferSet::new(device, total, Some(args));
+    if total == 0 {
+        // Nothing will be in flight, so nothing shares the set.
+        {
+            let mut inner = inner_rc.borrow_mut();
+            inner.spare.copies.keep(in_copies);
+            inner.spare.copies.keep(out_copies);
+        }
+        transfer_done(sim, inner_rc, &set);
+        return;
+    }
+    if !out_copies.is_empty() {
+        *set.staged.get_mut() = inner_rc.borrow_mut().spare.staged.take();
+    }
+    let set = Rc::new(set);
     let (dev_mem, dma_in, dma_out, trace, faults) = {
         let mut inner = inner_rc.borrow_mut();
         if snapshot && !out_copies.is_empty() {
@@ -1573,15 +1801,11 @@ pub(crate) fn run_transfers_ex(
             inner.fault.is_some(),
         )
     };
-    if total == 0 {
-        transfer_done(sim, inner_rc, &set);
-        return;
-    }
     let ins = in_copies
-        .into_iter()
+        .drain(..)
         .enumerate()
         .map(|(i, c)| (c, Direction::In, peer_routes.get(i).copied().flatten()));
-    let items = ins.chain(out_copies.into_iter().map(|c| (c, Direction::Out, None)));
+    let items = ins.chain(out_copies.drain(..).map(|c| (c, Direction::Out, None)));
     for (c, dir, route) in items {
         if let Some(src) = route {
             enqueue_peer_copy(sim, inner_rc, src, c, integrity, &set);
@@ -1675,6 +1899,9 @@ pub(crate) fn run_transfers_ex(
             },
         );
     }
+    let mut inner = inner_rc.borrow_mut();
+    inner.spare.copies.keep(in_copies);
+    inner.spare.copies.keep(out_copies);
 }
 
 /// Enqueue one device-to-device pull on the destination's peer engine.
@@ -1919,60 +2146,56 @@ fn enqueue_peer_copy(
 
 /// Resolve a kernel's arguments and enqueue it on the device's compute
 /// engine; completes the task when the modeled execution finishes.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_kernel(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
     task: TaskId,
-    device: u32,
-    range: Range<usize>,
-    spec: &Rc<KernelSpec>,
-    teams: u32,
-    threads_per_team: u32,
+    launch: &KernelLaunch,
 ) -> Result<(), RtError> {
-    let (mem, compute, pool, resolved, name, faults) = {
+    let KernelLaunch {
+        device,
+        ref range,
+        ref kernel,
+        teams,
+        threads_per_team,
+    } = *launch;
+    let (mem, compute, pool, bind, resolved, name, faults) = {
         let inner = inner_rc.borrow();
-        inner.check_device(device)?;
         let d = device as usize;
-        let mut resolved = Vec::with_capacity(spec.args.len());
-        let table = &inner.presence[d];
-        for arg in &spec.args {
-            let rng = (arg.section_of)(range.clone());
-            let sec = Section::from_range(arg.array.id(), rng);
-            let Some((_, entry)) = table.lookup_containing(&sec) else {
-                return Err(RtError::KernelSectionMissing {
-                    device,
-                    kernel: spec.name.clone(),
-                    requested: sec,
-                });
-            };
-            resolved.push(ResolvedArg {
-                alloc: entry.alloc,
-                entry_start: entry.section.start,
-                entry_len: entry.section.len,
-                access: arg.access,
-                section_of: std::sync::Arc::clone(&arg.section_of),
-            });
+        let mut resolved = inner.bind.borrow_mut().list();
+        if let Err(e) = inner.resolve_args(device, kernel, range, &mut resolved) {
+            inner.bind.borrow_mut().recycle(resolved);
+            return Err(e);
         }
         (
             Rc::clone(&inner.devices[d].mem),
             inner.devices[d].compute.clone(),
             Rc::clone(&inner.pool),
+            Rc::clone(&inner.bind),
             resolved,
-            span_label(&inner.trace, &spec.name),
+            span_label(&inner.trace, &kernel.name),
             inner.fault.is_some(),
         )
     };
-    let body = std::sync::Arc::clone(&spec.body);
-    let schedule = spec.schedule;
+    let spec = Rc::clone(kernel);
     let exec_range = range.clone();
     let exec: Box<dyn FnOnce()> = Box::new(move || {
         let mut mem = mem.borrow_mut();
-        kernel::execute_on_device(&mut mem, &pool, schedule, exec_range, &body, &resolved);
+        let mut bind = bind.borrow_mut();
+        kernel::execute_on_device(
+            &mut mem,
+            &pool,
+            spec.schedule,
+            exec_range,
+            &spec.body,
+            &resolved,
+            &mut bind,
+        );
+        bind.recycle(resolved);
     });
     let inner_rc2 = Rc::clone(inner_rc);
     let on_fault = faults.then(|| {
-        let (inner_rc, kernel) = (Rc::clone(inner_rc), Rc::clone(spec));
+        let (inner_rc, kernel) = (Rc::clone(inner_rc), Rc::clone(kernel));
         Box::new(move |sim: &mut Simulator, ev: spread_sim::FaultEvent| {
             task_failed(
                 sim,
@@ -1991,7 +2214,7 @@ pub(crate) fn run_kernel(
             tag: task.0,
             name,
             iters: range.len() as u64,
-            work_per_iter_ns: spec.work_per_iter_ns,
+            work_per_iter_ns: kernel.work_per_iter_ns,
             teams,
             threads_per_team,
             body: Some(exec),
@@ -2077,6 +2300,8 @@ impl Runtime {
             staged_registry: Vec::new(),
             overlap_log: Vec::new(),
             plan_cache: crate::plan_cache::PlanCache::new(cfg.plan_cache),
+            bind: Rc::default(),
+            spare: PlanSpare::default(),
         };
         // A fresh runtime starts its peak-memory statistics from zero:
         // `device_mem_peak` must describe *this* instance, even if the
@@ -2488,6 +2713,12 @@ impl Scope<'_> {
     /// Number of devices.
     pub fn n_devices(&self) -> usize {
         self.inner.borrow().devices.len()
+    }
+
+    /// A spec filled from the task graph's emptied vectors (see
+    /// [`TaskGraph::spec`]).
+    pub(crate) fn spec(&mut self, label: impl Into<TaskLabel>) -> TaskSpec {
+        self.inner.borrow_mut().graph.spec(label)
     }
 
     /// Submit a task in the current context. Used by the directive
@@ -3120,7 +3351,7 @@ pub(crate) fn record_degradation_inner(now: SimTime, inner: &mut Inner, ev: Degr
 /// Build the action of a host task: swaps the parent/group context, runs
 /// the body with a fresh [`Scope`], restores.
 fn host_task_action(f: impl FnOnce(&mut Scope<'_>) + 'static) -> Action {
-    Box::new(move |sim, inner_rc, id| {
+    Action::Closure(Box::new(move |sim, inner_rc, id| {
         let saved = {
             let mut inner = inner_rc.borrow_mut();
             let my_group = inner.graph.group_of(id);
@@ -3141,7 +3372,7 @@ fn host_task_action(f: impl FnOnce(&mut Scope<'_>) + 'static) -> Action {
             inner.current_group = saved.1;
         }
         Ok(Completion::Done)
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -3254,7 +3485,7 @@ mod tests {
         // cannot — simulate by waiting on a task that never finishes:
         // a task whose action is Async but never completes).
         let spec = TaskSpec::new("never");
-        let action: Action = Box::new(|_, _, _| Ok(Completion::Async));
+        let action = Action::Closure(Box::new(|_, _, _| Ok(Completion::Async)));
         let id = s.submit(spec, action);
         let err = s.drain_task(id).unwrap_err();
         assert!(matches!(err, RtError::Deadlock { .. }));

@@ -92,7 +92,7 @@ pub fn spill_chunk(
             spec.fp_reads.push(FpAccess::host(sec));
         }
     }
-    let action: Action = Box::new(move |_sim, inner_rc, _id| {
+    let action = Action::Closure(Box::new(move |_sim, inner_rc, _id| {
         let (pool, staging_bytes, stores): (_, _, Vec<Rc<std::cell::RefCell<Vec<f64>>>>) = {
             let inner = inner_rc.borrow();
             (
@@ -151,6 +151,7 @@ pub fn spill_chunk(
                 slice.clone(),
                 &kernel.body,
                 &resolved,
+                &mut crate::kernel::BindScratch::default(),
             );
             for (i, (arg, sec)) in kernel.args.iter().zip(&sections).enumerate() {
                 if !arg.access.writes() || sec.is_empty() {
@@ -164,7 +165,7 @@ pub fn spill_chunk(
             stores[i].borrow_mut()[sec].copy_from_slice(&data);
         }
         Ok(Completion::Done)
-    });
+    }));
     scope.submit(spec, action)
 }
 

@@ -38,6 +38,7 @@ use spread_prng::FnvBuild;
 use crate::kernel::KernelSpec;
 use crate::runtime::Action;
 use crate::section::{ArrayId, Section};
+use crate::spare::Spares;
 
 /// Identifier of a task.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -229,6 +230,7 @@ struct Task {
     label: TaskLabel,
     state: TaskState,
     unfinished_preds: usize,
+    /// Tasks created waiting on this one, in creation order.
     succs: Vec<TaskId>,
     group: Option<GroupId>,
     gate_group: Option<GroupId>,
@@ -263,6 +265,15 @@ struct GroupState {
 
 /// No entry: the end of a chain, an empty list, an empty free list.
 const NIL: u32 = u32::MAX;
+
+/// Emptied vectors of retired specs and tasks, handed out again by
+/// [`TaskGraph::spec`].
+#[derive(Default)]
+struct Spare {
+    sections: Spares<(Section, bool)>,
+    accesses: Spares<FpAccess>,
+    preds: Spares<TaskId>,
+}
 
 /// One stored section of a [`SectionGrid`].
 struct GridEntry {
@@ -582,10 +593,13 @@ pub struct TaskGraph {
     records: SectionGrid<(Option<TaskId>, ArrayId)>,
     /// Footprints of running tasks, by (memory space, array).
     running: SectionGrid<(Option<u32>, ArrayId)>,
-    /// `create`'s predecessor set and `start`'s race hits, kept between
-    /// calls so neither allocates once grown.
+    /// `create`'s predecessor set, `start`'s race hits and the tasks
+    /// `finish` released, kept between calls so none allocates once
+    /// grown.
     preds: Vec<TaskId>,
     hits: Vec<(u64, TaskId)>,
+    ready: Vec<TaskId>,
+    spare: Spare,
     next_start: u64,
     races: Vec<RaceReport>,
     unfinished: usize,
@@ -675,6 +689,20 @@ impl TaskGraph {
         }
     }
 
+    /// A minimal spec whose vectors are emptied ones of retired tasks:
+    /// filling it allocates nothing once the graph has run a while.
+    pub(crate) fn spec(&mut self, label: impl Into<TaskLabel>) -> TaskSpec {
+        let spare = &mut self.spare;
+        TaskSpec {
+            wait_on: spare.sections.take(),
+            publish: spare.sections.take(),
+            fp_reads: spare.accesses.take(),
+            fp_writes: spare.accesses.take(),
+            extra_preds: spare.preds.take(),
+            ..TaskSpec::new(label)
+        }
+    }
+
     /// Create a task. Returns its id and whether it is immediately ready
     /// (the caller schedules the start event; the graph marks it Ready).
     pub fn create(&mut self, spec: TaskSpec) -> (TaskId, bool) {
@@ -730,6 +758,8 @@ impl TaskGraph {
                 .push(id);
         }
         self.preds = preds;
+        self.spare.sections.keep(spec.wait_on);
+        self.spare.preds.keep(spec.extra_preds);
 
         let gate_open = spec
             .gate_group
@@ -745,7 +775,7 @@ impl TaskGraph {
                 TaskState::Waiting
             },
             unfinished_preds: n_preds,
-            succs: Vec::new(),
+            succs: self.spare.preds.take(),
             group: spec.group,
             gate_group: spec.gate_group,
             parent: spec.parent,
@@ -829,8 +859,8 @@ impl TaskGraph {
 
     /// Mark a task finished and retire it: its slot, its dependence
     /// records and its running-set entries are dropped here. Returns the
-    /// tasks that became ready.
-    pub fn finish(&mut self, id: TaskId) -> Vec<TaskId> {
+    /// tasks that became ready, in the order they did.
+    pub fn finish(&mut self, id: TaskId) -> &[TaskId] {
         let t = self.tasks.remove(&id.0).expect("finish of unknown task");
         debug_assert!(
             matches!(t.state, TaskState::Running),
@@ -853,8 +883,9 @@ impl TaskGraph {
             self.children.remove(&t.parent);
         }
 
-        let mut ready = Vec::new();
-        for s in t.succs {
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.clear();
+        for &s in &t.succs {
             let st = self.tasks.get_mut(&s.0).expect("successor is live");
             st.unfinished_preds -= 1;
             if st.unfinished_preds == 0 {
@@ -879,7 +910,12 @@ impl TaskGraph {
                 }
             }
         }
-        ready
+        self.spare.sections.keep(t.publish);
+        self.spare.accesses.keep(t.fp_reads);
+        self.spare.accesses.keep(t.fp_writes);
+        self.spare.preds.keep(t.succs);
+        self.ready = ready;
+        &self.ready
     }
 
     /// `Waiting` with no unfinished predecessor → `Ready`.
@@ -960,7 +996,7 @@ mod tests {
     /// Drive a task through its lifecycle manually.
     fn run(g: &mut TaskGraph, id: TaskId) -> Vec<TaskId> {
         g.start(id);
-        g.finish(id)
+        g.finish(id).to_vec()
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub type FlowCallback = Box<dyn FnOnce(&mut Simulator)>;
 
 struct FlowState {
     remaining: f64,
-    caps: Vec<usize>,
+    /// The route as [`SharedFlowNet::start_flow`] was given it.
+    caps: Vec<CapacityId>,
     rate: f64,
     completion: Option<EventId>,
     on_complete: Option<FlowCallback>,
@@ -106,7 +107,7 @@ impl FlowNet {
             per_cap.resize(self.caps.len(), 0.0);
             for f in self.flows.values_mut() {
                 f.remaining = (f.remaining - f.rate * dt).max(0.0);
-                for &c in &f.caps {
+                for &CapacityId(c) in &f.caps {
                     per_cap[c] += f.rate * dt;
                 }
             }
@@ -132,7 +133,7 @@ impl FlowNet {
         bounds.clear();
         bounds.push(0);
         for f in self.flows.values() {
-            routes.extend_from_slice(&f.caps);
+            routes.extend(f.caps.iter().map(|c| c.0));
             bounds.push(routes.len());
         }
         solver.solve(
@@ -372,7 +373,7 @@ impl SharedFlowNet {
                 id,
                 FlowState {
                     remaining: bytes as f64,
-                    caps: caps.into_iter().map(|c| c.0).collect(),
+                    caps,
                     rate: 0.0,
                     completion: None,
                     on_complete: Some(on_complete),

@@ -115,36 +115,24 @@ impl ChunkDispenser {
     }
 
     /// The chunks statically assigned to thread `tid`, in order.
-    // A Vec<Range> is the uniform return shape for both static variants
-    // (blocked = 1 chunk, chunked = many).
-    #[allow(clippy::single_range_in_vec_init)]
-    pub fn static_chunks(&self, tid: usize) -> Vec<Range<usize>> {
+    pub fn static_chunks(&self, tid: usize) -> impl Iterator<Item = Range<usize>> + '_ {
         let n = self.len();
-        match self.schedule {
+        // (first offset, chunk length, stride between the thread's chunks)
+        let (first, len, stride) = match self.schedule {
             LoopSchedule::StaticBlocked => {
                 // Blocked: thread t gets iterations [t*n/T, (t+1)*n/T) —
-                // balanced to within one iteration.
-                let lo = self.range.start + tid * n / self.n_threads;
-                let hi = self.range.start + (tid + 1) * n / self.n_threads;
-                if hi > lo {
-                    vec![lo..hi]
-                } else {
-                    vec![]
-                }
+                // balanced to within one iteration; one chunk or none.
+                let lo = tid * n / self.n_threads;
+                let hi = (tid + 1) * n / self.n_threads;
+                (lo, hi - lo, n.max(1))
             }
-            LoopSchedule::StaticChunked { chunk } => {
-                let mut out = Vec::new();
-                let mut c = tid * chunk;
-                while c < n {
-                    let start = self.range.start + c;
-                    let end = (start + chunk).min(self.range.end);
-                    out.push(start..end);
-                    c += self.n_threads * chunk;
-                }
-                out
-            }
+            LoopSchedule::StaticChunked { chunk } => (tid * chunk, chunk, self.n_threads * chunk),
             _ => panic!("static_chunks called on a dynamic schedule"),
-        }
+        };
+        (first..n)
+            .step_by(stride)
+            .map(move |c| self.range.start + c..(self.range.start + c + len).min(self.range.end))
+            .filter(|r| !r.is_empty())
     }
 
     /// Run `body` for every chunk belonging to thread `tid` (static) or
@@ -186,8 +174,8 @@ mod tests {
         let disp = ChunkDispenser::new(10..23, LoopSchedule::StaticBlocked, 4);
         coverage(&disp, 4, 13, 10);
         // Blocks are contiguous and ordered.
-        let c0 = disp.static_chunks(0);
-        let c3 = disp.static_chunks(3);
+        let c0: Vec<_> = disp.static_chunks(0).collect();
+        let c3: Vec<_> = disp.static_chunks(3).collect();
         assert_eq!(c0.len(), 1);
         assert_eq!(c0[0].start, 10);
         assert_eq!(c3[0].end, 23);
@@ -198,7 +186,9 @@ mod tests {
         let disp = ChunkDispenser::new(0..3, LoopSchedule::StaticBlocked, 8);
         coverage(&disp, 8, 3, 0);
         // Some threads get nothing.
-        let empties = (0..8).filter(|&t| disp.static_chunks(t).is_empty()).count();
+        let empties = (0..8)
+            .filter(|&t| disp.static_chunks(t).next().is_none())
+            .count();
         assert_eq!(empties, 5);
     }
 
@@ -207,9 +197,12 @@ mod tests {
         let disp = ChunkDispenser::new(0..14, LoopSchedule::StaticChunked { chunk: 4 }, 3);
         // Mirrors the paper's §III-B.1 example (N=14, chunk 4, 3 devices):
         // chunks [0..4), [4..8), [8..12), [12..14) go to threads 0,1,2,0.
-        assert_eq!(disp.static_chunks(0), vec![0..4, 12..14]);
-        assert_eq!(disp.static_chunks(1), vec![4..8]);
-        assert_eq!(disp.static_chunks(2), vec![8..12]);
+        assert_eq!(
+            disp.static_chunks(0).collect::<Vec<_>>(),
+            vec![0..4, 12..14]
+        );
+        assert_eq!(disp.static_chunks(1).collect::<Vec<_>>(), vec![4..8]);
+        assert_eq!(disp.static_chunks(2).collect::<Vec<_>>(), vec![8..12]);
         coverage(&disp, 3, 14, 0);
     }
 

@@ -12,12 +12,23 @@
 //! is exact and a per-chunk-task ceiling can guard it.
 //!
 //! Allocations per chunk task on this program (4 800 chunk tasks,
-//! 4 864 copies, 1 632 of them D2H copies read at the commit drain):
+//! 4 864 copies, 1 632 of them D2H copies read at the commit drain),
+//! over the whole program until the two paths were pinned apart:
 //!
-//! | build   | labels eager | B-tree index | hash grid | ceiling |
-//! |---------|-------------:|-------------:|----------:|--------:|
-//! | release |         77.5 |         39.6 |      34.4 |    34.6 |
-//! | debug   |         78.3 |         40.4 |      35.2 |    35.4 |
+//! | build   | labels eager | B-tree index | hash grid |
+//! |---------|-------------:|-------------:|----------:|
+//! | release |         77.5 |         39.6 |      34.4 |
+//! | debug   |         78.3 |         40.4 |      35.2 |
+//!
+//! and per path since (1 600 fresh-map chunk tasks, 3 200 present-hit
+//! ones — a construct chunk and an update chunk each):
+//!
+//! | build   | path        | hash grid | phases as data | ceiling |
+//! |---------|-------------|----------:|---------------:|--------:|
+//! | release | fresh-map   |      52.2 |           21.3 |    21.5 |
+//! | release | present-hit |      25.5 |            8.9 |     9.1 |
+//! | debug   | fresh-map   |      53.4 |           22.5 |    22.7 |
+//! | debug   | present-hit |      26.1 |            9.5 |     9.7 |
 //!
 //! "Labels eager" is the runtime whose flow solver allocated six `Vec`s
 //! per flow start or finish, which formatted every task, copy and kernel
@@ -30,10 +41,20 @@
 //! vectors, and cloned the whole `DeviceHandle` (its spec's name
 //! included) per transfer set and kernel launch; the task graph's hash
 //! grid and reused scratch take it to 36.7 in release, cloning only the
-//! engines a launch uses to 34.4. Each of these fails the ceiling in both
-//! profiles: one `format!` of the copy label per copy (+3.0 per chunk
-//! task), one `to_vec()` of the payload per copy (+1.0), one `to_vec()`
-//! per D2H copy read at the drain (+0.34).
+//! engines a launch uses to 34.4. "Phases as data" carries a directive
+//! phase's action as an enum instead of a boxed closure, fills task
+//! specs, successor lists, plans, transfer sets and kernel bindings from
+//! reused vectors, shares a chunk's map list between its enter and exit
+//! phases, and queues engines at the default-stream gate as typed
+//! waiters: what is left per chunk task is the closures the engine and
+//! event-queue APIs take (DESIGN.md, "What the untraced path
+//! allocates").
+//!
+//! Each of these fails a fresh-map ceiling in both profiles (release
+//! figures): one `format!` of the copy label per copy (+6.0 per chunk
+//! task), one `to_vec()` of the payload per H2D copy (+1.0), one
+//! `to_vec()` per D2H copy read at the drain (+1.0), one boxed kernel
+//! phase (+1.0).
 //!
 //! Run on its own with `cargo test --release --test alloc_budget`.
 
@@ -104,8 +125,10 @@ const CHUNKS: u64 = (N / CHUNK) as u64;
 const FRESH: usize = 100;
 const REGION: usize = 50;
 
-/// Per chunk task, in this build profile.
-const CEILING: f64 = if cfg!(debug_assertions) { 35.4 } else { 34.6 };
+/// Per chunk task, in this build profile: the fresh-map path, then the
+/// present-hit path.
+const CEILING_FRESH: f64 = if cfg!(debug_assertions) { 22.7 } else { 21.5 };
+const CEILING_PRESENT: f64 = if cfg!(debug_assertions) { 9.7 } else { 9.1 };
 
 fn bump(a: HostArray) -> KernelSpec {
     KernelSpec::new("bump", 1.0, |chunk, v| {
@@ -123,14 +146,22 @@ fn spread(a: HostArray, key: &str) -> TargetSpread {
         .map(spread_tofrom(a, |c| c.range()))
 }
 
-/// The storm-shaped program; returns the chunk tasks it issued.
-fn storm(s: &mut Scope<'_>, a: HostArray) -> Result<u64, RtError> {
+/// The fresh-map half of the program: constructs that map, copy and
+/// unmap every chunk. Returns the chunk tasks it issued.
+fn fresh(s: &mut Scope<'_>, a: HostArray) -> Result<u64, RtError> {
     let mut chunk_tasks = 0;
     for _ in 0..FRESH {
         chunk_tasks += spread(a, "budget:fresh")
             .parallel_for(s, 0..N, bump(a))?
             .len() as u64;
     }
+    Ok(chunk_tasks)
+}
+
+/// The present-hit half: constructs inside data regions, each followed
+/// by a `target update spread from`. Returns the chunk tasks it issued.
+fn present(s: &mut Scope<'_>, a: HostArray) -> Result<u64, RtError> {
+    let mut chunk_tasks = 0;
     for _ in 0..FRESH / REGION {
         TargetDataSpread::devices(DEVICES)
             .range(0, N)
@@ -152,6 +183,18 @@ fn storm(s: &mut Scope<'_>, a: HostArray) -> Result<u64, RtError> {
     Ok(chunk_tasks)
 }
 
+/// Allocations per chunk task of `path`, checked against `ceiling`.
+fn check(path: &str, (chunk_tasks, allocs): (u64, u64), expected_tasks: u64, ceiling: f64) {
+    assert_eq!(chunk_tasks, expected_tasks);
+    let per_task = allocs as f64 / chunk_tasks as f64;
+    println!("{path}: {allocs} allocations, {per_task:.1} per chunk task");
+    assert!(
+        per_task <= ceiling,
+        "{path}: {per_task:.1} allocations per chunk task exceed the ceiling of {ceiling} \
+         ({allocs} over {chunk_tasks} chunk tasks)"
+    );
+}
+
 #[test]
 fn the_untraced_storm_stays_within_its_allocation_budget() {
     let mut rt = Runtime::new(
@@ -160,14 +203,19 @@ fn the_untraced_storm_stays_within_its_allocation_budget() {
             .with_trace(false),
     );
     let a = rt.host_array("S0", N);
-    let (chunk_tasks, allocs) = allocations(|| rt.run(|s| storm(s, a)).unwrap());
-    assert_eq!(chunk_tasks, 3 * FRESH as u64 * CHUNKS);
+    let (fresh, present) = rt
+        .run(|s| {
+            let (f, f_allocs) = allocations(|| fresh(s, a));
+            let (p, p_allocs) = allocations(|| present(s, a));
+            Ok(((f?, f_allocs), (p?, p_allocs)))
+        })
+        .unwrap();
     assert_eq!(rt.snapshot_host(a), vec![(2 * FRESH) as f64; N]);
-    let per_task = allocs as f64 / chunk_tasks as f64;
-    println!("{allocs} allocations, {per_task:.1} per chunk task");
-    assert!(
-        per_task <= CEILING,
-        "{per_task:.1} allocations per chunk task exceed the ceiling of {CEILING} \
-         ({allocs} over {chunk_tasks} chunk tasks)"
+    check("fresh-map", fresh, FRESH as u64 * CHUNKS, CEILING_FRESH);
+    check(
+        "present-hit",
+        present,
+        2 * FRESH as u64 * CHUNKS,
+        CEILING_PRESENT,
     );
 }

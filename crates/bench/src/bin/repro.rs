@@ -3,7 +3,7 @@
 //!
 //! Usage: `cargo build --release -p spread-bench`, then
 //! `cargo run --release -p spread-bench --bin repro [--small]`. At paper
-//! scale it takes about a minute on two vCPUs, and its outputs are
+//! scale it takes about 65 s on two vCPUs, and its outputs are
 //! byte-reproducible: `git diff --exit-code results/` after a run shows
 //! exactly which paper number a change moved. `--small` finishes in
 //! seconds and prints to stdout; it never writes `results/`.

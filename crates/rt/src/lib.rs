@@ -21,6 +21,8 @@
 //! * [`kernel`] — kernel specifications and the launcher that binds
 //!   mapped device buffers into bounds-checked views and really executes
 //!   the body on a [`spread_teams::TeamPool`].
+//! * [`team`] — that pool as the runtime holds it: it also runs every
+//!   bulk host↔device copy and counts them ([`HostCounters`]).
 //! * [`runtime`] — [`Runtime`] / [`Scope`]: the central object tying the
 //!   simulator, devices, presence tables and task graph together.
 //! * [`directives`] — builder-style directives mirroring the pragmas:
@@ -61,6 +63,7 @@ pub mod section;
 pub(crate) mod spare;
 pub mod spill;
 pub mod task;
+pub mod team;
 
 pub use commit::CommitGate;
 pub use directives::{ConstructIds, ExchangeMode};
@@ -77,6 +80,7 @@ pub use runtime::{
 pub use section::{ArrayId, Section};
 pub use spill::{kernel_footprint_bytes, spill_chunk, spill_slices};
 pub use task::{GroupId, TaskId, TaskLabel};
+pub use team::HostCounters;
 
 /// Convenience re-exports for building runtime programs.
 pub mod prelude {

@@ -59,7 +59,6 @@ use spread_devices::dma::DmaOp;
 use spread_devices::node::DeviceHandle;
 use spread_devices::AllocId;
 use spread_sim::Simulator;
-use spread_teams::TeamPool;
 
 use crate::error::RtError;
 use crate::integrity::IntegrityMode;
@@ -72,6 +71,7 @@ use crate::runtime::{
 };
 use crate::section::Section;
 use crate::task::TaskId;
+use crate::team::Team;
 
 /// One completed (or degraded) pipelined construct, in completion
 /// order. The conformance harness checks `staged == committed` on every
@@ -186,7 +186,7 @@ struct SubCopy {
 /// Kernel-phase context captured once when the kernel task starts.
 struct KernelCtx {
     dev: DeviceHandle,
-    pool: Rc<TeamPool>,
+    team: Rc<Team>,
     resolved: Rc<Vec<ResolvedArg>>,
     kernel: Rc<KernelSpec>,
     teams: u32,
@@ -392,11 +392,12 @@ pub(crate) fn pipelined_enter(
         complete_task(sim, inner_rc, id);
     }
     pipe.enter.add(stage0);
-    let (dev_mem, dma_in, trace, faults) = {
+    let (dev_mem, team, dma_in, trace, faults) = {
         let inner = inner_rc.borrow();
         let dev = &inner.devices[device as usize];
         (
             Rc::clone(&dev.mem),
+            Rc::clone(&inner.team),
             dev.dma_in.clone(),
             inner.trace.clone(),
             inner.fault.is_some(),
@@ -406,6 +407,7 @@ pub(crate) fn pipelined_enter(
         let host_store = inner_rc.borrow().host.storage(sec.array);
         let mem = Rc::clone(&dev_mem);
         let pipe_e = Rc::clone(pipe);
+        let team = Rc::clone(&team);
         let effect: Box<dyn FnOnce()> = Box::new(move || {
             if pipe_e.freed.get() {
                 return;
@@ -413,7 +415,7 @@ pub(crate) fn pipelined_enter(
             let host = host_store.borrow();
             let mut mem = mem.borrow_mut();
             let buf = mem.buffer_mut(alloc);
-            buf[off..off + sec.len].copy_from_slice(&host[sec.range()]);
+            team.h2d(&mut buf[off..off + sec.len], &host[sec.range()]);
         });
         let on_complete: Box<dyn FnOnce(&mut Simulator)> = {
             let inner2 = Rc::clone(inner_rc);
@@ -524,12 +526,12 @@ pub(crate) fn pipelined_kernel(
     } = *launch;
     // Resolve arguments exactly like the classic kernel launch; the
     // resolution is range-independent, so every sub-kernel shares it.
-    let (dev, pool, resolved) = {
+    let (dev, team, resolved) = {
         let inner = inner_rc.borrow();
         let mut resolved = Vec::with_capacity(spec.args.len());
         inner.resolve_args(device, spec, range, &mut resolved)?;
         let d = device as usize;
-        (inner.devices[d].clone(), Rc::clone(&inner.pool), resolved)
+        (inner.devices[d].clone(), Rc::clone(&inner.team), resolved)
     };
     // Predict the exit's D2H: a dying copies-out map (refcount 1 right
     // now) is sliced so stage j's copy-out covers what stage j's
@@ -605,7 +607,7 @@ pub(crate) fn pipelined_kernel(
     }
     *pipe.krn.borrow_mut() = Some(KernelCtx {
         dev,
-        pool,
+        team,
         resolved: Rc::new(resolved),
         kernel: Rc::clone(spec),
         teams,
@@ -651,7 +653,7 @@ fn launch_stage(
         let ctx = krn.as_ref().expect("kernel context set before pumping");
         let st = pipe.stages[j].clone();
         let mem = ctx.dev.mem.clone();
-        let pool = Rc::clone(&ctx.pool);
+        let team = Rc::clone(&ctx.team);
         let kernel = Rc::clone(&ctx.kernel);
         let resolved = Rc::clone(&ctx.resolved);
         let pipe_b = Rc::clone(pipe);
@@ -666,7 +668,7 @@ fn launch_stage(
             let mut mem = mem.borrow_mut();
             kernel::execute_on_device(
                 &mut mem,
-                &pool,
+                &team.pool,
                 kernel.schedule,
                 stb,
                 &kernel.body,
@@ -751,10 +753,10 @@ fn enqueue_staged_d2h(
     pipe: &Rc<PipeState>,
     sc: SubCopy,
 ) {
-    let (dev, integrity) = {
+    let (dev, team, integrity) = {
         let krn = pipe.krn.borrow();
         let ctx = krn.as_ref().expect("kernel context set");
-        (ctx.dev.clone(), ctx.integrity)
+        (ctx.dev.clone(), Rc::clone(&ctx.team), ctx.integrity)
     };
     pipe.exit.add(1);
     let device = pipe.device;
@@ -775,7 +777,7 @@ fn enqueue_staged_d2h(
         }
         let mem = mem.borrow();
         let buf = mem.buffer(alloc);
-        let data = buf[off..off + sec.len].to_vec();
+        let data = team.snapshot(&buf[off..off + sec.len]);
         let crc = integrity
             .checks()
             .then(|| spread_devices::digest_f64(&data));

@@ -30,7 +30,6 @@ use spread_prng::FnvBuild;
 use spread_sim::{
     FaultEventKind, FaultPlan, PlannedFault, RetryPolicy, SharedFlowNet, Simulator, TieBreak,
 };
-use spread_teams::TeamPool;
 use spread_trace::{SimDuration, SimTime, Timeline, TraceRecorder};
 
 use crate::error::RtError;
@@ -42,6 +41,7 @@ use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, Presenc
 use crate::section::Section;
 use crate::spare::Spares;
 use crate::task::{GroupId, LiveCounts, RaceReport, TaskGraph, TaskId, TaskLabel, TaskSpec};
+use crate::team::{HostCounters, Team};
 
 /// Construction parameters for a [`Runtime`].
 #[derive(Clone)]
@@ -441,7 +441,7 @@ pub(crate) struct Inner {
     pub(crate) alloc_backpressure: bool,
     /// Enter tasks waiting for device memory: (device, task, maps).
     pub(crate) mem_waiters: Vec<(u32, TaskId, Rc<[MapClause]>)>,
-    pub(crate) pool: Rc<TeamPool>,
+    pub(crate) team: Rc<Team>,
     pub(crate) flownet: SharedFlowNet,
     pub(crate) trace: TraceRecorder,
     pub(crate) default_num_teams: u32,
@@ -1290,9 +1290,9 @@ impl StagedWrite {
         }
     }
 
-    /// Write the copy to host memory. `mem` is the source device's
-    /// memory.
-    pub(crate) fn commit(self, mem: &DeviceMemory) {
+    /// Write the copy to host memory on `team`. `mem` is the source
+    /// device's memory.
+    pub(crate) fn commit(self, mem: &DeviceMemory, team: &Team) {
         let (store, section, bytes) = match &self {
             StagedWrite::Snapshot {
                 store,
@@ -1311,7 +1311,7 @@ impl StagedWrite {
                 &mem.buffer(*alloc)[*offset..*offset + section.len],
             ),
         };
-        store.borrow_mut()[section.range()].copy_from_slice(bytes);
+        team.d2h(&mut store.borrow_mut()[section.range()], bytes);
     }
 }
 
@@ -1691,10 +1691,16 @@ pub(crate) fn staged_commit_finish(
     };
     let mut drained = 0usize;
     if committed {
-        let mem = inner_rc.borrow().devices[device as usize].mem.clone();
+        let (mem, team) = {
+            let inner = inner_rc.borrow();
+            (
+                inner.devices[device as usize].mem.clone(),
+                Rc::clone(&inner.team),
+            )
+        };
         let mem = mem.borrow();
         for w in staged.borrow_mut().drain(..) {
-            w.commit(&mem);
+            w.commit(&mem, &team);
             drained += 1;
         }
     } else {
@@ -1784,7 +1790,7 @@ pub(crate) fn run_transfers_ex(
         *set.staged.get_mut() = inner_rc.borrow_mut().spare.staged.take();
     }
     let set = Rc::new(set);
-    let (dev_mem, dma_in, dma_out, trace, faults) = {
+    let (dev_mem, team, dma_in, dma_out, trace, faults) = {
         let mut inner = inner_rc.borrow_mut();
         if snapshot && !out_copies.is_empty() {
             // Expose the snapshots to the at-rest corruption surface
@@ -1795,6 +1801,7 @@ pub(crate) fn run_transfers_ex(
         let dev = &inner.devices[device as usize];
         (
             Rc::clone(&dev.mem),
+            Rc::clone(&inner.team),
             dev.dma_in.clone(),
             dev.dma_out.clone(),
             inner.trace.clone(),
@@ -1815,18 +1822,24 @@ pub(crate) fn run_transfers_ex(
         let mem = Rc::clone(&dev_mem);
         let (sec, alloc, off) = (c.section, c.alloc, c.offset);
         let effect: Box<dyn FnOnce()> = match dir {
-            Direction::In => Box::new(move || {
-                let host = host_store.borrow();
-                let mut mem = mem.borrow_mut();
-                let buf = mem.buffer_mut(alloc);
-                buf[off..off + sec.len].copy_from_slice(&host[sec.range()]);
-            }),
+            Direction::In => {
+                // The effect keeps only what the copy reads: one more
+                // word in this box costs `depend_pipeline` ≈ 1 MB of
+                // peak resident memory.
+                let (team, src) = (Rc::clone(&team), sec.range());
+                Box::new(move || {
+                    let host = host_store.borrow();
+                    let mut mem = mem.borrow_mut();
+                    let buf = mem.buffer_mut(alloc);
+                    team.h2d(&mut buf[off..off + src.len()], &host[src]);
+                })
+            }
             _ if snapshot => {
-                let set = Rc::clone(&set);
+                let (set, team) = (Rc::clone(&set), Rc::clone(&team));
                 Box::new(move || {
                     let mem = mem.borrow();
                     let buf = mem.buffer(alloc);
-                    let data = buf[off..off + sec.len].to_vec();
+                    let data = team.snapshot(&buf[off..off + sec.len]);
                     // Source-side digest: over the bytes the DMA engine
                     // actually read, before the payload can rot.
                     let crc = integrity
@@ -1968,38 +1981,37 @@ fn enqueue_peer_copy(
         let mem = dev.mem.clone();
         Box::new(move || {
             let Some(rc) = weak.upgrade() else { return };
-            let data: Option<Vec<f64>> = {
+            // The pull goes ahead only from a live source whose bytes
+            // still equal the host image; it copies device to device.
+            let pulled = {
                 let inner = rc.borrow();
-                if inner.fault.as_ref().is_some_and(|ctx| ctx.is_lost(src)) {
-                    None
-                } else {
-                    inner.presence[src as usize]
+                let lost = inner.fault.as_ref().is_some_and(|ctx| ctx.is_lost(src));
+                !lost
+                    && inner.presence[src as usize]
                         .lookup_containing(&sec)
-                        .and_then(|(_, entry)| {
+                        .is_some_and(|(_, entry)| {
                             let off_s = sec.start - entry.section.start;
                             let smem = inner.devices[src as usize].mem.borrow();
                             let sbuf = &smem.buffer(entry.alloc)[off_s..off_s + sec.len];
-                            let host = host_store.borrow();
-                            sbuf.iter()
-                                .zip(&host[sec.range()])
-                                .all(|(a, b)| a.to_bits() == b.to_bits())
-                                .then(|| sbuf.to_vec())
+                            let current = sbuf
+                                .iter()
+                                .zip(&host_store.borrow()[sec.range()])
+                                .all(|(a, b)| a.to_bits() == b.to_bits());
+                            if current {
+                                if integrity.checks() {
+                                    src_crc.set(Some(spread_devices::digest_f64(sbuf)));
+                                }
+                                let mut m = mem.borrow_mut();
+                                inner
+                                    .team
+                                    .peer(&mut m.buffer_mut(alloc)[off..off + sec.len], sbuf);
+                            }
+                            current
                         })
-                }
             };
-            match data {
-                None => {
-                    diverted.set(true);
-                    rc.borrow_mut().peer_log[idx].diverted = true;
-                }
-                Some(data) => {
-                    if integrity.checks() {
-                        src_crc.set(Some(spread_devices::digest_f64(&data)));
-                    }
-                    let mut m = mem.borrow_mut();
-                    let buf = m.buffer_mut(alloc);
-                    buf[off..off + sec.len].copy_from_slice(&data);
-                }
+            if !pulled {
+                diverted.set(true);
+                rc.borrow_mut().peer_log[idx].diverted = true;
             }
         })
     };
@@ -2111,6 +2123,7 @@ fn enqueue_peer_copy(
                 Box::new(move |sim| transfer_done(sim, &inner_rc, &set))
             };
             let on_fault = faults.then(|| transfer_fault(&inner_rc, &set, fallback.clone()));
+            let team = Rc::clone(&inner_rc.borrow().team);
             dma_in.enqueue(
                 sim,
                 DmaOp {
@@ -2120,7 +2133,7 @@ fn enqueue_peer_copy(
                         let host = host_store.borrow();
                         let mut m = mem.borrow_mut();
                         let buf = m.buffer_mut(alloc);
-                        buf[off..off + sec.len].copy_from_slice(&host[sec.range()]);
+                        team.h2d(&mut buf[off..off + sec.len], &host[sec.range()]);
                     })),
                     on_complete,
                     on_fault,
@@ -2159,7 +2172,7 @@ pub(crate) fn run_kernel(
         teams,
         threads_per_team,
     } = *launch;
-    let (mem, compute, pool, bind, resolved, name, faults) = {
+    let (mem, compute, team, bind, resolved, name, faults) = {
         let inner = inner_rc.borrow();
         let d = device as usize;
         let mut resolved = inner.bind.borrow_mut().list();
@@ -2170,7 +2183,7 @@ pub(crate) fn run_kernel(
         (
             Rc::clone(&inner.devices[d].mem),
             inner.devices[d].compute.clone(),
-            Rc::clone(&inner.pool),
+            Rc::clone(&inner.team),
             Rc::clone(&inner.bind),
             resolved,
             span_label(&inner.trace, &kernel.name),
@@ -2184,7 +2197,7 @@ pub(crate) fn run_kernel(
         let mut bind = bind.borrow_mut();
         kernel::execute_on_device(
             &mut mem,
-            &pool,
+            &team.pool,
             spec.schedule,
             exec_range,
             &spec.body,
@@ -2281,7 +2294,7 @@ impl Runtime {
             error: None,
             alloc_backpressure: cfg.alloc_backpressure,
             mem_waiters: Vec::new(),
-            pool: Rc::new(TeamPool::new(cfg.team_threads)),
+            team: Rc::new(Team::new(cfg.team_threads)),
             flownet,
             trace,
             default_num_teams: cfg.default_num_teams,
@@ -2537,6 +2550,12 @@ impl Runtime {
                 recycled: sum.recycled + c.recycled,
             }
         })
+    }
+
+    /// Exact counts of the host-side copies made so far (see
+    /// [`HostCounters`]).
+    pub fn host_counters(&self) -> HostCounters {
+        self.inner.borrow().team.counters()
     }
 
     /// Peak bytes allocated on a device.

@@ -93,10 +93,10 @@ pub fn spill_chunk(
         }
     }
     let action = Action::Closure(Box::new(move |_sim, inner_rc, _id| {
-        let (pool, staging_bytes, stores): (_, _, Vec<Rc<std::cell::RefCell<Vec<f64>>>>) = {
+        let (team, staging_bytes, stores): (_, _, Vec<Rc<std::cell::RefCell<Vec<f64>>>>) = {
             let inner = inner_rc.borrow();
             (
-                Rc::clone(&inner.pool),
+                Rc::clone(&inner.team),
                 inner.spill_staging_bytes,
                 kernel
                     .args
@@ -132,9 +132,7 @@ pub fn spill_chunk(
                     .expect("slice footprint fits its scratch memory");
                 if !sec.is_empty() {
                     let host = stores[resolved.len()].borrow();
-                    scratch
-                        .buffer_mut(alloc)
-                        .copy_from_slice(&host[sec.clone()]);
+                    team.h2d(scratch.buffer_mut(alloc), &host[sec.clone()]);
                 }
                 resolved.push(ResolvedArg {
                     alloc,
@@ -146,7 +144,7 @@ pub fn spill_chunk(
             }
             crate::kernel::execute_on_device(
                 &mut scratch,
-                &pool,
+                &team.pool,
                 kernel.schedule,
                 slice.clone(),
                 &kernel.body,
@@ -157,12 +155,12 @@ pub fn spill_chunk(
                 if !arg.access.writes() || sec.is_empty() {
                     continue;
                 }
-                let data = scratch.buffer(resolved[i].alloc).to_vec();
+                let data = team.snapshot(scratch.buffer(resolved[i].alloc));
                 staged.push((i, sec.clone(), data));
             }
         }
         for (i, sec, data) in staged {
-            stores[i].borrow_mut()[sec].copy_from_slice(&data);
+            team.d2h(&mut stores[i].borrow_mut()[sec], &data);
         }
         Ok(Completion::Done)
     }));

@@ -12,7 +12,9 @@
 //!
 //! * [`pool`] — [`TeamPool`]: a persistent pool of worker threads with a
 //!   broadcast primitive (all threads run the same closure, leader
-//!   participates), in the style of an OpenMP parallel region.
+//!   participates), in the style of an OpenMP parallel region, and
+//!   [`TeamPool::copy`], the bulk byte move the runtime's host↔device
+//!   copies run on.
 //! * [`schedule`] — [`LoopSchedule`]: `static` (blocked or round-robin
 //!   chunked), `dynamic`, and `guided` iteration scheduling via an atomic
 //!   chunk dispenser.
@@ -38,7 +40,7 @@ pub mod simd;
 pub mod split;
 
 pub use barrier::TeamBarrier;
-pub use pool::TeamPool;
+pub use pool::{TeamPool, COPY_SPLIT_MIN};
 pub use schedule::{ChunkDispenser, LoopSchedule};
 pub use simd::{simd_for_each, simd_map, simd_sum, simd_zip};
 pub use split::SliceCells;

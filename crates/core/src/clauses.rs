@@ -40,7 +40,7 @@
 use spread_rt::IntegrityMode;
 
 use crate::pressure::PressurePolicy;
-use crate::resilience::ResiliencePolicy;
+use crate::recovery::ResiliencePolicy;
 use crate::schedule::SpreadSchedule;
 use crate::straggler::StragglerPolicy;
 
@@ -234,7 +234,7 @@ pub trait SpreadClausesExt: Sized {
     /// peer-copy receive (default: [`IntegrityMode::Off`]). `verify`
     /// fails the construct on a mismatch; `heal` re-executes the
     /// tainted piece from the unharmed host image (see the
-    /// [`integrity`](crate::integrity) module). Digests always cover
+    /// [`recovery`](crate::recovery) module). Digests always cover
     /// **whole pieces**: under `spread_overlap` the per-sub-slice
     /// drains are digested individually at their source and verified at
     /// the same whole-piece commit boundary. Legality:

@@ -24,7 +24,7 @@ use spread_rt::{IntegrityMode, RtError};
 
 use crate::clauses::{ClauseSet, OverlapPolicy};
 use crate::pressure::PressurePolicy;
-use crate::resilience::ResiliencePolicy;
+use crate::recovery::ResiliencePolicy;
 use crate::schedule::SpreadSchedule;
 use crate::straggler::StragglerPolicy;
 
@@ -331,7 +331,7 @@ const CONSTRUCT_ROWS: &[Row] = &[
             Redistribute,
             "spread_pressure(split|spill) is incompatible with spread_resilience(redistribute)",
         ),
-        "both re-place chunks through their own recovery coordinators; arbitrating two replacement plans for one piece is future work",
+        "both re-place a failed piece, in halves on its own device or whole on a survivor; arbitrating two replacement plans for one piece is future work",
     ),
     row(
         Requires(Pressure, Blocking, "spread_pressure(split|spill) requires a blocking construct"),

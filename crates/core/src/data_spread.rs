@@ -20,12 +20,12 @@ use std::rc::Rc;
 
 use spread_rt::directives::{ExchangeMode, TargetEnterData, TargetExitData, TargetUpdate};
 use spread_rt::map::MapType;
-use spread_rt::{HostArray, MapClause, RtError, Scope, Section, TaskId, TaskLabel};
+use spread_rt::{Arms, HostArray, MapClause, RtError, Scope, Section, TaskId, TaskLabel};
 
 use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, SpreadClausesExt};
 use crate::compose::{self, Launch, Pragma};
-use crate::resilience::ResiliencePolicy;
+use crate::recovery::ResiliencePolicy;
 use crate::schedule::{distribute, Chunk, SpreadSchedule};
 use crate::spread_map::{SectionOf, SpreadMap};
 use crate::target_spread::SpreadDep;
@@ -37,7 +37,7 @@ use crate::target_spread::SpreadDep;
 /// directives need no replacement construct — a later resilient spread
 /// re-maps what it needs from the host.
 fn guard_chunk_task(scope: &mut Scope<'_>, id: TaskId, device: u32) {
-    scope.on_task_fault(&[id], device, move |s, faulted, _err| {
+    scope.on_task_failure(&[id], device, Arms::Loss, move |s, faulted, _err| {
         s.forgive_task_footprints(faulted);
         s.force_complete(faulted);
     });

@@ -39,8 +39,8 @@
 //! [`SpreadClausesExt::with_integrity`] ([`IntegrityMode`]) digests
 //! device payloads end to end, catching silent corruption at the
 //! staged-commit and peer-receive trust boundaries and (under `heal`)
-//! re-executing tainted pieces from the unharmed host image (see
-//! [`integrity`]).
+//! re-executing tainted pieces from the unharmed host image. All three
+//! re-launch pieces through one ledger per launch (see [`recovery`]).
 //!
 //! # Example
 //!
@@ -82,11 +82,10 @@ pub mod chunk;
 pub mod clauses;
 pub mod compose;
 pub mod data_spread;
-pub mod integrity;
 pub(crate) mod plan;
 pub mod pressure;
+pub mod recovery;
 pub mod reduction;
-pub mod resilience;
 pub mod schedule;
 pub mod spread_map;
 pub mod straggler;
@@ -101,8 +100,8 @@ pub use data_spread::{
 pub use pressure::{
     degradation_events, plan_admission, spec_admission, Placement, PlannedPiece, PressurePolicy,
 };
+pub use recovery::ResiliencePolicy;
 pub use reduction::ReduceOp;
-pub use resilience::ResiliencePolicy;
 pub use schedule::{distribute, Chunk, SpreadSchedule};
 pub use spread_map::{spread_alloc, spread_from, spread_to, spread_tofrom, SectionOf, SpreadMap};
 pub use spread_rt::{ExchangeMode, IntegrityMode};
@@ -118,8 +117,8 @@ pub mod prelude {
         TargetUpdateSpread,
     };
     pub use crate::pressure::PressurePolicy;
+    pub use crate::recovery::ResiliencePolicy;
     pub use crate::reduction::ReduceOp;
-    pub use crate::resilience::ResiliencePolicy;
     pub use crate::schedule::SpreadSchedule;
     pub use crate::spread_map::{spread_alloc, spread_from, spread_to, spread_tofrom};
     pub use crate::straggler::StragglerPolicy;

@@ -35,18 +35,14 @@
 //! `spread-check` oracle re-runs the same pure planner and predicts the
 //! exact event sequence.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use spread_rt::{
-    ConstructIds, DegradationEvent, DegradationKind, KernelSpec, RtError, Scope, TaskId,
-};
+use spread_rt::{ConstructIds, DegradationEvent, DegradationKind, RtError, Scope, TaskId};
 
-use crate::chunk::ChunkCtx;
+use crate::recovery::{complete_behind, retire, Piece, Recovery};
 use crate::schedule::Chunk;
-use crate::target_spread::TargetSpread;
 
 /// What a `target spread` construct does when a chunk's mapped
 /// footprint exceeds the available device memory.
@@ -319,79 +315,36 @@ pub fn spec_admission(
     }
 }
 
-/// Shared state of one pressure-managed spread launch: what the
-/// reactive recovery handlers need to rebuild a piece.
-pub(crate) struct PressureCoordinator {
-    spread: Rc<TargetSpread>,
-    kernel: Rc<KernelSpec>,
-    policy: PressurePolicy,
-    /// Recursion guard: reactive splits outstanding (diagnostics only).
-    splits: RefCell<u32>,
-}
-
-impl PressureCoordinator {
-    pub(crate) fn new(
-        spread: Rc<TargetSpread>,
-        kernel: Rc<KernelSpec>,
-        policy: PressurePolicy,
-    ) -> Rc<Self> {
-        Rc::new(PressureCoordinator {
-            spread,
-            kernel,
-            policy,
-            splits: RefCell::new(0),
-        })
-    }
-}
-
-/// Register the reactive pressure handler for one piece's construct.
-pub(crate) fn guard(
-    scope: &mut Scope<'_>,
-    coord: &Rc<PressureCoordinator>,
-    device: u32,
-    start: usize,
-    len: usize,
-    ids: ConstructIds,
-) {
-    let coord = Rc::clone(coord);
-    scope.on_task_oom(&ids.all(), device, move |s, faulted, err| {
-        recover(s, &coord, device, start, len, ids, faulted, err);
-    });
-}
-
-/// The reactive recovery handler: a pressure-managed enter exhausted
-/// its OOM retries (typically fragmentation — admission's byte budget
-/// is blind to holes). Neutralize the piece's phases and re-run it as
-/// two serialized halves on the *same* device — sequential halves need
-/// smaller contiguous blocks and free between themselves. At one
-/// iteration, escalate to the policy's last rung.
+/// The reactive recovery handler (registered by
+/// [`Recovery`](crate::recovery::Recovery) under [`Arms::Oom`]): a
+/// pressure-managed enter exhausted its OOM retries (typically
+/// fragmentation — admission's byte budget is blind to holes). Retire
+/// the piece's construct and re-run it as two serialized halves on the
+/// *same* device — sequential halves need smaller contiguous blocks and
+/// free between themselves. At one iteration, escalate to the policy's
+/// last rung.
 ///
 /// Replacements take no predecessors from the construct's serialization
 /// chain: the faulted enter *started*, so everything before it already
 /// finished (and freed its memory); everything after it is gated on the
 /// faulted piece's exit, which completes only behind the replacements.
 /// That structure is acyclic by construction.
-#[allow(clippy::too_many_arguments)]
-fn recover(
+///
+/// [`Arms::Oom`]: spread_rt::Arms::Oom
+pub(crate) fn split(
     s: &mut Scope<'_>,
-    coord: &Rc<PressureCoordinator>,
-    device: u32,
-    start: usize,
-    len: usize,
+    rec: &Rc<Recovery>,
+    piece: Piece,
     ids: ConstructIds,
     faulted: TaskId,
     err: RtError,
 ) {
-    s.forgive_task_footprints(faulted);
-    for id in ids.all() {
-        if id != faulted {
-            s.neutralize_task(id);
-        }
-    }
+    let Piece { device, start, len } = piece;
+    retire(s, ids, faulted);
     if len <= 1 {
-        match coord.policy {
+        match rec.spread.pressure() {
             PressurePolicy::Spill => {
-                let bytes = coord.spread.footprint_bytes(start, len);
+                let bytes = rec.spread.footprint_bytes(start, len);
                 s.record_degradation(DegradationEvent {
                     kind: DegradationKind::Spilled,
                     device: None,
@@ -402,60 +355,40 @@ fn recover(
                 let spill_id = spread_rt::spill_chunk(
                     s,
                     format!("spread-spill[{start}..{})", start + len),
-                    start..start + len,
-                    coord.kernel.clone(),
+                    piece.range(),
+                    Rc::clone(&rec.kernel),
                     Vec::new(),
                 );
-                s.task_chained(
-                    format!("spread-pressure-done(dev{device})"),
-                    vec![spill_id],
-                    None,
-                    move |s| s.force_complete(faulted),
-                );
+                complete_behind(s, "spread-pressure-done", device, vec![spill_id], faulted);
             }
             _ => s.fail(err),
         }
         return;
     }
-    *coord.splits.borrow_mut() += 1;
     let halves = [(start, len / 2), (start + len / 2, len - len / 2)];
-    let mut prev_exit: Option<TaskId> = None;
     let mut exits = Vec::with_capacity(2);
-    for (h_start, h_len) in halves {
-        let bytes = coord.spread.footprint_bytes(h_start, h_len);
+    for (start, len) in halves {
+        let half = Piece { device, start, len };
         s.record_degradation(DegradationEvent {
             kind: DegradationKind::ChunkSplit,
             device: Some(device),
-            start: h_start,
-            len: h_len,
-            bytes,
+            start,
+            len,
+            bytes: rec.spread.footprint_bytes(start, len),
         });
-        let c = ChunkCtx::new(h_start, h_len);
-        let t = coord
+        // Halves can still be too big: they are guarded like the piece
+        // and split recursively down to one iteration.
+        let t = rec
             .spread
-            .build_target(device, c)
+            .build_target(device, half.ctx())
             .pressure_managed()
-            .after(prev_exit);
-        match t.parallel_for_phases(s, h_start..h_start + h_len, coord.kernel.clone()) {
-            Ok(redo) => {
-                // Halves can still be too big: they are themselves
-                // guarded and split recursively down to one iteration.
-                guard(s, coord, device, h_start, h_len, redo);
-                prev_exit = Some(redo.exit);
-                exits.push(redo.exit);
-            }
-            Err(e) => {
-                s.fail(e);
-                return;
-            }
-        }
+            .after(exits.last().copied());
+        let Some(exit) = rec.replace(s, t, half) else {
+            return;
+        };
+        exits.push(exit);
     }
-    s.task_chained(
-        format!("spread-pressure-done(dev{device})"),
-        exits,
-        None,
-        move |s| s.force_complete(faulted),
-    );
+    complete_behind(s, "spread-pressure-done", device, exits, faulted);
 }
 
 #[cfg(test)]

@@ -30,8 +30,9 @@
 //!    tie-break (lower copy index wins).
 //!
 //! Rescues serialize after every construct already placed on their
-//! target device (the §V-B gap condition by ordering, exactly like
-//! [`resilience`](crate::resilience) replacements), and are reported
+//! target device — originals, replacements and earlier rescues alike,
+//! read from the launch's one [`recovery`](crate::recovery) ledger (the
+//! §V-B gap condition by ordering) — and are reported
 //! through [`Runtime::rescues`](spread_rt::Runtime::rescues) plus a
 //! `StragglerRescued` degradation event per rescue.
 
@@ -39,11 +40,10 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use spread_rt::{CommitGate, ConstructIds, KernelSpec, RescueRecord, Scope, TaskId};
+use spread_rt::{CommitGate, ConstructIds, RescueRecord, RtError, Scope, TaskId, TaskLabel};
 use spread_trace::{SimDuration, SimTime};
 
-use crate::chunk::ChunkCtx;
-use crate::target_spread::TargetSpread;
+use crate::recovery::{Piece, Recovery};
 
 /// What a `target spread` construct does about a piece that lags far
 /// behind its siblings (detected by the β-deadline above).
@@ -64,9 +64,7 @@ pub enum StragglerPolicy {
 
 /// One piece under straggler watch.
 struct Watched {
-    device: u32,
-    start: usize,
-    len: usize,
+    piece: Piece,
     ids: ConstructIds,
     gate: CommitGate,
     rescued: Cell<bool>,
@@ -75,57 +73,50 @@ struct Watched {
 /// Shared monitor state for one spread launch with
 /// `spread_straggler(steal|replicate)`.
 pub(crate) struct Monitor {
-    spread: Rc<TargetSpread>,
-    kernel: Rc<KernelSpec>,
+    /// The launch's recovery state: its ledger orders the rescues.
+    rec: Rc<Recovery>,
     policy: StragglerPolicy,
     beta: f64,
     t0: SimTime,
     /// Set once the first kernel completion arms the deadline.
     armed: Cell<bool>,
     watched: RefCell<Vec<Watched>>,
-    /// Per device: exit ids of every construct placed on it (original
-    /// or rescue), in placement order — rescues serialize after them.
-    exits: RefCell<HashMap<u32, Vec<TaskId>>>,
     /// Iterations already rescued *onto* each device (load accounting
     /// for the least-loaded pick).
     rescue_load: RefCell<HashMap<u32, u64>>,
     /// Exits of launched rescues not yet handed to the blocking drain.
     pending_rescue_exits: RefCell<Vec<TaskId>>,
-    /// Piece start → exit of the rescue that now owns the piece.
-    rescued_by: RefCell<HashMap<usize, TaskId>>,
 }
 
 impl Monitor {
-    pub(crate) fn new(spread: Rc<TargetSpread>, kernel: Rc<KernelSpec>, t0: SimTime) -> Rc<Self> {
-        let policy = spread.straggler();
-        let beta = spread.straggler_beta();
+    pub(crate) fn new(rec: Rc<Recovery>, t0: SimTime) -> Rc<Self> {
+        let policy = rec.spread.straggler();
+        let beta = rec.spread.straggler_beta();
         Rc::new(Monitor {
-            spread,
-            kernel,
+            rec,
             policy,
             beta,
             t0,
             armed: Cell::new(false),
             watched: RefCell::new(Vec::new()),
-            exits: RefCell::new(HashMap::new()),
             rescue_load: RefCell::new(HashMap::new()),
             pending_rescue_exits: RefCell::new(Vec::new()),
-            rescued_by: RefCell::new(HashMap::new()),
         })
     }
 
-    /// Rescue exits launched since the last call (the blocking drain
-    /// loops on this until it runs dry).
-    pub(crate) fn take_rescue_exits(&self) -> Vec<TaskId> {
-        std::mem::take(&mut *self.pending_rescue_exits.borrow_mut())
-    }
-
-    /// The exit of the rescue that owns the piece starting at `start`,
-    /// if one was launched. One owner per piece: from then on the
-    /// piece's results come from behind the rescue's commit gate, and
-    /// `spread_resilience` must not rebuild it a second time.
-    pub(crate) fn rescue_exit(&self, start: usize) -> Option<TaskId> {
-        self.rescued_by.borrow().get(&start).copied()
+    /// Drain every rescue exit. Rescues launch from the deadline
+    /// callback *during* the construct's own drains; a rescue cannot
+    /// spawn further rescues, so one extra sweep per batch converges.
+    pub(crate) fn drain_rescues(&self, scope: &mut Scope<'_>) -> Result<(), RtError> {
+        loop {
+            let pending = std::mem::take(&mut *self.pending_rescue_exits.borrow_mut());
+            if pending.is_empty() {
+                return Ok(());
+            }
+            for id in pending {
+                scope.drain_task(id)?;
+            }
+        }
     }
 
     /// First kernel completion arms the construct's progress deadline.
@@ -145,27 +136,20 @@ impl Monitor {
     fn deadline(self: Rc<Self>, s: &mut Scope<'_>) {
         let n = self.watched.borrow().len();
         for i in 0..n {
-            let (device, start, len, ids, gate, rescued) = {
+            let (piece, ids, gate, rescued) = {
                 let ws = self.watched.borrow();
                 let w = &ws[i];
-                (
-                    w.device,
-                    w.start,
-                    w.len,
-                    w.ids,
-                    w.gate.clone(),
-                    w.rescued.get(),
-                )
+                (w.piece, w.ids, w.gate.clone(), w.rescued.get())
             };
             // One owner per piece: a lost device's kernel never finishes
             // either, but that piece belongs to `spread_resilience` — its
             // replacement commits outside this gate, so a rescue would
             // commit a second copy.
-            if rescued || s.is_task_finished(ids.kernel) || s.is_device_lost(device) {
+            if rescued || s.is_task_finished(ids.kernel) || s.is_device_lost(piece.device) {
                 continue;
             }
             self.watched.borrow()[i].rescued.set(true);
-            self.rescue(s, device, start, len, ids, gate);
+            self.rescue(s, piece, ids, gate);
         }
     }
 
@@ -177,14 +161,14 @@ impl Monitor {
         let watched = self.watched.borrow();
         let rescue_load = self.rescue_load.borrow();
         let mut best: Option<(u64, u32)> = None;
-        for &d in self.spread.device_list() {
+        for &d in self.rec.spread.device_list() {
             if d == from || s.is_device_lost(d) {
                 continue;
             }
             let mut load: u64 = rescue_load.get(&d).copied().unwrap_or(0);
             for w in watched.iter() {
-                if w.device == d && !s.is_task_finished(w.ids.exit) {
-                    load += w.len as u64;
+                if w.piece.device == d && !s.is_task_finished(w.ids.exit) {
+                    load += w.piece.len as u64;
                 }
             }
             if best.is_none_or(|(bl, _)| load < bl) {
@@ -198,12 +182,15 @@ impl Monitor {
     fn rescue(
         self: &Rc<Self>,
         s: &mut Scope<'_>,
-        from: u32,
-        start: usize,
-        len: usize,
+        piece: Piece,
         ids: ConstructIds,
         gate: CommitGate,
     ) {
+        let Piece {
+            device: from,
+            start,
+            len,
+        } = piece;
         let Some(to) = self.pick_target(s, from) else {
             // No healthy sibling — nothing to do but wait after all.
             return;
@@ -229,35 +216,27 @@ impl Monitor {
             stolen,
         });
         gate.set_log_idx(idx);
-        let preds = self.exits.borrow().get(&to).cloned().unwrap_or_default();
-        let c = ChunkCtx::new(start, len);
         // No depend clauses on the rescue: it must *race* the original
         // construct, not queue behind its publishes; downstream
         // synchronization still goes through the original's exit.
+        let rescue = piece.on(to);
         let t = self
+            .rec
             .spread
-            .build_rescue_target(to, c)
+            .build_rescue_target(to, rescue.ctx())
             .commit_gate(gate, 1)
-            .after(preds);
-        match t.parallel_for_phases(s, start..start + len, self.kernel.clone()) {
-            Ok(redo) => {
-                self.exits
-                    .borrow_mut()
-                    .entry(to)
-                    .or_default()
-                    .push(redo.exit);
-                *self.rescue_load.borrow_mut().entry(to).or_default() += len as u64;
-                self.pending_rescue_exits.borrow_mut().push(redo.exit);
-                self.rescued_by.borrow_mut().insert(start, redo.exit);
-                if stolen {
-                    // The cancelled kernel's completion will never fire;
-                    // its device-side effects already ran at op start.
-                    // Completing it lets the original exit run its
-                    // (disqualified, cleanup-only) course.
-                    s.force_complete(ids.kernel);
-                }
+            .after(self.rec.exits_on(to));
+        if let Some(redo) = self.rec.relaunch(s, t, rescue) {
+            *self.rescue_load.borrow_mut().entry(to).or_default() += len as u64;
+            self.pending_rescue_exits.borrow_mut().push(redo.exit);
+            self.rec.rescued(start, redo.exit);
+            if stolen {
+                // The cancelled kernel's completion will never fire;
+                // its device-side effects already ran at op start.
+                // Completing it lets the original exit run its
+                // (disqualified, cleanup-only) course.
+                s.force_complete(ids.kernel);
             }
-            Err(e) => s.fail(e),
         }
     }
 }
@@ -268,29 +247,19 @@ impl Monitor {
 pub(crate) fn watch(
     scope: &mut Scope<'_>,
     monitor: &Rc<Monitor>,
-    device: u32,
-    start: usize,
-    len: usize,
+    piece: Piece,
     ids: ConstructIds,
     gate: CommitGate,
 ) {
     monitor.watched.borrow_mut().push(Watched {
-        device,
-        start,
-        len,
+        piece,
         ids,
         gate,
         rescued: Cell::new(false),
     });
-    monitor
-        .exits
-        .borrow_mut()
-        .entry(device)
-        .or_default()
-        .push(ids.exit);
     let m = Rc::clone(monitor);
     scope.task_chained(
-        format!("straggler-probe(dev{device})"),
+        TaskLabel::on_device("straggler-probe", piece.device),
         vec![ids.kernel],
         None,
         move |s| m.kernel_finished(s),

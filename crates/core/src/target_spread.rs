@@ -29,11 +29,11 @@ use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, OverlapPolicy, SpreadClausesExt};
 use crate::compose::{self, Launch, Pragma};
 use crate::plan::{ChunkSections, Fingerprint, LaunchPlan, PlanBody};
-use crate::pressure::{self, Placement, PressureCoordinator, PressurePolicy};
-use crate::resilience::{Coordinator, ResiliencePolicy};
+use crate::pressure::{self, Placement, PressurePolicy};
+use crate::recovery::{Piece, Recovery, ResiliencePolicy};
 use crate::schedule::{distribute, SpreadSchedule};
 use crate::spread_map::{SectionOf, SpreadMap};
-use crate::straggler::StragglerPolicy;
+use crate::straggler::{Monitor, StragglerPolicy};
 
 /// A `depend` clause item over the spread placeholders.
 #[derive(Clone)]
@@ -320,6 +320,53 @@ impl TargetSpread {
         fp.finish()
     }
 
+    /// Put a freshly planned launch behind its `Rc` and, when the
+    /// construct carries a plan key, store it in the plan cache under
+    /// the fingerprint [`Self::plan_lookup`] returned.
+    fn plan_store(
+        &self,
+        scope: &Scope<'_>,
+        fp: Option<u64>,
+        body: PlanBody,
+        started: std::time::Instant,
+    ) -> Rc<LaunchPlan> {
+        let plan = Rc::new(LaunchPlan { body });
+        if let (Some(fp), Some(key)) = (fp, &self.clauses.plan_key) {
+            scope.plan_cache_store(key, fp, Rc::clone(&plan) as Rc<dyn std::any::Any>, started);
+        }
+        plan
+    }
+
+    /// Whether straggler rescue applies to pieces placed on `devices`:
+    /// it needs somewhere to rescue *to*, so at least two pieces spread
+    /// over at least two distinct devices. Smaller launches silently
+    /// degrade to `wait`.
+    fn straggles(&self, devices: impl Iterator<Item = u32>) -> bool {
+        if self.clauses.straggler == StragglerPolicy::Wait {
+            return false;
+        }
+        let mut ds: Vec<u32> = devices.collect();
+        let pieces = ds.len();
+        ds.sort_unstable();
+        ds.dedup();
+        pieces >= 2 && ds.len() >= 2
+    }
+
+    /// The blocking drain: every piece, then every rescue.
+    fn drain(
+        scope: &mut Scope<'_>,
+        ids: &[TaskId],
+        monitor: Option<&Rc<Monitor>>,
+    ) -> Result<(), RtError> {
+        for &id in ids {
+            scope.drain_task(id)?;
+        }
+        match monitor {
+            Some(m) => m.drain_rescues(scope),
+            None => Ok(()),
+        }
+    }
+
     /// Look up a cached [`LaunchPlan`] for this construct, when it
     /// carries a plan key. Returns the plan together with the
     /// fingerprint to store a cold plan under.
@@ -557,22 +604,12 @@ impl TargetSpread {
                         Placement::Host => None,
                     })
                     .collect();
-                let plan = Rc::new(LaunchPlan {
-                    body: PlanBody::Pressure {
-                        pieces,
-                        events,
-                        sections,
-                    },
-                });
-                if let (Some(fp), Some(key)) = (fp, &self.clauses.plan_key) {
-                    scope.plan_cache_store(
-                        key,
-                        fp,
-                        Rc::clone(&plan) as Rc<dyn std::any::Any>,
-                        t_plan,
-                    );
-                }
-                plan
+                let body = PlanBody::Pressure {
+                    pieces,
+                    events,
+                    sections,
+                };
+                self.plan_store(scope, fp, body, t_plan)
             }
         };
         let PlanBody::Pressure {
@@ -584,54 +621,32 @@ impl TargetSpread {
         // Straggler watch composes with pressure management over the
         // *device* pieces of the admission plan (host spills have no
         // kernel task to watch, and no commit to arbitrate).
-        let distinct = {
-            let mut ds: Vec<u32> = pieces
-                .iter()
-                .filter_map(|p| match p.placement {
-                    Placement::Device(d) => Some(d),
-                    Placement::Host => None,
-                })
-                .collect();
-            ds.sort_unstable();
-            ds.dedup();
-            ds.len()
-        };
-        let device_pieces = pieces
-            .iter()
-            .filter(|p| matches!(p.placement, Placement::Device(_)))
-            .count();
-        let straggle =
-            self.clauses.straggler != StragglerPolicy::Wait && device_pieces >= 2 && distinct >= 2;
+        let straggle = self.straggles(pieces.iter().filter_map(|p| match p.placement {
+            Placement::Device(d) => Some(d),
+            Placement::Host => None,
+        }));
         let this = Rc::new(self);
         let kernel = Rc::new(kernel);
-        let coord = PressureCoordinator::new(Rc::clone(&this), Rc::clone(&kernel), policy);
-        let monitor = straggle.then(|| {
-            crate::straggler::Monitor::new(Rc::clone(&this), Rc::clone(&kernel), scope.now())
-        });
+        let rec = Recovery::new(Rc::clone(&this), Rc::clone(&kernel));
+        let monitor = straggle.then(|| Monitor::new(Rc::clone(&rec), scope.now()));
         let mut tail: HashMap<u32, TaskId> = HashMap::new();
         let mut ids = Vec::with_capacity(pieces.len());
         for (piece, secs) in pieces.iter().zip(sections) {
             match piece.placement {
                 Placement::Device(d) => {
                     let secs = secs.as_ref().expect("device pieces carry sections");
-                    let mut t = this
+                    let t = this
                         .build_target_from(d, secs)
                         .pressure_managed()
                         .after(tail.get(&d).copied());
-                    let gate = if monitor.is_some() {
-                        let g = spread_rt::CommitGate::new();
-                        t = t.commit_gate(g.clone(), 0);
-                        Some(g)
-                    } else {
-                        None
+                    let piece = Piece {
+                        device: d,
+                        start: piece.start,
+                        len: piece.len,
                     };
-                    let phases = t.parallel_for_phases(scope, piece.range(), Rc::clone(&kernel))?;
-                    pressure::guard(scope, &coord, d, piece.start, piece.len, phases);
-                    if let (Some(m), Some(g)) = (&monitor, gate) {
-                        crate::straggler::watch(scope, m, d, piece.start, piece.len, phases, g);
-                    }
-                    tail.insert(d, phases.exit);
-                    ids.push(phases.exit);
+                    let exit = rec.launch_piece(scope, monitor.as_ref(), t, piece)?;
+                    tail.insert(d, exit);
+                    ids.push(exit);
                 }
                 Placement::Host => {
                     let id = spread_rt::spill_chunk(
@@ -645,20 +660,7 @@ impl TargetSpread {
                 }
             }
         }
-        for &id in &ids {
-            scope.drain_task(id)?;
-        }
-        if let Some(m) = &monitor {
-            loop {
-                let pending = m.take_rescue_exits();
-                if pending.is_empty() {
-                    break;
-                }
-                for id in pending {
-                    scope.drain_task(id)?;
-                }
-            }
-        }
+        Self::drain(scope, &ids, monitor.as_ref())?;
         Ok(ids)
     }
 
@@ -669,7 +671,6 @@ impl TargetSpread {
         kernel: KernelSpec,
     ) -> Result<Vec<TaskId>, RtError> {
         let nowait = self.nowait;
-        let resilient = self.clauses.resilience == ResiliencePolicy::Redistribute;
         // ── Planning phase (elided on a warm cache hit) ─────────────
         let t_plan = std::time::Instant::now();
         let (fp, cached) = self.plan_lookup(scope, &range, None, t_plan);
@@ -715,97 +716,43 @@ impl TargetSpread {
                     .iter()
                     .map(|ch| self.chunk_sections(ChunkCtx::new(ch.start, ch.len)))
                     .collect();
-                let plan = Rc::new(LaunchPlan {
-                    body: PlanBody::Static { chunks, sections },
-                });
-                if let (Some(fp), Some(key)) = (fp, &self.clauses.plan_key) {
-                    scope.plan_cache_store(
-                        key,
-                        fp,
-                        Rc::clone(&plan) as Rc<dyn std::any::Any>,
-                        t_plan,
-                    );
-                }
-                plan
+                self.plan_store(scope, fp, PlanBody::Static { chunks, sections }, t_plan)
             }
         };
         let PlanBody::Static { chunks, sections } = &plan.body else {
             unreachable!("shape checked above")
         };
-        // Straggler rescue needs somewhere to rescue *to*: at least two
-        // chunks spread over at least two distinct devices. Smaller
-        // launches silently degrade to `wait`.
-        let distinct = {
-            let mut ds: Vec<u32> = chunks.iter().filter_map(|c| c.device).collect();
-            ds.sort_unstable();
-            ds.dedup();
-            ds.len()
-        };
-        let straggle =
-            self.clauses.straggler != StragglerPolicy::Wait && chunks.len() >= 2 && distinct >= 2;
-        let heal = self.clauses.integrity == IntegrityMode::Heal;
+        let straggle = self.straggles(chunks.iter().filter_map(|c| c.device));
+        let recovers = self.clauses.resilience == ResiliencePolicy::Redistribute
+            || self.clauses.integrity == IntegrityMode::Heal;
         let this = Rc::new(self);
         // One spec for every chunk: a chunk launch shares it, never
         // copies it.
         let kernel = Rc::new(kernel);
-        // Under `spread_integrity(heal)` the healer subsumes the
-        // resilience coordinator: its handler covers device loss (real
-        // or quarantine) *and* integrity violations, because the runtime
-        // keeps a single recovery registration per task.
-        let monitor = straggle.then(|| {
-            crate::straggler::Monitor::new(Rc::clone(&this), Rc::clone(&kernel), scope.now())
-        });
-        let coord = (resilient && !heal)
-            .then(|| Coordinator::new(Rc::clone(&this), Rc::clone(&kernel), monitor.clone()));
-        let healer = heal.then(|| {
-            crate::integrity::Healer::new(Rc::clone(&this), Rc::clone(&kernel), resilient)
-        });
+        let rec =
+            (recovers || straggle).then(|| Recovery::new(Rc::clone(&this), Rc::clone(&kernel)));
+        let monitor = rec
+            .as_ref()
+            .filter(|_| straggle)
+            .map(|r| Monitor::new(Rc::clone(r), scope.now()));
         let mut ids = Vec::with_capacity(chunks.len());
         for (chunk, secs) in chunks.iter().zip(sections) {
             let device = chunk.device.expect("static chunks are assigned");
-            let mut t = this.build_target_from(device, secs);
-            let gate = if monitor.is_some() {
-                let g = spread_rt::CommitGate::new();
-                t = t.commit_gate(g.clone(), 0);
-                Some(g)
-            } else {
-                None
-            };
-            if coord.is_some() || monitor.is_some() || healer.is_some() {
-                let phases = t.parallel_for_phases(scope, chunk.range(), Rc::clone(&kernel))?;
-                if let Some(coord) = &coord {
-                    crate::resilience::guard(scope, coord, device, chunk.start, chunk.len, phases);
+            let t = this.build_target_from(device, secs);
+            ids.push(match &rec {
+                Some(rec) => {
+                    let piece = Piece {
+                        device,
+                        start: chunk.start,
+                        len: chunk.len,
+                    };
+                    rec.launch_piece(scope, monitor.as_ref(), t, piece)?
                 }
-                if let Some(h) = &healer {
-                    crate::integrity::guard(scope, h, device, chunk.start, chunk.len, phases);
-                }
-                if let (Some(m), Some(g)) = (&monitor, gate) {
-                    crate::straggler::watch(scope, m, device, chunk.start, chunk.len, phases, g);
-                }
-                ids.push(phases.exit);
-            } else {
-                ids.push(t.parallel_for(scope, chunk.range(), Rc::clone(&kernel))?);
-            }
+                None => t.parallel_for(scope, chunk.range(), Rc::clone(&kernel))?,
+            });
         }
         if !nowait {
-            for &id in &ids {
-                scope.drain_task(id)?;
-            }
-            if let Some(m) = &monitor {
-                // Rescues launch from the deadline callback *during* the
-                // drains above; wait for every one of them too (a rescue
-                // cannot spawn further rescues, so one extra sweep per
-                // batch converges).
-                loop {
-                    let pending = m.take_rescue_exits();
-                    if pending.is_empty() {
-                        break;
-                    }
-                    for id in pending {
-                        scope.drain_task(id)?;
-                    }
-                }
-            }
+            Self::drain(scope, &ids, monitor.as_ref())?;
         }
         Ok(ids)
     }

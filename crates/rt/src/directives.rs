@@ -518,7 +518,8 @@ impl Target {
     /// staged D2H exit at its source and re-verify at the commit drain.
     /// Under `verify` a mismatch fails the construct with
     /// [`RtError::IntegrityViolation`]; under `heal` it routes to the
-    /// construct's registered [`Scope::on_task_integrity`] recoverer,
+    /// construct's [`Arms::Integrity`](crate::runtime::Arms::Integrity)
+    /// recoverer (see [`Scope::on_task_failure`]),
     /// which re-executes the piece from the unharmed host image.
     pub fn integrity(mut self, mode: crate::integrity::IntegrityMode) -> Self {
         self.integrity = mode;
@@ -541,7 +542,8 @@ impl Target {
     /// an out-of-memory with bounded sim-time backoff (bypassing the
     /// indefinite backpressure parking) and, once retries are
     /// exhausted, *fails the enter task* with the OOM so a registered
-    /// [`Scope::on_task_oom`] handler can split or spill the chunk.
+    /// [`Arms::Oom`](crate::runtime::Arms::Oom) handler (see
+    /// [`Scope::on_task_failure`]) can split or spill the chunk.
     pub fn pressure_managed(mut self) -> Self {
         self.pressure_managed = true;
         self

@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use spread_devices::memory::DeviceMemory;
 use spread_devices::AllocId;
-use spread_teams::{ChunkDispenser, SliceCells, TeamPool};
+use spread_teams::{SliceCells, TeamPool};
 
 /// The intra-device schedule [`KernelSpec::with_schedule`] takes.
 pub use spread_teams::LoopSchedule;
@@ -341,26 +341,23 @@ pub(crate) fn execute_on_device(
     write_ranges.clear();
     write_ranges.resize(n * pool.n_threads(), 0..0);
     let per_thread = SliceCells::new(write_ranges);
-    let disp = ChunkDispenser::new(range, schedule, pool.n_threads());
-    pool.broadcast(&|tid| {
-        // SAFETY: thread `tid` alone uses run `tid`.
+    pool.parallel_for(range, schedule, |chunk, tid| {
+        // SAFETY: thread `tid` alone runs the chunks of member `tid`.
         let mine = unsafe { per_thread.slice_mut(tid * n..(tid + 1) * n) };
-        disp.drive(tid, |chunk| {
-            for (w, r) in mine.iter_mut().zip(resolved) {
-                *w = if r.access.writes() {
-                    (r.section_of)(chunk.clone())
-                } else {
-                    0..0
-                };
-            }
-            let views = ChunkViews {
-                cells: &views,
-                args: resolved,
-                slots,
-                write_ranges: mine,
+        for (w, r) in mine.iter_mut().zip(resolved) {
+            *w = if r.access.writes() {
+                (r.section_of)(chunk.clone())
+            } else {
+                0..0
             };
-            body(chunk.clone(), &views);
-        });
+        }
+        let views = ChunkViews {
+            cells: &views,
+            args: resolved,
+            slots,
+            write_ranges: mine,
+        };
+        body(chunk, &views);
     });
     *cells = rebind(views);
 }

@@ -36,7 +36,7 @@
 //!   [`FaultPlan`](spread_sim::FaultPlan) is injected through
 //!   [`RuntimeConfig::with_fault_plan`](runtime::RuntimeConfig::with_fault_plan);
 //!   recovery layers hook task failures with
-//!   [`Scope::on_task_fault`](runtime::Scope::on_task_fault).
+//!   [`Scope::on_task_failure`](runtime::Scope::on_task_failure).
 //!
 //! The execution model is *eager effects over a deterministic DES*: a
 //! task's data effects (memcpy, kernel body) run when the task starts in
@@ -75,7 +75,8 @@ pub use map::{MapClause, MapType};
 pub use overlap::OverlapRecord;
 pub use plan_cache::PlanCacheStats;
 pub use runtime::{
-    DegradationEvent, DegradationKind, PeerCopyRecord, RescueRecord, Runtime, RuntimeConfig, Scope,
+    Arms, DegradationEvent, DegradationKind, PeerCopyRecord, RescueRecord, Runtime, RuntimeConfig,
+    Scope,
 };
 pub use section::{ArrayId, Section};
 pub use spill::{kernel_footprint_bytes, spill_chunk, spill_slices};

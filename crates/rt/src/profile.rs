@@ -36,10 +36,13 @@ const DEPTH_CANDIDATES: [u32; 3] = [1, 2, 4];
 /// Smoothing factor for the per-depth duration EWMA.
 const DEPTH_EWMA_ALPHA: f64 = 0.5;
 
+/// Damping factor α of the weight update: half the step toward the
+/// measured ideal split per launch. Finish times respond nonlinearly to
+/// weights, so an undamped jump oscillates.
+const DAMPING: f64 = 0.5;
+
 /// Per-key adaptive state plus the full launch history.
 pub(crate) struct ProfileStore {
-    /// Damping factor α in `(0, 1]`.
-    damping: f64,
     /// Current normalized weights per construct key.
     weights: HashMap<String, Vec<f64>>,
     /// Launches per key (the `launch` counter stamped on profiles).
@@ -52,9 +55,8 @@ pub(crate) struct ProfileStore {
 }
 
 impl ProfileStore {
-    pub(crate) fn new(damping: f64) -> Self {
+    pub(crate) fn new() -> Self {
         ProfileStore {
-            damping: damping.clamp(f64::MIN_POSITIVE, 1.0),
             weights: HashMap::new(),
             counts: HashMap::new(),
             history: Vec::new(),
@@ -133,7 +135,7 @@ impl ProfileStore {
             let total_rate: f64 = rates.iter().sum();
             if total_rate > 0.0 && total_rate.is_finite() {
                 let total_used: f64 = used.iter().sum();
-                let a = self.damping;
+                let a = DAMPING;
                 let mut next: Vec<f64> = used
                     .iter()
                     .zip(&rates)
@@ -216,14 +218,14 @@ mod tests {
 
     #[test]
     fn first_launch_gets_equal_weights() {
-        let store = ProfileStore::new(0.5);
+        let store = ProfileStore::new();
         assert_eq!(store.weights("k", 3), vec![1.0, 1.0, 1.0]);
         assert_eq!(store.next_launch("k"), 0);
     }
 
     #[test]
     fn update_shifts_weight_toward_fast_device() {
-        let mut store = ProfileStore::new(0.5);
+        let mut store = ProfileStore::new();
         // Device 1 took twice as long as device 0 under equal weights.
         store.record(profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 200]));
         let w = store.weights("k", 2);
@@ -240,7 +242,7 @@ mod tests {
         // Device 1 is 2× slower: its per-iteration cost is doubled. If
         // weights (w0, w1) give finishes proportional to (w0, 2·w1), the
         // fixpoint is w0 = 2·w1.
-        let mut store = ProfileStore::new(0.5);
+        let mut store = ProfileStore::new();
         for launch in 0..20 {
             let w = store.weights("k", 2);
             let f0 = (w[0] * 1000.0) as u64;
@@ -261,7 +263,7 @@ mod tests {
 
     #[test]
     fn zero_finish_skips_adaptation() {
-        let mut store = ProfileStore::new(0.5);
+        let mut store = ProfileStore::new();
         store.record(profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 0]));
         assert_eq!(store.weights("k", 2), vec![1.0, 1.0]);
         assert_eq!(store.next_launch("k"), 1); // still counted + in history
@@ -270,14 +272,14 @@ mod tests {
 
     #[test]
     fn device_count_change_resets_to_equal() {
-        let mut store = ProfileStore::new(0.5);
+        let mut store = ProfileStore::new();
         store.record(profile_with_finishes("k", 0, vec![1.0, 1.0], &[100, 200]));
         assert_eq!(store.weights("k", 3), vec![1.0, 1.0, 1.0]);
     }
 
     #[test]
     fn weights_never_hit_zero() {
-        let mut store = ProfileStore::new(1.0);
+        let mut store = ProfileStore::new();
         for launch in 0..50 {
             let w = store.weights("k", 2);
             // Device 1 pathologically slow.
@@ -291,7 +293,7 @@ mod tests {
 
     #[test]
     fn keys_are_independent() {
-        let mut store = ProfileStore::new(0.5);
+        let mut store = ProfileStore::new();
         store.record(profile_with_finishes("a", 0, vec![1.0, 1.0], &[100, 200]));
         assert_eq!(store.weights("b", 2), vec![1.0, 1.0]);
         assert!(store.current("a").is_some());

@@ -84,11 +84,6 @@ pub struct RuntimeConfig {
     /// whose device footprint exceeds this executes in multiple
     /// map→compute→unmap slices.
     pub spill_staging_bytes: u64,
-    /// Damping factor α in `(0, 1]` for the `spread_schedule(auto)`
-    /// weight update: `w' = (1 − α)·w + α·ideal`. Small values adapt
-    /// slowly but smooth noisy observations; `1.0` jumps straight to the
-    /// measured ideal split each launch.
-    pub adaptive_damping: f64,
     /// Serve launch plans from the plan cache (see
     /// [`plan_cache`](crate::plan_cache)). On by default — inert unless
     /// a construct opts in with a plan key. Disable to force every
@@ -113,7 +108,6 @@ impl RuntimeConfig {
             breaker: 8,
             watchdog: None,
             spill_staging_bytes: 1 << 20,
-            adaptive_damping: 0.5,
             plan_cache: true,
         }
     }
@@ -169,13 +163,6 @@ impl RuntimeConfig {
     /// Set the host spill staging-buffer size.
     pub fn with_spill_staging_bytes(mut self, bytes: u64) -> Self {
         self.spill_staging_bytes = bytes.max(8);
-        self
-    }
-
-    /// Set the `spread_schedule(auto)` damping factor (clamped to
-    /// `(0, 1]`).
-    pub fn with_adaptive_damping(mut self, alpha: f64) -> Self {
-        self.adaptive_damping = alpha.clamp(f64::MIN_POSITIVE, 1.0);
         self
     }
 
@@ -404,27 +391,43 @@ impl Action {
 pub(crate) type RecoveryHandler =
     Rc<RefCell<Option<Box<dyn FnOnce(&mut Scope<'_>, TaskId, RtError)>>>>;
 
+/// Which task failures a recovery handler registered with
+/// [`Scope::on_task_failure`] covers. Every value covers the permanent
+/// loss of the registered device; the other two add one error that a
+/// *live* device can raise. Any failure outside the arms still poisons
+/// the runtime — recovery routes around dead hardware and around the
+/// failures a clause asked to absorb, never around bugs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Arms {
+    /// Only the loss of the device (`spread_resilience(redistribute)`).
+    Loss,
+    /// The loss, plus [`RtError::OutOfMemory`] once a pressure-managed
+    /// enter exhausted its retries (`spread_pressure`): fragmentation
+    /// can exhaust a healthy device.
+    Oom,
+    /// The loss, plus [`RtError::IntegrityViolation`] at a trust
+    /// boundary (`spread_integrity(heal)`): the device is up and lying.
+    Integrity,
+}
+
+impl Arms {
+    /// Whether a task failing with `err`, its device `lost` or not,
+    /// reaches the handler.
+    fn cover(self, err: &RtError, lost: bool) -> bool {
+        lost || match self {
+            Arms::Loss => false,
+            Arms::Oom => matches!(err, RtError::OutOfMemory { .. }),
+            Arms::Integrity => matches!(err, RtError::IntegrityViolation { .. }),
+        }
+    }
+}
+
 /// Registration of a recovery handler for one task.
 pub(crate) struct Recoverer {
-    /// The device whose permanent loss this handler covers. Errors on a
-    /// task whose device is *not* lost still poison the runtime — the
-    /// handler only routes around dead hardware, never around bugs.
+    /// The device whose permanent loss this handler covers.
     pub(crate) device: u32,
-    /// When true, the handler additionally covers
-    /// [`RtError::OutOfMemory`] on the registered tasks (the
-    /// memory-pressure ladder: a persistent OOM after retries hands the
-    /// chunk to the split/spill coordinator instead of poisoning the
-    /// runtime). Unlike the loss arm, this does not require a fault
-    /// context — fragmentation can exhaust a healthy device.
-    pub(crate) on_oom: bool,
-    /// When true, the handler additionally covers
-    /// [`RtError::IntegrityViolation`] on the registered tasks
-    /// (`spread_integrity(heal)`): a digest mismatch at a trust
-    /// boundary hands the piece back for re-execution from the unharmed
-    /// host image instead of poisoning the runtime. Like the OOM arm,
-    /// this does not require the device to be lost — the whole point is
-    /// that the device is still up and lying.
-    pub(crate) on_integrity: bool,
+    /// The failures the handler covers besides that loss.
+    pub(crate) arms: Arms,
     pub(crate) handler: RecoveryHandler,
 }
 
@@ -1148,11 +1151,10 @@ pub(crate) fn start_task(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, id:
 }
 
 /// Route a task failure: if the task has a registered recovery handler
-/// *and* either the handler's device really is lost or the handler
-/// opted into out-of-memory recovery and the error is an OOM, the
-/// handler runs (once) with a fresh [`Scope`] — it is responsible for
-/// eventually completing the faulted task. Every other failure poisons
-/// the runtime (fail-stop, the default).
+/// whose [`Arms`] cover the error, the handler runs (once) with a fresh
+/// [`Scope`] — it is responsible for eventually completing the faulted
+/// task. Every other failure poisons the runtime (fail-stop, the
+/// default).
 pub(crate) fn task_failed(
     sim: &mut Simulator,
     inner_rc: &Rc<RefCell<Inner>>,
@@ -1161,28 +1163,17 @@ pub(crate) fn task_failed(
 ) {
     let handler = {
         let inner = inner_rc.borrow();
-        match inner.recoverers.get(&id) {
-            Some(r) => {
-                let lost = inner
-                    .fault
-                    .as_ref()
-                    .is_some_and(|ctx| ctx.is_lost(r.device));
-                // The OOM arm deliberately does not require a fault
-                // context: a healthy device can still run out of
-                // contiguous memory (fragmentation).
-                let oom = r.on_oom && matches!(err, RtError::OutOfMemory { .. });
-                // The integrity arm does not require the device to be
-                // lost either: a healing construct re-executes on a
-                // device that is alive but produced rotten bytes.
-                let corrupt = r.on_integrity && matches!(err, RtError::IntegrityViolation { .. });
-                if lost || oom || corrupt {
-                    r.handler.borrow_mut().take()
-                } else {
-                    None
-                }
+        inner.recoverers.get(&id).and_then(|r| {
+            let lost = inner
+                .fault
+                .as_ref()
+                .is_some_and(|ctx| ctx.is_lost(r.device));
+            if r.arms.cover(&err, lost) {
+                r.handler.borrow_mut().take()
+            } else {
+                None
             }
-            None => None,
-        }
+        })
     };
     match handler {
         Some(h) => {
@@ -2306,7 +2297,7 @@ impl Runtime {
             degradations: Vec::new(),
             retry: cfg.retry,
             spill_staging_bytes: cfg.spill_staging_bytes,
-            profiles: crate::profile::ProfileStore::new(cfg.adaptive_damping),
+            profiles: crate::profile::ProfileStore::new(),
             peer_log: Vec::new(),
             rescue_log: Vec::new(),
             integrity_log: Vec::new(),
@@ -3137,20 +3128,20 @@ impl Scope<'_> {
     }
 
     /// Register `handler` as the recovery handler of every task in
-    /// `ids` (the phases of one construct). If any of them fails while
-    /// `device` is permanently lost, the handler runs once with a fresh
-    /// scope, the faulted task id, and the error; the other registered
-    /// tasks are left to the handler (typically
+    /// `ids` (the phases of one construct). If any of them fails with an
+    /// error `arms` covers — `device` permanently lost, or the OOM or
+    /// integrity arm's error on a live device — the handler runs once
+    /// with a fresh scope, the faulted task id, and the error; the other
+    /// registered tasks are left to the handler (typically
     /// [`Scope::neutralize_task`]). The handler — or a completion chain
-    /// it builds — must eventually [`Scope::force_complete`] the
-    /// faulted task, or the program deadlocks.
-    ///
-    /// Failures unrelated to the registered device loss still poison
-    /// the runtime: resilience routes around dead hardware, not bugs.
-    pub fn on_task_fault(
+    /// it builds — must eventually [`Scope::force_complete`] the faulted
+    /// task, or the program deadlocks. Every other failure still poisons
+    /// the runtime.
+    pub fn on_task_failure(
         &mut self,
         ids: &[TaskId],
         device: u32,
+        arms: Arms,
         handler: impl FnOnce(&mut Scope<'_>, TaskId, RtError) + 'static,
     ) {
         let handler: RecoveryHandler = Rc::new(RefCell::new(Some(Box::new(handler))));
@@ -3160,63 +3151,7 @@ impl Scope<'_> {
                 id,
                 Recoverer {
                     device,
-                    on_oom: false,
-                    on_integrity: false,
-                    handler: Rc::clone(&handler),
-                },
-            );
-        }
-    }
-
-    /// Like [`Scope::on_task_fault`], but the handler additionally
-    /// fires if a registered task fails with [`RtError::OutOfMemory`]
-    /// — the hook of the memory-pressure ladder: after the pressure
-    /// enter path exhausts its retries, the chunk is handed to the
-    /// split/spill coordinator instead of poisoning the runtime.
-    pub fn on_task_oom(
-        &mut self,
-        ids: &[TaskId],
-        device: u32,
-        handler: impl FnOnce(&mut Scope<'_>, TaskId, RtError) + 'static,
-    ) {
-        let handler: RecoveryHandler = Rc::new(RefCell::new(Some(Box::new(handler))));
-        let mut inner = self.inner.borrow_mut();
-        for &id in ids {
-            inner.recoverers.insert(
-                id,
-                Recoverer {
-                    device,
-                    on_oom: true,
-                    on_integrity: false,
-                    handler: Rc::clone(&handler),
-                },
-            );
-        }
-    }
-
-    /// Like [`Scope::on_task_fault`], but the handler additionally
-    /// fires if a registered task fails with
-    /// [`RtError::IntegrityViolation`] — the hook of
-    /// `spread_integrity(heal)`: a digest mismatch at a trust boundary
-    /// hands the chunk back for re-execution from the unharmed host
-    /// image instead of poisoning the runtime. (The loss arm stays
-    /// active too, so a quarantined device — its mismatch streak
-    /// tripped the circuit breaker — routes through the same handler.)
-    pub fn on_task_integrity(
-        &mut self,
-        ids: &[TaskId],
-        device: u32,
-        handler: impl FnOnce(&mut Scope<'_>, TaskId, RtError) + 'static,
-    ) {
-        let handler: RecoveryHandler = Rc::new(RefCell::new(Some(Box::new(handler))));
-        let mut inner = self.inner.borrow_mut();
-        for &id in ids {
-            inner.recoverers.insert(
-                id,
-                Recoverer {
-                    device,
-                    on_oom: false,
-                    on_integrity: true,
+                    arms,
                     handler: Rc::clone(&handler),
                 },
             );

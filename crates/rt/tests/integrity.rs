@@ -8,7 +8,8 @@ use spread_devices::{DeviceSpec, Topology};
 use spread_rt::directives::Target;
 use spread_rt::prelude::*;
 use spread_rt::{
-    ConstructIds, DegradationKind, ExchangeMode, IntegrityAction, IntegrityBoundary, IntegrityMode,
+    Arms, ConstructIds, DegradationKind, ExchangeMode, IntegrityAction, IntegrityBoundary,
+    IntegrityMode,
 };
 use spread_sim::FaultPlan;
 use spread_trace::{SimTime, SpanKind};
@@ -95,7 +96,7 @@ fn silent_flip_under_verify_fails_the_construct_at_the_commit_drain() {
 /// forgive the faulted footprints and re-execute the whole construct
 /// fresh from the unharmed host image, then complete the faulted task.
 fn arm_heal(scope: &mut Scope<'_>, a: HostArray, n: usize, ids: ConstructIds) {
-    scope.on_task_integrity(&ids.all(), 0, move |s, faulted, err| {
+    scope.on_task_failure(&ids.all(), 0, Arms::Integrity, move |s, faulted, err| {
         assert!(matches!(err, RtError::IntegrityViolation { .. }), "{err:?}");
         for id in ids.all() {
             s.forgive_task_footprints(id);

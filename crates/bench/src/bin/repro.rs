@@ -1,80 +1,44 @@
-//! One-shot reproduction driver: runs every table/figure/ablation
-//! binary at paper scale and writes the outputs under `results/`.
+//! Runs the views of `spread-bench` in-process: every paper table,
+//! figure and ablation plus every clause-family experiment, or the ones
+//! named on the command line.
 //!
-//! Usage: `cargo build --release -p spread-bench`, then
-//! `cargo run --release -p spread-bench --bin repro [--small]`. At paper
-//! scale it takes about 65 s on two vCPUs, and its outputs are
-//! byte-reproducible: `git diff --exit-code results/` after a run shows
-//! exactly which paper number a change moved. `--small` finishes in
-//! seconds and prints to stdout; it never writes `results/`.
+//! Usage: `cargo run --release -p spread-bench --bin repro -- [--small]
+//! [view …]`. At paper scale it writes `results/<name>.txt` for each
+//! view; all sixteen take about 80 s on two vCPUs, and the files are
+//! byte-reproducible — `cargo test --release -p spread-bench --test
+//! results -- --ignored` fails when they drift. `--small` runs the
+//! views at test size, prints them to stdout and never writes
+//! `results/`.
 
-use std::fs;
-use std::io::Write;
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::Path;
 
-const TARGETS: &[(&str, &[&str])] = &[
-    ("table1", &[]),
-    ("table2", &["--figure"]),
-    ("figure3", &[]),
-    ("figure4", &[]),
-    ("kernel_scaling", &[]),
-    ("ablation_chunk_size", &[]),
-    ("ablation_dma_latency", &[]),
-    ("ablation_schedules", &[]),
-    ("ablation_depend_data", &[]),
-    ("ablation_compute_bound", &[]),
-];
+use spread_bench::{write_results, View, RESULTS_DIR, VIEWS};
 
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
-    let bin_dir: PathBuf = std::env::current_exe()
-        .expect("current_exe")
-        .parent()
-        .expect("bin dir")
-        .to_path_buf();
-    if !small {
-        fs::create_dir_all("results").expect("mkdir results");
-    }
-    let mut failures = 0;
-    for (name, extra) in TARGETS {
-        let mut cmd = Command::new(bin_dir.join(name));
-        if small {
-            cmd.arg("--small");
-        }
-        cmd.args(*extra);
-        eprintln!("==> {name} {}", if small { "(--small)" } else { "" });
-        match cmd.output() {
-            Ok(out) => {
-                let path = format!("results/{name}.txt");
-                let mut content = out.stdout;
-                if !out.status.success() {
-                    failures += 1;
-                    content.extend_from_slice(b"\n--- STDERR ---\n");
-                    content.extend_from_slice(&out.stderr);
-                    eprintln!("    FAILED ({})", out.status);
-                }
-                if small {
-                    std::io::stdout().write_all(&content).expect("write stdout");
-                } else {
-                    fs::write(&path, content).expect("write result");
-                    eprintln!("    -> {path}");
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                eprintln!(
-                    "    could not launch {name}: {e} \
-                     (build all binaries first: cargo build --release -p spread-bench)"
-                );
-            }
+    let mut small = false;
+    let mut views: Vec<(&str, View)> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg == "--small" {
+            small = true;
+        } else if let Some(view) = VIEWS.iter().find(|(name, _)| *name == arg) {
+            views.push(*view);
+        } else {
+            let names: Vec<&str> = VIEWS.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "unknown view `{arg}`\nusage: repro [--small] [view ...]\nviews: {}",
+                names.join(" ")
+            );
+            std::process::exit(2);
         }
     }
-    if failures > 0 {
-        eprintln!("{failures} target(s) failed");
-        std::process::exit(1);
+    if views.is_empty() {
+        views = VIEWS.to_vec();
     }
-    if !small {
-        eprintln!("all reproduction targets written to results/");
+    if small {
+        for (_, view) in views {
+            print!("{}", view(true));
+        }
+    } else {
+        write_results(Path::new(RESULTS_DIR), &views).expect("write results/");
     }
 }

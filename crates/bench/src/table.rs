@@ -1,4 +1,4 @@
-//! Small table-formatting helpers shared by the harness binaries.
+//! Small table-formatting helpers shared by the views.
 
 use spread_trace::SimDuration;
 

@@ -79,10 +79,10 @@ pub fn chunk_size(small: bool) -> String {
             Ok(())
         })
         .expect("run");
-        rows.push(vec![
-            chunk.to_string(),
-            n.div_ceil(chunk).to_string(),
-            format!("{:.6}s", rt.elapsed().as_secs_f64()),
+        rows.push(row![
+            chunk,
+            n.div_ceil(chunk),
+            format!("{:.6}s", rt.elapsed().as_secs_f64())
         ]);
     }
     render(
@@ -109,11 +109,11 @@ pub fn dma_latency(small: bool) -> String {
         cfg.dma_latency_us = lat_us;
         let (one, _) = run_somier(&cfg, SomierImpl::OneBufferSpread, 2).expect("one");
         let (two, _) = run_somier(&cfg, SomierImpl::TwoBuffers, 2).expect("two");
-        rows.push(vec![
+        rows.push(row![
             format!("{lat_us} µs"),
-            one.elapsed.to_string(),
-            two.elapsed.to_string(),
-            penalty(one.elapsed, two.elapsed),
+            one.elapsed,
+            two.elapsed,
+            penalty(one.elapsed, two.elapsed)
         ]);
     }
     render(
@@ -177,7 +177,7 @@ pub fn schedules(_small: bool) -> String {
         // Every schedule computes the same thing.
         let out = rt.snapshot_host(a);
         assert!(out.iter().enumerate().all(|(i, &v)| v == 2.0 * i as f64));
-        vec![label.to_string(), rt.elapsed().to_string()]
+        row![label, rt.elapsed()]
     };
     let rows = vec![
         run(
@@ -285,11 +285,7 @@ fn depend_row(label: &str, depends: bool) -> Vec<String> {
         .iter()
         .map(|&d| device_idle(&tl, d).total().as_secs_f64())
         .sum();
-    vec![
-        label.to_string(),
-        rt.elapsed().to_string(),
-        format!("{idle:.4} s"),
-    ]
+    row![label, rt.elapsed(), format!("{idle:.4} s")]
 }
 
 /// §IX: "research has to be done on problems where the computation
@@ -321,11 +317,11 @@ pub fn compute_bound(small: bool) -> String {
         cfg.costs = cfg.costs.scaled(kernel_scale);
         let (one, _) = run_somier(&cfg, SomierImpl::OneBufferSpread, 2).expect("one");
         let (db, _) = run_somier(&cfg, SomierImpl::DoubleBuffering, 2).expect("db");
-        rows.push(vec![
-            regime.to_string(),
-            one.elapsed.to_string(),
-            db.elapsed.to_string(),
-            penalty(one.elapsed, db.elapsed),
+        rows.push(row![
+            regime,
+            one.elapsed,
+            db.elapsed,
+            penalty(one.elapsed, db.elapsed)
         ]);
     }
     render(

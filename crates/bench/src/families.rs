@@ -96,12 +96,7 @@ pub fn adaptive(_small: bool) -> String {
             let mut launches = profiles.iter().filter(|p| p.key == key);
             let first = launches.next().expect("a launch");
             let (count, last) = launches.fold((1, first), |(n, _), p| (n + 1, p));
-            vec![
-                key.to_string(),
-                count.to_string(),
-                weights(&first.weights),
-                weights(&last.weights),
-            ]
+            row![key, count, weights(&first.weights), weights(&last.weights)]
         })
         .collect();
 
@@ -177,7 +172,7 @@ pub fn peer(_small: bool) -> String {
         .map(|d| {
             let out_bytes: u64 = records.iter().filter(|r| r.src == d).map(|r| r.bytes).sum();
             let in_bytes: u64 = records.iter().filter(|r| r.dst == d).map(|r| r.bytes).sum();
-            vec![d.to_string(), out_bytes.to_string(), in_bytes.to_string()]
+            row![d, out_bytes, in_bytes]
         })
         .collect();
     table(
@@ -233,14 +228,14 @@ pub fn straggler(_small: bool) -> String {
         if speedup > best_speedup {
             (best_speedup, best_factor) = (speedup, factor);
         }
-        rows.push(vec![
-            factor.to_string(),
-            wait_s.to_string(),
-            steal_s.to_string(),
-            replicate_s.to_string(),
-            speedup.to_string(),
-            steal_rescues.to_string(),
-            replicate_rescues.to_string(),
+        rows.push(row![
+            factor,
+            wait_s,
+            steal_s,
+            replicate_s,
+            speedup,
+            steal_rescues,
+            replicate_rescues
         ]);
     }
     assert!(
@@ -331,15 +326,15 @@ pub fn integrity(_small: bool) -> String {
         if verify_overhead > worst_verify_overhead {
             (worst_verify_overhead, worst_n) = (verify_overhead, n);
         }
-        rows.push(vec![
-            n.to_string(),
-            cfg.total_bytes().to_string(),
-            off_s.to_string(),
-            verify_s.to_string(),
-            heal_s.to_string(),
-            verify_overhead.to_string(),
-            (heal_s / off_s - 1.0).to_string(),
-            heals.to_string(),
+        rows.push(row![
+            n,
+            cfg.total_bytes(),
+            off_s,
+            verify_s,
+            heal_s,
+            verify_overhead,
+            (heal_s / off_s - 1.0),
+            heals
         ]);
     }
     assert!(
@@ -443,24 +438,24 @@ pub fn overlap(_small: bool) -> String {
         if speedup > best_speedup {
             (best_speedup, best_depth, best_min_overlap_s) = (speedup, depth, min_overlap_s);
         }
-        rows.push(vec![
-            depth.to_string(),
-            elapsed.to_string(),
-            speedup.to_string(),
-            recs.len().to_string(),
-            h2d_ops.to_string(),
-            d2h_ops.to_string(),
-            min_overlap_s.to_string(),
+        rows.push(row![
+            depth,
+            elapsed,
+            speedup,
+            recs.len(),
+            h2d_ops,
+            d2h_ops,
+            min_overlap_s
         ]);
         device_rows.extend(profs.iter().map(|d| {
-            vec![
-                depth.to_string(),
-                d.device.to_string(),
-                d.copy_in.as_secs_f64().to_string(),
-                d.copy_out.as_secs_f64().to_string(),
-                d.kernel.as_secs_f64().to_string(),
-                d.overlap.as_secs_f64().to_string(),
-                d.idle_tail.as_secs_f64().to_string(),
+            row![
+                depth,
+                d.device,
+                d.copy_in.as_secs_f64(),
+                d.copy_out.as_secs_f64(),
+                d.kernel.as_secs_f64(),
+                d.overlap.as_secs_f64(),
+                d.idle_tail.as_secs_f64()
             ]
         }));
     }
@@ -593,14 +588,14 @@ pub fn plan_cache(_small: bool) -> String {
     let rows: Vec<Vec<String>> = [("cold", &cold, &cold_stats), ("warm", &warm, &warm_stats)]
         .iter()
         .map(|(leg, report, stats)| {
-            vec![
-                leg.to_string(),
-                report.elapsed.as_secs_f64().to_string(),
-                stats.hits.to_string(),
-                stats.misses.to_string(),
-                stats.invalidations.to_string(),
-                stats.cold_plans.to_string(),
-                stats.warm_plans.to_string(),
+            row![
+                leg,
+                report.elapsed.as_secs_f64(),
+                stats.hits,
+                stats.misses,
+                stats.invalidations,
+                stats.cold_plans,
+                stats.warm_plans
             ]
         })
         .collect();

@@ -48,6 +48,13 @@ macro_rules! outln {
     }};
 }
 
+/// One table row: each cell in its `Display` form.
+macro_rules! row {
+    ($($cell:expr),* $(,)?) => {
+        vec![$($cell.to_string()),*]
+    };
+}
+
 mod ablation;
 mod families;
 pub mod micro;

@@ -22,21 +22,21 @@ fn config(small: bool, n: usize, steps: usize) -> SomierConfig {
 pub fn table1(small: bool) -> String {
     let cfg = config(small, 48, 4);
     let (base, _) = run_somier(&cfg, SomierImpl::OneBufferTarget, 1).expect("baseline run");
-    let mut rows = vec![vec![
-        "target (B)".to_string(),
-        "1".to_string(),
-        base.elapsed.to_string(),
-        "1.00x".to_string(),
-        format!("{:?}", [base.centers[0]]),
+    let mut rows = vec![row![
+        "target (B)",
+        "1",
+        base.elapsed,
+        "1.00x",
+        format!("{:?}", [base.centers[0]])
     ]];
     for gpus in [1usize, 2, 4] {
         let (r, _) = run_somier(&cfg, SomierImpl::OneBufferSpread, gpus).expect("spread run");
-        rows.push(vec![
-            "target spread".to_string(),
-            gpus.to_string(),
-            r.elapsed.to_string(),
+        rows.push(row![
+            "target spread",
+            gpus,
+            r.elapsed,
             speedup(base.elapsed, r.elapsed),
-            format!("{:?}", [r.centers[0]]),
+            format!("{:?}", [r.centers[0]])
         ]);
     }
     let mut out = String::new();
@@ -307,13 +307,13 @@ pub fn kernel_scaling(small: bool) -> String {
         let x = xfer_busy.as_secs_f64();
         let k_speedup = kernel_base.get_or_insert(k).to_owned() / k;
         let x_speedup = xfer_base.get_or_insert(x).to_owned() / x;
-        rows.push(vec![
-            gpus.to_string(),
-            report.elapsed.to_string(),
+        rows.push(row![
+            gpus,
+            report.elapsed,
             format!("{kernel_makespan}"),
             format!("{k_speedup:.2}x"),
             format!("{xfer_busy}"),
-            format!("{x_speedup:.2}x"),
+            format!("{x_speedup:.2}x")
         ]);
     }
     let mut out = String::new();

@@ -15,10 +15,17 @@ fn config(small: bool, n: usize, steps: usize) -> SomierConfig {
     }
 }
 
+/// `|t / paper − 1|` in percent: how far a virtual time lands from the
+/// paper's measurement (meaningful at paper scale only).
+fn paper_err_pct(t: SimDuration, paper_s: f64) -> String {
+    format!("{:.2}", 100.0 * (t.as_secs_f64() / paper_s - 1.0).abs())
+}
+
 /// **Table I**: execution times for the One Buffer implementation —
 /// `target` baseline (1 GPU) vs `target spread` on 1 / 2 / 4 GPUs.
 ///
-/// Paper values: 17m40.231s (B) | 17m38.932s | 13m15.486s | 8m22.019s.
+/// Paper values: 17m40.231s (B) | 17m38.932s | 13m15.486s | 8m22.019s;
+/// each row's `paper_err_pct` is its distance from that value.
 pub fn table1(small: bool) -> String {
     let cfg = config(small, 48, 4);
     let (base, _) = run_somier(&cfg, SomierImpl::OneBufferTarget, 1).expect("baseline run");
@@ -27,15 +34,17 @@ pub fn table1(small: bool) -> String {
         "1",
         base.elapsed,
         "1.00x",
+        paper_err_pct(base.elapsed, 1060.231),
         format!("{:?}", [base.centers[0]])
     ]];
-    for gpus in [1usize, 2, 4] {
+    for (gpus, paper_s) in [(1usize, 1058.932), (2, 795.486), (4, 502.019)] {
         let (r, _) = run_somier(&cfg, SomierImpl::OneBufferSpread, gpus).expect("spread run");
         rows.push(row![
             "target spread",
             gpus,
             r.elapsed,
             speedup(base.elapsed, r.elapsed),
+            paper_err_pct(r.elapsed, paper_s),
             format!("{:?}", [r.centers[0]])
         ]);
     }
@@ -53,6 +62,7 @@ pub fn table1(small: bool) -> String {
                 "GPUs",
                 "Time",
                 "Speedup",
+                "paper_err_pct",
                 "centers[0] (correctness witness)"
             ],
             &rows
@@ -73,6 +83,8 @@ pub fn table1(small: bool) -> String {
 /// Two Buffers          14m29.599s   8m26.674s
 /// Double Buffering     14m4.230s    8m51.176s
 /// ```
+///
+/// Each cell is followed by its `paper_err_pct`.
 pub fn table2(small: bool) -> String {
     // n >= 100 so the half-buffer chunks stay >= 2 planes (the §V-B gap
     // rule) on the 2-GPU column.
@@ -83,6 +95,8 @@ pub fn table2(small: bool) -> String {
         SomierImpl::DoubleBuffering,
     ];
     let gpus = [2usize, 4];
+    // The paper's seconds, per implementation and GPU count.
+    let paper_s = [[795.486, 502.019], [869.599, 506.674], [844.230, 531.176]];
     let times: Vec<Vec<SimDuration>> = impls
         .iter()
         .map(|&which| {
@@ -100,7 +114,8 @@ pub fn table2(small: bool) -> String {
     let rows: Vec<Vec<String>> = impls
         .iter()
         .zip(&times)
-        .map(|(which, row)| {
+        .zip(paper_s)
+        .map(|((which, row), paper_s)| {
             let mut cells = vec![format!(
                 "{}{}",
                 which.label(),
@@ -112,6 +127,7 @@ pub fn table2(small: bool) -> String {
             )];
             for (i, t) in row.iter().enumerate() {
                 cells.push(format!("{t} ({})", speedup(times[0][i], *t)));
+                cells.push(paper_err_pct(*t, paper_s[i]));
             }
             cells
         })
@@ -119,7 +135,16 @@ pub fn table2(small: bool) -> String {
     outln!(
         out,
         "{}",
-        markdown_table(&["Implementation", "2 GPUs", "4 GPUs"], &rows)
+        markdown_table(
+            &[
+                "Implementation",
+                "2 GPUs",
+                "paper_err_pct",
+                "4 GPUs",
+                "paper_err_pct"
+            ],
+            &rows
+        )
     );
     outln!(
         out,

@@ -1,8 +1,8 @@
 //! Wall-clock micro-benchmarks of the Somier reproduction at a reduced
 //! size — one group per paper table, measuring how fast the *library*
 //! (simulator + runtime + kernels) executes each configuration. The
-//! virtual-time results themselves are produced by the
-//! `table1`/`table2` binaries.
+//! virtual-time results themselves are the `table1`/`table2` views
+//! (`repro -- table1 table2`).
 
 use spread_bench::micro::{bench, black_box};
 use spread_somier::{run_somier, SomierConfig, SomierImpl};

@@ -10,6 +10,7 @@ use spread_trace::analysis::device_idle;
 use spread_trace::SimDuration;
 
 use crate::markdown_table;
+use crate::paper::config;
 
 /// One rendered ablation: a title, a table and the expected shape.
 fn render(title: &str, headers: &[&str], rows: &[Vec<String>], expected: &str) -> String {
@@ -36,11 +37,7 @@ fn penalty(base: SimDuration, later: SimDuration) -> String {
 /// mapped chunk, §VI-B), so total time grows as chunks shrink — the
 /// quantitative version of the paper's granularity discussion.
 pub fn chunk_size(small: bool) -> String {
-    let cfg = if small {
-        SomierConfig::test_small(48, 2)
-    } else {
-        SomierConfig::paper()
-    };
+    let cfg = config(small, 48, 2);
     // A single-array stencil pass over the whole grid, spread over 4
     // devices with varying chunk sizes (all data fits: one shot, no
     // buffering, to isolate the chunking effect).
@@ -272,9 +269,9 @@ fn depend_row(label: &str, depends: bool) -> Vec<String> {
                 .parallel_for(s, 0..n, kernel)?;
             exit.depend_in(a, |c| c.range()).launch(s)?;
         } else {
-            s.taskgroup(|s| enter.launch(s).unwrap())?;
-            s.taskgroup(|s| spread.parallel_for(s, 0..n, kernel).unwrap())?;
-            s.taskgroup(|s| exit.launch(s).unwrap())?;
+            s.taskgroup(|s| enter.launch(s))??;
+            s.taskgroup(|s| spread.parallel_for(s, 0..n, kernel))??;
+            s.taskgroup(|s| exit.launch(s))??;
         }
         Ok(())
     })

@@ -4,11 +4,12 @@
 //!
 //! Usage: `cargo run --release -p spread-bench --bin repro -- [--small]
 //! [view …]`. At paper scale it writes `results/<name>.txt` for each
-//! view; all sixteen take about 80 s on two vCPUs, and the files are
-//! byte-reproducible — `cargo test --release -p spread-bench --test
+//! view; all sixteen took 69–85 s on two shared vCPUs, and the files
+//! are byte-reproducible — `cargo test --release -p spread-bench --test
 //! results -- --ignored` fails when they drift. `--small` runs the
-//! views at test size, prints them to stdout and never writes
-//! `results/`.
+//! views at test size (≈ 24 s for all sixteen, most of it the
+//! clause-family views, which have one fixed size), prints them to
+//! stdout and never writes `results/`.
 
 use std::path::Path;
 

@@ -7,7 +7,7 @@ use spread_trace::{render_gantt, GanttOptions, SimDuration, SimTime, SpanKind, T
 use crate::{markdown_table, speedup};
 
 /// The paper configuration, or a fast `test_small(n, steps)` one.
-fn config(small: bool, n: usize, steps: usize) -> SomierConfig {
+pub(crate) fn config(small: bool, n: usize, steps: usize) -> SomierConfig {
     if small {
         SomierConfig::test_small(n, steps)
     } else {
@@ -232,8 +232,8 @@ pub fn figure3(small: bool) -> String {
 ///
 /// 1. "The five kernel computations were not executed subsequently, but
 ///    interleaved with data transfers from a different buffer" — the
-///    longest back-to-back kernel run is < 5 and the kind-alternation
-///    count is high.
+///    longest back-to-back kernel run (5 means all five in a row) and
+///    the kind-alternation count.
 /// 2. "Overlap of computation and transfers from different buffers
 ///    happened in very rare occasions" — compute∩transfer time is a tiny
 ///    fraction of compute time.

@@ -16,7 +16,7 @@ use spread_trace::{profile_window, DeviceProfile, SimTime};
 const N_GPUS: usize = 4;
 const DEPTH: u32 = 4;
 
-/// The balanced calibration from `spread-bench --bin export_overlap`,
+/// The balanced calibration of `spread-bench`'s `overlap` view,
 /// shrunk for test speed: DMA and compute queues modeled separately
 /// (they exist on the V100; the serialized path just never uses them),
 /// kernel costs ×6 so both engines carry comparable work, and device 0

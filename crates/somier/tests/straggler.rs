@@ -4,8 +4,8 @@
 //! speculatively re-executed chunk. Latency is a separate story: the
 //! rescue path pays its own enter + H2D on the sibling, so `steal` only
 //! beats `wait` once the slowdown is heavy enough to amortise that
-//! overhead — asserted here at 32×, exported as a sweep by
-//! `BENCH_straggler.json`.
+//! overhead — asserted here at 32×, swept by `spread-bench`'s
+//! `straggler` view (`results/straggler.txt`).
 
 use spread_core::{SpreadClausesExt, StragglerPolicy};
 use spread_sim::FaultPlan;

@@ -9,7 +9,7 @@ use std::fmt::Display;
 
 use spread_core::prelude::*;
 use spread_core::{ExchangeMode, IntegrityMode, OverlapPolicy, StragglerPolicy};
-use spread_rt::{IntegrityAction, PlanCacheStats, Runtime, RuntimeConfig};
+use spread_rt::{IntegrityAction, PlanCacheStats, RunEvent, Runtime, RuntimeConfig};
 use spread_sim::FaultPlan;
 use spread_somier::config::STRAGGLER_BETA;
 use spread_somier::one_buffer::{run_spread, run_spread_scoped};
@@ -142,7 +142,12 @@ pub fn peer(_small: bool) -> String {
         auto_report.centers, host_report.centers,
         "the peer route must not change the physics"
     );
-    let records = auto_rt.peer_copies();
+    let records: Vec<_> = auto_rt
+        .events()
+        .iter()
+        .filter_map(RunEvent::peer_copy)
+        .cloned()
+        .collect();
     assert!(!records.is_empty(), "auto must route halos D2D");
     let diverted = records.iter().filter(|r| r.diverted).count();
     assert_eq!(diverted, 0, "no peer copy may divert on a healthy machine");
@@ -210,7 +215,8 @@ pub fn straggler(_small: bool) -> String {
             report.centers, reference.centers,
             "rescue must not change the physics ({policy:?} @ {factor}x)"
         );
-        let rescues = rt.rescues();
+        let events = rt.events();
+        let rescues: Vec<_> = events.iter().filter_map(RunEvent::rescue).collect();
         assert!(
             rescues.iter().all(|r| r.commits == 1),
             "first-commit-wins: exactly one commit per rescued piece"
@@ -312,8 +318,9 @@ pub fn integrity(_small: bool) -> String {
                 "integrity must not change the physics ({mode:?} @ n={n})"
             );
             let healed = rt
-                .integrity_events()
+                .events()
                 .iter()
+                .filter_map(RunEvent::integrity)
                 .filter(|e| e.action == IntegrityAction::Healed)
                 .count();
             (rt.elapsed().as_secs_f64(), healed)
@@ -402,7 +409,7 @@ pub fn overlap(_small: bool) -> String {
         "the One-Buffer baseline must match the CPU reference"
     );
     assert!(
-        base_rt.overlap_records().is_empty(),
+        base_rt.events().iter().all(|e| e.overlap().is_none()),
         "the baseline must not engage the pipeline"
     );
     let base_s = base.elapsed.as_secs_f64();
@@ -420,7 +427,12 @@ pub fn overlap(_small: bool) -> String {
             rep.centers, reference.centers,
             "pipelining must not change the physics (depth {depth})"
         );
-        let recs = rt.overlap_records();
+        let recs: Vec<_> = rt
+            .events()
+            .iter()
+            .filter_map(RunEvent::overlap)
+            .cloned()
+            .collect();
         assert!(!recs.is_empty(), "depth {depth} must engage the pipeline");
         assert!(
             recs.iter().all(|r| r.bypassed || r.staged == r.committed),

@@ -153,7 +153,7 @@ impl Program {
 /// admission planner sees at every construct launch is exactly
 /// `cap_bytes − sustained(d)`, independent of timing. That closed form
 /// is what lets the oracle predict the exact
-/// [`spread_rt::DegradationEvent`] sequence (or the exact
+/// [`spread_semantics::Degradation`] sequence (or the exact
 /// [`spread_rt::RtError::Degraded`]) for static schedules.
 ///
 /// Caps and window sizes are multiples of 8 (one pool element), so the

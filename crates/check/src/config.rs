@@ -27,7 +27,7 @@ pub enum Mode {
     /// Memory-pressure scenarios ([`crate::ast::PressureSpec`]): tiny
     /// device capacities plus sustained OOM windows over blocking,
     /// statically distributed spread kernels. The oracle additionally
-    /// predicts the exact [`spread_rt::DegradationEvent`] sequence
+    /// predicts the exact [`spread_semantics::Degradation`] sequence
     /// (admission shrinks, chunk splits, host spills) or the exact
     /// `Degraded` error, while results stay bit-identical.
     Pressure,

@@ -55,7 +55,7 @@ pub use ast::Program;
 pub use config::{CheckConfig, Fault, Mode};
 pub use spread_sim::TieBreak;
 
-use spread_rt::RtError;
+use spread_rt::{RtError, RunEvent};
 
 /// A conformance violation: which interleaving disagreed, and how.
 #[derive(Clone, Debug)]
@@ -128,17 +128,13 @@ fn compare(want: &oracle::Expectation, got: &run::Observed) -> Option<String> {
             got.races
         ));
     }
-    // Straggler rescues and healed corruptions are timing-dependent
-    // runtime events the oracle never predicts (slowdowns and heal
-    // redos are value-invisible); they are checked structurally in
-    // `check_program` instead.
+    // Only the degradations are predicted exactly; rescues, integrity
+    // detections, peer copies and pipelined pieces are checked
+    // structurally in `check_program`.
     let got_degradations: Vec<_> = got
-        .degradations
+        .events
         .iter()
-        .filter(|e| {
-            e.kind != spread_rt::DegradationKind::StragglerRescued
-                && e.kind != spread_rt::DegradationKind::CorruptionHealed
-        })
+        .filter_map(RunEvent::degradation)
         .cloned()
         .collect();
     if want.degradations != got_degradations {
@@ -213,15 +209,16 @@ fn compare(want: &oracle::Expectation, got: &run::Observed) -> Option<String> {
 /// just as value-invisible as rescues of genuinely slowed devices.
 /// Rescues outside straggler mode are themselves a violation.
 fn validate_rescues(p: &Program, got: &run::Observed) -> Option<String> {
+    let rescues: Vec<_> = got.events.iter().filter_map(RunEvent::rescue).collect();
     if p.straggler.is_none() {
-        return (!got.rescues.is_empty()).then(|| {
+        return (!rescues.is_empty()).then(|| {
             format!(
                 "{} rescue(s) recorded without a straggler spec",
-                got.rescues.len()
+                rescues.len()
             )
         });
     }
-    for r in &got.rescues {
+    for r in rescues {
         if r.commits != 1 {
             return Some(format!(
                 "rescued piece [{}..{}): {} commits (first-commit-wins demands exactly one)",
@@ -259,15 +256,16 @@ fn validate_rescues(p: &Program, got: &run::Observed) -> Option<String> {
 /// far below the mismatch breaker), and integrity events outside
 /// integrity mode are themselves a violation.
 fn validate_integrity(p: &Program, got: &run::Observed) -> Option<String> {
+    let events: Vec<_> = got.events.iter().filter_map(RunEvent::integrity).collect();
     let Some(is) = &p.integrity else {
-        return (!got.integrity_events.is_empty()).then(|| {
+        return (!events.is_empty()).then(|| {
             format!(
                 "{} integrity event(s) recorded without an integrity spec",
-                got.integrity_events.len()
+                events.len()
             )
         });
     };
-    if let Some(e) = got.integrity_events.iter().find(|e| {
+    if let Some(e) = events.iter().find(|e| {
         e.action != spread_rt::IntegrityAction::Healed
             || e.boundary != spread_rt::IntegrityBoundary::Commit
     }) {
@@ -305,7 +303,7 @@ fn validate_integrity(p: &Program, got: &run::Observed) -> Option<String> {
         .flat_map(|&(d, count)| std::iter::repeat_n(d, count as usize))
         .collect();
     want.sort_unstable();
-    let mut got_devs: Vec<u32> = got.integrity_events.iter().map(|e| e.device).collect();
+    let mut got_devs: Vec<u32> = events.iter().map(|e| e.device).collect();
     got_devs.sort_unstable();
     if want != got_devs {
         return Some(format!(
@@ -328,15 +326,16 @@ fn validate_integrity(p: &Program, got: &run::Observed) -> Option<String> {
 /// and record nothing). Overlap records outside overlap mode are
 /// themselves a violation.
 fn validate_overlap(p: &Program, got: &run::Observed) -> Option<String> {
+    let records: Vec<_> = got.events.iter().filter_map(RunEvent::overlap).collect();
     let Some(os) = &p.overlap else {
-        return (!got.overlap.is_empty()).then(|| {
+        return (!records.is_empty()).then(|| {
             format!(
                 "{} overlap record(s) without an overlap spec",
-                got.overlap.len()
+                records.len()
             )
         });
     };
-    for r in &got.overlap {
+    for r in &records {
         if !r.bypassed {
             if r.staged != r.committed {
                 return Some(format!(
@@ -376,11 +375,11 @@ fn validate_overlap(p: &Program, got: &run::Observed) -> Option<String> {
                 .count();
         }
     }
-    if got.overlap.len() != want {
+    if records.len() != want {
         return Some(format!(
             "overlap ledger: the static distributions predict {want} pipelined piece(s), \
              runtime recorded {}",
-            got.overlap.len()
+            records.len()
         ));
     }
     None
@@ -411,13 +410,11 @@ pub fn check_program(p: &Program, seed: u64, cfg: &CheckConfig) -> Result<(), Ch
                 return Err(CheckFailure { tie, detail });
             }
         }
-        if !got.peer_copies.is_empty() {
+        let peer_copies = got.events.iter().filter_map(RunEvent::peer_copy).count();
+        if peer_copies != 0 {
             return Err(CheckFailure {
                 tie,
-                detail: format!(
-                    "exchange(host) run performed {} peer copies",
-                    got.peer_copies.len()
-                ),
+                detail: format!("exchange(host) run performed {peer_copies} peer copies"),
             });
         }
     }
@@ -433,24 +430,31 @@ pub fn check_program(p: &Program, seed: u64, cfg: &CheckConfig) -> Result<(), Ch
         // The route set is only pinned down for a legal program — after
         // a predicted error, what ran before the poison is unspecified.
         if want.error.is_none() {
-            if let Some(r) = got.peer_copies.iter().find(|r| r.5) {
+            let copies = got.events.iter().filter_map(RunEvent::peer_copy);
+            if let Some(r) = copies.clone().find(|r| r.diverted) {
                 return Err(CheckFailure {
                     tie,
                     detail: format!(
                         "exchange(auto): peer copy {}→{} of A{}[{}..{}] diverted to the \
                          host on a fault-free program",
-                        r.0,
-                        r.1,
-                        r.2,
-                        r.3,
-                        r.3 + r.4
+                        r.src,
+                        r.dst,
+                        r.section.array.0,
+                        r.section.start,
+                        r.section.end()
                     ),
                 });
             }
-            let mut routed: Vec<(u32, u32, u32, usize, usize)> = got
-                .peer_copies
-                .iter()
-                .map(|r| (r.0, r.1, r.2, r.3, r.4))
+            let mut routed: Vec<(u32, u32, u32, usize, usize)> = copies
+                .map(|r| {
+                    (
+                        r.src,
+                        r.dst,
+                        r.section.array.0,
+                        r.section.start,
+                        r.section.len,
+                    )
+                })
                 .collect();
             routed.sort_unstable();
             let predicted = oracle::predict_peer_copies(p);
@@ -479,17 +483,13 @@ pub fn check_seed(seed: u64, cfg: &CheckConfig) -> Result<(), CheckFailure> {
 fn diff_cache_runs(cold: &run::CacheRun, warm: &run::CacheRun) -> Option<String> {
     let a = &cold.observed;
     let b = &warm.observed;
-    let fields: [(&str, bool); 12] = [
+    let fields: [(&str, bool); 8] = [
         ("final arrays", a.arrays != b.arrays),
         ("reduction values", a.reduces != b.reduces),
         ("mapping snapshot", a.mappings != b.mappings),
-        ("degradation ledger", a.degradations != b.degradations),
+        ("run ledger", a.events != b.events),
         ("adaptive profiles", a.profiles != b.profiles),
         ("race count", a.races != b.races),
-        ("peer-copy ledger", a.peer_copies != b.peer_copies),
-        ("rescue ledger", a.rescues != b.rescues),
-        ("integrity ledger", a.integrity_events != b.integrity_events),
-        ("overlap ledger", a.overlap != b.overlap),
         ("first error", a.error != b.error),
         ("span timeline", cold.timeline != warm.timeline),
     ];
@@ -503,8 +503,9 @@ fn diff_cache_runs(cold: &run::CacheRun, warm: &run::CacheRun) -> Option<String>
 /// twice through [`run::execute_cached`] — once with the launch-plan
 /// cache disabled (every construct plans from scratch) and once with it
 /// enabled — and demand every observable identical: final arrays,
-/// reduction values, `RtError`s, the degradation / rescue / integrity /
-/// overlap / peer ledgers, adaptive profiles, mapping snapshots, and
+/// reduction values, `RtError`s, the run ledger (degradations, rescues,
+/// integrity detections, pipelined pieces and peer copies, in recording
+/// order), adaptive profiles, mapping snapshots, and
 /// the merged span timeline byte for byte. Returns the warm leg's
 /// cache counters so a sweep can assert the cache actually served hits.
 pub fn cache_parity_seed(
@@ -648,15 +649,25 @@ mod tests {
                 mode,
                 ..CheckConfig::default()
             };
-            // Rescues, healed commits and pipelined pieces: each ledger
-            // stays empty outside its own mode (the validators insist).
+            // Rescues, healed commits and pipelined pieces: each kind of
+            // event stays out of the ledger outside its own mode (the
+            // validators insist).
             let mut engaged = 0;
             for seed in 0..8u64 {
                 if let Err(f) = check_seed(seed, &cfg) {
                     panic!("{mode:?} seed {seed}: {f}");
                 }
                 let got = run::execute(&gen::gen_program(seed, mode), TieBreak::Fifo, None);
-                engaged += got.rescues.len() + got.integrity_events.len() + got.overlap.len();
+                engaged += got
+                    .events
+                    .iter()
+                    .filter(|e| {
+                        matches!(
+                            e,
+                            RunEvent::Rescue(_) | RunEvent::Integrity(_) | RunEvent::Overlap(_)
+                        )
+                    })
+                    .count();
             }
             if matches!(mode, Mode::Stragglers | Mode::Integrity | Mode::Overlap) {
                 assert!(

@@ -10,9 +10,9 @@
 //! peer-route eligibility, …) live in `spread-semantics`, one named
 //! transition rule each; this module owns only the *lowering* — how the
 //! fuzzer's surface statements decompose into enter/construct/update/
-//! exit directives — and the vocabulary conversions back to `RtError`
-//! and [`DegradationEvent`] at the boundary. The first error poisons
-//! the program: nothing after it is interpreted.
+//! exit directives — and the vocabulary conversion back to `RtError`
+//! at the boundary. The first error poisons the program: nothing after
+//! it is interpreted.
 //!
 //! When the program carries a [`crate::ast::FaultSpec`], the lost
 //! device is dead on arrival in the machine's initial [`State`], which
@@ -34,10 +34,10 @@ use std::ops::Range;
 use spread_core::schedule::distribute;
 use spread_core::{spec_admission, IntegrityMode};
 use spread_rt::section::ArrayId;
-use spread_rt::{DegradationEvent, DegradationKind, RtError, Section};
+use spread_rt::{RtError, Section};
 use spread_semantics::{
-    step, AbsSection, DegKind, Degradation, Directive, FoldOp, IntegritySem, KernelSem, Leg,
-    MapKind, Perturb, Piece, SemError, State, UpdateLeg,
+    step, AbsSection, Degradation, Directive, FoldOp, IntegritySem, KernelSem, Leg, MapKind,
+    Perturb, Piece, SemError, State, UpdateLeg,
 };
 
 use crate::ast::{KernelOp, Program, Sched, Stmt};
@@ -56,7 +56,7 @@ pub struct Expectation {
     pub mappings: Vec<Vec<(u32, usize, usize, u32)>>,
     /// The exact degradation-event sequence the runtime must record,
     /// in program order (pressure programs; empty otherwise).
-    pub degradations: Vec<DegradationEvent>,
+    pub degradations: Vec<Degradation>,
     /// The first error, if the program is illegal.
     pub error: Option<RtError>,
 }
@@ -115,21 +115,6 @@ fn rt_err(e: SemError) -> RtError {
             what,
             bytes,
         },
-    }
-}
-
-/// The spec's degradation record in the runtime's event vocabulary.
-fn deg_event(d: &Degradation) -> DegradationEvent {
-    DegradationEvent {
-        kind: match d.kind {
-            DegKind::AdmissionShrunk => DegradationKind::AdmissionShrunk,
-            DegKind::ChunkSplit => DegradationKind::ChunkSplit,
-            DegKind::Spilled => DegradationKind::Spilled,
-        },
-        device: d.device,
-        start: d.start,
-        len: d.len,
-        bytes: d.bytes,
     }
 }
 
@@ -585,7 +570,7 @@ pub fn predict(p: &Program, fault: Option<Fault>) -> Expectation {
         arrays: st.host,
         reduces: st.reduces,
         mappings: st.devices.iter().map(|d| d.snapshot()).collect(),
-        degradations: st.degradations.iter().map(deg_event).collect(),
+        degradations: st.degradations,
         error: error.map(rt_err),
     }
 }
@@ -826,7 +811,7 @@ mod tests {
     #[test]
     fn pressure_prediction_names_the_degradations() {
         use spread_core::PressurePolicy;
-        use spread_rt::DegradationKind;
+        use spread_semantics::DegKind;
         // Two devices, chunk 8 ⇒ chunks [0,8) on d0 and [8,16) on d1,
         // 64 bytes each. Device 0 keeps 64 bytes of headroom, device 1
         // is squeezed to 24 — its chunk must move to device 0.
@@ -856,7 +841,7 @@ mod tests {
         let e = predict(&shrunk, None);
         assert!(e.error.is_none());
         assert_eq!(e.degradations.len(), 1, "{:?}", e.degradations);
-        assert_eq!(e.degradations[0].kind, DegradationKind::AdmissionShrunk);
+        assert_eq!(e.degradations[0].kind, DegKind::AdmissionShrunk);
         assert_eq!(e.degradations[0].device, Some(0));
         assert_eq!(e.degradations[0].start, 8);
         assert_eq!(e.degradations[0].bytes, 64);
@@ -878,7 +863,7 @@ mod tests {
         assert!(e
             .degradations
             .iter()
-            .all(|d| d.kind == DegradationKind::Spilled && d.device.is_none() && d.bytes == 64));
+            .all(|d| d.kind == DegKind::Spilled && d.device.is_none() && d.bytes == 64));
         assert_eq!(e.arrays, predict(&healthy, None).arrays);
     }
 

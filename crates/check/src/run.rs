@@ -11,16 +11,12 @@ use spread_core::{
 };
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
-use spread_rt::{
-    DegradationEvent, HostArray, IntegrityEvent, KernelSpec, MapType, RtError, Runtime,
-    RuntimeConfig, Scope,
-};
+use spread_rt::{HostArray, KernelSpec, MapType, RtError, RunEvent, Runtime, RuntimeConfig, Scope};
 use spread_sim::{FaultPlan, SimTime, TieBreak};
 use spread_trace::ConstructProfile;
 
 use crate::ast::{BadKind, KernelOp, Program, Stmt};
 use crate::{oracle, Fault};
-use spread_rt::{OverlapRecord, RescueRecord};
 
 /// The host staging-buffer bound the executor configures for pressure
 /// programs: 8 pool elements, small enough that most spilled pieces
@@ -37,32 +33,18 @@ pub struct Observed {
     /// `(array, start, len, refcount)` per device, sorted — from
     /// [`Runtime::mapping_snapshot`].
     pub mappings: Vec<Vec<(u32, usize, usize, u32)>>,
-    /// Degradation events in program order, from
-    /// [`Runtime::degradations`].
-    pub degradations: Vec<DegradationEvent>,
+    /// The run ledger in recording order, from [`Runtime::events`]:
+    /// degradations (pressure programs), peer copies (halo statements
+    /// under `exchange(auto)`), straggler rescues, integrity detections
+    /// and pipelined pieces — each kind absent unless the program
+    /// carries the matching scenario.
+    pub events: Vec<RunEvent>,
     /// Per-construct adaptive profiles in launch order, from
     /// [`Runtime::profiles`] — non-empty only for
     /// `spread_schedule(auto)` programs (which run with tracing on).
     pub profiles: Vec<ConstructProfile>,
     /// Number of race reports.
     pub races: usize,
-    /// Every peer copy the runtime performed, in enqueue order:
-    /// `(src, dst, array, start, len, diverted)` — from
-    /// [`Runtime::peer_copies`]. Empty unless the program carries
-    /// [`Stmt::Halo`] statements executed under `exchange(auto)`.
-    pub peer_copies: Vec<(u32, u32, u32, usize, usize, bool)>,
-    /// Every straggler rescue the runtime performed, in detection
-    /// order — from [`Runtime::rescues`]. Empty unless the program
-    /// carries a [`crate::ast::StragglerSpec`].
-    pub rescues: Vec<RescueRecord>,
-    /// Every caught corruption, in detection order — from
-    /// [`Runtime::integrity_events`]. Empty unless the program carries
-    /// an [`crate::ast::IntegritySpec`] (or the peer canary arms a flip).
-    pub integrity_events: Vec<IntegrityEvent>,
-    /// Every pipelined piece the runtime ran, in completion order —
-    /// from [`Runtime::overlap_records`]. Empty unless the program
-    /// carries an [`crate::ast::OverlapSpec`].
-    pub overlap: Vec<OverlapRecord>,
     /// The first error, if any.
     pub error: Option<RtError>,
 }
@@ -605,26 +587,9 @@ impl Lowering<'_> {
             arrays: handles.iter().map(|&h| rt.snapshot_host(h)).collect(),
             reduces,
             mappings,
-            degradations: rt.degradations(),
+            events: rt.events().to_vec(),
             profiles: rt.profiles(),
             races: rt.races().len(),
-            rescues: rt.rescues(),
-            integrity_events: rt.integrity_events(),
-            overlap: rt.overlap_records(),
-            peer_copies: rt
-                .peer_copies()
-                .iter()
-                .map(|r| {
-                    (
-                        r.src,
-                        r.dst,
-                        r.section.array.0,
-                        r.section.start,
-                        r.section.len,
-                        r.diverted,
-                    )
-                })
-                .collect(),
             error: result.err(),
         };
         CacheRun {
@@ -718,7 +683,7 @@ mod tests {
             assert_eq!(o.arrays[0][i], Program::initial(0, i) + 1.5);
         }
         assert!(o.mappings.iter().all(|d| d.is_empty()));
-        assert!(o.degradations.is_empty());
+        assert!(o.events.is_empty());
     }
 
     #[test]
@@ -817,8 +782,10 @@ mod tests {
         let o = execute(&p, TieBreak::Fifo, None);
         assert!(o.error.is_none(), "{:?}", o.error);
         assert_eq!(o.races, 0);
-        assert_eq!(o.degradations.len(), 1, "{:?}", o.degradations);
-        assert!(o.degradations[0].device.is_none(), "spilled to the host");
+        let [RunEvent::Degradation(spill)] = o.events.as_slice() else {
+            panic!("one degradation expected: {:?}", o.events);
+        };
+        assert!(spill.device.is_none(), "spilled to the host");
         for i in 0..12 {
             assert_eq!(o.arrays[0][i], Program::initial(0, i) + 1.5);
         }

@@ -37,7 +37,7 @@ use spread_rt::{MapClause, Section};
 
 use crate::pressure::PlannedPiece;
 use crate::schedule::Chunk;
-use spread_rt::DegradationEvent;
+use spread_semantics::Degradation;
 
 /// The per-chunk result of evaluating a construct's `map` and `depend`
 /// section expressions — everything [`build_target_from`] needs to
@@ -69,7 +69,7 @@ pub(crate) enum PlanBody {
     /// pieces, which map nothing).
     Pressure {
         pieces: Vec<PlannedPiece>,
-        events: Vec<DegradationEvent>,
+        events: Vec<Degradation>,
         sections: Vec<Option<ChunkSections>>,
     },
 }

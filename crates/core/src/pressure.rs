@@ -30,7 +30,7 @@
 //! planner's conservative budget sound: a device never holds more than
 //! one piece of the construct at a time.
 //!
-//! Every decision is recorded as a [`DegradationEvent`]
+//! Every decision is recorded as a [`Degradation`] in the run ledger
 //! (`admission_shrunk` / `chunk_split` / `spilled_bytes`); the
 //! `spread-check` oracle re-runs the same pure planner and predicts the
 //! exact event sequence.
@@ -39,7 +39,8 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::rc::Rc;
 
-use spread_rt::{ConstructIds, DegradationEvent, DegradationKind, RtError, Scope, TaskId};
+use spread_rt::{ConstructIds, RtError, RunEvent, Scope, TaskId};
+use spread_semantics::{DegKind, Degradation};
 
 use crate::recovery::{complete_behind, retire, Piece, Recovery};
 use crate::schedule::Chunk;
@@ -245,19 +246,19 @@ fn place(
 /// piece spilled; a fragment records a split; an intact chunk that
 /// moved off its scheduled device records an admission shrink; a chunk
 /// placed where the schedule put it records nothing.
-pub fn degradation_events(pieces: &[PlannedPiece]) -> Vec<DegradationEvent> {
+pub fn degradation_events(pieces: &[PlannedPiece]) -> Vec<Degradation> {
     pieces
         .iter()
         .filter_map(|p| {
             let (kind, device) = match (p.placement, p.split) {
-                (Placement::Host, _) => (DegradationKind::Spilled, None),
-                (Placement::Device(d), true) => (DegradationKind::ChunkSplit, Some(d)),
+                (Placement::Host, _) => (DegKind::Spilled, None),
+                (Placement::Device(d), true) => (DegKind::ChunkSplit, Some(d)),
                 (Placement::Device(d), false) if d != p.scheduled_device => {
-                    (DegradationKind::AdmissionShrunk, Some(d))
+                    (DegKind::AdmissionShrunk, Some(d))
                 }
                 _ => return None,
             };
-            Some(DegradationEvent {
+            Some(Degradation {
                 kind,
                 device,
                 start: p.start,
@@ -283,25 +284,9 @@ pub fn spec_admission(
     headroom: &HashMap<u32, u64>,
     footprint: &dyn Fn(usize, usize) -> u64,
     policy: PressurePolicy,
-) -> Result<Vec<spread_semantics::Degradation>, spread_semantics::SemError> {
+) -> Result<Vec<Degradation>, spread_semantics::SemError> {
     match plan_admission(chunks, devices, headroom, footprint, policy) {
-        Ok(pieces) => Ok(degradation_events(&pieces)
-            .into_iter()
-            .map(|e| spread_semantics::Degradation {
-                kind: match e.kind {
-                    DegradationKind::AdmissionShrunk => spread_semantics::DegKind::AdmissionShrunk,
-                    DegradationKind::ChunkSplit => spread_semantics::DegKind::ChunkSplit,
-                    DegradationKind::Spilled => spread_semantics::DegKind::Spilled,
-                    DegradationKind::StragglerRescued | DegradationKind::CorruptionHealed => {
-                        unreachable!("the admission planner never emits rescue or heal events")
-                    }
-                },
-                device: e.device,
-                start: e.start,
-                len: e.len,
-                bytes: e.bytes,
-            })
-            .collect()),
+        Ok(pieces) => Ok(degradation_events(&pieces)),
         Err(RtError::Degraded {
             device,
             what,
@@ -345,13 +330,13 @@ pub(crate) fn split(
         match rec.spread.pressure() {
             PressurePolicy::Spill => {
                 let bytes = rec.spread.footprint_bytes(start, len);
-                s.record_degradation(DegradationEvent {
-                    kind: DegradationKind::Spilled,
+                s.record(RunEvent::Degradation(Degradation {
+                    kind: DegKind::Spilled,
                     device: None,
                     start,
                     len,
                     bytes,
-                });
+                }));
                 let spill_id = spread_rt::spill_chunk(
                     s,
                     format!("spread-spill[{start}..{})", start + len),
@@ -369,13 +354,13 @@ pub(crate) fn split(
     let mut exits = Vec::with_capacity(2);
     for (start, len) in halves {
         let half = Piece { device, start, len };
-        s.record_degradation(DegradationEvent {
-            kind: DegradationKind::ChunkSplit,
+        s.record(RunEvent::Degradation(Degradation {
+            kind: DegKind::ChunkSplit,
             device: Some(device),
             start,
             len,
             bytes: rec.spread.footprint_bytes(start, len),
-        });
+        }));
         // Halves can still be too big: they are guarded like the piece
         // and split recursively down to one iteration.
         let t = rec
@@ -439,7 +424,7 @@ mod tests {
         assert!(!pieces[0].split);
         let ev = degradation_events(&pieces);
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].kind, DegradationKind::AdmissionShrunk);
+        assert_eq!(ev[0].kind, DegKind::AdmissionShrunk);
         assert_eq!(ev[0].device, Some(1));
         assert_eq!((ev[0].start, ev[0].len), (0, 10));
     }
@@ -456,7 +441,7 @@ mod tests {
         assert_eq!(pieces[1].range(), 5..10);
         let ev = degradation_events(&pieces);
         assert_eq!(ev.len(), 2);
-        assert!(ev.iter().all(|e| e.kind == DegradationKind::ChunkSplit));
+        assert!(ev.iter().all(|e| e.kind == DegKind::ChunkSplit));
     }
 
     #[test]
@@ -501,7 +486,7 @@ mod tests {
         assert_eq!(pieces[0].range(), 0..10);
         let ev = degradation_events(&pieces);
         assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].kind, DegradationKind::Spilled);
+        assert_eq!(ev[0].kind, DegKind::Spilled);
         assert_eq!(ev[0].bytes, 80);
     }
 

@@ -44,8 +44,8 @@ use std::rc::Rc;
 
 use spread_rt::directives::Target;
 use spread_rt::{
-    Arms, CommitGate, ConstructIds, IntegrityAction, IntegrityMode, KernelSpec, RtError, Scope,
-    TaskId, TaskLabel,
+    Arms, CommitGate, ConstructIds, IntegrityAction, IntegrityMode, KernelSpec, RtError, RunEvent,
+    Scope, TaskId, TaskLabel,
 };
 use spread_trace::{Lane, SpanKind};
 
@@ -305,8 +305,9 @@ fn recover(
         Some(home.device)
     } else if corrupt
         || rec.spread.resilience() == ResiliencePolicy::Redistribute
-        || s.integrity_events()
+        || s.events()
             .iter()
+            .filter_map(RunEvent::integrity)
             .any(|e| e.device == home.device && e.action == IntegrityAction::Quarantined)
     {
         rec.pick_survivor(s)

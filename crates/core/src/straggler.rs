@@ -32,15 +32,17 @@
 //! Rescues serialize after every construct already placed on their
 //! target device — originals, replacements and earlier rescues alike,
 //! read from the launch's one [`recovery`](crate::recovery) ledger (the
-//! §V-B gap condition by ordering) — and are reported
-//! through [`Runtime::rescues`](spread_rt::Runtime::rescues) plus a
-//! `StragglerRescued` degradation event per rescue.
+//! §V-B gap condition by ordering) — and each is recorded once in the
+//! run ledger as a [`spread_rt::RunEvent::Rescue`], which also draws
+//! its `StragglerRescued` marker span.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use spread_rt::{CommitGate, ConstructIds, RescueRecord, RtError, Scope, TaskId, TaskLabel};
+use spread_rt::{
+    CommitGate, ConstructIds, RescueRecord, RtError, RunEvent, Scope, TaskId, TaskLabel,
+};
 use spread_trace::{SimDuration, SimTime};
 
 use crate::recovery::{Piece, Recovery};
@@ -206,7 +208,7 @@ impl Monitor {
         for id in ids.all() {
             s.forgive_task_footprints(id);
         }
-        let idx = s.record_rescue(RescueRecord {
+        let idx = s.record(RunEvent::Rescue(RescueRecord {
             start,
             len,
             from,
@@ -214,7 +216,7 @@ impl Monitor {
             winner: None,
             commits: 0,
             stolen,
-        });
+        }));
         gate.set_log_idx(idx);
         // No depend clauses on the rescue: it must *race* the original
         // construct, not queue behind its publishes; downstream

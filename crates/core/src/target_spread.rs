@@ -23,7 +23,7 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use spread_rt::directives::Target;
-use spread_rt::{IntegrityMode, KernelSpec, RtError, Scope, Section, TaskId, TaskLabel};
+use spread_rt::{IntegrityMode, KernelSpec, RtError, RunEvent, Scope, Section, TaskId, TaskLabel};
 
 use crate::chunk::ChunkCtx;
 use crate::clauses::{ClauseSet, OverlapPolicy, SpreadClausesExt};
@@ -206,20 +206,6 @@ impl TargetSpread {
             .schedule
             .as_ref()
             .expect("TargetSpread always carries a schedule")
-    }
-
-    /// Whether `nowait` was requested.
-    pub fn is_nowait(&self) -> bool {
-        self.nowait
-    }
-
-    /// The chunks this construct would create for `range` — the exact
-    /// `distribute` call `parallel_for` makes for static schedules, so a
-    /// model (or a pretty-printer) can predict chunk → device placement
-    /// without launching anything. Dynamic schedules return chunks with
-    /// `device == None` (assignment happens at claim time).
-    pub fn plan_chunks(&self, range: Range<usize>) -> Vec<crate::schedule::Chunk> {
-        distribute(range, &self.devices, self.schedule())
     }
 
     /// The construct's launch-plan fingerprint: a structural hash of
@@ -579,7 +565,7 @@ impl TargetSpread {
                 #[cfg(not(debug_assertions))]
                 let _ = pieces;
                 for ev in events.clone() {
-                    scope.record_degradation(ev);
+                    scope.record(RunEvent::Degradation(ev));
                 }
                 plan
             }
@@ -593,7 +579,7 @@ impl TargetSpread {
                 };
                 let events = pressure::degradation_events(&pieces);
                 for ev in events.clone() {
-                    scope.record_degradation(ev);
+                    scope.record(RunEvent::Degradation(ev));
                 }
                 let sections: Vec<Option<ChunkSections>> = pieces
                     .iter()

@@ -8,9 +8,18 @@ use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
-use spread_rt::{IntegrityAction, IntegrityBoundary};
+use spread_rt::{IntegrityAction, IntegrityBoundary, IntegrityEvent, RunEvent};
 use spread_sim::FaultPlan;
 use spread_trace::{SimTime, SpanKind};
+
+/// The integrity events in the run ledger, in recording order.
+fn integrity_events(rt: &Runtime) -> Vec<IntegrityEvent> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::integrity)
+        .cloned()
+        .collect()
+}
 
 fn runtime(n_devices: usize, plan: Option<FaultPlan>, breaker: u32) -> Runtime {
     let topo = Topology::uniform(
@@ -96,7 +105,7 @@ fn off_lets_a_flip_flow_through_silently() {
         .filter(|&i| out[i].to_bits() != expect[i].to_bits())
         .count();
     assert_eq!(wrong, 1, "exactly one element rotted on the way home");
-    assert!(rt.integrity_events().is_empty(), "off computes no digests");
+    assert!(integrity_events(&rt).is_empty(), "off computes no digests");
 }
 
 #[test]
@@ -116,7 +125,7 @@ fn verify_fails_the_construct_and_names_the_device() {
         matches!(err, RtError::IntegrityViolation { device: 2, .. }),
         "{err:?}"
     );
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].device, 2);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
@@ -143,7 +152,7 @@ fn heal_completes_bit_identical_with_flips_injected() {
     .unwrap();
     assert_eq!(out, expect, "healed results must be bit-identical");
     assert!(rt.races().is_empty());
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 3, "three flips, three detections");
     assert!(events
         .iter()
@@ -176,7 +185,7 @@ fn a_mismatch_streak_quarantines_and_the_redo_lands_on_a_sibling() {
     .unwrap();
     assert_eq!(out, expect, "quarantine still lands bit-identical results");
     assert_eq!(rt.lost_devices(), vec![1], "the liar is quarantined");
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert!(
         events
             .iter()
@@ -204,8 +213,7 @@ fn heal_composes_with_redistribute_across_a_genuine_loss() {
     )
     .unwrap();
     assert_eq!(out, expect, "loss redistributed and flip healed at once");
-    assert!(rt
-        .integrity_events()
+    assert!(integrity_events(&rt)
         .iter()
         .any(|e| e.action == IntegrityAction::Healed && e.device == 1));
 }
@@ -244,7 +252,7 @@ fn heal_without_faults_matches_fail_stop_exactly() {
     )
     .unwrap();
     assert_eq!(out, expect);
-    assert!(rt.integrity_events().is_empty(), "no fault, no detections");
+    assert!(integrity_events(&rt).is_empty(), "no fault, no detections");
     let heals = rt
         .timeline()
         .spans()
@@ -268,7 +276,7 @@ fn healing_is_deterministic() {
             n,
         )
         .unwrap();
-        (out, rt.integrity_events().len(), rt.elapsed())
+        (out, integrity_events(&rt).len(), rt.elapsed())
     };
     assert_eq!(run(), run(), "same plan, same seed => identical healing");
 }

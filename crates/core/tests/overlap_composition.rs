@@ -9,9 +9,27 @@ use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
-use spread_rt::IntegrityAction;
+use spread_rt::{IntegrityAction, IntegrityEvent, OverlapRecord, RunEvent};
 use spread_sim::FaultPlan;
 use spread_trace::SimTime;
+
+/// The integrity events in the run ledger, in recording order.
+fn integrity_events(rt: &Runtime) -> Vec<IntegrityEvent> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::integrity)
+        .cloned()
+        .collect()
+}
+
+/// The overlap records in the run ledger, in recording order.
+fn overlap_records(rt: &Runtime) -> Vec<OverlapRecord> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::overlap)
+        .cloned()
+        .collect()
+}
 
 fn runtime(n_devices: usize, plan: Option<FaultPlan>) -> Runtime {
     let topo = Topology::uniform(
@@ -75,7 +93,7 @@ fn overlap_static_multi_device_bit_identical() {
         })
         .unwrap();
         assert_eq!(out, expect, "depth {depth}");
-        let recs = rt.overlap_records();
+        let recs = overlap_records(&rt);
         assert_eq!(recs.len(), n / 64, "one record per pipelined piece");
         assert!(recs.iter().all(|r| r.staged == r.committed));
         assert!(rt.races().is_empty());
@@ -124,7 +142,7 @@ fn overlap_auto_explores_depths_and_stays_bit_identical() {
     // The exploration phase must have tried the pipelined candidates
     // (depths 2 and 4) at least once each: those launches leave overlap
     // records; depth-1 launches do not.
-    let recs = rt.overlap_records();
+    let recs = overlap_records(&rt);
     let depths: std::collections::BTreeSet<u32> = recs.iter().map(|r| r.depth).collect();
     assert!(
         depths.contains(&2) && depths.contains(&4),
@@ -183,7 +201,8 @@ fn overlap_composes_with_straggler_steal() {
     })
     .unwrap();
     assert_eq!(out, expect, "rescued results must be bit-identical");
-    let rescues = rt.rescues();
+    let events = rt.events();
+    let rescues: Vec<_> = events.iter().filter_map(RunEvent::rescue).collect();
     assert!(!rescues.is_empty(), "the slow piece must be rescued");
     for r in &rescues {
         assert_eq!(r.from, 1);
@@ -192,7 +211,7 @@ fn overlap_composes_with_straggler_steal() {
     }
     // The rescue re-executes the piece *un-pipelined*: the overlap log
     // holds one record per original piece and nothing for rescues.
-    assert_eq!(rt.overlap_records().len(), n / 64);
+    assert_eq!(overlap_records(&rt).len(), n / 64);
     assert!(rt.races().is_empty());
 }
 
@@ -212,7 +231,7 @@ fn overlap_composes_with_integrity_verify() {
         RtError::IntegrityViolation { device, .. } => assert_eq!(device, 1),
         other => panic!("expected IntegrityViolation on device 1, got {other:?}"),
     }
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert!(events.iter().any(|e| e.action == IntegrityAction::Failed));
 }
 
@@ -231,8 +250,7 @@ fn overlap_composes_with_integrity_heal() {
     })
     .unwrap();
     assert_eq!(out, expect, "healed results must be bit-identical");
-    assert!(rt
-        .integrity_events()
+    assert!(integrity_events(&rt)
         .iter()
         .any(|e| e.action == IntegrityAction::Healed && e.device == 1));
     assert!(rt.races().is_empty());
@@ -250,5 +268,5 @@ fn depth_one_is_off() {
     for (i, v) in out.iter().enumerate() {
         assert_eq!(*v, 3.0 * i as f64 + 1.0);
     }
-    assert!(rt.overlap_records().is_empty());
+    assert!(overlap_records(&rt).is_empty());
 }

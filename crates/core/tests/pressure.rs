@@ -7,9 +7,19 @@ use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
-use spread_rt::DegradationKind;
+use spread_rt::RunEvent;
+use spread_semantics::{DegKind, Degradation};
 use spread_sim::FaultPlan;
 use spread_trace::{SimTime, SpanKind};
+
+/// The degradations in the run ledger, in recording order.
+fn degradations(rt: &Runtime) -> Vec<Degradation> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::degradation)
+        .cloned()
+        .collect()
+}
 
 fn runtime(n_devices: usize, mem_bytes: u64, plan: Option<FaultPlan>) -> Runtime {
     let topo = Topology::uniform(
@@ -67,7 +77,7 @@ fn no_pressure_means_no_degradation() {
     let mut rt = runtime(2, 1 << 22, None);
     let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Split, 128).unwrap();
     assert_eq!(out, expected(128));
-    assert!(rt.degradations().is_empty());
+    assert!(degradations(&rt).is_empty());
     assert!(rt.races().is_empty());
 }
 
@@ -80,9 +90,9 @@ fn admission_moves_chunk_off_pressured_device() {
     let mut rt = runtime(2, cap, Some(plan));
     let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Split, 128).unwrap();
     assert_eq!(out, expected(128));
-    let evs = rt.degradations();
+    let evs = degradations(&rt);
     assert_eq!(evs.len(), 1, "exactly one admission move, got {evs:?}");
-    assert_eq!(evs[0].kind, DegradationKind::AdmissionShrunk);
+    assert_eq!(evs[0].kind, DegKind::AdmissionShrunk);
     assert_eq!(evs[0].device, Some(1));
     assert_eq!((evs[0].start, evs[0].len), (0, 64));
     assert!(rt.races().is_empty());
@@ -96,12 +106,12 @@ fn oversized_chunks_split_recursively_and_complete() {
     let mut rt = runtime(3, 768, None);
     let out = run_scale(&mut rt, vec![0, 1, 2], PressurePolicy::Split, 128).unwrap();
     assert_eq!(out, expected(128));
-    let evs = rt.degradations();
+    let evs = degradations(&rt);
     assert!(
         evs.len() >= 4,
         "two oversized chunks must split at least once each, got {evs:?}"
     );
-    assert!(evs.iter().all(|e| e.kind == DegradationKind::ChunkSplit));
+    assert!(evs.iter().all(|e| e.kind == DegKind::ChunkSplit));
     // The split pieces tile the iteration space exactly.
     let covered: usize = evs.iter().map(|e| e.len).sum();
     assert_eq!(covered, 128);
@@ -127,9 +137,9 @@ fn spill_completes_when_no_device_has_headroom() {
     let mut rt = runtime(2, cap, Some(plan));
     let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Spill, 128).unwrap();
     assert_eq!(out, expected(128));
-    let evs = rt.degradations();
+    let evs = degradations(&rt);
     assert_eq!(evs.len(), 2, "both chunks spill whole, got {evs:?}");
-    assert!(evs.iter().all(|e| e.kind == DegradationKind::Spilled));
+    assert!(evs.iter().all(|e| e.kind == DegKind::Spilled));
     assert!(evs.iter().all(|e| e.device.is_none()));
     assert_eq!(evs.iter().map(|e| e.bytes).sum::<u64>(), 2048);
     let spans = rt.timeline();
@@ -202,11 +212,9 @@ fn reactive_split_recovers_from_fragmentation() {
     .unwrap();
     let out = rt.snapshot_host(x);
     assert_eq!(out, (0..n).map(|i| 2.0 * i as f64).collect::<Vec<_>>());
-    let evs = rt.degradations();
+    let evs = degradations(&rt);
     assert_eq!(
-        evs.iter()
-            .filter(|e| e.kind == DegradationKind::ChunkSplit)
-            .count(),
+        evs.iter().filter(|e| e.kind == DegKind::ChunkSplit).count(),
         2,
         "fragmentation must trigger one reactive split into halves, got {evs:?}"
     );
@@ -223,7 +231,7 @@ fn pressure_under_pressure_is_deterministic() {
             .sustain_pressure(1, SimTime::ZERO, cap / 2);
         let mut rt = runtime(2, cap, Some(plan));
         let out = run_scale(&mut rt, vec![0, 1], PressurePolicy::Spill, 256).unwrap();
-        (out, rt.degradations(), rt.elapsed())
+        (out, degradations(&rt), rt.elapsed())
     };
     assert_eq!(
         run(),

@@ -6,9 +6,18 @@ use spread_core::prelude::*;
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
-use spread_rt::{DegradationKind, Runtime};
+use spread_rt::{RescueRecord, RunEvent, Runtime};
 use spread_sim::FaultPlan;
 use spread_trace::{SimTime, SpanKind};
+
+/// The rescues in the run ledger, in recording order.
+fn rescues(rt: &Runtime) -> Vec<RescueRecord> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::rescue)
+        .cloned()
+        .collect()
+}
 
 fn runtime(n_devices: usize, plan: Option<FaultPlan>) -> Runtime {
     let topo = Topology::uniform(
@@ -75,7 +84,7 @@ fn check_rescued(policy: StragglerPolicy, expect_stolen: bool) {
     assert_eq!(out, expect, "rescued results must be bit-identical");
     assert!(rt.races().is_empty());
 
-    let rescues = rt.rescues();
+    let rescues = rescues(&rt);
     assert!(!rescues.is_empty(), "the slow piece must be rescued");
     for r in &rescues {
         assert_eq!(r.from, 1, "only the slow device straggles");
@@ -88,13 +97,7 @@ fn check_rescued(policy: StragglerPolicy, expect_stolen: bool) {
         );
         assert_eq!(r.stolen, expect_stolen);
     }
-    // Each rescue is mirrored as a degradation event and a trace span.
-    let deg: Vec<_> = rt
-        .degradations()
-        .into_iter()
-        .filter(|e| e.kind == DegradationKind::StragglerRescued)
-        .collect();
-    assert_eq!(deg.len(), rescues.len());
+    // Each rescue is recorded once and draws one trace marker.
     let tl = rt.timeline();
     let marks = tl
         .spans()
@@ -125,7 +128,7 @@ fn rescue_is_deterministic_per_plan() {
         .map(|_| {
             let mut rt = runtime(4, Some(slow_plan()));
             let out = run_scale(&mut rt, vec![0, 1, 2, 3], StragglerPolicy::Steal, n).unwrap();
-            (out, rt.rescues(), rt.elapsed())
+            (out, rescues(&rt), rt.elapsed())
         })
         .collect();
     assert_eq!(runs[0], runs[1], "identical plan, identical run");
@@ -157,7 +160,7 @@ fn fast_runs_never_rescue() {
     let n = 512;
     let mut rt = runtime(4, None);
     let out = run_scale(&mut rt, vec![0, 1, 2, 3], StragglerPolicy::Steal, n).unwrap();
-    assert!(rt.rescues().is_empty(), "no straggler, no rescue");
+    assert!(rescues(&rt).is_empty(), "no straggler, no rescue");
     let mut clean = runtime(4, None);
     let expect = run_scale(&mut clean, vec![0, 1, 2, 3], StragglerPolicy::Wait, n).unwrap();
     assert_eq!(out, expect);
@@ -291,7 +294,7 @@ fn beta_scales_the_deadline() {
             Ok(())
         })
         .unwrap();
-        rt.rescues().len()
+        rescues(&rt).len()
     };
     assert_eq!(run(4.0), 0, "2x straggler fits a 4x deadline");
     assert!(run(1.0) > 0, "a tight deadline rescues the 2x straggler");

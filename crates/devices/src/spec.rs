@@ -92,18 +92,6 @@ impl DeviceSpec {
         self
     }
 
-    /// Override the DMA launch latency.
-    pub fn with_dma_latency(mut self, latency: SimDuration) -> Self {
-        self.dma_latency = latency;
-        self
-    }
-
-    /// Override the compute model.
-    pub fn with_compute(mut self, compute: ComputeModel) -> Self {
-        self.compute = compute;
-        self
-    }
-
     /// Select default-stream (`true`) or separate-streams (`false`)
     /// engine semantics.
     pub fn with_single_queue(mut self, single_queue: bool) -> Self {

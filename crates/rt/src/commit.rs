@@ -33,7 +33,7 @@ struct GateState {
     /// (`spread_integrity`). A set, because both can happen to the same
     /// gate — a stolen original *and* a corrupted rescue.
     disqualified: Vec<u32>,
-    /// Index of this gate's entry in the runtime's rescue log, set when
+    /// Index of this gate's rescue in the run ledger, set when
     /// a rescue is actually launched.
     log_idx: Option<usize>,
 }
@@ -103,14 +103,15 @@ impl CommitGate {
         self.inner.borrow().commits
     }
 
-    /// Attach this gate to an entry of the runtime's rescue log (the
-    /// index returned by `Scope::record_rescue`): the gate will fill in
-    /// that record's `winner`/`commits` as the racing exits arrive.
+    /// Attach this gate to a rescue in the run ledger (the index
+    /// [`Scope::record`](crate::Scope::record) returned): the gate will
+    /// fill in that record's `winner`/`commits` as the racing exits
+    /// arrive.
     pub fn set_log_idx(&self, idx: usize) {
         self.inner.borrow_mut().log_idx = Some(idx);
     }
 
-    /// The attached rescue-log index, if any.
+    /// The attached ledger index, if any.
     pub(crate) fn log_idx(&self) -> Option<usize> {
         self.inner.borrow().log_idx
     }

@@ -24,8 +24,9 @@
 //!   per-device mismatch streak escalates through the `health.rs`
 //!   circuit breaker into quarantine.
 //!
-//! Every detection is recorded as an [`IntegrityEvent`], exposed via
-//! [`Runtime::integrity_events`](crate::runtime::Runtime::integrity_events).
+//! Every detection is recorded once, as a
+//! [`RunEvent::Integrity`](crate::RunEvent::Integrity) in the run ledger
+//! ([`Runtime::events`](crate::runtime::Runtime::events)).
 
 use spread_trace::SimTime;
 

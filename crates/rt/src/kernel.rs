@@ -268,11 +268,6 @@ impl ChunkViews<'_, '_> {
         }
     }
 
-    /// The write section of argument `arg` for this chunk.
-    pub fn write_range(&self, arg: usize) -> Range<usize> {
-        self.write_ranges[arg].clone()
-    }
-
     #[inline]
     fn check_mapped(&self, b: &ResolvedArg, start: usize, end: usize) {
         assert!(

@@ -25,6 +25,9 @@
 //!   bulk host↔device copy and counts them ([`HostCounters`]).
 //! * [`runtime`] — [`Runtime`] / [`Scope`]: the central object tying the
 //!   simulator, devices, presence tables and task graph together.
+//! * [`ledger`] — the run ledger: every runtime decision (degradation,
+//!   peer copy, straggler rescue, integrity detection, pipelined
+//!   construct) recorded once, in order, as a [`RunEvent`].
 //! * [`directives`] — builder-style directives mirroring the pragmas:
 //!   [`Target`](directives::Target), [`TargetData`](directives::TargetData),
 //!   [`TargetEnterData`](directives::TargetEnterData),
@@ -53,6 +56,7 @@ pub mod error;
 pub mod host;
 pub mod integrity;
 pub mod kernel;
+pub mod ledger;
 pub mod map;
 pub mod mapping;
 pub mod overlap;
@@ -71,13 +75,11 @@ pub use error::RtError;
 pub use host::HostArray;
 pub use integrity::{IntegrityAction, IntegrityBoundary, IntegrityEvent, IntegrityMode};
 pub use kernel::{Access, KernelArg, KernelSpec};
+pub use ledger::{PeerCopyRecord, RescueRecord, RunEvent};
 pub use map::{MapClause, MapType};
 pub use overlap::OverlapRecord;
 pub use plan_cache::PlanCacheStats;
-pub use runtime::{
-    Arms, DegradationEvent, DegradationKind, PeerCopyRecord, RescueRecord, Runtime, RuntimeConfig,
-    Scope,
-};
+pub use runtime::{Arms, Runtime, RuntimeConfig, Scope};
 pub use section::{ArrayId, Section};
 pub use spill::{kernel_footprint_bytes, spill_chunk, spill_slices};
 pub use task::{GroupId, TaskId, TaskLabel};

@@ -30,7 +30,7 @@
 //! - D2H sub-slices are staged like any other exit and drained
 //!   all-or-nothing at the exit's commit point, through the same
 //!   `staged_commit_finish` the classic path uses — the commit gate,
-//!   integrity verification and healing, and the rescue log all observe
+//!   integrity verification and healing, and the rescue records all observe
 //!   whole-piece commits. No sub-slice commit is externally visible.
 //! - Under allocation backpressure an enter that cannot get memory
 //!   parks classically and the construct *bypasses* the pipeline
@@ -857,7 +857,7 @@ fn try_exit_finish(sim: &mut Simulator, inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc
     pipe.freed.set(true);
     let committed = staged_commit_finish(sim, inner_rc, &pipe.exit, args);
     pipe.record.borrow_mut().committed = committed as u32;
-    push_record(inner_rc, pipe);
+    push_record(sim, inner_rc, pipe);
 }
 
 /// Phase 3: plan the real exit, reconcile it against the kernel-time
@@ -877,7 +877,7 @@ pub(crate) fn pipelined_exit(
 ) -> Result<Completion, RtError> {
     if pipe.bypass.get() {
         let plan = inner_rc.borrow_mut().plan_exit(device, maps)?;
-        push_record(inner_rc, pipe);
+        push_record(sim, inner_rc, pipe);
         run_transfers_ex(
             sim,
             inner_rc,
@@ -941,9 +941,11 @@ pub(crate) fn pipelined_exit(
 }
 
 /// Append the construct's ledger record.
-fn push_record(inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc<PipeState>) {
+fn push_record(sim: &Simulator, inner_rc: &Rc<RefCell<Inner>>, pipe: &Rc<PipeState>) {
     let rec = pipe.record.borrow().clone();
-    inner_rc.borrow_mut().overlap_log.push(rec);
+    inner_rc
+        .borrow_mut()
+        .record(sim.now(), crate::ledger::RunEvent::Overlap(rec));
 }
 
 #[cfg(test)]

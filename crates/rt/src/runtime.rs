@@ -18,7 +18,7 @@
 //! (a `nowait` directive cannot fail at its pragma). The first error
 //! poisons the runtime; every subsequent drain returns it.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::ops::Range;
 use std::rc::Rc;
 
@@ -36,6 +36,7 @@ use crate::error::RtError;
 use crate::host::{HostArray, HostRegistry};
 use crate::integrity::{IntegrityAction, IntegrityBoundary, IntegrityEvent, IntegrityMode};
 use crate::kernel::{self, KernelSpec, ResolvedArg};
+use crate::ledger::{PeerCopyRecord, RunEvent};
 use crate::map::{MapClause, MapType};
 use crate::mapping::{EnterDecision, EntryKey, ExitDecision, MapConflict, PresenceTable};
 use crate::section::Section;
@@ -171,45 +172,6 @@ impl RuntimeConfig {
         self.plan_cache = on;
         self
     }
-}
-
-/// Which rung of the memory-pressure degradation ladder fired.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DegradationKind {
-    /// Admission control moved a chunk off its preferred device
-    /// before launch (`admission_shrunk`).
-    AdmissionShrunk,
-    /// A chunk was split because no single device could hold it
-    /// (`chunk_split`).
-    ChunkSplit,
-    /// A chunk (or piece) executed through the bounded host staging
-    /// buffer (`spilled_bytes`).
-    Spilled,
-    /// A straggling piece was speculatively re-executed on a healthy
-    /// sibling device (`spread_straggler(steal|replicate)`).
-    StragglerRescued,
-    /// A digest mismatch at a trust boundary was healed from the
-    /// unharmed host image (`spread_integrity(heal)`): the tainted
-    /// bytes were discarded and the piece re-executed or re-fetched.
-    CorruptionHealed,
-}
-
-/// One degradation decision, recorded in program order. `spread-check`
-/// compares the exact sequence against its oracle's prediction; the
-/// events are deterministic because they are derived from admission
-/// decisions taken at construct-launch time, never from event races.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradationEvent {
-    /// Which rung fired.
-    pub kind: DegradationKind,
-    /// The device the piece landed on (`None` for a host spill).
-    pub device: Option<u32>,
-    /// First loop iteration of the affected piece.
-    pub start: usize,
-    /// Iteration count of the affected piece.
-    pub len: usize,
-    /// Device-footprint bytes of the piece.
-    pub bytes: u64,
 }
 
 /// What an action reports back to the scheduler.
@@ -461,25 +423,15 @@ pub(crate) struct Inner {
     /// [`FaultCtx::oom_outstanding`] already forecasts them — headroom
     /// queries subtract this to avoid double counting.
     pub(crate) injector_live: Vec<u64>,
-    /// Degradation decisions in program order (see [`DegradationEvent`]).
-    pub(crate) degradations: Vec<DegradationEvent>,
+    /// The run ledger: every recorded decision, in recording order
+    /// (see [`crate::ledger`]).
+    pub(crate) events: Vec<RunEvent>,
     /// Retry policy reused for pressure-managed enter backoff.
     pub(crate) retry: RetryPolicy,
     /// Host staging-buffer bound for the spill executor.
     pub(crate) spill_staging_bytes: u64,
     /// Keyed adaptive-schedule state (`spread_schedule(auto)`).
     pub(crate) profiles: crate::profile::ProfileStore,
-    /// Every peer (device-to-device) copy planned so far, in plan
-    /// order. `diverted` flips when the effect-time re-check routed the
-    /// copy back through the host.
-    pub(crate) peer_log: Vec<PeerCopyRecord>,
-    /// Every straggler rescue launched so far, in launch order (see
-    /// [`Runtime::rescues`]). `winner`/`commits` are filled in by the
-    /// commit gate as the racing exits arrive.
-    pub(crate) rescue_log: Vec<RescueRecord>,
-    /// Every digest mismatch caught at a trust boundary, in detection
-    /// order (see [`Runtime::integrity_events`]).
-    pub(crate) integrity_log: Vec<IntegrityEvent>,
     /// Live transfer sets that stage D2H snapshots (each knows its
     /// device): the at-rest corruption surface. A
     /// [`MemoryScribble`](PlannedFault::MemoryScribble) flips one bit in
@@ -487,9 +439,6 @@ pub(crate) struct Inner {
     /// between a D2H's eager device read and its commit into host
     /// memory. Dead weak handles are pruned on insert.
     pub(crate) staged_registry: Vec<std::rc::Weak<TransferSet>>,
-    /// Every pipelined (`spread_overlap`) construct completed so far, in
-    /// completion order (see [`Runtime::overlap_records`]).
-    pub(crate) overlap_log: Vec<crate::overlap::OverlapRecord>,
     /// Launch plans of keyed constructs, invalidated wholesale by the
     /// topology epoch (see [`plan_cache`](crate::plan_cache)).
     pub(crate) plan_cache: crate::plan_cache::PlanCache,
@@ -497,49 +446,6 @@ pub(crate) struct Inner {
     pub(crate) bind: Rc<RefCell<kernel::BindScratch>>,
     /// Plan and transfer-set vectors reused across constructs.
     pub(crate) spare: PlanSpare,
-}
-
-/// One straggler rescue: a lagging piece speculatively re-executed on a
-/// healthy sibling device (see [`Runtime::rescues`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RescueRecord {
-    /// First loop iteration of the rescued piece.
-    pub start: usize,
-    /// Iteration count of the rescued piece.
-    pub len: usize,
-    /// The straggling device the piece was originally placed on.
-    pub from: u32,
-    /// The healthy sibling the speculative copy ran on.
-    pub to: u32,
-    /// Which copy's staged writes landed: `Some(0)` = the original
-    /// straggler still won, `Some(1)` = the rescue won, `None` = neither
-    /// exit has committed yet.
-    pub winner: Option<u32>,
-    /// Staged-write sets drained to host memory for this piece. Exactly
-    /// 1 in any correct completed run.
-    pub commits: u32,
-    /// True when the straggler's in-flight kernel was cancelled
-    /// (`spread_straggler(steal)`); false when both copies ran to
-    /// completion (`replicate`, or a steal whose cancel arrived too
-    /// late).
-    pub stolen: bool,
-}
-
-/// One planned device-to-device copy (see [`Runtime::peer_copies`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PeerCopyRecord {
-    /// Source device the destination pulled from.
-    pub src: u32,
-    /// Destination device.
-    pub dst: u32,
-    /// The host-array section transferred.
-    pub section: Section,
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// True when the effect-time re-verification found the source
-    /// gone or stale and the copy was replayed over the host path
-    /// instead.
-    pub diverted: bool,
 }
 
 impl Inner {
@@ -1344,27 +1250,6 @@ pub(crate) fn flip_one_bit(data: &mut [f64]) {
     }
 }
 
-/// Append an integrity event and mirror it as a zero-length `Verify`
-/// marker span on the offending device's compute lane (like fault and
-/// degradation markers).
-fn record_integrity_inner(now: SimTime, inner: &mut Inner, ev: IntegrityEvent) {
-    if inner.trace.is_enabled() {
-        let label = format!(
-            "{:?} {:?} {} dev{}",
-            ev.action, ev.boundary, ev.section, ev.device
-        );
-        inner.trace.record(
-            spread_trace::Lane::compute(ev.device),
-            spread_trace::SpanKind::Verify,
-            label,
-            now,
-            now,
-            0,
-        );
-    }
-    inner.integrity_log.push(ev);
-}
-
 /// Apply a planned [`MemoryScribble`](PlannedFault::MemoryScribble):
 /// flip one bit in the first non-empty staged D2H snapshot currently
 /// pending commit for `device`. Inert when nothing is staged at the
@@ -1608,30 +1493,16 @@ pub(crate) fn staged_commit_finish(
         {
             let mut inner = inner_rc.borrow_mut();
             for &sec in &tainted {
-                record_integrity_inner(
+                inner.record(
                     now,
-                    &mut inner,
-                    IntegrityEvent {
+                    RunEvent::Integrity(IntegrityEvent {
                         device,
                         section: sec,
                         at: now,
                         boundary: IntegrityBoundary::Commit,
                         action,
-                    },
+                    }),
                 );
-                if action == IntegrityAction::Healed {
-                    record_degradation_inner(
-                        now,
-                        &mut inner,
-                        DegradationEvent {
-                            kind: DegradationKind::CorruptionHealed,
-                            device: Some(device),
-                            start: sec.start,
-                            len: sec.len,
-                            bytes: sec.len as u64 * 8,
-                        },
-                    );
-                }
             }
         }
         let err = RtError::IntegrityViolation {
@@ -1700,7 +1571,7 @@ pub(crate) fn staged_commit_finish(
     if let Some((g, _)) = &gate {
         if let Some(ix) = g.log_idx() {
             let mut inner = inner_rc.borrow_mut();
-            if let Some(rec) = inner.rescue_log.get_mut(ix) {
+            if let Some(RunEvent::Rescue(rec)) = inner.events.get_mut(ix) {
                 rec.winner = g.winner();
                 rec.commits = g.commits();
             }
@@ -1949,14 +1820,16 @@ fn enqueue_peer_copy(
     let bytes = sec.len as u64 * 8;
     let idx = {
         let mut inner = inner_rc.borrow_mut();
-        inner.peer_log.push(PeerCopyRecord {
-            src,
-            dst: device,
-            section: sec,
-            bytes,
-            diverted: false,
-        });
-        inner.peer_log.len() - 1
+        inner.record(
+            sim.now(),
+            RunEvent::PeerCopy(PeerCopyRecord {
+                src,
+                dst: device,
+                section: sec,
+                bytes,
+                diverted: false,
+            }),
+        )
     };
     let diverted = Rc::new(Cell::new(false));
     // Source-side digest of the payload, set by the effect when the
@@ -2002,7 +1875,7 @@ fn enqueue_peer_copy(
             };
             if !pulled {
                 diverted.set(true);
-                rc.borrow_mut().peer_log[idx].diverted = true;
+                rc.borrow_mut().mark_diverted(idx);
             }
         })
     };
@@ -2056,33 +1929,21 @@ fn enqueue_peer_copy(
                         };
                         {
                             let mut inner = inner_rc.borrow_mut();
-                            record_integrity_inner(
+                            inner.record(
                                 now,
-                                &mut inner,
-                                IntegrityEvent {
+                                RunEvent::Integrity(IntegrityEvent {
                                     device,
                                     section: sec,
                                     at: now,
                                     boundary: IntegrityBoundary::Peer,
                                     action,
-                                },
+                                }),
                             );
                             if action == IntegrityAction::Healed {
-                                record_degradation_inner(
-                                    now,
-                                    &mut inner,
-                                    DegradationEvent {
-                                        kind: DegradationKind::CorruptionHealed,
-                                        device: Some(device),
-                                        start: sec.start,
-                                        len: sec.len,
-                                        bytes,
-                                    },
-                                );
                                 // The heal *is* a divert: the tainted
                                 // bytes are discarded and the section
                                 // replayed from the host image.
-                                inner.peer_log[idx].diverted = true;
+                                inner.mark_diverted(idx);
                             }
                         }
                         match action {
@@ -2294,15 +2155,11 @@ impl Runtime {
             recoverers: std::collections::HashMap::default(),
             watchdog: cfg.watchdog,
             injector_live: vec![0; n],
-            degradations: Vec::new(),
+            events: Vec::new(),
             retry: cfg.retry,
             spill_staging_bytes: cfg.spill_staging_bytes,
             profiles: crate::profile::ProfileStore::new(),
-            peer_log: Vec::new(),
-            rescue_log: Vec::new(),
-            integrity_log: Vec::new(),
             staged_registry: Vec::new(),
-            overlap_log: Vec::new(),
             plan_cache: crate::plan_cache::PlanCache::new(cfg.plan_cache),
             bind: Rc::default(),
             spare: PlanSpare::default(),
@@ -2558,9 +2415,17 @@ impl Runtime {
             .high_watermark()
     }
 
-    /// The degradation decisions taken so far, in program order.
-    pub fn degradations(&self) -> Vec<DegradationEvent> {
-        self.inner.borrow().degradations.clone()
+    /// The run ledger: every degradation, peer copy, straggler rescue,
+    /// integrity detection and pipelined construct recorded so far, in
+    /// recording order. `spread-check` compares the degradations against
+    /// its oracle's exact prediction, the peer copies against its
+    /// closed-form route set, and checks the rest structurally: each
+    /// completed rescue has `commits == 1` and a winner, each clean
+    /// overlap record `staged == committed`. Integrity detections are
+    /// absent under `spread_integrity(off)` — with no digests there is
+    /// nothing to catch.
+    pub fn events(&self) -> Ref<'_, [RunEvent]> {
+        Ref::map(self.inner.borrow(), |inner| inner.events.as_slice())
     }
 
     /// Every `spread_schedule(auto)` launch recorded so far, in
@@ -2579,15 +2444,6 @@ impl Runtime {
             .profiles
             .current(key)
             .map(<[f64]>::to_vec)
-    }
-
-    /// Largest contiguous free block on a device (fragmentation probe).
-    pub fn device_mem_largest_free(&self, device: u32) -> u64 {
-        self.inner.borrow().devices[device as usize]
-            .mem
-            .borrow()
-            .pool()
-            .largest_free_block()
     }
 
     /// The interconnect model (capacity utilization queries for
@@ -2625,40 +2481,6 @@ impl Runtime {
                 v
             })
             .collect()
-    }
-
-    /// Every device-to-device copy planned so far, in plan order.
-    /// `spread-check --peer` compares this against its closed-form
-    /// prediction of which sections *must* go peer; diverted entries
-    /// were replayed over the host path at copy time.
-    pub fn peer_copies(&self) -> Vec<PeerCopyRecord> {
-        self.inner.borrow().peer_log.clone()
-    }
-
-    /// Every straggler rescue launched so far, in launch order. In a
-    /// completed run each record has `commits == 1` and a recorded
-    /// winner — the first-commit-wins gate guarantees exactly one of
-    /// the racing exits wrote host memory.
-    pub fn rescues(&self) -> Vec<RescueRecord> {
-        self.inner.borrow().rescue_log.clone()
-    }
-
-    /// Every digest mismatch caught at a trust boundary so far, in
-    /// detection order. Empty under `spread_integrity(off)` — with no
-    /// digests there is nothing to catch, which is the point of the
-    /// conformance canary that runs a flip under `off` and watches the
-    /// corruption reach host memory.
-    pub fn integrity_events(&self) -> Vec<IntegrityEvent> {
-        self.inner.borrow().integrity_log.clone()
-    }
-
-    /// Every pipelined (`spread_overlap`) construct completed so far,
-    /// in completion order. `spread-check --overlap` asserts the
-    /// whole-piece commit contract on each record (`staged ==
-    /// committed` on every clean winning exit) and that pipelining
-    /// really happened (`depth >= 2` with split descriptors).
-    pub fn overlap_records(&self) -> Vec<crate::overlap::OverlapRecord> {
-        self.inner.borrow().overlap_log.clone()
     }
 
     /// Devices permanently lost so far — by a planned loss, an
@@ -3015,16 +2837,17 @@ impl Scope<'_> {
         self.inner.borrow().spill_staging_bytes
     }
 
-    /// Record a degradation decision: appended to the runtime's event
-    /// log and mirrored as a zero-length marker span on the trace (the
-    /// device's compute lane, or the host lane for a spill).
-    pub fn record_degradation(&mut self, ev: DegradationEvent) {
-        record_degradation_inner(self.sim.now(), &mut self.inner.borrow_mut(), ev);
+    /// Record a runtime decision in the run ledger and draw its marker
+    /// span (see [`crate::ledger`]). Returns the event's index: the
+    /// commit gate fills in a rescue's `winner`/`commits` through it.
+    pub fn record(&mut self, ev: RunEvent) -> usize {
+        let now = self.sim.now();
+        self.inner.borrow_mut().record(now, ev)
     }
 
-    /// The degradation decisions taken so far, in program order.
-    pub fn degradations(&self) -> Vec<DegradationEvent> {
-        self.inner.borrow().degradations.clone()
+    /// The run ledger so far (see [`Runtime::events`]).
+    pub fn events(&self) -> Ref<'_, [RunEvent]> {
+        Ref::map(self.inner.borrow(), |inner| inner.events.as_slice())
     }
 
     /// The weights a `spread_schedule(auto)` construct keyed `key`
@@ -3158,12 +2981,6 @@ impl Scope<'_> {
         }
     }
 
-    /// Every digest mismatch caught at a trust boundary so far, in
-    /// detection order (see [`Runtime::integrity_events`]).
-    pub fn integrity_events(&self) -> Vec<IntegrityEvent> {
-        self.inner.borrow().integrity_log.clone()
-    }
-
     /// Turn a not-yet-started task into a no-op: its action is dropped
     /// (it will touch nothing when its turn comes) and its footprints
     /// are erased so replacement work does not race against it. Its
@@ -3233,73 +3050,6 @@ impl Scope<'_> {
         };
         engine.cancel_running(self.sim, task.0)
     }
-
-    /// Append a rescue record (and its `StragglerRescued` degradation
-    /// marker), returning the record's index in the rescue log so the
-    /// commit gate can fill in `winner`/`commits` later.
-    pub fn record_rescue(&mut self, rec: RescueRecord) -> usize {
-        let ev = DegradationEvent {
-            kind: DegradationKind::StragglerRescued,
-            device: Some(rec.to),
-            start: rec.start,
-            len: rec.len,
-            bytes: 0,
-        };
-        let idx = {
-            let mut inner = self.inner.borrow_mut();
-            inner.rescue_log.push(rec);
-            inner.rescue_log.len() - 1
-        };
-        record_degradation_inner(self.sim.now(), &mut self.inner.borrow_mut(), ev);
-        idx
-    }
-
-    /// Every straggler rescue launched so far, in launch order.
-    pub fn rescues(&self) -> Vec<RescueRecord> {
-        self.inner.borrow().rescue_log.clone()
-    }
-}
-
-/// Append a degradation event and mirror it as a zero-length marker
-/// span (like fault markers): split/shrink on the device's compute
-/// lane, spill on the host lane with the spilled byte count.
-pub(crate) fn record_degradation_inner(now: SimTime, inner: &mut Inner, ev: DegradationEvent) {
-    let (lane, kind, bytes) = match ev.kind {
-        DegradationKind::AdmissionShrunk => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::AdmissionShrink,
-            0,
-        ),
-        DegradationKind::ChunkSplit => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::ChunkSplit,
-            0,
-        ),
-        DegradationKind::Spilled => (
-            spread_trace::Lane::Host,
-            spread_trace::SpanKind::Spill,
-            ev.bytes,
-        ),
-        DegradationKind::StragglerRescued => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::Rescue,
-            0,
-        ),
-        DegradationKind::CorruptionHealed => (
-            ev.device
-                .map_or(spread_trace::Lane::Host, spread_trace::Lane::compute),
-            spread_trace::SpanKind::Heal,
-            ev.bytes,
-        ),
-    };
-    if inner.trace.is_enabled() {
-        let label = format!("{:?} [{}..{})", ev.kind, ev.start, ev.start + ev.len);
-        inner.trace.record(lane, kind, label, now, now, bytes);
-    }
-    inner.degradations.push(ev);
 }
 
 /// Build the action of a host task: swaps the parent/group context, runs

@@ -68,11 +68,6 @@ impl Section {
         self.array == other.array && other.start >= self.start && other.end() <= self.end()
     }
 
-    /// True if `i` is within the section.
-    pub fn contains_index(&self, i: usize) -> bool {
-        i >= self.start && i < self.end()
-    }
-
     /// The overlapping sub-section, if any.
     pub fn intersection(&self, other: &Section) -> Option<Section> {
         if !self.overlaps(other) {
@@ -139,9 +134,6 @@ mod tests {
         assert!(s(0, 10).contains(&s(0, 10)));
         assert!(!s(0, 10).contains(&s(5, 10)));
         assert!(!s(0, 10).contains(&Section::new(B, 2, 5)));
-        assert!(s(0, 10).contains_index(0));
-        assert!(s(0, 10).contains_index(9));
-        assert!(!s(0, 10).contains_index(10));
     }
 
     #[test]

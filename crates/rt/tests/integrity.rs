@@ -8,11 +8,20 @@ use spread_devices::{DeviceSpec, Topology};
 use spread_rt::directives::Target;
 use spread_rt::prelude::*;
 use spread_rt::{
-    Arms, ConstructIds, DegradationKind, ExchangeMode, IntegrityAction, IntegrityBoundary,
-    IntegrityMode,
+    Arms, ConstructIds, ExchangeMode, IntegrityAction, IntegrityBoundary, IntegrityEvent,
+    IntegrityMode, RunEvent,
 };
 use spread_sim::FaultPlan;
-use spread_trace::{SimTime, SpanKind};
+use spread_trace::{Lane, SimTime, SpanKind};
+
+/// The integrity events in the run ledger, in recording order.
+fn integrity_events(rt: &Runtime) -> Vec<IntegrityEvent> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::integrity)
+        .cloned()
+        .collect()
+}
 
 fn runtime_n(n_devices: usize, plan: Option<FaultPlan>) -> Runtime {
     let topo = Topology::uniform(n_devices, DeviceSpec::v100(), 1e9, 1.5e9);
@@ -59,7 +68,7 @@ fn silent_flip_under_off_reaches_host_memory_unnoticed() {
         .filter(|&i| got[i].to_bits() != expected[i].to_bits())
         .collect();
     assert_eq!(wrong.len(), 1, "one flipped element reached host memory");
-    assert!(rt.integrity_events().is_empty(), "off computes no digests");
+    assert!(integrity_events(&rt).is_empty(), "off computes no digests");
 }
 
 #[test]
@@ -77,7 +86,7 @@ fn silent_flip_under_verify_fails_the_construct_at_the_commit_drain() {
     );
     // The tainted staged set never touched host memory.
     assert_eq!(rt.snapshot_host(a), reference);
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].device, 0);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
@@ -130,14 +139,22 @@ fn silent_flip_under_heal_re_executes_and_lands_bit_identical() {
     .unwrap();
     let expected: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
     assert_eq!(rt.snapshot_host(a), expected, "healed run is bit-identical");
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].action, IntegrityAction::Healed);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
-    assert!(rt
-        .degradations()
+    assert_eq!(rt.events().len(), 1, "the heal is recorded once");
+    let heal_marks: Vec<_> = rt
+        .timeline()
+        .spans()
         .iter()
-        .any(|d| d.kind == DegradationKind::CorruptionHealed && d.device == Some(0)));
+        .filter(|s| s.kind == SpanKind::Heal)
+        .map(|s| (s.lane, s.label.clone()))
+        .collect();
+    assert_eq!(
+        heal_marks,
+        [(Lane::compute(0), format!("CorruptionHealed [0..{n})"))]
+    );
     assert!(rt
         .timeline()
         .spans()
@@ -171,7 +188,7 @@ fn memory_scribble_at_rest_is_caught_at_the_commit_drain() {
     rt.fill_host(a, |i| i as f64);
     let err = run_bump(&mut rt, a, n, IntegrityMode::Verify).unwrap_err();
     assert!(matches!(err, RtError::IntegrityViolation { .. }), "{err:?}");
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].boundary, IntegrityBoundary::Commit);
 }
@@ -205,7 +222,7 @@ fn a_scribble_with_nothing_staged_is_inert() {
     run_bump(&mut rt, a, n, IntegrityMode::Verify).unwrap();
     let expected: Vec<f64> = (0..n).map(|i| i as f64 + 1.0).collect();
     assert_eq!(rt.snapshot_host(a), expected);
-    assert!(rt.integrity_events().is_empty());
+    assert!(integrity_events(&rt).is_empty());
 }
 
 /// Stage device 1 for a peer pull of `a` from device 0.
@@ -237,7 +254,7 @@ fn peer_flip_under_verify_fails_at_the_receive() {
         matches!(err, RtError::IntegrityViolation { device: 1, .. }),
         "{err:?}"
     );
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].boundary, IntegrityBoundary::Peer);
     assert_eq!(events[0].action, IntegrityAction::Failed);
@@ -263,10 +280,15 @@ fn peer_flip_under_heal_refetches_from_the_host_image() {
     })
     .unwrap();
     assert_eq!(rt.snapshot_host(a), reference, "healed pull is bit-exact");
-    let records = rt.peer_copies();
+    let records: Vec<_> = rt
+        .events()
+        .iter()
+        .filter_map(RunEvent::peer_copy)
+        .cloned()
+        .collect();
     assert_eq!(records.len(), 1);
     assert!(records[1 - 1].diverted, "the heal replayed the host path");
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 1);
     assert_eq!(events[0].boundary, IntegrityBoundary::Peer);
     assert_eq!(events[0].action, IntegrityAction::Healed);
@@ -276,9 +298,10 @@ fn peer_flip_under_heal_refetches_from_the_host_image() {
         .iter()
         .any(|s| s.label.ends_with("(host fallback)")));
     assert!(rt
-        .degradations()
+        .timeline()
+        .spans()
         .iter()
-        .any(|d| d.kind == DegradationKind::CorruptionHealed && d.device == Some(1)));
+        .any(|s| s.lane == Lane::compute(1) && s.label == format!("CorruptionHealed [0..{n})")));
 }
 
 #[test]
@@ -310,7 +333,7 @@ fn a_mismatch_streak_quarantines_the_device() {
         matches!(err, RtError::IntegrityViolation { device: 1, .. }),
         "{err:?}"
     );
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 2);
     assert_eq!(events[0].action, IntegrityAction::Healed);
     assert_eq!(events[1].action, IntegrityAction::Quarantined);
@@ -346,7 +369,7 @@ fn a_clean_checked_transfer_resets_the_streak() {
     })
     .unwrap();
     assert_eq!(rt.snapshot_host(a), reference);
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     assert_eq!(events.len(), 1, "only the first pull had a token to burn");
     assert_eq!(events[0].action, IntegrityAction::Healed);
     assert!(rt.lost_devices().is_empty());

@@ -9,7 +9,16 @@
 use spread_devices::{DeviceSpec, Topology};
 use spread_rt::kernel::KernelArg;
 use spread_rt::prelude::*;
-use spread_rt::OverlapRecord;
+use spread_rt::{OverlapRecord, RunEvent};
+
+/// The overlap records in the run ledger, in recording order.
+fn overlap_records(rt: &Runtime) -> Vec<OverlapRecord> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::overlap)
+        .cloned()
+        .collect()
+}
 
 fn runtime() -> Runtime {
     runtime_mem(1 << 22)
@@ -53,7 +62,7 @@ fn run_stencil(depth: u32) -> (Vec<f64>, Vec<OverlapRecord>, u64) {
     assert!(rt.races().is_empty());
     assert_eq!(rt.device_mem_used(0), 0, "all mappings released");
     let elapsed = rt.elapsed().as_nanos();
-    (rt.snapshot_host(b), rt.overlap_records(), elapsed)
+    (rt.snapshot_host(b), overlap_records(&rt), elapsed)
 }
 
 #[test]
@@ -180,7 +189,7 @@ fn depth_clamps_to_iteration_count() {
     for i in 0..n {
         assert_eq!(out[i], i as f64 + 1.0);
     }
-    let recs = rt.overlap_records();
+    let recs = overlap_records(&rt);
     assert_eq!(recs.len(), 1);
     assert!(recs[0].h2d_ops <= n as u32, "stages clamp to iterations");
 }
@@ -214,7 +223,7 @@ fn already_present_data_skips_transfers() {
     for i in 0..n {
         assert_eq!(out[i], (i * i) as f64 + 1.0, "A[{i}]");
     }
-    let recs = rt.overlap_records();
+    let recs = overlap_records(&rt);
     assert_eq!(recs.len(), 1);
     let r = &recs[0];
     assert_eq!(r.h2d_ops, 0, "data already present: no H2D sub-copies");
@@ -275,7 +284,7 @@ fn two_devices_pipeline_concurrently() {
     for i in 0..n {
         assert_eq!(out[i], 2.0 * i as f64, "B[{i}]");
     }
-    let recs = rt.overlap_records();
+    let recs = overlap_records(&rt);
     assert_eq!(recs.len(), 2);
     assert!(recs.iter().all(|r| r.staged == r.committed));
     assert!(rt.races().is_empty());
@@ -336,7 +345,7 @@ fn a_reference_taken_mid_kernel_discards_the_staged_sub_slices() {
     for i in 0..n {
         assert_eq!(out[i], i as f64 + 1.0, "B[{i}]");
     }
-    let recs = rt.overlap_records();
+    let recs = overlap_records(&rt);
     assert_eq!(recs.len(), 1);
     let r = &recs[0];
     assert!(r.d2h_ops > 0, "the D2H was predicted and issued");

@@ -5,9 +5,18 @@
 use spread_devices::{DeviceSpec, Topology};
 use spread_prng::Prng;
 use spread_rt::prelude::*;
-use spread_rt::{ExchangeMode, PeerCopyRecord};
+use spread_rt::{ExchangeMode, PeerCopyRecord, RunEvent};
 use spread_sim::FaultPlan;
 use spread_trace::{profile_window, EngineKind, SimTime, SpanKind};
+
+/// The peer copies in the run ledger, in recording order.
+fn peer_copies(rt: &Runtime) -> Vec<PeerCopyRecord> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::peer_copy)
+        .cloned()
+        .collect()
+}
 
 fn runtime_n(n_devices: usize) -> Runtime {
     let topo = Topology::uniform(n_devices, DeviceSpec::v100(), 1e9, 1.5e9);
@@ -36,7 +45,7 @@ fn auto_routes_peer_and_stays_bit_identical() {
     .unwrap();
     assert_eq!(rt.snapshot_host(a), reference);
     assert_eq!(
-        rt.peer_copies(),
+        peer_copies(&rt),
         vec![PeerCopyRecord {
             src: 0,
             dst: 1,
@@ -69,7 +78,7 @@ fn host_mode_is_the_default_and_never_routes_peer() {
         Ok(())
     })
     .unwrap();
-    assert!(rt.peer_copies().is_empty());
+    assert!(peer_copies(&rt).is_empty());
     assert!(rt
         .timeline()
         .spans()
@@ -95,7 +104,7 @@ fn auto_falls_back_to_host_when_no_sibling_has_the_bytes() {
     })
     .unwrap();
     assert_eq!(rt.snapshot_host(a), reference);
-    assert!(rt.peer_copies().is_empty());
+    assert!(peer_copies(&rt).is_empty());
 }
 
 #[test]
@@ -130,7 +139,7 @@ fn stale_sibling_bytes_are_not_eligible() {
     })
     .unwrap();
     assert_eq!(rt.snapshot_host(a), reference);
-    assert!(rt.peer_copies().is_empty());
+    assert!(peer_copies(&rt).is_empty());
 }
 
 #[test]
@@ -251,7 +260,7 @@ fn a_lost_source_diverts_queued_peer_copies_to_the_host_path() {
     let reference = rt.snapshot_host(a);
     two_half_program(&mut rt, a, n).unwrap();
     assert_eq!(rt.snapshot_host(a), reference, "host image bit-identical");
-    let records = rt.peer_copies();
+    let records = peer_copies(&rt);
     assert_eq!(records.len(), 2);
     assert!(!records[0].diverted, "in-flight copy completed");
     assert!(records[1].diverted, "queued copy diverted to host");
@@ -311,7 +320,7 @@ fn peer_accounting_and_fifo_properties() {
         })
         .unwrap();
         assert_eq!(rt.snapshot_host(a), reference, "seed {seed}");
-        let records = rt.peer_copies();
+        let records = peer_copies(&rt);
         assert!(records.iter().all(|r| !r.diverted), "seed {seed}");
         let total: u64 = records.iter().map(|r| r.bytes).sum();
         assert_eq!(total, expected, "seed {seed}");

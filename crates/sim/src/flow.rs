@@ -299,18 +299,6 @@ impl SharedFlowNet {
         CapacityId(net.caps.len() - 1)
     }
 
-    /// Change a constraint's capacity (used by ablation benches). Takes
-    /// effect at the next reallocation.
-    pub fn set_capacity(&self, id: CapacityId, bytes_per_sec: f64) {
-        assert!(bytes_per_sec > 0.0 && bytes_per_sec.is_finite());
-        self.inner.borrow_mut().caps[id.0].bytes_per_sec = bytes_per_sec;
-    }
-
-    /// Name of a constraint.
-    pub fn capacity_name(&self, id: CapacityId) -> String {
-        self.inner.borrow().caps[id.0].name.clone()
-    }
-
     /// Find a constraint by its registered name.
     pub fn find_capacity(&self, name: &str) -> Option<CapacityId> {
         self.inner

@@ -4,7 +4,7 @@
 //! deterministically.
 
 use spread_core::{ExchangeMode, ResiliencePolicy, SpreadClausesExt};
-use spread_rt::RtError;
+use spread_rt::{RtError, RunEvent};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
@@ -146,7 +146,12 @@ fn peer_run_survives_losing_a_source_mid_copy_via_host_fallback() {
         "loss mid-peer-copy must stay bit-identical via the host fallback"
     );
     // Copies still queued against the dead source really diverted…
-    let diverted = rt.peer_copies().iter().filter(|r| r.diverted).count();
+    let diverted = rt
+        .events()
+        .iter()
+        .filter_map(RunEvent::peer_copy)
+        .filter(|r| r.diverted)
+        .count();
     assert!(
         diverted > 0,
         "queued copies off the dead source must divert"

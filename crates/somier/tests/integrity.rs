@@ -7,12 +7,21 @@
 //! at all: the rot reaches the host and the centers drift.
 
 use spread_core::{IntegrityMode, SpreadClausesExt};
-use spread_rt::{IntegrityAction, IntegrityBoundary, RtError};
+use spread_rt::{IntegrityAction, IntegrityBoundary, IntegrityEvent, RtError, RunEvent, Runtime};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
+
+/// The integrity events in the run ledger, in recording order.
+fn integrity_events(rt: &Runtime) -> Vec<IntegrityEvent> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::integrity)
+        .cloned()
+        .collect()
+}
 
 const N_GPUS: usize = 4;
 
@@ -41,7 +50,7 @@ fn integrity_variant_matches_reference_without_flips() {
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
     assert!(
-        rt.integrity_events().is_empty(),
+        integrity_events(&rt).is_empty(),
         "a clean run must never trip a checked boundary"
     );
 }
@@ -61,7 +70,7 @@ fn bit_identical_with_three_flips_under_heal() {
         "healed run must be bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let events = rt.integrity_events();
+    let events = integrity_events(&rt);
     let healed: Vec<_> = events
         .iter()
         .filter(|e| e.action == IntegrityAction::Healed)
@@ -83,7 +92,7 @@ fn bit_identical_with_three_flips_under_heal() {
         );
     }
     // Each heal leaves two Heal spans: the healer's redo marker plus
-    // the CorruptionHealed degradation mirrored onto the timeline.
+    // the `CorruptionHealed` marker its ledger event draws.
     let heal_spans = rt
         .timeline()
         .spans()
@@ -103,7 +112,7 @@ fn healing_is_deterministic() {
         })
         .unwrap()
         .0;
-        (report.centers, rt.integrity_events(), rt.elapsed())
+        (report.centers, integrity_events(&rt), rt.elapsed())
     };
     let (c1, e1, t1) = run();
     let (c2, e2, t2) = run();
@@ -128,7 +137,7 @@ fn verify_poisons_on_the_first_checked_boundary() {
         "the violation names a flipped device, got {device}"
     );
     assert!(
-        rt.integrity_events()
+        integrity_events(&rt)
             .iter()
             .any(|e| e.action == IntegrityAction::Failed && e.device == device),
         "the ledger records the failed verification"
@@ -161,7 +170,7 @@ fn off_lets_the_rot_reach_the_host() {
         "unchecked flips must corrupt the result"
     );
     assert!(
-        rt.integrity_events().is_empty(),
+        integrity_events(&rt).is_empty(),
         "off mode never digests, so nothing is ever caught"
     );
 }

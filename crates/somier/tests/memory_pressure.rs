@@ -5,12 +5,22 @@
 //! windows — in both the split and the spill mode.
 
 use spread_core::{PressurePolicy, SpreadClausesExt};
-use spread_rt::{DegradationKind, RtError};
+use spread_rt::{RtError, RunEvent, Runtime};
+use spread_semantics::{DegKind, Degradation};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
+
+/// The degradations in the run ledger, in recording order.
+fn degradations(rt: &Runtime) -> Vec<Degradation> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::degradation)
+        .cloned()
+        .collect()
+}
 
 const N_GPUS: usize = 4;
 
@@ -41,7 +51,7 @@ fn pressure_variant_matches_reference_on_a_healthy_machine() {
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
     assert!(
-        rt.degradations().is_empty(),
+        degradations(&rt).is_empty(),
         "full-size devices must not degrade"
     );
 }
@@ -61,14 +71,14 @@ fn split_mode_completes_bit_identical_at_60_percent_memory() {
         "degraded run must stay bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let evs = rt.degradations();
+    let evs = degradations(&rt);
     assert!(!evs.is_empty(), "60% memory must force degradation");
     assert!(
-        evs.iter().any(|e| e.kind == DegradationKind::ChunkSplit),
+        evs.iter().any(|e| e.kind == DegKind::ChunkSplit),
         "the halo-heavy forces chunks must split, got {evs:?}"
     );
     assert!(
-        evs.iter().all(|e| e.kind != DegradationKind::Spilled),
+        evs.iter().all(|e| e.kind != DegKind::Spilled),
         "split mode never touches the host staging buffer, got {evs:?}"
     );
     let splits = rt
@@ -97,14 +107,14 @@ fn spill_mode_completes_bit_identical_at_60_percent_memory() {
         "spilled run must stay bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let evs = rt.degradations();
+    let evs = degradations(&rt);
     assert!(
-        evs.iter().any(|e| e.kind == DegradationKind::Spilled),
+        evs.iter().any(|e| e.kind == DegKind::Spilled),
         "this pressure level must spill, got {evs:?}"
     );
     assert!(
         evs.iter()
-            .filter(|e| e.kind == DegradationKind::Spilled)
+            .filter(|e| e.kind == DegKind::Spilled)
             .all(|e| e.device.is_none() && e.bytes > 0),
         "spill events carry the spilled bytes, got {evs:?}"
     );
@@ -139,7 +149,7 @@ fn degraded_runs_are_deterministic() {
         let report = run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| c.with_pressure(policy))
             .unwrap()
             .0;
-        (report.centers, report.elapsed, rt.degradations())
+        (report.centers, report.elapsed, degradations(&rt))
     };
     assert_eq!(run(PressurePolicy::Split), run(PressurePolicy::Split));
     assert_eq!(run(PressurePolicy::Spill), run(PressurePolicy::Spill));

@@ -8,6 +8,7 @@
 //! and the strict inequalities are stable regression anchors.
 
 use spread_core::{OverlapPolicy, SpreadClausesExt};
+use spread_rt::RunEvent;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
@@ -109,7 +110,8 @@ fn pipelined_somier_keeps_commits_whole_piece() {
         c.with_overlap(OverlapPolicy::Depth(DEPTH))
     })
     .expect("pipelined run");
-    let recs = rt.overlap_records();
+    let events = rt.events();
+    let recs: Vec<_> = events.iter().filter_map(RunEvent::overlap).collect();
     assert!(!recs.is_empty(), "the pipeline must engage");
     for r in &recs {
         if !r.bypassed {

@@ -5,11 +5,21 @@
 //! host round-trip on the CTE-POWER machine.
 
 use spread_core::ExchangeMode;
+use spread_rt::{PeerCopyRecord, RunEvent, Runtime};
 use spread_sim::FaultPlan;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
+
+/// The peer copies in the run ledger, in recording order.
+fn peer_copies(rt: &Runtime) -> Vec<PeerCopyRecord> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::peer_copy)
+        .cloned()
+        .collect()
+}
 
 const N_GPUS: usize = 4;
 
@@ -57,7 +67,7 @@ fn auto_matches_host_mode_and_the_reference_bit_exact() {
     };
     assert_eq!(peer_spans(&host_rt), 0);
     assert!(peer_spans(&auto_rt) > 0, "auto must route halos D2D");
-    assert!(auto_rt.peer_copies().iter().all(|r| !r.diverted));
+    assert!(peer_copies(&auto_rt).iter().all(|r| !r.diverted));
 
     // The point of the exercise: the halo phase gets faster.
     assert!(
@@ -73,7 +83,7 @@ fn peer_runs_are_deterministic() {
         let mut rt = cfg.runtime(N_GPUS);
         let (report, halo) =
             run_spread_scoped(&mut rt, &cfg, N_GPUS, Some(ExchangeMode::Auto), |c, _| c).unwrap();
-        (report.centers, report.elapsed, halo, rt.peer_copies().len())
+        (report.centers, report.elapsed, halo, peer_copies(&rt).len())
     };
     assert_eq!(run(), run());
 }
@@ -112,7 +122,7 @@ fn degraded_link_still_routes_peer_and_stays_bit_identical() {
         .count();
     assert!(peer_spans > 0, "auto must still route halos D2D");
     assert!(
-        rt.peer_copies().iter().all(|r| !r.diverted),
+        peer_copies(&rt).iter().all(|r| !r.diverted),
         "diversion is a liveness decision, not a timing one"
     );
     assert!(
@@ -129,5 +139,5 @@ fn single_device_auto_degrades_to_host_route() {
         run_spread_scoped(&mut rt, &cfg, 1, Some(ExchangeMode::Auto), |c, _| c).unwrap();
     let reference = run_reference(&cfg, cfg.buffer_planes(1));
     assert_eq!(report.centers, reference.centers);
-    assert!(rt.peer_copies().is_empty());
+    assert!(peer_copies(&rt).is_empty());
 }

@@ -8,12 +8,22 @@
 //! `straggler` view (`results/straggler.txt`).
 
 use spread_core::{SpreadClausesExt, StragglerPolicy};
+use spread_rt::{RescueRecord, RunEvent, Runtime};
 use spread_sim::FaultPlan;
 use spread_somier::config::STRAGGLER_BETA;
 use spread_somier::one_buffer::run_spread_scoped;
 use spread_somier::reference::run_reference;
 use spread_somier::SomierConfig;
 use spread_trace::{SimTime, SpanKind};
+
+/// The rescues in the run ledger, in recording order.
+fn rescues(rt: &Runtime) -> Vec<RescueRecord> {
+    rt.events()
+        .iter()
+        .filter_map(RunEvent::rescue)
+        .cloned()
+        .collect()
+}
 
 const N_GPUS: usize = 4;
 const SLOW_DEVICE: u32 = 1;
@@ -51,7 +61,7 @@ fn straggler_variant_matches_reference_without_faults() {
     assert_eq!(report.centers, reference.centers, "centers bit-exact");
     assert_eq!(report.races, 0);
     assert!(
-        rt.rescues().is_empty(),
+        rescues(&rt).is_empty(),
         "a healthy run must never speculate"
     );
 }
@@ -73,7 +83,7 @@ fn bit_identical_with_8x_slowdown_mid_run() {
         "rescued run must be bit-identical to the reference"
     );
     assert_eq!(report.races, 0);
-    let rescues = rt.rescues();
+    let rescues = rescues(&rt);
     assert!(!rescues.is_empty(), "an 8x mid-run slowdown must rescue");
     for r in &rescues {
         assert_eq!(r.from, SLOW_DEVICE, "only the slowed device straggles");
@@ -103,7 +113,7 @@ fn replicate_keeps_both_copies_and_stays_bit_identical() {
     .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
-    let rescues = rt.rescues();
+    let rescues = rescues(&rt);
     assert!(!rescues.is_empty());
     for r in &rescues {
         assert_eq!(r.commits, 1, "duplicated execution, single commit");
@@ -123,7 +133,7 @@ fn wait_policy_only_watches() {
     .0;
     let reference = run_reference(&cfg, cfg.buffer_planes(N_GPUS));
     assert_eq!(report.centers, reference.centers);
-    assert!(rt.rescues().is_empty(), "wait never speculates");
+    assert!(rescues(&rt).is_empty(), "wait never speculates");
 }
 
 /// The rescue path pays an extra enter + H2D on the sibling, so the
@@ -172,7 +182,7 @@ fn rescue_is_deterministic() {
         (
             report.centers,
             rt.elapsed().as_nanos(),
-            format!("{:?}", rt.rescues()),
+            format!("{:?}", rescues(&rt)),
         )
     };
     assert_eq!(run(), run());

@@ -2,15 +2,16 @@
 //! (`one_buffer::run_spread_scoped`), one table of `(clauses, faults)`
 //! rows. Every row must finish bit-identical to the CPU reference with
 //! no race and no device byte left mapped — whatever the clause value
-//! had to recover from on the way.
+//! had to recover from on the way — and every rescue and heal it took
+//! recorded exactly once.
 
 use target_spread::core::prelude::*;
-use target_spread::rt::RtError;
+use target_spread::rt::{IntegrityAction, RtError, RunEvent, Runtime};
 use target_spread::sim::FaultPlan;
 use target_spread::somier::one_buffer::run_spread_scoped;
 use target_spread::somier::reference::run_reference;
 use target_spread::somier::SomierConfig;
-use target_spread::trace::SimTime;
+use target_spread::trace::{Lane, SimTime};
 
 const N_GPUS: usize = 4;
 
@@ -174,7 +175,64 @@ fn rows() -> Vec<Row> {
     ]
 }
 
-fn run(cfg: &SomierConfig, clauses: Clauses, plan: FaultPlan) -> Result<[f64; 3], RtError> {
+/// Check that each rescue and each heal is recorded once: it appears
+/// once in the run ledger and draws one marker span. The ledger is in
+/// virtual-time order and the timeline in `(start, record order)`, so
+/// the i-th such event pairs with the i-th marker. A Somier step can
+/// rescue the same piece as an earlier step, so identical records are
+/// legal; the same record twice *at one instant* is not. Returns the
+/// marker labels.
+fn rescue_and_heal_marks(rt: &Runtime) -> Vec<String> {
+    let events = rt.events();
+    let recorded: Vec<_> = events
+        .iter()
+        .filter_map(|e| {
+            let (lane, what, start, len) = match e {
+                RunEvent::Rescue(r) => (Lane::compute(r.to), "StragglerRescued", r.start, r.len),
+                RunEvent::Integrity(h) if h.action == IntegrityAction::Healed => (
+                    Lane::compute(h.device),
+                    "CorruptionHealed",
+                    h.section.start,
+                    h.section.len,
+                ),
+                _ => return None,
+            };
+            Some((e, lane, format!("{what} [{start}..{})", start + len)))
+        })
+        .collect();
+    let timeline = rt.timeline();
+    let drawn: Vec<_> = timeline
+        .spans()
+        .iter()
+        .filter(|s| {
+            s.label.starts_with("StragglerRescued") || s.label.starts_with("CorruptionHealed")
+        })
+        .collect();
+    assert_eq!(
+        recorded.len(),
+        drawn.len(),
+        "one marker span per rescue and heal"
+    );
+    let mut seen = Vec::new();
+    for ((e, lane, label), span) in recorded.iter().zip(drawn) {
+        assert_eq!((span.lane, &span.label), (*lane, label), "marker of {e:?}");
+        assert!(
+            !seen.contains(&(e, span.start)),
+            "recorded twice: {e:?} at {}",
+            span.start
+        );
+        seen.push((e, span.start));
+    }
+    recorded.into_iter().map(|(.., label)| label).collect()
+}
+
+/// Run one row; returns its centers and the marker label of each rescue
+/// and heal it recorded.
+fn run(
+    cfg: &SomierConfig,
+    clauses: Clauses,
+    plan: FaultPlan,
+) -> Result<([f64; 3], Vec<String>), RtError> {
     let mut rt = cfg.runtime_with_faults(N_GPUS, plan);
     let (report, _halo) = run_spread_scoped(&mut rt, cfg, N_GPUS, None, clauses)?;
     assert_eq!(report.races, 0);
@@ -183,7 +241,7 @@ fn run(cfg: &SomierConfig, clauses: Clauses, plan: FaultPlan) -> Result<[f64; 3]
         "device bytes left mapped: {:?}",
         rt.mapping_snapshot()
     );
-    Ok(report.centers)
+    Ok((report.centers, rescue_and_heal_marks(&rt)))
 }
 
 #[test]
@@ -195,9 +253,17 @@ fn every_row_is_bit_identical_to_the_reference() {
         run_spread_scoped(&mut rt, &cfg, N_GPUS, None, |c, _| c).unwrap();
         SimTime::from_nanos(rt.elapsed().as_nanos() / 2)
     };
+    let mut marks = Vec::new();
     for row in rows() {
         let cfg = cfg.clone().with_mem_cap_frac(row.mem_cap_frac);
-        let centers = run(&cfg, row.clauses, (row.faults)(mid));
-        assert_eq!(centers.unwrap(), reference, "{}", row.what);
+        let (centers, row_marks) = run(&cfg, row.clauses, (row.faults)(mid)).unwrap();
+        assert_eq!(centers, reference, "{}", row.what);
+        marks.extend(row_marks);
+    }
+    for what in ["StragglerRescued", "CorruptionHealed"] {
+        assert!(
+            marks.iter().any(|m| m.starts_with(what)),
+            "no row recorded a {what} event"
+        );
     }
 }

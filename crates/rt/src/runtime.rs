@@ -2333,6 +2333,11 @@ impl Runtime {
         self.inner.borrow().host.snapshot(h)
     }
 
+    /// Run `f` with a mutable view of a host array, to write it in place.
+    pub fn with_host_mut<R>(&self, h: HostArray, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        self.inner.borrow().host.with_mut(h, f)
+    }
+
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.sim.now()

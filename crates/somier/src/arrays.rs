@@ -3,7 +3,7 @@
 use spread_rt::{HostArray, Runtime};
 
 use crate::config::SomierConfig;
-use crate::physics::initial_position;
+use crate::physics::initial_positions;
 
 /// Axis labels for the three components of each variable.
 pub const COMPONENTS: [&str; 3] = ["x", "y", "z"];
@@ -56,7 +56,7 @@ impl SomierArrays {
             partials: mk3(rt, "P", n),
         };
         for c in 0..3 {
-            rt.fill_host(arrays.x[c], |i| initial_position(n, c, i));
+            rt.with_host_mut(arrays.x[c], |x| initial_positions(n, c, x));
         }
         arrays
     }

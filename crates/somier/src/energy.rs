@@ -59,14 +59,14 @@ pub fn total_energy(phys: &Physics, n: usize, x: &[Vec<f64>; 3], v: &[Vec<f64>; 
 mod tests {
     use super::*;
     use crate::config::SomierConfig;
-    use crate::physics::initial_position;
+    use crate::physics::initial_positions;
     use crate::reference::run_reference;
 
     fn initial_state(n: usize) -> ([Vec<f64>; 3], [Vec<f64>; 3]) {
         let x = [0, 1, 2].map(|c| {
-            (0..n * n * n)
-                .map(|i| initial_position(n, c, i))
-                .collect::<Vec<f64>>()
+            let mut x = vec![0.0; n * n * n];
+            initial_positions(n, c, &mut x);
+            x
         });
         let v = [0, 1, 2].map(|_| vec![0.0; n * n * n]);
         (x, v)

@@ -21,25 +21,44 @@ pub fn idx(n: usize, x: usize, y: usize, z: usize) -> usize {
     (x * n + y) * n + z
 }
 
-/// The deterministic initial position of node `i`'s component `c`:
-/// lattice coordinate plus a smooth interior perturbation that makes the
-/// spring forces non-trivial (the lattice alone is an equilibrium).
-pub fn initial_position(n: usize, c: usize, i: usize) -> f64 {
-    let z = i % n;
-    let y = (i / n) % n;
-    let x = i / (n * n);
-    let coord = [x, y, z][c] as f64;
-    let boundary = x == 0 || x == n - 1 || y == 0 || y == n - 1 || z == 0 || z == n - 1;
-    if boundary {
-        return coord;
+/// The deterministic initial positions of component `c` over an `n³`
+/// grid, written into `out` (`n³` elements): each node's lattice
+/// coordinate plus a smooth interior perturbation that makes the spring
+/// forces non-trivial (the lattice alone is an equilibrium).
+///
+/// Interior node `(x, y, z)` gets `coord + 0.05 · (sin(a·u) · cos(b·w))`,
+/// where `u` and `w` are two of its axis values, fixed per component;
+/// boundary nodes keep their lattice coordinate. Each factor depends on
+/// one axis value, so the `n` sines and `n` cosines are computed once
+/// into tables and the grid is walked by rows; each node's operations and
+/// their order are those of the per-node form the tests keep as oracle.
+pub fn initial_positions(n: usize, c: usize, out: &mut [f64]) {
+    assert_eq!(out.len(), n * n * n, "initial_positions fills an n³ grid");
+    if n == 0 {
+        return;
     }
-    let (xf, yf, zf) = (x as f64, y as f64, z as f64);
-    let wobble = match c {
-        0 => (0.7 * xf).sin() * (0.9 * yf).cos(),
-        1 => (0.8 * yf).sin() * (1.1 * zf).cos(),
-        _ => (0.6 * zf).sin() * (1.3 * xf).cos(),
-    };
-    coord + 0.05 * wobble
+    // Per component: the axis of the coordinate is `c`; the sine reads
+    // axis `u` scaled by `a`, the cosine axis `w` scaled by `b`.
+    let (u, a, w, b) = [(0, 0.7, 1, 0.9), (1, 0.8, 2, 1.1), (2, 0.6, 0, 1.3)][c];
+    let sin: Vec<f64> = (0..n).map(|t| (a * t as f64).sin()).collect();
+    let cos: Vec<f64> = (0..n).map(|t| (b * t as f64).cos()).collect();
+    for (x, plane) in out.chunks_exact_mut(n * n).enumerate() {
+        for (y, row) in plane.chunks_exact_mut(n).enumerate() {
+            let at = |axis: usize, z: usize| [x, y, z][axis];
+            let coord = |z: usize| at(c, z) as f64;
+            if x == 0 || x == n - 1 || y == 0 || y == n - 1 {
+                for (z, v) in row.iter_mut().enumerate() {
+                    *v = coord(z);
+                }
+                continue;
+            }
+            row[0] = coord(0);
+            row[n - 1] = coord(n - 1);
+            for (z, v) in row.iter_mut().enumerate().take(n - 1).skip(1) {
+                *v = coord(z) + 0.05 * (sin[at(u, z)] * cos[at(w, z)]);
+            }
+        }
+    }
 }
 
 /// One spring's pull on a node at `p` from a neighbour at `q`, added
@@ -233,6 +252,26 @@ mod tests {
         Some(f)
     }
 
+    /// The per-node form of [`initial_positions`], kept as its oracle:
+    /// the initial position of node `i`'s component `c`.
+    fn initial_position(n: usize, c: usize, i: usize) -> f64 {
+        let z = i % n;
+        let y = (i / n) % n;
+        let x = i / (n * n);
+        let coord = [x, y, z][c] as f64;
+        let boundary = x == 0 || x == n - 1 || y == 0 || y == n - 1 || z == 0 || z == n - 1;
+        if boundary {
+            return coord;
+        }
+        let (xf, yf, zf) = (x as f64, y as f64, z as f64);
+        let wobble = match c {
+            0 => (0.7 * xf).sin() * (0.9 * yf).cos(),
+            1 => (0.8 * yf).sin() * (1.1 * zf).cos(),
+            _ => (0.6 * zf).sin() * (1.3 * xf).cos(),
+        };
+        coord + 0.05 * wobble
+    }
+
     /// The three position components of an `n³` grid.
     fn grid(n: usize, pos: impl Fn(usize, usize) -> f64) -> [Vec<f64>; 3] {
         [0, 1, 2].map(|c| (0..n * n * n).map(|i| pos(c, i)).collect())
@@ -399,15 +438,42 @@ mod tests {
         assert_eq!(plane_sums([&data, &data[..], &data]), [120.0; 3]);
     }
 
+    /// The row form writes every node of every component with the
+    /// per-node form's bits, boundary planes, rows and row ends included.
+    #[test]
+    fn initial_positions_are_the_per_node_form_bit_for_bit() {
+        for n in [1, 2, 3, 4, 9, 17] {
+            for c in 0..3 {
+                let mut got = vec![f64::NAN; n * n * n];
+                initial_positions(n, c, &mut got);
+                for (i, v) in got.iter().enumerate() {
+                    let want = initial_position(n, c, i);
+                    assert_eq!(
+                        v.to_bits(),
+                        want.to_bits(),
+                        "n = {n}, component {c}, node {i}: {v} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "n³ grid")]
+    fn initial_positions_refuse_a_wrong_length() {
+        initial_positions(4, 1, &mut [0.0; 63]);
+    }
+
     #[test]
     fn initial_positions_deterministic_and_bounded() {
         let n = 6;
         for c in 0..3 {
-            for i in 0..n * n * n {
-                let a = initial_position(n, c, i);
-                let b = initial_position(n, c, i);
-                assert_eq!(a, b);
-                assert!((a - lattice(n, c, i)).abs() <= 0.05 + 1e-12);
+            let [mut a, mut b] = [0, 1].map(|_| vec![0.0; n * n * n]);
+            initial_positions(n, c, &mut a);
+            initial_positions(n, c, &mut b);
+            assert_eq!(a, b);
+            for (i, &v) in a.iter().enumerate() {
+                assert!((v - lattice(n, c, i)).abs() <= 0.05 + 1e-12);
             }
         }
     }

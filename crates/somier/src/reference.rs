@@ -11,7 +11,7 @@
 //! our race detector reports).
 
 use crate::config::SomierConfig;
-use crate::physics::{plane_forces, plane_positions, plane_sums};
+use crate::physics::{initial_positions, plane_forces, plane_positions, plane_sums};
 
 /// Final state of a reference run.
 pub struct RefState {
@@ -34,9 +34,9 @@ pub fn run_reference(cfg: &SomierConfig, buffer_planes: usize) -> RefState {
     let dt = phys.dt;
 
     let mut x: [Vec<f64>; 3] = [0, 1, 2].map(|c| {
-        (0..elems)
-            .map(|i| crate::physics::initial_position(n, c, i))
-            .collect()
+        let mut x = vec![0.0; elems];
+        initial_positions(n, c, &mut x);
+        x
     });
     let mut v: [Vec<f64>; 3] = [0, 1, 2].map(|_| vec![0.0; elems]);
     let mut a: [Vec<f64>; 3] = [0, 1, 2].map(|_| vec![0.0; elems]);

@@ -10,9 +10,6 @@
 //! [`simd_for_each`] and friends split a range into width-`W` blocks plus
 //! a scalar tail, mirroring `#pragma omp simd simdlen(W)`.
 
-/// The default lane width (f64 lanes of an AVX-512 register).
-pub const DEFAULT_LANES: usize = 8;
-
 /// Apply `body` to each index of `range` in width-`W` blocks: `body`
 /// receives the block's base index and the lane offset. Equivalent to a
 /// plain loop, but the call structure gives the auto-vectorizer a

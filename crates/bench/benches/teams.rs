@@ -15,11 +15,6 @@ fn main() {
     let data: Vec<f64> = (0..N).map(|i| i as f64).collect();
     for (name, sched) in [
         ("static_blocked", LoopSchedule::StaticBlocked),
-        (
-            "static_chunked_4k",
-            LoopSchedule::StaticChunked { chunk: 4096 },
-        ),
-        ("dynamic_4k", LoopSchedule::Dynamic { chunk: 4096 }),
         ("guided", LoopSchedule::Guided { min_chunk: 1024 }),
     ] {
         bench(&format!("parallel_for_sum/{name}"), 3, 30, || {

@@ -405,7 +405,7 @@ mod tests {
         execute_on_device(
             &mut mem,
             &pool,
-            LoopSchedule::Dynamic { chunk: 7 },
+            LoopSchedule::Guided { min_chunk: 7 },
             20..90,
             &body,
             &args,
@@ -476,7 +476,7 @@ mod tests {
         execute_on_device(
             &mut mem,
             &pool,
-            LoopSchedule::StaticChunked { chunk: 5 },
+            LoopSchedule::Guided { min_chunk: 5 },
             11..109,
             &body,
             &args,
@@ -558,11 +558,11 @@ mod tests {
         let spec = KernelSpec::new("copy", 2.0, |_c, _v| {})
             .arg(KernelArg::read(a, |r| r))
             .arg(KernelArg::write(a, |r| r))
-            .with_schedule(LoopSchedule::Dynamic { chunk: 4 });
+            .with_schedule(LoopSchedule::Guided { min_chunk: 4 });
         assert_eq!(spec.name, "copy");
         assert_eq!(spec.args.len(), 2);
         assert_eq!(spec.args[0].access, Access::Read);
         assert!(spec.args[1].access.writes());
-        assert_eq!(spec.schedule, LoopSchedule::Dynamic { chunk: 4 });
+        assert_eq!(spec.schedule, LoopSchedule::Guided { min_chunk: 4 });
     }
 }

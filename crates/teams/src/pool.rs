@@ -10,8 +10,8 @@
 //! round because `broadcast` does not return until every worker has
 //! finished (a panicking worker is counted as finished and the panic is
 //! re-raised on the leader after the round). A [`TeamPool::parallel_for`]
-//! on a dynamic or guided schedule waits only for the workers that joined
-//! it before the leader ran out of chunks: the others skip the round.
+//! on a guided schedule waits only for the workers that joined it before
+//! the leader ran out of chunks: the others skip the round.
 //!
 //! [`TeamPool::copy`] is the team's bulk byte move: a copy of at least
 //! [`COPY_SPLIT_MIN`] elements is one guided [`TeamPool::parallel_for`],
@@ -79,16 +79,14 @@ struct Shared {
 ///
 /// ```
 /// use spread_teams::{LoopSchedule, TeamPool};
+/// use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let pool = TeamPool::new(4);
-/// let total = pool.parallel_reduce(
-///     0..1_000,
-///     LoopSchedule::Dynamic { chunk: 64 },
-///     0u64,
-///     |chunk, acc| acc + chunk.map(|i| i as u64).sum::<u64>(),
-///     |a, b| a + b,
-/// );
-/// assert_eq!(total, 499_500);
+/// let total = AtomicU64::new(0);
+/// pool.parallel_for(0..1_000, LoopSchedule::Guided { min_chunk: 64 }, |chunk, _tid| {
+///     total.fetch_add(chunk.map(|i| i as u64).sum::<u64>(), Ordering::Relaxed);
+/// });
+/// assert_eq!(total.into_inner(), 499_500);
 /// ```
 pub struct TeamPool {
     shared: Arc<Shared>,
@@ -194,51 +192,15 @@ impl TeamPool {
         F: Fn(std::ops::Range<usize>, usize) + Sync,
     {
         let disp = ChunkDispenser::new(range, schedule, self.n_threads);
-        // Static chunks belong to a member; dynamic and guided ones go to
-        // whichever member asks, so a member that comes late may skip.
-        let everyone = matches!(
-            schedule,
-            LoopSchedule::StaticBlocked | LoopSchedule::StaticChunked { .. }
-        );
+        // A static block belongs to a member; guided chunks go to whichever
+        // member asks, so a member that comes late may skip.
+        let everyone = schedule == LoopSchedule::StaticBlocked;
         self.round(
             &|tid| {
                 disp.drive(tid, |chunk| body(chunk, tid));
             },
             everyone,
         );
-    }
-
-    /// Work-shared reduction: `map` folds each chunk into a partial value
-    /// starting from `identity`; partials are combined (in member order,
-    /// deterministically for static schedules) with `combine`.
-    pub fn parallel_reduce<T, M, C>(
-        &self,
-        range: std::ops::Range<usize>,
-        schedule: LoopSchedule,
-        identity: T,
-        map: M,
-        combine: C,
-    ) -> T
-    where
-        T: Clone + Send + Sync,
-        M: Fn(std::ops::Range<usize>, T) -> T + Sync,
-        C: Fn(T, T) -> T,
-    {
-        let disp = ChunkDispenser::new(range, schedule, self.n_threads);
-        let partials: Vec<Mutex<T>> = (0..self.n_threads)
-            .map(|_| Mutex::new(identity.clone()))
-            .collect();
-        self.broadcast(&|tid| {
-            let mut acc = identity.clone();
-            disp.drive(tid, |chunk| {
-                acc = map(chunk, std::mem::replace(&mut acc, identity.clone()));
-            });
-            *partials[tid].lock().unwrap() = acc;
-        });
-        partials
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .fold(identity.clone(), combine)
     }
 
     /// Whether [`TeamPool::copy`] shares a copy of `len` elements over
@@ -384,7 +346,7 @@ mod tests {
         let cells = crate::split::SliceCells::new(&mut out);
         pool.parallel_for(
             0..1003,
-            LoopSchedule::Dynamic { chunk: 17 },
+            LoopSchedule::Guided { min_chunk: 17 },
             |chunk, _tid| {
                 // SAFETY: dispenser chunks are disjoint.
                 let part = unsafe { cells.slice_mut(chunk.clone()) };
@@ -394,31 +356,6 @@ mod tests {
             },
         );
         assert!(out.iter().enumerate().all(|(i, &v)| v == i + 1));
-    }
-
-    #[test]
-    fn parallel_reduce_matches_sequential() {
-        let pool = TeamPool::new(4);
-        let data: Vec<f64> = (0..10_000).map(|i| (i as f64).sin()).collect();
-        for sched in [
-            LoopSchedule::StaticBlocked,
-            LoopSchedule::StaticChunked { chunk: 13 },
-            LoopSchedule::Dynamic { chunk: 101 },
-            LoopSchedule::Guided { min_chunk: 8 },
-        ] {
-            let total = pool.parallel_reduce(
-                0..data.len(),
-                sched,
-                0.0f64,
-                |chunk, acc| acc + data[chunk].iter().sum::<f64>(),
-                |a, b| a + b,
-            );
-            let seq: f64 = data.iter().sum();
-            assert!(
-                (total - seq).abs() < 1e-9 * seq.abs().max(1.0),
-                "{sched:?}: {total} vs {seq}"
-            );
-        }
     }
 
     #[test]

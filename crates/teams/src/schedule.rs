@@ -1,8 +1,8 @@
 //! Loop iteration scheduling, mirroring OpenMP's `schedule` clause.
 //!
-//! A [`ChunkDispenser`] carves a `Range<usize>` into chunks according to a
-//! [`LoopSchedule`] and hands them to threads. `static` scheduling is
-//! deterministic per thread id; `dynamic` and `guided` use a single atomic
+//! A `ChunkDispenser` carves a `Range<usize>` into chunks according to a
+//! [`LoopSchedule`] and hands them to threads. `static` scheduling gives
+//! each thread one block fixed by its id; `guided` uses a single atomic
 //! cursor (first-come, first-served), exactly like an OpenMP runtime.
 
 use std::ops::Range;
@@ -15,16 +15,6 @@ pub enum LoopSchedule {
     /// OpenMP static schedule with unspecified chunk).
     #[default]
     StaticBlocked,
-    /// `schedule(static, chunk)`: chunks assigned round-robin by thread id.
-    StaticChunked {
-        /// Chunk size in iterations (≥ 1).
-        chunk: usize,
-    },
-    /// `schedule(dynamic, chunk)`: threads grab the next chunk on demand.
-    Dynamic {
-        /// Chunk size in iterations (≥ 1).
-        chunk: usize,
-    },
     /// `schedule(guided, min_chunk)`: exponentially shrinking chunks
     /// (remaining / nthreads), never below `min_chunk`.
     Guided {
@@ -34,118 +24,72 @@ pub enum LoopSchedule {
 }
 
 /// Thread-safe chunk dispenser for one work-shared loop instance.
-pub struct ChunkDispenser {
-    range: Range<usize>,
+pub(crate) struct ChunkDispenser {
+    /// First iteration of the loop.
+    start: usize,
+    /// Iteration count.
+    n: usize,
     schedule: LoopSchedule,
     n_threads: usize,
-    /// Cursor for dynamic/guided (offset from range.start).
+    /// The guided cursor (offset from `start`).
     cursor: AtomicUsize,
 }
 
 impl ChunkDispenser {
     /// Create a dispenser for `range` shared by `n_threads` threads.
-    pub fn new(range: Range<usize>, schedule: LoopSchedule, n_threads: usize) -> Self {
+    pub(crate) fn new(range: Range<usize>, schedule: LoopSchedule, n_threads: usize) -> Self {
         assert!(n_threads > 0, "a team needs at least one thread");
-        match schedule {
-            LoopSchedule::StaticChunked { chunk } | LoopSchedule::Dynamic { chunk } => {
-                assert!(chunk > 0, "chunk size must be >= 1")
-            }
-            LoopSchedule::Guided { min_chunk } => {
-                assert!(min_chunk > 0, "min chunk size must be >= 1")
-            }
-            LoopSchedule::StaticBlocked => {}
+        if let LoopSchedule::Guided { min_chunk } = schedule {
+            assert!(min_chunk > 0, "min chunk size must be >= 1");
         }
         ChunkDispenser {
-            range,
+            start: range.start,
+            n: range.len(),
             schedule,
             n_threads,
             cursor: AtomicUsize::new(0),
         }
     }
 
-    /// Total iterations.
-    pub fn len(&self) -> usize {
-        self.range.end.saturating_sub(self.range.start)
+    /// The static block of thread `tid`: iterations `[t·n/T, (t+1)·n/T)`
+    /// of the range, balanced to within one iteration; `None` if empty.
+    fn block(&self, tid: usize) -> Option<Range<usize>> {
+        let lo = self.start + tid * self.n / self.n_threads;
+        let hi = self.start + (tid + 1) * self.n / self.n_threads;
+        (lo < hi).then_some(lo..hi)
     }
 
-    /// True if the range is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Next chunk for thread `tid`, or `None` when the thread is done.
-    ///
-    /// For static schedules the result depends only on `(tid, call
-    /// number)`; the `cursor` is unused. For dynamic/guided the atomic
-    /// cursor serializes hand-out.
-    ///
-    /// Static scheduling state is tracked per call via the returned
-    /// chunks of [`ChunkDispenser::static_chunks`]; `next_dynamic`
-    /// is exposed for the shared-cursor schedules.
-    pub fn next_dynamic(&self) -> Option<Range<usize>> {
-        let n = self.len();
-        match self.schedule {
-            LoopSchedule::Dynamic { chunk } => {
-                let off = self.cursor.fetch_add(chunk, Ordering::Relaxed);
-                if off >= n {
-                    return None;
-                }
-                let start = self.range.start + off;
-                let end = (start + chunk).min(self.range.end);
-                Some(start..end)
+    /// The next guided chunk, or `None` once the range is handed out.
+    fn next_guided(&self, min_chunk: usize) -> Option<Range<usize>> {
+        loop {
+            let off = self.cursor.load(Ordering::Relaxed);
+            if off >= self.n {
+                return None;
             }
-            LoopSchedule::Guided { min_chunk } => loop {
-                let off = self.cursor.load(Ordering::Relaxed);
-                if off >= n {
-                    return None;
-                }
-                let remaining = n - off;
-                let chunk = (remaining / self.n_threads).max(min_chunk).min(remaining);
-                if self
-                    .cursor
-                    .compare_exchange_weak(off, off + chunk, Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    let start = self.range.start + off;
-                    return Some(start..start + chunk);
-                }
-            },
-            _ => panic!("next_dynamic called on a static schedule"),
+            let remaining = self.n - off;
+            let chunk = (remaining / self.n_threads).max(min_chunk).min(remaining);
+            if self
+                .cursor
+                .compare_exchange_weak(off, off + chunk, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
+            {
+                let start = self.start + off;
+                return Some(start..start + chunk);
+            }
         }
     }
 
-    /// The chunks statically assigned to thread `tid`, in order.
-    pub fn static_chunks(&self, tid: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-        let n = self.len();
-        // (first offset, chunk length, stride between the thread's chunks)
-        let (first, len, stride) = match self.schedule {
-            LoopSchedule::StaticBlocked => {
-                // Blocked: thread t gets iterations [t*n/T, (t+1)*n/T) —
-                // balanced to within one iteration; one chunk or none.
-                let lo = tid * n / self.n_threads;
-                let hi = (tid + 1) * n / self.n_threads;
-                (lo, hi - lo, n.max(1))
-            }
-            LoopSchedule::StaticChunked { chunk } => (tid * chunk, chunk, self.n_threads * chunk),
-            _ => panic!("static_chunks called on a dynamic schedule"),
-        };
-        (first..n)
-            .step_by(stride)
-            .map(move |c| self.range.start + c..(self.range.start + c + len).min(self.range.end))
-            .filter(|r| !r.is_empty())
-    }
-
-    /// Run `body` for every chunk belonging to thread `tid` (static) or
-    /// grabbed by it (dynamic/guided).
-    pub fn drive(&self, tid: usize, mut body: impl FnMut(Range<usize>)) {
+    /// Run `body` for the block belonging to thread `tid` (static) or for
+    /// every chunk it grabs (guided).
+    pub(crate) fn drive(&self, tid: usize, mut body: impl FnMut(Range<usize>)) {
         match self.schedule {
-            LoopSchedule::StaticBlocked | LoopSchedule::StaticChunked { .. } => {
-                for c in self.static_chunks(tid) {
-                    body(c);
+            LoopSchedule::StaticBlocked => {
+                if let Some(b) = self.block(tid) {
+                    body(b);
                 }
             }
-            LoopSchedule::Dynamic { .. } | LoopSchedule::Guided { .. } => {
-                while let Some(c) = self.next_dynamic() {
+            LoopSchedule::Guided { min_chunk } => {
+                while let Some(c) = self.next_guided(min_chunk) {
                     body(c);
                 }
             }
@@ -156,69 +100,53 @@ impl ChunkDispenser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spread_prng::Prng;
 
-    fn coverage(disp: &ChunkDispenser, n_threads: usize, len: usize, base: usize) {
-        let mut seen = vec![0u32; len];
+    /// Drive every member of a `n_threads` team over `range` one after
+    /// the other, and check that each iteration ran exactly once.
+    fn coverage(range: Range<usize>, sched: LoopSchedule, n_threads: usize) {
+        let disp = ChunkDispenser::new(range.clone(), sched, n_threads);
+        let mut seen = vec![0u32; range.len()];
         for tid in 0..n_threads {
-            disp.drive(tid, |r| {
-                for i in r {
-                    seen[i - base] += 1;
+            disp.drive(tid, |chunk| {
+                assert!(range.start <= chunk.start && chunk.end <= range.end);
+                for i in chunk {
+                    seen[i - range.start] += 1;
                 }
             });
         }
-        assert!(seen.iter().all(|&c| c == 1), "coverage: {seen:?}");
+        let ctx = format!("{range:?} over {n_threads} thread(s), {sched:?}");
+        assert!(seen.iter().all(|&c| c == 1), "{ctx}");
+    }
+
+    fn guided_sizes(disp: &ChunkDispenser) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        disp.drive(0, |c| sizes.push(c.len()));
+        sizes
     }
 
     #[test]
     fn static_blocked_partitions() {
-        let disp = ChunkDispenser::new(10..23, LoopSchedule::StaticBlocked, 4);
-        coverage(&disp, 4, 13, 10);
+        coverage(10..23, LoopSchedule::StaticBlocked, 4);
         // Blocks are contiguous and ordered.
-        let c0: Vec<_> = disp.static_chunks(0).collect();
-        let c3: Vec<_> = disp.static_chunks(3).collect();
-        assert_eq!(c0.len(), 1);
-        assert_eq!(c0[0].start, 10);
-        assert_eq!(c3[0].end, 23);
+        let disp = ChunkDispenser::new(10..23, LoopSchedule::StaticBlocked, 4);
+        assert_eq!(disp.block(0), Some(10..13));
+        assert_eq!(disp.block(3), Some(19..23));
     }
 
     #[test]
     fn static_blocked_more_threads_than_iters() {
-        let disp = ChunkDispenser::new(0..3, LoopSchedule::StaticBlocked, 8);
-        coverage(&disp, 8, 3, 0);
+        coverage(0..3, LoopSchedule::StaticBlocked, 8);
         // Some threads get nothing.
-        let empties = (0..8)
-            .filter(|&t| disp.static_chunks(t).next().is_none())
-            .count();
+        let disp = ChunkDispenser::new(0..3, LoopSchedule::StaticBlocked, 8);
+        let empties = (0..8).filter(|&t| disp.block(t).is_none()).count();
         assert_eq!(empties, 5);
-    }
-
-    #[test]
-    fn static_chunked_round_robin() {
-        let disp = ChunkDispenser::new(0..14, LoopSchedule::StaticChunked { chunk: 4 }, 3);
-        // Mirrors the paper's §III-B.1 example (N=14, chunk 4, 3 devices):
-        // chunks [0..4), [4..8), [8..12), [12..14) go to threads 0,1,2,0.
-        assert_eq!(
-            disp.static_chunks(0).collect::<Vec<_>>(),
-            vec![0..4, 12..14]
-        );
-        assert_eq!(disp.static_chunks(1).collect::<Vec<_>>(), vec![4..8]);
-        assert_eq!(disp.static_chunks(2).collect::<Vec<_>>(), vec![8..12]);
-        coverage(&disp, 3, 14, 0);
-    }
-
-    #[test]
-    fn dynamic_covers_exactly_once() {
-        let disp = ChunkDispenser::new(5..105, LoopSchedule::Dynamic { chunk: 7 }, 4);
-        coverage(&disp, 4, 100, 5);
     }
 
     #[test]
     fn guided_chunks_shrink() {
         let disp = ChunkDispenser::new(0..1000, LoopSchedule::Guided { min_chunk: 4 }, 4);
-        let mut sizes = Vec::new();
-        while let Some(c) = disp.next_dynamic() {
-            sizes.push(c.len());
-        }
+        let sizes = guided_sizes(&disp);
         assert_eq!(sizes.iter().sum::<usize>(), 1000);
         // Non-increasing (single-threaded drain) and first is remaining/T.
         assert_eq!(sizes[0], 250);
@@ -229,10 +157,7 @@ mod tests {
     #[test]
     fn guided_respects_min_chunk() {
         let disp = ChunkDispenser::new(0..100, LoopSchedule::Guided { min_chunk: 16 }, 4);
-        let mut sizes = Vec::new();
-        while let Some(c) = disp.next_dynamic() {
-            sizes.push(c.len());
-        }
+        let sizes = guided_sizes(&disp);
         // All but the last chunk are >= min_chunk.
         for &s in &sizes[..sizes.len() - 1] {
             assert!(s >= 16);
@@ -244,12 +169,9 @@ mod tests {
     fn empty_range() {
         for sched in [
             LoopSchedule::StaticBlocked,
-            LoopSchedule::StaticChunked { chunk: 3 },
-            LoopSchedule::Dynamic { chunk: 3 },
             LoopSchedule::Guided { min_chunk: 3 },
         ] {
             let disp = ChunkDispenser::new(7..7, sched, 4);
-            assert!(disp.is_empty());
             let mut called = false;
             for tid in 0..4 {
                 disp.drive(tid, |_| called = true);
@@ -258,10 +180,29 @@ mod tests {
         }
     }
 
+    /// Every iteration runs exactly once, for both schedules, over
+    /// seeded ranges and team sizes.
+    #[test]
+    fn dispenser_partitions_range() {
+        let mut r = Prng::new(0x7ea_0001);
+        for _ in 0..64 {
+            let start = r.range(0, 1000);
+            let len = r.range(0, 2000);
+            let n_threads = r.range(1, 9);
+            let sched = match r.below(2) {
+                0 => LoopSchedule::StaticBlocked,
+                _ => LoopSchedule::Guided {
+                    min_chunk: r.range(1, 32),
+                },
+            };
+            coverage(start..start + len, sched, n_threads);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_rejected() {
-        ChunkDispenser::new(0..10, LoopSchedule::Dynamic { chunk: 0 }, 2);
+        ChunkDispenser::new(0..10, LoopSchedule::Guided { min_chunk: 0 }, 2);
     }
 
     #[test]

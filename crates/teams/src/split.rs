@@ -3,14 +3,15 @@
 //! Work-shared kernels write their output arrays at iteration-owned
 //! indexes: thread A writes `B[i]` for `i` in its chunks, thread B for its
 //! chunks, never the same index. Rust cannot prove that statically for
-//! dynamically scheduled chunks, so [`SliceCells`] provides the standard
+//! guided chunks, so [`SliceCells`] provides the standard
 //! unsafe-core/safe-contract primitive (the same shape as rayon's
 //! internal splitters): a `Sync` view of a `&mut [T]` from which callers
 //! carve *disjoint* mutable sub-slices.
 //!
-//! Safety is delegated to the chunk dispenser: chunks handed out by
-//! [`crate::ChunkDispenser`] are disjoint by construction, so a kernel
-//! that only writes inside its chunk is race-free.
+//! Safety is delegated to the loop schedule: the chunks
+//! [`TeamPool::parallel_for`](crate::TeamPool::parallel_for) hands out
+//! are disjoint by construction, so a kernel that only writes inside its
+//! chunk is race-free.
 
 use std::marker::PhantomData;
 
@@ -38,16 +39,6 @@ impl<'a, T> SliceCells<'a, T> {
             len: slice.len(),
             _marker: PhantomData,
         }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Carve out `range` as a mutable sub-slice.
@@ -155,8 +146,6 @@ mod tests {
     fn empty_slice() {
         let mut data: Vec<u32> = vec![];
         let cells = SliceCells::new(&mut data);
-        assert!(cells.is_empty());
-        assert_eq!(cells.len(), 0);
         // Zero-length carve is fine.
         let s = unsafe { cells.slice_mut(0..0) };
         assert!(s.is_empty());

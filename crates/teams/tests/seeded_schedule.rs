@@ -1,58 +1,22 @@
-//! Seeded property tests: every schedule partitions the iteration space
-//! exactly (deterministic `spread_prng` loops; offline-friendly).
+//! Seeded property test: every schedule partitions the iteration space
+//! exactly on a real pool (deterministic `spread_prng` loop;
+//! offline-friendly).
 
 use spread_prng::Prng;
-use spread_teams::{ChunkDispenser, LoopSchedule, TeamPool};
+use spread_teams::{LoopSchedule, TeamPool};
 use std::sync::atomic::{AtomicU32, Ordering};
 
 fn schedule(r: &mut Prng) -> LoopSchedule {
-    match r.below(4) {
+    match r.below(2) {
         0 => LoopSchedule::StaticBlocked,
-        1 => LoopSchedule::StaticChunked {
-            chunk: r.range(1, 32),
-        },
-        2 => LoopSchedule::Dynamic {
-            chunk: r.range(1, 32),
-        },
         _ => LoopSchedule::Guided {
             min_chunk: r.range(1, 32),
         },
     }
 }
 
-/// Single-threaded drive of the dispenser touches every iteration
-/// exactly once, for every schedule.
-#[test]
-fn dispenser_partitions_range() {
-    let mut r = Prng::new(0x7ea_0001);
-    for _ in 0..64 {
-        let start = r.range(0, 1000);
-        let len = r.range(0, 2000);
-        let n_threads = r.range(1, 9);
-        let sched = schedule(&mut r);
-        let ctx = format!("start={start} len={len} n_threads={n_threads} sched={sched:?}");
-
-        let disp = ChunkDispenser::new(start..start + len, sched, n_threads);
-        let mut seen = vec![0u32; len];
-        let mut out_of_bounds = false;
-        for tid in 0..n_threads {
-            disp.drive(tid, |chunk| {
-                if chunk.start < start || chunk.end > start + len {
-                    out_of_bounds = true;
-                    return;
-                }
-                for i in chunk {
-                    seen[i - start] += 1;
-                }
-            });
-        }
-        assert!(!out_of_bounds, "{ctx}");
-        assert!(seen.iter().all(|&c| c == 1), "{ctx}");
-    }
-}
-
-/// Concurrent execution on a real pool also touches every iteration
-/// exactly once (dynamic schedules race for chunks).
+/// Concurrent execution on a real pool touches every iteration exactly
+/// once (guided members race for chunks).
 #[test]
 fn pool_parallel_for_covers_exactly_once() {
     let mut r = Prng::new(0x7ea_0002);
@@ -70,30 +34,5 @@ fn pool_parallel_for_covers_exactly_once() {
             }
         });
         assert!(seen.iter().all(|c| c.load(Ordering::Relaxed) == 1), "{ctx}");
-    }
-}
-
-/// Reduction equals the sequential fold for every schedule.
-#[test]
-fn pool_reduce_matches_sequential() {
-    let mut r = Prng::new(0x7ea_0003);
-    for _ in 0..32 {
-        let len = r.range(0, 2000);
-        let n_threads = r.range(1, 6);
-        let sched = schedule(&mut r);
-
-        let pool = TeamPool::new(n_threads);
-        let total = pool.parallel_reduce(
-            0..len,
-            sched,
-            0u64,
-            |chunk, acc| acc + chunk.map(|i| i as u64).sum::<u64>(),
-            |a, b| a + b,
-        );
-        let seq: u64 = (0..len as u64).sum();
-        assert_eq!(
-            total, seq,
-            "len={len} n_threads={n_threads} sched={sched:?}"
-        );
     }
 }

@@ -1685,9 +1685,9 @@ pub(crate) fn run_transfers_ex(
         let (sec, alloc, off) = (c.section, c.alloc, c.offset);
         let effect: Box<dyn FnOnce()> = match dir {
             Direction::In => {
-                // The effect keeps only what the copy reads: one more
-                // word in this box costs `depend_pipeline` ≈ 1 MB of
-                // peak resident memory.
+                // The effect keeps only what the copy reads: one more `Rc`
+                // in this box (56 → 64 bytes) costs `depend_pipeline` up to
+                // 0.8 MB of its 9 MB peak resident memory.
                 let (team, src) = (Rc::clone(&team), sec.range());
                 Box::new(move || {
                     let host = host_store.borrow();

@@ -16,15 +16,19 @@
 //! the honest version of "the coherence between the mappings of the
 //! different directives is the programmer's responsibility" (§V-A.2).
 //!
-//! The graph forgets what it finished: `finish` drops the task's slot
+//! The graph forgets what it finished: `finish` empties the task's slot
 //! (label, footprints, successors, action), its dependence records and
 //! its entries in the race detector's running set, so cost and memory
-//! follow the *live* width of the graph, not its history. Ids are
-//! monotone and never recycled — an id below the next one that is no
-//! longer stored *is* a finished task. The dependence records and the
-//! running set are each one `SectionGrid`, so `create` and `start` visit
-//! only the live sections near their own, and allocate nothing once the
-//! grids have grown (DESIGN.md §16).
+//! follow the *live* width of the graph, not its history. Live tasks sit
+//! in one `TaskSlab`: a finished task's slot goes on a free list and the
+//! next task takes it, so the slab never holds more slots than the graph
+//! had live tasks at once, and only a small `id → slot` index sees the
+//! create/finish churn. Ids are monotone and never recycled — an id
+//! below the next one that is no longer stored *is* a finished task. The
+//! dependence records and the running set are each one `SectionGrid`, so
+//! `create` and `start` visit only the live sections near their own, and
+//! allocate nothing once the slab and the grids have grown (DESIGN.md
+//! §16).
 
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -225,7 +229,7 @@ impl TaskSpec {
     }
 }
 
-/// A live (unfinished) task. Dropped whole by [`TaskGraph::finish`].
+/// A live (unfinished) task. Moved out of its slot by [`TaskGraph::finish`].
 struct Task {
     label: TaskLabel,
     state: TaskState,
@@ -255,6 +259,56 @@ impl Task {
             .chain(reads)
             .enumerate()
             .map(|(slot, (a, write))| (slot as u32, a, write))
+    }
+}
+
+/// The live tasks: slots in one vector, the emptied ones' numbers on a
+/// free list, and the `id → slot` index. `remove` frees the slot and
+/// `insert` takes a freed one before growing, so the slab holds at most
+/// as many slots as there were live tasks at once. The create/finish
+/// churn rehashes only the index's `u64 → u32` entries, never a task.
+#[derive(Default)]
+struct TaskSlab {
+    slots: Vec<Option<Task>>,
+    free: Vec<u32>,
+    index: HashMap<u64, u32, FnvBuild>,
+}
+
+impl TaskSlab {
+    fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    fn get(&self, id: TaskId) -> Option<&Task> {
+        self.slots[*self.index.get(&id.0)? as usize].as_ref()
+    }
+
+    fn get_mut(&mut self, id: TaskId) -> Option<&mut Task> {
+        self.slots[*self.index.get(&id.0)? as usize].as_mut()
+    }
+
+    fn insert(&mut self, id: TaskId, task: Task) {
+        let at = match self.free.pop() {
+            Some(at) => {
+                self.slots[at as usize] = Some(task);
+                at
+            }
+            None => {
+                self.slots.push(Some(task));
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(id.0, at);
+    }
+
+    fn remove(&mut self, id: TaskId) -> Option<Task> {
+        let at = self.index.remove(&id.0)?;
+        self.free.push(at);
+        self.slots[at as usize].take()
+    }
+
+    fn values(&self) -> impl Iterator<Item = &Task> {
+        self.slots.iter().flatten()
     }
 }
 
@@ -586,7 +640,7 @@ pub struct LiveCounts {
 #[derive(Default)]
 pub struct TaskGraph {
     /// Live tasks by id. A missing id below `next_task` has finished.
-    tasks: HashMap<u64, Task, FnvBuild>,
+    tasks: TaskSlab,
     next_task: u64,
     groups: Vec<GroupState>,
     /// Dependence records of live tasks, by (parent context, array).
@@ -650,7 +704,7 @@ impl TaskGraph {
     /// Task state. A finished task is no longer stored; any id this
     /// graph has handed out and does not hold is `Finished`.
     pub fn state(&self, id: TaskId) -> TaskState {
-        match self.tasks.get(&id.0) {
+        match self.tasks.get(id) {
             Some(t) => t.state,
             None => {
                 assert!(id.0 < self.next_task, "state of unknown task {id:?}");
@@ -666,7 +720,7 @@ impl TaskGraph {
 
     /// Group a live task belongs to (`None` once it has finished).
     pub fn group_of(&self, id: TaskId) -> Option<GroupId> {
-        self.tasks.get(&id.0).and_then(|t| t.group)
+        self.tasks.get(id).and_then(|t| t.group)
     }
 
     /// Recorded races.
@@ -752,7 +806,7 @@ impl TaskGraph {
         let n_preds = preds.len();
         for p in &preds {
             self.tasks
-                .get_mut(&p.0)
+                .get_mut(*p)
                 .expect("predecessor is live")
                 .succs
                 .push(id);
@@ -794,20 +848,20 @@ impl TaskGraph {
             // If it has preds too, the gate is re-checked when the last
             // pred finishes.
         }
-        self.tasks.insert(id.0, task);
+        self.tasks.insert(id, task);
         (id, ready)
     }
 
     /// Take a live task's action out of its slot (`None` if it has none,
     /// it was already taken, or the task has finished).
     pub(crate) fn take_action(&mut self, id: TaskId) -> Option<Action> {
-        self.tasks.get_mut(&id.0).and_then(|t| t.action.take())
+        self.tasks.get_mut(id).and_then(|t| t.action.take())
     }
 
     /// Mark a task as running and record any footprint races against the
     /// currently running set.
     pub fn start(&mut self, id: TaskId) {
-        let me = self.tasks.get(&id.0).expect("start of unknown task");
+        let me = self.tasks.get(id).expect("start of unknown task");
         debug_assert!(
             matches!(me.state, TaskState::Ready),
             "start of task {id:?} in state {:?}",
@@ -823,7 +877,13 @@ impl TaskGraph {
             self.running
                 .for_each_overlap(&key, &a.section, |other, theirs_writes| {
                     if mine_writes || theirs_writes {
-                        hits.push((self.tasks[&other.0].started, other));
+                        hits.push((
+                            self.tasks
+                                .get(other)
+                                .expect("a running task is live")
+                                .started,
+                            other,
+                        ));
                     }
                 });
         }
@@ -832,7 +892,7 @@ impl TaskGraph {
         hits.sort_unstable();
         hits.dedup();
         for &(_, other_id) in &hits {
-            let other = &self.tasks[&other_id.0];
+            let other = self.tasks.get(other_id).expect("a running task is live");
             let section = footprint_conflict(
                 (&me.fp_reads, &me.fp_writes),
                 (&other.fp_reads, &other.fp_writes),
@@ -851,7 +911,7 @@ impl TaskGraph {
             let key = (a.device, a.section.array);
             self.running.insert(key, id, slot, &a.section, write);
         }
-        let me = self.tasks.get_mut(&id.0).expect("checked above");
+        let me = self.tasks.get_mut(id).expect("checked above");
         me.state = TaskState::Running;
         me.started = self.next_start;
         self.next_start += 1;
@@ -861,7 +921,7 @@ impl TaskGraph {
     /// records and its running-set entries are dropped here. Returns the
     /// tasks that became ready, in the order they did.
     pub fn finish(&mut self, id: TaskId) -> &[TaskId] {
-        let t = self.tasks.remove(&id.0).expect("finish of unknown task");
+        let t = self.tasks.remove(id).expect("finish of unknown task");
         debug_assert!(
             matches!(t.state, TaskState::Running),
             "finish of task {id:?} in state {:?}",
@@ -886,7 +946,7 @@ impl TaskGraph {
         let mut ready = std::mem::take(&mut self.ready);
         ready.clear();
         for &s in &t.succs {
-            let st = self.tasks.get_mut(&s.0).expect("successor is live");
+            let st = self.tasks.get_mut(s).expect("successor is live");
             st.unfinished_preds -= 1;
             if st.unfinished_preds == 0 {
                 match st.gate_group {
@@ -920,7 +980,7 @@ impl TaskGraph {
 
     /// `Waiting` with no unfinished predecessor → `Ready`.
     fn mark_ready(&mut self, id: TaskId, out: &mut Vec<TaskId>) {
-        let t = self.tasks.get_mut(&id.0).expect("a waiting task is live");
+        let t = self.tasks.get_mut(id).expect("a waiting task is live");
         if t.state == TaskState::Waiting && t.unfinished_preds == 0 {
             t.state = TaskState::Ready;
             t.gate_group = None;
@@ -935,7 +995,7 @@ impl TaskGraph {
     /// must not be flagged as racing with a corpse). A finished task has
     /// none left to erase.
     pub fn clear_footprints(&mut self, id: TaskId) {
-        let Some(t) = self.tasks.get_mut(&id.0) else {
+        let Some(t) = self.tasks.get_mut(id) else {
             assert!(
                 id.0 < self.next_task,
                 "clear_footprints of unknown task {id:?}"
@@ -1268,6 +1328,39 @@ mod tests {
     #[should_panic(expected = "unknown task")]
     fn an_id_never_handed_out_is_not_finished() {
         TaskGraph::new().state(TaskId(0));
+    }
+
+    #[test]
+    fn the_task_slab_never_outgrows_the_live_width() {
+        // Listing 13's width in the `depend_pipeline` workload: 512 chunk
+        // chains of five tasks each.
+        const WIDTH: usize = 2_560;
+        let mut g = TaskGraph::new();
+        for round in 0..20 {
+            let ids: Vec<TaskId> = (0..WIDTH)
+                .map(|i| {
+                    let mut s = g.spec("chunk");
+                    s.publish.push((sec(i * 64, 64), true));
+                    s.fp_writes.push(FpAccess::device(0, sec(i * 64, 64)));
+                    g.create(s).0
+                })
+                .collect();
+            // Finish out of creation order, so the free list is reused in
+            // an order of its own.
+            for &id in ids.iter().rev() {
+                g.start(id);
+            }
+            for &id in ids.iter().step_by(2).chain(ids.iter().skip(1).step_by(2)) {
+                g.finish(id);
+            }
+            assert!(
+                g.tasks.slots.len() <= WIDTH,
+                "round {round}: {} slots for {WIDTH} live tasks",
+                g.tasks.slots.len()
+            );
+            assert_eq!(g.live_counts(), LiveCounts::default(), "round {round}");
+        }
+        assert!(g.races().is_empty());
     }
 
     /// All owners `grid` reports for `q` in context `key`, sorted.
